@@ -16,18 +16,15 @@ from .analysis import (
 from .indices import local_indices, set_indices
 from .linalg import (
     LinalgError,
-    LinearMap,
     SolverStats,
     SpdOperator,
     b_orthonormalize,
-    cg_solve,
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
-    sym_indefinite_solve,
 )
 from .operators import (
-    KktConfig,
+    KKT_TOL,
     KktOperator,
     ParamJacobianOperator,
     SensitivityOperator,
@@ -75,16 +72,13 @@ __all__ = [
     "local_indices",
     "set_indices",
     "LinalgError",
-    "LinearMap",
     "SolverStats",
     "SpdOperator",
     "b_orthonormalize",
-    "cg_solve",
     "dense_cholesky",
     "dense_svd",
     "dense_sym_eig",
-    "sym_indefinite_solve",
-    "KktConfig",
+    "KKT_TOL",
     "KktOperator",
     "ParamJacobianOperator",
     "SensitivityOperator",

@@ -8,13 +8,19 @@ the perturbation-ratio and fixed-z comparison diagnostics.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .indices import local_indices, set_indices
-from .operators import KktConfig, SensitivityOperator
-from .optimizer import OptimalPoint, OptimizerConfig, solve_forward, solve_optimization
+from .operators import SensitivityOperator
+from .optimizer import (
+    COMPUTE_ERRORS,
+    OptimalPoint,
+    OptimizerConfig,
+    solve_forward,
+    solve_optimization,
+)
 from .problems.base import ProblemDefinition
 from .randeig import GenEigDiagnostics, RandEigConfig, SingularTriple, randomized_geneig
 from .sampling import SamplingPlan
@@ -87,12 +93,15 @@ def analyze_sample(
     cfg: RandEigConfig,
     j: int,
     opt_cfg: OptimizerConfig | None = None,
-    kkt_cfg: KktConfig | None = None,
 ) -> SampleResult:
     """Single outer-loop iteration: sample, optimize, decompose, index."""
     theta, init = plan.sample(j)
     optimal = solve_optimization(problem, theta, init, opt_cfg)
-    sens = SensitivityOperator(problem, optimal.as_eval_point(), kkt_cfg)
+    sens = SensitivityOperator(
+        problem, optimal.as_eval_point(), optimal.reduced_hessian
+    )
+    # the operator holds the matrix as long as its elimination path needs it
+    optimal = replace(optimal, reduced_hessian=None)
     triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=j)
     local = local_indices(triples, problem.spaces)
     sets: dict[str, float] = {}
@@ -115,27 +124,27 @@ def global_analysis(
     plan: SamplingPlan,
     cfg: RandEigConfig,
     opt_cfg: OptimizerConfig | None = None,
-    kkt_cfg: KktConfig | None = None,
     workers: int = 1,
 ) -> HdsaReport:
     """Monte Carlo sweep over N parameter samples.
 
-    Per-sample failures (optimizer divergence, rejected SOSC) are recorded and
-    excluded from the aggregates. Results are gathered by sample index and are
-    identical for any worker count.
+    Per-sample numerical failures (optimizer divergence, rejected SOSC, KKT
+    solves short of tolerance) are recorded and excluded from the aggregates;
+    any other exception propagates. Results are gathered by sample index and
+    are identical for any worker count.
     """
     results: dict[int, SampleResult] = {}
     failures: dict[int, SampleFailure] = {}
 
     def task(j: int):
-        return analyze_sample(problem, plan, cfg, j, opt_cfg, kkt_cfg)
+        return analyze_sample(problem, plan, cfg, j, opt_cfg)
 
     indices = list(range(cfg.n_samples))
     if workers <= 1:
         for j in indices:
             try:
                 results[j] = task(j)
-            except Exception as exc:
+            except COMPUTE_ERRORS as exc:
                 failures[j] = SampleFailure(j, plan.sample(j)[0], str(exc))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -144,7 +153,7 @@ def global_analysis(
                 j = futures[fut]
                 try:
                     results[j] = fut.result()
-                except Exception as exc:
+                except COMPUTE_ERRORS as exc:
                     failures[j] = SampleFailure(j, plan.sample(j)[0], str(exc))
 
     if not results:
@@ -173,7 +182,6 @@ def perturbation_check(
     phi: np.ndarray,
     delta: float,
     opt_cfg: OptimizerConfig | None = None,
-    kkt_cfg: KktConfig | None = None,
     sens: SensitivityOperator | None = None,
 ) -> PerturbationCheck:
     """Empirical first-order check: re-solve at theta0 + delta*phi (warm start)
@@ -184,7 +192,9 @@ def perturbation_check(
         raise ValueError("perturbation direction must be nonzero")
     phi = phi / nrm
     if sens is None:
-        sens = SensitivityOperator(problem, point.as_eval_point(), kkt_cfg)
+        sens = SensitivityOperator(
+            problem, point.as_eval_point(), point.reduced_hessian
+        )
     prediction = delta * spaces.m_z.norm(sens.apply(phi))
     if delta == 0.0:
         return PerturbationCheck(0.0, 0.0, 0.0, 1.0)

@@ -77,7 +77,6 @@ class RunConfig:
     distribution: Distribution
     init_mode: str
     output_dir: Path
-    oracle: bool = False
     perturbation_deltas: list[float] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
@@ -102,7 +101,7 @@ class RunConfig:
 
 _TOP_KEYS = {
     "problem", "optimizer", "hdsa", "sampling", "output_dir",
-    "oracle", "perturbation_deltas",
+    "perturbation_deltas",
 }
 
 
@@ -211,7 +210,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
-    oracle = _get(raw, "oracle", bool, False, "config")
     deltas_raw = raw.get("perturbation_deltas", [])
     if not isinstance(deltas_raw, list) or not all(
         isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas_raw
@@ -229,7 +227,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         distribution=dist,
         init_mode=init_mode,
         output_dir=out_dir,
-        oracle=oracle,
         perturbation_deltas=deltas,
         raw=raw,
     )

@@ -1,18 +1,16 @@
-"""Dense and matrix-free linear algebra kernels.
+"""Dense linear algebra kernels.
 
-Krylov solvers for symmetric systems, weighted orthonormalization, and the
-small dense factorizations used by the randomized eigensolver and the dense
-verification oracles.
+Mass-weighted SPD operators, weighted orthonormalization, and the small dense
+factorizations used by the randomized eigensolver and the dense verification
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 # Total stacked dimension below which direct dense factorizations are used.
 DENSE_THRESHOLD = 2000
@@ -22,71 +20,15 @@ class LinalgError(Exception):
     """Hard failure in a linear algebra kernel (dimension, definiteness)."""
 
 
-def ensure_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise LinalgError(f"{what} contains NaN/Inf entries")
-    return v
+class SolveError(Exception):
+    """KKT solve that did not reach the backward-error tolerance."""
 
 
 @dataclass
 class SolverStats:
     iterations: int
-    final_relative_residual: float
+    backward_error: float
     converged: bool
-    breakdown: bool = False
-
-
-class LinearMap:
-    """Matrix-free linear operator.
-
-    ``apply_adjoint`` may be omitted for self-adjoint maps, in which case it
-    falls back to ``apply``.
-    """
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        apply: Callable[[np.ndarray], np.ndarray],
-        apply_adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self._apply = apply
-        self._apply_adjoint = apply_adjoint
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.in_dim,):
-            raise LinalgError(
-                f"operator expects input of length {self.in_dim}, got {v.shape}"
-            )
-        out = np.asarray(self._apply(v), dtype=float)
-        if out.shape != (self.out_dim,):
-            raise LinalgError(
-                f"operator returned length {out.shape}, expected {self.out_dim}"
-            )
-        return out
-
-    def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.out_dim,):
-            raise LinalgError(
-                f"adjoint expects input of length {self.out_dim}, got {w.shape}"
-            )
-        if self._apply_adjoint is None:
-            if self.in_dim != self.out_dim:
-                raise LinalgError("non-square map has no default adjoint")
-            return self.apply(w)
-        return np.asarray(self._apply_adjoint(w), dtype=float)
-
-    def dense(self) -> np.ndarray:
-        """Assemble the operator column by column (small dims only)."""
-        cols = []
-        eye = np.eye(self.in_dim)
-        for i in range(self.in_dim):
-            cols.append(self.apply(eye[i]))
-        return np.column_stack(cols)
 
 
 class SpdOperator:
@@ -126,110 +68,11 @@ class SpdOperator:
     def dense(self) -> np.ndarray:
         return self._matrix
 
-    def cholesky_upper(self) -> np.ndarray:
-        return dense_cholesky(self._matrix)
-
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(v @ self.apply(w))
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(v, v), 0.0)))
-
-
-def cg_solve(
-    op: LinearMap | SpdOperator,
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, SolverStats]:
-    """Conjugate gradients for SPD systems.
-
-    Returns the best iterate with ``converged=False`` on non-convergence or
-    breakdown (non-positive curvature direction).
-    """
-    if tol <= 0:
-        raise LinalgError("cg_solve requires tol > 0")
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    if isinstance(op, SpdOperator) and op.dim != n:
-        raise LinalgError("dimension mismatch between operator and rhs")
-    apply = op.apply
-    if max_iter is None:
-        max_iter = 10 * n
-
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros(n), SolverStats(0, 0.0, True)
-
-    x = np.zeros(n)
-    r = rhs.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    it = 0
-    while it < max_iter:
-        rel = np.sqrt(rr) / rhs_norm
-        if rel <= tol:
-            return x, SolverStats(it, rel, True)
-        ap = apply(p)
-        curv = float(p @ ap)
-        if curv <= 0.0:
-            rel = float(np.linalg.norm(rhs - apply(x))) / rhs_norm
-            return x, SolverStats(it, rel, rel <= tol, breakdown=True)
-        alpha = rr / curv
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-        it += 1
-    rel = float(np.linalg.norm(rhs - apply(x))) / rhs_norm
-    return x, SolverStats(it, rel, rel <= tol)
-
-
-def sym_indefinite_solve(
-    op: LinearMap,
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, SolverStats]:
-    """MINRES for symmetric (possibly indefinite) systems.
-
-    Minimal-residual contract: ||op(x) - rhs|| / ||rhs|| <= tol on success.
-    """
-    if tol <= 0:
-        raise LinalgError("sym_indefinite_solve requires tol > 0")
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    if op.in_dim != n or op.out_dim != n:
-        raise LinalgError("sym_indefinite_solve needs a square operator matching rhs")
-    if max_iter is None:
-        max_iter = 20 * n
-
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros(n), SolverStats(0, 0.0, True)
-
-    count = {"it": 0}
-
-    def _cb(_xk):
-        count["it"] += 1
-
-    lo = scipy.sparse.linalg.LinearOperator((n, n), matvec=op.apply)
-    # minres terminates on ||r|| <= rtol * ||A|| * ||x||, which can leave the
-    # plain relative residual above tol; refinement restarts close the gap
-    x = np.zeros(n)
-    rel = 1.0
-    for _ in range(5):
-        r = rhs - op.apply(x)
-        rel = float(np.linalg.norm(r)) / rhs_norm
-        if rel <= tol or count["it"] >= max_iter:
-            break
-        dx, _info = scipy.sparse.linalg.minres(
-            lo, r, rtol=tol, maxiter=max_iter - count["it"], callback=_cb
-        )
-        x = x + dx
-    rel = float(np.linalg.norm(rhs - op.apply(x))) / rhs_norm
-    return x, SolverStats(count["it"], rel, rel <= tol)
 
 
 def b_orthonormalize(
@@ -238,6 +81,8 @@ def b_orthonormalize(
     drop_tol: float = 1e-10,
 ) -> tuple[np.ndarray, int]:
     """B-orthonormalize columns with two passes of modified Gram-Schmidt.
+
+    ``b`` needs only ``dim``, ``apply`` and ``norm``.
 
     Returns ``(Q, n_dropped)`` where Q has B-orthonormal columns spanning the
     numerically independent part of the input. Columns whose B-norm after

@@ -7,45 +7,44 @@ solve against the negated Lagrangian cross-derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
-from .linalg import DENSE_THRESHOLD, LinalgError, LinearMap, SolverStats, sym_indefinite_solve
+from .linalg import DENSE_THRESHOLD, LinalgError, SolveError, SolverStats
 from .optimizer import reduced_hessian_dense
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
 
-
-class SolveError(Exception):
-    """KKT solve failure without a permitted fallback."""
-
-
-@dataclass
-class KktConfig:
-    tol: float = 1e-10
-    max_iter: int = 50000
-    # "auto": dense LU below DENSE_THRESHOLD, otherwise block elimination
-    # through the reduced Hessian; "dense" | "schur" | "minres" force a path.
-    method: str = "auto"
+# A KKT solve has converged when its normwise backward error is at most this.
+KKT_TOL = 1e-10
 
 
 class KktOperator:
     """Symmetric 3x3 block operator of Lagrangian second derivatives.
 
     Rows: (L_uu, L_uz, c_u^T; L_zu, L_zz, c_z^T; c_u, c_z, 0), evaluated at a
-    fixed stationary point.
+    fixed stationary point. Systems up to ``DENSE_THRESHOLD`` are solved by
+    dense LU, larger ones by block elimination through the reduced Hessian;
+    ``reduced_hessian`` may pass in the one already assembled at the point.
     """
 
-    def __init__(self, problem: ProblemDefinition, point: EvalPoint, cfg: KktConfig | None = None):
+    def __init__(
+        self,
+        problem: ProblemDefinition,
+        point: EvalPoint,
+        reduced_hessian: np.ndarray | None = None,
+    ):
         self.problem = problem
         self.point = point
-        self.cfg = cfg or KktConfig()
         d = problem.dims
         self.n_u, self.n_z, self.n_lam = d.n_u, d.n_z, d.n_lambda
         self.dim = d.n_stacked
         self._dense_lu = None
         self._dense_scale = None
+        # only the elimination path needs the reduced Hessian; it is dropped
+        # once factored
+        self._reduced_hessian = (
+            reduced_hessian if self.dim > DENSE_THRESHOLD else None
+        )
         self._schur_cho = None
         self._norm_est = 0.0
         self.solve_stats: list[SolverStats] = []
@@ -82,32 +81,17 @@ class KktOperator:
         cols = [self.apply(e) for e in np.eye(self.dim)]
         return np.column_stack(cols)
 
-    def as_linear_map(self) -> LinearMap:
-        return LinearMap(self.dim, self.dim, self.apply)
-
-    def _resolve_method(self) -> str:
-        if self.cfg.method != "auto":
-            return self.cfg.method
-        return "dense" if self.dim <= DENSE_THRESHOLD else "schur"
-
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolverStats]:
         if rhs.shape != (self.dim,):
             raise LinalgError(f"KKT solve expects length {self.dim}, got {rhs.shape}")
-        method = self._resolve_method()
-        if method == "dense":
+        if self.dim <= DENSE_THRESHOLD:
             x, stats = self._solve_dense(rhs)
-        elif method == "schur":
-            x, stats = self._solve_schur(rhs)
-        elif method == "minres":
-            x, stats = sym_indefinite_solve(
-                self.as_linear_map(), rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter
-            )
         else:
-            raise SolveError(f"unknown KKT solve method {method!r}")
+            x, stats = self._solve_schur(rhs)
         if not stats.converged:
             raise SolveError(
-                f"KKT solve ({method}) did not reach relative residual {self.cfg.tol:g}: "
-                f"{stats.final_relative_residual:.3e}"
+                f"KKT solve did not reach backward error {KKT_TOL:g}: "
+                f"{stats.backward_error:.3e} after {stats.iterations} sweeps"
             )
         self.solve_stats.append(stats)
         return x, stats
@@ -143,11 +127,11 @@ class KktOperator:
         x = pass_(rhs)
         its = 1
         rel = self._residual(x, rhs)
-        while rel > self.cfg.tol and its < 10:
+        while rel > KKT_TOL and its < 10:
             x = x + pass_(rhs - self.apply(x))
             rel = self._residual(x, rhs)
             its += 1
-        return x, SolverStats(its, rel, rel <= max(self.cfg.tol, 1e-10))
+        return x, SolverStats(its, rel, rel <= KKT_TOL)
 
     def _solve_schur(self, rhs):
         """Block elimination through the (SPD) reduced Hessian.
@@ -162,17 +146,20 @@ class KktOperator:
         # from the widely spread block scales
         its = 1
         rel = self._residual(x, rhs)
-        while rel > self.cfg.tol and its < 5:
+        while rel > KKT_TOL and its < 5:
             x = x + self._schur_pass(rhs - self.apply(x))
             rel = self._residual(x, rhs)
             its += 1
-        return x, SolverStats(its, rel, rel <= max(self.cfg.tol, 1e-9))
+        return x, SolverStats(its, rel, rel <= KKT_TOL)
 
     def _schur_pass(self, rhs: np.ndarray) -> np.ndarray:
         p, pt = self.problem, self.point
         if self._schur_cho is None:
-            h = reduced_hessian_dense(p, pt)
+            h = self._reduced_hessian
+            if h is None:
+                h = reduced_hessian_dense(p, pt)
             self._schur_cho = scipy.linalg.cho_factor(h, lower=False)
+            self._reduced_hessian = None
         b_u, b_z, b_l = self.split(rhs)
         s_bl = p.state_jacobian_solve(pt, b_l)
         w = b_u - p.l_uu(pt, s_bl)
@@ -220,12 +207,12 @@ class SensitivityOperator:
         self,
         problem: ProblemDefinition,
         point: EvalPoint,
-        kkt_cfg: KktConfig | None = None,
+        reduced_hessian: np.ndarray | None = None,
     ):
         self.problem = problem
         self.point = point
         self.spaces: WeightedSpaces = problem.spaces
-        self.kkt = KktOperator(problem, point, kkt_cfg)
+        self.kkt = KktOperator(problem, point, reduced_hessian)
         self.b = ParamJacobianOperator(problem, point)
         d = problem.dims
         self.n_theta = d.n_theta

@@ -11,13 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DENSE_THRESHOLD, dense_sym_eig
-from .problems.base import EvalPoint, ProblemDefinition
+from .linalg import DENSE_THRESHOLD, LinalgError, SolveError, dense_sym_eig
+from .problems.base import EvalPoint, ProblemDefinition, ProblemError
 from .sampling import InitialIterate
 
 
 class OptimizerError(Exception):
     """Non-convergence or a rejected (non-minimizer) stationary point."""
+
+
+# Numerical failures: a line search answers them with a shorter step and a
+# sample sweep records them as a failed sample. Anything else is a
+# programming error and propagates.
+COMPUTE_ERRORS = (ProblemError, OptimizerError, SolveError, LinalgError)
 
 
 @dataclass
@@ -42,6 +48,8 @@ class OptimalPoint:
     sosc_min_eig: float
     iterations: int
     objective: float = 0.0
+    # the SOSC reduced Hessian, reused by the KKT elimination at this point
+    reduced_hessian: np.ndarray | None = field(default=None, repr=False)
 
     def as_eval_point(self) -> EvalPoint:
         return EvalPoint(self.u0, self.z0, self.lambda0, self.theta0)
@@ -75,7 +83,7 @@ def solve_forward(
             u_trial = u + step * du
             try:
                 r_trial = problem.residual(u_trial, z, theta)
-            except Exception:
+            except COMPUTE_ERRORS:
                 step *= 0.5
                 continue
             if float(np.linalg.norm(r_trial)) < rn:
@@ -123,9 +131,8 @@ def reduced_hessian_dense(problem: ProblemDefinition, p: EvalPoint) -> np.ndarra
     return 0.5 * (h + h.T)
 
 
-def check_sosc(problem: ProblemDefinition, p: EvalPoint) -> float:
-    """Smallest eigenvalue of the reduced Hessian at the point."""
-    h = reduced_hessian_dense(problem, p)
+def check_sosc(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a dense reduced Hessian."""
     evals, _ = dense_sym_eig(h)
     return float(evals[-1])
 
@@ -205,7 +212,7 @@ def solve_optimization(
                     problem, z_trial, theta0, u,
                     tol=cfg.forward_tol, max_iter=cfg.forward_max_iter,
                 )
-            except (OptimizerError, Exception):
+            except COMPUTE_ERRORS:
                 step *= 0.5
                 continue
             f_trial = problem.objective(u_trial, z_trial, theta0)
@@ -228,8 +235,10 @@ def solve_optimization(
     lam = solve_adjoint(problem, u, z, theta0)
     point = EvalPoint(u, z, lam, theta0)
     sosc = np.nan
+    h = None
     if cfg.check_sosc:
-        sosc = check_sosc(problem, point)
+        h = reduced_hessian_dense(problem, point)
+        sosc = check_sosc(h)
         if sosc <= 0.0:
             raise OptimizerError(
                 f"not a verified local minimizer: reduced Hessian min eig {sosc:.3e}"
@@ -243,4 +252,5 @@ def solve_optimization(
         sosc_min_eig=sosc,
         iterations=it,
         objective=f,
+        reduced_hessian=h,
     )

@@ -27,23 +27,6 @@ def interior_mass_matrix(n_interior: int, length: float = 1.0) -> scipy.sparse.c
     return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
 
 
-def stiffness_matrix_dirichlet(
-    kappa_mid: np.ndarray, n_interior: int, length: float = 1.0
-) -> scipy.sparse.csr_matrix:
-    """Stiffness matrix for -(kappa u')' with homogeneous Dirichlet conditions.
-
-    ``kappa_mid`` holds the coefficient at the n_interior+1 element midpoints
-    (one-point quadrature, exact for elementwise-constant coefficients).
-    """
-    kappa_mid = np.asarray(kappa_mid, dtype=float)
-    if kappa_mid.shape != (n_interior + 1,):
-        raise ProblemError("kappa_mid must have one value per element")
-    h = length / (n_interior + 1)
-    main = (kappa_mid[:-1] + kappa_mid[1:]) / h
-    off = -kappa_mid[1:-1] / h
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
-
-
 def stiffness_matrix_neumann(
     n_nodes: int, length: float = 1.0
 ) -> scipy.sparse.csr_matrix:

@@ -12,7 +12,7 @@ are provided for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -165,10 +165,10 @@ def randomized_geneig(
     y = apply_binv_a(y)
     dropped = 0
     for _ in range(cfg.power_iterations):
-        y, ndrop = b_orthonormalize(y, _AsSpd(b))
+        y, ndrop = b_orthonormalize(y, b)
         dropped += ndrop
         y = apply_binv_a(y)
-    q, ndrop = b_orthonormalize(y, _AsSpd(b))
+    q, ndrop = b_orthonormalize(y, b)
     dropped += ndrop
 
     aq = np.column_stack(
@@ -194,23 +194,6 @@ def randomized_geneig(
         kkt_solves=len(d.kkt.solve_stats) - solves_before,
     )
     return triples, diag
-
-
-class _AsSpd:
-    """Adapter presenting the block mass as the SpdOperator surface."""
-
-    def __init__(self, b: _BlockMass):
-        self._b = b
-        self.dim = b.dim
-
-    def apply(self, v):
-        return self._b.apply(v)
-
-    def norm(self, v):
-        return self._b.norm(v)
-
-    def inner(self, v, w):
-        return self._b.inner(v, w)
 
 
 def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[SingularTriple]:

@@ -50,6 +50,22 @@ class TestGlobalAnalysis:
         with pytest.raises(RuntimeError):
             global_analysis(problem, logistic_plan(), cfg, opt_cfg=bad)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, workers):
+        # a TypeError in a problem method is a bug, not a failed sample
+        problem = build_logistic_toy()
+        residual = problem.residual
+
+        def broken(u, z, theta):
+            if np.any(z != 0.0):  # every Armijo trial, never the zero start
+                raise TypeError("broken residual")
+            return residual(u, z, theta)
+
+        monkeypatch.setattr(problem, "residual", broken)
+        cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=2)
+        with pytest.raises(TypeError, match="broken residual"):
+            global_analysis(problem, logistic_plan(), cfg, workers=workers)
+
     def test_analyze_sample_fields(self):
         problem = build_logistic_toy()
         cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0)

@@ -5,6 +5,7 @@ import pytest
 from hdsa.bundle import CSV_FILES, BundleError, read_bundle
 from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from hdsa.config import ConfigError, load_config, parse_config
+from hdsa.operators import SensitivityOperator
 
 
 def logistic_config(out_dir, n_samples=2, seed=42, **extra):
@@ -36,6 +37,12 @@ class TestConfigParsing:
         cfg["surprise"] = 1
         with pytest.raises(ConfigError, match="surprise"):
             parse_config(cfg)
+
+    def test_retired_oracle_key_is_usage_error(self, tmp_path):
+        cfg = logistic_config(tmp_path / "out")
+        cfg["oracle"] = True
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", str(path)]) == EXIT_USAGE
 
     def test_unknown_problem_param_rejected(self, tmp_path):
         cfg = logistic_config(tmp_path / "out")
@@ -163,6 +170,20 @@ class TestVerifyCommand:
         path = write_config(tmp_path, cfg)
         assert main(["verify", str(path)]) == EXIT_COMPUTE
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_catches_wrong_sensitivity_operator(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        apply = SensitivityOperator.apply
+        monkeypatch.setattr(
+            SensitivityOperator, "apply", lambda self, phi: 1.5 * apply(self, phi)
+        )
+        cfg = logistic_config(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", str(path)]) == EXIT_COMPUTE
+        rows = capsys.readouterr().out.splitlines()
+        failed = {row.split("  ")[1] for row in rows if row.startswith("FAIL")}
+        assert {"perturbation sweep", "adjoint consistency"} <= failed
 
     def test_usage_errors(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE

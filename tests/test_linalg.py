@@ -3,14 +3,11 @@ import pytest
 
 from hdsa.linalg import (
     LinalgError,
-    LinearMap,
     SpdOperator,
     b_orthonormalize,
-    cg_solve,
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
-    sym_indefinite_solve,
 )
 
 
@@ -19,44 +16,6 @@ def random_spd(n, seed=0, cond=1e3):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.logspace(0, -np.log10(cond), n)
     return q @ np.diag(d) @ q.T
-
-
-class TestCg:
-    def test_matches_direct_solve(self):
-        a = random_spd(30, seed=1)
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(30)
-        op = SpdOperator(a)
-        x, stats = cg_solve(op, b, tol=1e-12, max_iter=500)
-        assert stats.converged
-        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-8)
-
-    def test_zero_rhs(self):
-        op = SpdOperator(random_spd(10))
-        x, stats = cg_solve(op, np.zeros(10), tol=1e-12, max_iter=100)
-        assert np.all(x == 0.0)
-        assert stats.converged
-
-    def test_indefinite_breakdown_flagged(self):
-        a = np.diag([1.0, -1.0, 2.0])
-        op = SpdOperator.identity(3)
-        op.apply = lambda v: a @ v  # indefinite action behind the SPD surface
-        rng = np.random.default_rng(3)
-        x, stats = cg_solve(op, rng.standard_normal(3), tol=1e-12, max_iter=50)
-        assert stats.breakdown or stats.converged is False
-
-
-class TestSymIndefinite:
-    def test_saddle_system(self):
-        rng = np.random.default_rng(4)
-        h = random_spd(12, seed=5)
-        c = rng.standard_normal((4, 12))
-        k = np.block([[h, c.T], [c, np.zeros((4, 4))]])
-        op = LinearMap(16, 16, lambda v: k @ v)
-        b = rng.standard_normal(16)
-        x, stats = sym_indefinite_solve(op, b, tol=1e-8, max_iter=2000)
-        assert stats.converged
-        np.testing.assert_allclose(k @ x, b, atol=1e-6 * np.linalg.norm(b))
 
 
 class TestBOrthonormalize:

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+import hdsa.operators as operators
+import hdsa.optimizer as optimizer
+from hdsa.analysis import analyze_sample
 from hdsa.operators import (
-    KktConfig,
+    KKT_TOL,
     KktOperator,
     ParamJacobianOperator,
     ProjectedSensitivityOperator,
     SensitivityOperator,
     SolveError,
 )
-from hdsa.optimizer import solve_optimization
+from hdsa.optimizer import OptimizerConfig, solve_optimization
 from hdsa.problems import build_diffusion_control_1d, build_logistic_toy
+from hdsa.randeig import RandEigConfig
+from hdsa.sampling import Distribution, SamplingPlan
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +58,55 @@ class TestKktOperator:
         rhs = float(v @ op.apply(w))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("method", ["dense", "schur", "minres"])
-    def test_solve_paths_agree(self, diffusion_point, method):
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_solve_paths_agree(self, diffusion_point, monkeypatch, path):
+        """Both paths agree, and solve() takes the one its dimension selects."""
         problem, point = diffusion_point
-        rng = np.random.default_rng(3)
-        rhs = rng.standard_normal(problem.dims.n_stacked)
-        ref = KktOperator(problem, point, KktConfig(method="dense"))
-        x_ref, _ = ref.solve(rhs)
-        op = KktOperator(problem, point, KktConfig(method=method, tol=1e-10))
+        op = KktOperator(problem, point)
+        rhs = np.random.default_rng(3).standard_normal(op.dim)
+        x_dense, dense_stats = op._solve_dense(rhs)
+        x_schur, schur_stats = op._solve_schur(rhs)
+        assert dense_stats.converged and schur_stats.converged
+        atol = 1e-8 * np.linalg.norm(x_dense)
+        np.testing.assert_allclose(x_schur, x_dense, atol=atol)
+
+        threshold = op.dim if path == "dense" else op.dim - 1
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", threshold)
+        taken = []
+        for name in ("_solve_dense", "_solve_schur"):
+            method = getattr(op, name)
+            monkeypatch.setattr(
+                op, name, lambda b, n=name, m=method: taken.append(n) or m(b)
+            )
         x, stats = op.solve(rhs)
-        assert stats.converged
-        np.testing.assert_allclose(
-            x, x_ref, atol=1e-6 * np.linalg.norm(x_ref)
-        )
+        assert taken == ["_solve_" + path]
+        assert stats.backward_error <= KKT_TOL
+        np.testing.assert_allclose(x, x_dense, atol=atol)
+
+    def test_stalled_solve_raises(self, diffusion_point, monkeypatch):
+        """A backward error just above KKT_TOL is not convergence."""
+        problem, point = diffusion_point
+        op = KktOperator(problem, point)
+        rng = np.random.default_rng(11)
+        rhs = rng.standard_normal(op.dim)
+        exact_pass = op._schur_pass
+        offset = rng.standard_normal(op.dim)
+
+        def stalled(scale):
+            # every elimination pass misses by the same offset, so refinement
+            # stalls at a backward error proportional to it
+            monkeypatch.setattr(
+                op, "_schur_pass", lambda r: exact_pass(r) + scale * offset
+            )
+            return op._solve_schur(rhs)[1]
+
+        probe = stalled(1e-8)
+        stats = stalled(1e-8 * 5 * KKT_TOL / probe.backward_error)
+        assert KKT_TOL < stats.backward_error < 1e-9
+        assert not stats.converged
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
+        with pytest.raises(SolveError, match="backward error"):
+            op.solve(rhs)
 
     def test_solve_residual_small(self, diffusion_point):
         problem, point = diffusion_point
@@ -77,11 +118,53 @@ class TestKktOperator:
         r = np.linalg.norm(rhs - k @ x)
         assert r <= 1e-8 * (np.linalg.norm(k, 2) * np.linalg.norm(x))
 
-    def test_unknown_method_rejected(self, logistic_point):
-        problem, point = logistic_point
-        op = KktOperator(problem, point, KktConfig(method="qr"))
-        with pytest.raises(SolveError):
-            op.solve(np.ones(op.dim))
+
+
+class TestSchurPath:
+    """A sample whose KKT system is above the dense threshold."""
+
+    @pytest.fixture
+    def schur_sample(self, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
+        calls = []
+        original = optimizer.reduced_hessian_dense
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, "reduced_hessian_dense", counted)
+        monkeypatch.setattr(operators, "reduced_hessian_dense", counted)
+        problem = build_diffusion_control_1d(n_state=24, n_param=6)
+        plan = SamplingPlan(
+            theta_dists=[Distribution("uniform", -1.0, 1.0)] * 6,
+            init_mode="zero",
+            master_seed=0,
+            n_u=24,
+            n_z=24,
+        )
+        cfg = RandEigConfig(k_pairs=2, oversampling=2, seed=0)
+
+        def run(opt_cfg):
+            calls.clear()
+            return analyze_sample(problem, plan, cfg, 0, opt_cfg), len(calls)
+
+        return run
+
+    def test_reduced_hessian_assembled_once(self, schur_sample):
+        res, n_calls = schur_sample(OptimizerConfig())
+        assert n_calls == 1
+        assert res.optimal.sosc_min_eig > 0.0
+        # the sample result does not keep the matrix
+        assert res.optimal.reduced_hessian is None
+
+    def test_works_without_sosc_check(self, schur_sample):
+        with_sosc, _ = schur_sample(OptimizerConfig())
+        without, n_calls = schur_sample(OptimizerConfig(check_sosc=False))
+        # the elimination assembles the matrix itself, to the same bits
+        assert n_calls == 1
+        assert np.isnan(without.optimal.sosc_min_eig)
+        np.testing.assert_array_equal(without.sigmas, with_sosc.sigmas)
 
 
 class TestParamJacobian:

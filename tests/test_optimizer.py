@@ -32,6 +32,21 @@ class TestForward:
         u = solve_forward(p, z, theta)
         np.testing.assert_allclose(p.residual(u, z, theta), 0.0, atol=1e-11)
 
+    def test_programming_error_in_trial_step_propagates(self, monkeypatch):
+        p = build_logistic_toy()
+        residual = p.residual
+        calls = []
+
+        def broken(u, z, theta):
+            calls.append(1)
+            if len(calls) > 1:  # the first Newton trial, not the start
+                raise TypeError("broken residual")
+            return residual(u, z, theta)
+
+        monkeypatch.setattr(p, "residual", broken)
+        with pytest.raises(TypeError, match="broken residual"):
+            solve_forward(p, np.array([2.0]), np.array([0.5, 0.5]))
+
     def test_adjoint_satisfies_equation(self):
         p = build_diffusion_control_1d(n_state=32, n_param=8)
         rng = np.random.default_rng(1)
@@ -63,7 +78,9 @@ class TestReducedHessian:
         opt = solve_optimization(p, np.zeros(6))
         h = reduced_hessian_dense(p, opt.as_eval_point())
         np.testing.assert_allclose(h, h.T, atol=1e-12)
-        assert check_sosc(p, opt.as_eval_point()) > 0.0
+        assert check_sosc(h) > 0.0
+        # the optimizer hands on the matrix it certified
+        np.testing.assert_array_equal(opt.reduced_hessian, h)
 
 
 class TestSolveOptimization:
