@@ -132,6 +132,10 @@ def write_bundle(
                 "sosc_min_eig": s.optimal.sosc_min_eig,
                 "objective": s.optimal.objective,
                 "kkt_solves": s.diagnostics.kkt_solves,
+                "kkt_rhs": s.diagnostics.kkt_rhs,
+                "triple_residuals": [
+                    float(v) for v in s.diagnostics.triple_residuals
+                ],
                 "rank_deficient": s.diagnostics.rank_deficient,
             }
             for s in report.samples

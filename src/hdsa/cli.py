@@ -21,7 +21,7 @@ from .operators import SensitivityOperator
 from .optimizer import OptimizerError, solve_optimization
 from .problems.base import check_derivatives
 from .randeig import alternative_formulation, dense_oracle, randomized_geneig
-from .sampling import rng_for
+from .sampling import VERIFY_STREAM, rng_for
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -139,9 +139,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
             )
         )
 
-    # purpose key 3 keeps these vectors apart from the theta (0), initial
-    # iterate (1) and probe (2) streams
-    rng = rng_for(cfg.randeig.seed, 3)
+    rng = rng_for(cfg.randeig.seed, VERIFY_STREAM)
     phi = rng.standard_normal(problem.dims.n_theta)
     w = rng.standard_normal(problem.dims.n_z)
     forward = float(sens.apply(phi) @ w)

@@ -8,6 +8,7 @@ from .linalg import dense_sym_eig
 from .operators import ProjectedSensitivityOperator, SensitivityOperator
 from .problems.base import ProblemError, SetPartition, WeightedSpaces
 from .randeig import RandEigConfig, SingularTriple, randomized_geneig
+from .sampling import SET_PROBE_STREAM
 
 
 def local_indices(triples: list[SingularTriple], spaces: WeightedSpaces) -> np.ndarray:
@@ -83,7 +84,7 @@ def set_indices(
                 power_iterations=max(cfg.power_iterations, 2),
             )
             sub_triples, _ = randomized_geneig(
-                proj_op, spaces, sub_cfg, sample_index=100_000 + 1000 * sample_index + set_i
+                proj_op, spaces, sub_cfg, key=(SET_PROBE_STREAM, sample_index, set_i)
             )
             out[name] = sub_triples[0].sigma if sub_triples else 0.0
         return out

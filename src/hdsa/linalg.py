@@ -15,6 +15,30 @@ import scipy.linalg
 # Total stacked dimension below which direct dense factorizations are used.
 DENSE_THRESHOLD = 2000
 
+# Byte budget of one block of right-hand sides: operators that form stacked
+# (n, r) blocks work through them ``block_width(n)`` columns at a time, which
+# bounds the memory of a block solve whatever the number of probes. This is
+# 8 columns of the 5,184 stacked KKT unknowns of the default
+# advection-diffusion problem; wider blocks add peak memory for little speed.
+BLOCK_BYTES = 331_776
+
+
+def block_width(n_rows: int) -> int:
+    """Columns of an (n_rows, r) float64 block that fit in ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (8 * n_rows))
+
+
+def identity_columns(n: int, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the n x n identity."""
+    e = np.zeros((n, stop - start))
+    e[np.arange(start, stop), np.arange(stop - start)] = 1.0
+    return e
+
+
+def as_rows(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``v`` shaped to scale the rows of ``like``, a vector or a block."""
+    return v.reshape(v.shape + (1,) * (like.ndim - v.ndim))
+
 
 class LinalgError(Exception):
     """Hard failure in a linear algebra kernel (dimension, definiteness)."""
@@ -26,9 +50,18 @@ class SolveError(Exception):
 
 @dataclass
 class SolverStats:
+    """One solve call: most sweeps and worst backward error over its columns."""
+
     iterations: int
     backward_error: float
     converged: bool
+    n_rhs: int = 1
+
+
+def check_operand(v: np.ndarray, dim: int, what: str = "operand") -> None:
+    """Accept a vector (dim,) or a block of columns (dim, r)."""
+    if v.ndim not in (1, 2) or v.shape[0] != dim:
+        raise LinalgError(f"{what} expects shape ({dim},) or ({dim}, r), got {v.shape}")
 
 
 class SpdOperator:
@@ -36,7 +69,8 @@ class SpdOperator:
 
     Dense-backed: the Cholesky factor is computed lazily and cached. All
     weighting/mass matrices at desk scale fit comfortably below
-    ``DENSE_THRESHOLD``.
+    ``DENSE_THRESHOLD``. ``apply`` and ``solve`` take a vector (dim,) or a
+    block (dim, r).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -53,14 +87,12 @@ class SpdOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise LinalgError(f"dimension mismatch: {v.shape} vs {self.dim}")
+        check_operand(v, self.dim)
         return self._matrix @ v
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.dim,):
-            raise LinalgError(f"dimension mismatch: {rhs.shape} vs {self.dim}")
+        check_operand(rhs, self.dim)
         if self._cho is None:
             self._cho = scipy.linalg.cho_factor(self._matrix, lower=False)
         return scipy.linalg.cho_solve(self._cho, rhs)

@@ -10,12 +10,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .linalg import DENSE_THRESHOLD, LinalgError, SolveError, SolverStats
+from .linalg import (
+    DENSE_THRESHOLD,
+    LinalgError,
+    SolveError,
+    SolverStats,
+    as_rows,
+    block_width,
+    check_operand,
+    identity_columns,
+)
 from .optimizer import reduced_hessian_dense
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
+from .sampling import KKT_NORM_STREAM, rng_for
 
 # A KKT solve has converged when its normwise backward error is at most this.
 KKT_TOL = 1e-10
+
+# Probe columns of the fixed block that estimates ||K|| for the backward error.
+NORM_PROBES = 4
 
 
 class KktOperator:
@@ -25,6 +38,7 @@ class KktOperator:
     fixed stationary point. Systems up to ``DENSE_THRESHOLD`` are solved by
     dense LU, larger ones by block elimination through the reduced Hessian;
     ``reduced_hessian`` may pass in the one already assembled at the point.
+    ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r).
     """
 
     def __init__(
@@ -46,7 +60,7 @@ class KktOperator:
             reduced_hessian if self.dim > DENSE_THRESHOLD else None
         )
         self._schur_cho = None
-        self._norm_est = 0.0
+        self._norm_est = None
         self.solve_stats: list[SolverStats] = []
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,20 +71,20 @@ class KktOperator:
         )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if v.shape != (self.dim,):
-            raise LinalgError(f"KKT operator expects length {self.dim}, got {v.shape}")
+        check_operand(v, self.dim, "KKT operator")
         p, pt = self.problem, self.point
         du, dz, dl = self.split(v)
-        row_u = p.l_uu(pt, du) + p.l_uz(pt, dz) + p.c_u_adj(pt, dl)
-        row_z = p.l_zu(pt, du) + p.l_zz(pt, dz) + p.c_z_adj(pt, dl)
-        row_l = p.c_u(pt, du) + p.c_z(pt, dz)
-        out = np.concatenate([row_u, row_z, row_l])
-        v_norm = float(np.linalg.norm(v))
-        if v_norm > 0.0:
-            # running lower bound on ||K||, used by the backward-error measure
-            self._norm_est = max(
-                self._norm_est, float(np.linalg.norm(out)) / v_norm
-            )
+        # rows summed in place, so a block apply holds few stacked temporaries
+        out = np.empty(v.shape)
+        row_u, row_z, row_l = self.split(out)
+        row_u[...] = p.l_uu(pt, du)
+        row_u += p.l_uz(pt, dz)
+        row_u += p.c_u_adj(pt, dl)
+        row_z[...] = p.l_zu(pt, du)
+        row_z += p.l_zz(pt, dz)
+        row_z += p.c_z_adj(pt, dl)
+        row_l[...] = p.c_u(pt, du)
+        row_l += p.c_z(pt, dz)
         return out
 
     def dense(self) -> np.ndarray:
@@ -78,12 +92,20 @@ class KktOperator:
             raise SolveError(
                 f"KKT dimension {self.dim} exceeds the dense threshold {DENSE_THRESHOLD}"
             )
-        cols = [self.apply(e) for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+        k = np.empty((self.dim, self.dim))
+        width = block_width(self.dim)
+        for start in range(0, self.dim, width):
+            stop = min(start + width, self.dim)
+            k[:, start:stop] = self.apply(identity_columns(self.dim, start, stop))
+        return k
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolverStats]:
-        if rhs.shape != (self.dim,):
-            raise LinalgError(f"KKT solve expects length {self.dim}, got {rhs.shape}")
+        """Solve K x = rhs for a vector or for every column of a block.
+
+        The stats describe the whole call: the most refinement sweeps of any
+        column and the worst backward error.
+        """
+        check_operand(rhs, self.dim, "KKT solve")
         if self.dim <= DENSE_THRESHOLD:
             x, stats = self._solve_dense(rhs)
         else:
@@ -96,19 +118,58 @@ class KktOperator:
         self.solve_stats.append(stats)
         return x, stats
 
-    def _residual(self, x, rhs) -> float:
-        """Normwise backward error ||r|| / (||K||*||x|| + ||b||).
+    def _norm_estimate(self) -> float:
+        """Lower bound on ||K|| from a fixed probe block, computed once.
+
+        The probes are keyed by their own stream, so the estimate and every
+        backward error measured with it depend on the operator alone, not on
+        which vectors were applied or solved before.
+        """
+        if self._norm_est is None:
+            probes = rng_for(0, KKT_NORM_STREAM).standard_normal((self.dim, NORM_PROBES))
+            ratios = np.linalg.norm(self.apply(probes), axis=0) / np.linalg.norm(
+                probes, axis=0
+            )
+            self._norm_est = float(ratios.max())
+        return self._norm_est
+
+    def _backward_errors(self, x, rhs) -> np.ndarray:
+        """Normwise backward error ||r|| / (||K||*||x|| + ||b||) per column.
 
         The plain relative residual is floored at eps * ||K|| * ||x|| / ||b||,
         which for the ill-conditioned gamma -> 0 regime sits far above any
         sensible tolerance; the backward error is the achievable measure.
         """
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm == 0.0:
-            return 0.0
-        r_norm = float(np.linalg.norm(rhs - self.apply(x)))
-        x_norm = float(np.linalg.norm(x))
-        return r_norm / (self._norm_est * x_norm + rhs_norm)
+        rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
+        r = self.apply(x)
+        r -= rhs
+        r_norm = np.atleast_1d(np.linalg.norm(r, axis=0))
+        x_norm = np.atleast_1d(np.linalg.norm(x, axis=0))
+        denom = self._norm_estimate() * x_norm + rhs_norm
+        # a zero right-hand side is solved exactly by x = 0
+        return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=rhs_norm > 0.0)
+
+    def _refine(self, rhs, pass_, max_sweeps: int):
+        """Iterative refinement of ``pass_``, an approximate inverse of K.
+
+        Only the columns whose backward error is still above ``KKT_TOL`` get
+        another sweep, so each column costs what a solve of it alone costs.
+        """
+        x = pass_(rhs)
+        err = self._backward_errors(x, rhs)
+        sweeps = 1
+        while sweeps < max_sweeps:
+            todo = np.flatnonzero(err > KKT_TOL)
+            if todo.size == 0:
+                break
+            cols = (slice(None), todo) if rhs.ndim == 2 else slice(None)
+            x_c = x[cols] + pass_(rhs[cols] - self.apply(x[cols]))
+            x[cols] = x_c
+            err[todo] = self._backward_errors(x_c, rhs[cols])
+            sweeps += 1
+        worst = float(err.max())
+        n_rhs = rhs.shape[1] if rhs.ndim == 2 else 1
+        return x, SolverStats(sweeps, worst, worst <= KKT_TOL, n_rhs)
 
     def _solve_dense(self, rhs):
         # symmetric equilibration plus iterative refinement: the KKT blocks
@@ -119,19 +180,12 @@ class KktOperator:
             s = 1.0 / np.sqrt(np.maximum(np.abs(k).max(axis=1), 1e-30))
             self._dense_scale = s
             self._dense_lu = scipy.linalg.lu_factor(s[:, None] * k * s[None, :])
-        s = self._dense_scale
 
         def pass_(b):
+            s = as_rows(self._dense_scale, b)
             return s * scipy.linalg.lu_solve(self._dense_lu, s * b)
 
-        x = pass_(rhs)
-        its = 1
-        rel = self._residual(x, rhs)
-        while rel > KKT_TOL and its < 10:
-            x = x + pass_(rhs - self.apply(x))
-            rel = self._residual(x, rhs)
-            its += 1
-        return x, SolverStats(its, rel, rel <= KKT_TOL)
+        return self._refine(rhs, pass_, 10)
 
     def _solve_schur(self, rhs):
         """Block elimination through the (SPD) reduced Hessian.
@@ -140,17 +194,11 @@ class KktOperator:
           du = S (b_l - c_z dz)
           dl = S^T (b_u - L_uu du - L_uz dz)
           H_red dz = b_z - L_zu S b_l - c_z^T S^T (b_u - L_uu S b_l)
+
+        Refinement through the same elimination kills the loss of accuracy
+        from the widely spread block scales.
         """
-        x = self._schur_pass(rhs)
-        # refinement through the same elimination kills the loss of accuracy
-        # from the widely spread block scales
-        its = 1
-        rel = self._residual(x, rhs)
-        while rel > KKT_TOL and its < 5:
-            x = x + self._schur_pass(rhs - self.apply(x))
-            rel = self._residual(x, rhs)
-            its += 1
-        return x, SolverStats(its, rel, rel <= KKT_TOL)
+        return self._refine(rhs, self._schur_pass, 5)
 
     def _schur_pass(self, rhs: np.ndarray) -> np.ndarray:
         p, pt = self.problem, self.point
@@ -161,16 +209,19 @@ class KktOperator:
             self._schur_cho = scipy.linalg.cho_factor(h, lower=False)
             self._reduced_hessian = None
         b_u, b_z, b_l = self.split(rhs)
+        out = np.empty(rhs.shape)
+        du, dz, dl = self.split(out)
         s_bl = p.state_jacobian_solve(pt, b_l)
         w = b_u - p.l_uu(pt, s_bl)
         st_w = p.state_jacobian_adjoint_solve(pt, w)
         red_rhs = b_z - p.l_zu(pt, s_bl) - p.c_z_adj(pt, st_w)
-        dz = scipy.linalg.cho_solve(self._schur_cho, red_rhs)
-        du = p.state_jacobian_solve(pt, b_l - p.c_z(pt, dz))
-        dl = p.state_jacobian_adjoint_solve(
+        del s_bl, w, st_w
+        dz[...] = scipy.linalg.cho_solve(self._schur_cho, red_rhs)
+        du[...] = p.state_jacobian_solve(pt, b_l - p.c_z(pt, dz))
+        dl[...] = p.state_jacobian_adjoint_solve(
             pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz)
         )
-        return np.concatenate([du, dz, dl])
+        return out
 
 
 class ParamJacobianOperator:
@@ -201,7 +252,12 @@ class ParamJacobianOperator:
 
 
 class SensitivityOperator:
-    """Frechet derivative of the optimal z with respect to the parameters."""
+    """Frechet derivative of the optimal z with respect to the parameters.
+
+    ``apply`` and ``apply_transpose`` take a vector or a block of columns. A
+    block goes through the KKT solver ``block_width(n_stacked)`` columns at a
+    time, which caps the stacked arrays that one solve forms.
+    """
 
     def __init__(
         self,
@@ -224,27 +280,39 @@ class SensitivityOperator:
 
     def _inject_z(self, w: np.ndarray) -> np.ndarray:
         d = self.problem.dims
-        out = np.zeros(d.n_stacked)
+        out = np.zeros((d.n_stacked,) + w.shape[1:])
         out[d.n_u : d.n_u + d.n_z] = w
         return out
 
+    def _by_chunks(self, v: np.ndarray, n_out: int, solve) -> np.ndarray:
+        """``solve`` on a vector, or on a block in capped column chunks."""
+        if v.ndim == 1:
+            return solve(v)
+        out = np.empty((n_out, v.shape[1]))
+        width = block_width(self.kkt.dim)
+        for start in range(0, v.shape[1], width):
+            out[:, start : start + width] = solve(v[:, start : start + width])
+        return out
+
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """D phi = P K^{-1} B phi (one KKT solve)."""
-        if phi.shape != (self.n_theta,):
-            raise LinalgError(f"expected theta-vector of length {self.n_theta}")
-        x, _ = self.kkt.solve(self.b.apply(phi))
-        return self._z_block(x)
+        """D phi = P K^{-1} B phi (one KKT right-hand side per column)."""
+        check_operand(phi, self.n_theta, "sensitivity operator")
+        return self._by_chunks(
+            phi, self.n_z, lambda c: self._z_block(self.kkt.solve(self.b.apply(c))[0])
+        )
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        """Euclidean transpose D^T w = B^T K^{-1} P^T w (one KKT solve)."""
-        if w.shape != (self.n_z,):
-            raise LinalgError(f"expected z-vector of length {self.n_z}")
-        x, _ = self.kkt.solve(self._inject_z(w))
-        return self.b.apply_adjoint(x)
+        """Euclidean transpose D^T w = B^T K^{-1} P^T w (one right-hand side per column)."""
+        check_operand(w, self.n_z, "sensitivity transpose")
+        return self._by_chunks(
+            w,
+            self.n_theta,
+            lambda c: self.b.apply_adjoint(self.kkt.solve(self._inject_z(c))[0]),
+        )
 
     def dense(self) -> np.ndarray:
-        """Coordinate matrix of D, one KKT solve per parameter basis vector."""
-        return np.column_stack([self.apply(e) for e in np.eye(self.n_theta)])
+        """Coordinate matrix of D: the operator applied to the identity block."""
+        return self.apply(np.eye(self.n_theta))
 
     def directional_sensitivity(self, phi: np.ndarray) -> float:
         """||D (phi / ||phi||_Theta)||_Z with the weighted norms."""
@@ -269,7 +337,8 @@ class ProjectedSensitivityOperator:
         self._mask = mask
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        return self.base.apply(self._mask * phi)
+        return self.base.apply(as_rows(self._mask, phi) * phi)
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        return self._mask * self.base.apply_transpose(w)
+        out = self.base.apply_transpose(w)
+        return as_rows(self._mask, out) * out

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DENSE_THRESHOLD, LinalgError, SolveError, dense_sym_eig
+from .linalg import (
+    DENSE_THRESHOLD,
+    LinalgError,
+    SolveError,
+    block_width,
+    dense_sym_eig,
+    identity_columns,
+)
 from .problems.base import EvalPoint, ProblemDefinition, ProblemError
 from .sampling import InitialIterate
 
@@ -115,7 +122,7 @@ def reduced_gradient(problem, u, z, theta, lam) -> np.ndarray:
 
 
 def reduced_hessian_matvec(problem: ProblemDefinition, p: EvalPoint, v: np.ndarray) -> np.ndarray:
-    """Action of the reduced Hessian at a stationary-ish point."""
+    """Action of the reduced Hessian at a stationary-ish point on a vector or block."""
     du = problem.state_jacobian_solve(p, -problem.c_z(p, v))
     w = problem.l_uu(p, du) + problem.l_uz(p, v)
     dlam = problem.state_jacobian_adjoint_solve(p, -w)
@@ -126,8 +133,15 @@ def reduced_hessian_dense(problem: ProblemDefinition, p: EvalPoint) -> np.ndarra
     n_z = problem.dims.n_z
     if n_z > DENSE_THRESHOLD:
         raise OptimizerError("reduced Hessian too large to form densely")
-    cols = [reduced_hessian_matvec(problem, p, e) for e in np.eye(n_z)]
-    h = np.column_stack(cols)
+    # identity columns in chunks that keep each (n_u, r) state block within
+    # the block byte budget
+    h = np.empty((n_z, n_z))
+    width = block_width(problem.dims.n_u)
+    for start in range(0, n_z, width):
+        stop = min(start + width, n_z)
+        h[:, start:stop] = reduced_hessian_matvec(
+            problem, p, identity_columns(n_z, start, stop)
+        )
     return 0.5 * (h + h.T)
 
 

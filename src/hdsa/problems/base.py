@@ -90,6 +90,12 @@ class ProblemDefinition(ABC):
     L(u, z, lam, theta) = J(u, z, theta) + lam . c(u, z, theta), and the
     second-derivative blocks below are evaluated at an ``EvalPoint``.
     Instances are immutable after construction and safe for concurrent use.
+
+    Block contract: every derivative action and both linearized solves take
+    a vector or a block of columns. An (n,) operand gives an (m,) result and
+    an (n, r) operand gives an (m, r) result whose column j is the action on
+    column j. A block solve costs one factorization and one sweep for all of
+    its columns, which is where the sensitivity pipeline gets its speed.
     """
 
     name: str = "problem"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ..linalg import SpdOperator
+from ..linalg import SpdOperator, as_rows
 from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces
 from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mass_matrix
 
@@ -82,17 +82,31 @@ class DiffusionControlProblem(ProblemDefinition):
             )
         return kappa
 
+    @staticmethod
+    def _jumps(u: np.ndarray) -> np.ndarray:
+        """Per-element differences of u (vector or columns), zero boundary values."""
+        ue = np.zeros((u.shape[0] + 2,) + u.shape[1:])
+        ue[1:-1] = u
+        return np.diff(ue, axis=0)
+
     def _apply_stiffness(self, coeff_mid: np.ndarray, u: np.ndarray) -> np.ndarray:
-        ue = np.concatenate(([0.0], u, [0.0]))
-        flux = coeff_mid * np.diff(ue) / self.h
+        # either the coefficient or u may be a block of columns
+        du = self._jumps(u)
+        flux = as_rows(coeff_mid, du) * as_rows(du, coeff_mid) / self.h
         return flux[:-1] - flux[1:]
 
     def _element_bilinear(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Per-element values of (Delta u)(Delta w)/h, so that
-        w^T A_coeff(c) u = sum_e c_e * out_e."""
-        ue = np.concatenate(([0.0], u, [0.0]))
-        we = np.concatenate(([0.0], w, [0.0]))
-        return np.diff(ue) * np.diff(we) / self.h
+        w^T A_coeff(c) u = sum_e c_e * out_e; u is a vector, w may be a block."""
+        return as_rows(self._jumps(u), w) * self._jumps(w) / self.h
+
+    def _coeff_direction(self, v: np.ndarray) -> np.ndarray:
+        """Element-midpoint coefficient change for a theta direction (or block)."""
+        return self.kappa0 * (self._phi_mid @ (as_rows(self.amplitude, v) * v))
+
+    def _coeff_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Adjoint of ``_coeff_direction`` applied to per-element values."""
+        return self.kappa0 * as_rows(self.amplitude, g) * (self._phi_mid.T @ g)
 
     def _banded_stiffness(self, theta: np.ndarray) -> np.ndarray:
         kappa = self._kappa_mid(theta)
@@ -146,39 +160,35 @@ class DiffusionControlProblem(ProblemDefinition):
         return -(self._mass @ w)
 
     def c_theta(self, p, v) -> np.ndarray:
-        coeff = self.kappa0 * (self._phi_mid @ (self.amplitude * v))
-        return self._apply_stiffness(coeff, p.u)
+        return self._apply_stiffness(self._coeff_direction(v), p.u)
 
     def c_theta_adj(self, p, w) -> np.ndarray:
-        g = self._element_bilinear(p.u, w)
-        return self.kappa0 * self.amplitude * (self._phi_mid.T @ g)
+        return self._coeff_adjoint(self._element_bilinear(p.u, w))
 
     def l_uu(self, p, v) -> np.ndarray:
         return self._mass @ v
 
     def l_uz(self, p, v) -> np.ndarray:
-        return np.zeros(self.n_state)
+        return np.zeros_like(v)
 
     def l_zu(self, p, v) -> np.ndarray:
-        return np.zeros(self.n_state)
+        return np.zeros_like(v)
 
     def l_zz(self, p, v) -> np.ndarray:
         return self.gamma * (self._mass @ v)
 
     def l_utheta(self, p, v) -> np.ndarray:
         # d/dtheta (A(theta)^T lam) . v, with A affine in theta
-        coeff = self.kappa0 * (self._phi_mid @ (self.amplitude * v))
-        return self._apply_stiffness(coeff, p.lam)
+        return self._apply_stiffness(self._coeff_direction(v), p.lam)
 
     def l_utheta_adj(self, p, w) -> np.ndarray:
-        g = self._element_bilinear(p.lam, w)
-        return self.kappa0 * self.amplitude * (self._phi_mid.T @ g)
+        return self._coeff_adjoint(self._element_bilinear(p.lam, w))
 
     def l_ztheta(self, p, v) -> np.ndarray:
-        return np.zeros(self.n_state)
+        return np.zeros((self.n_state,) + v.shape[1:])
 
     def l_ztheta_adj(self, p, w) -> np.ndarray:
-        return np.zeros(self.n_param)
+        return np.zeros((self.n_param,) + w.shape[1:])
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
         ab = self._banded_stiffness(p.theta)

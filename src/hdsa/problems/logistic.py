@@ -89,10 +89,10 @@ class LogisticToyProblem(ProblemDefinition):
         return np.array([2.0 * v[0]])
 
     def l_uz(self, p, v) -> np.ndarray:
-        return np.zeros(1)
+        return np.zeros_like(v)
 
     def l_zu(self, p, v) -> np.ndarray:
-        return np.zeros(1)
+        return np.zeros_like(v)
 
     def l_zz(self, p, v) -> np.ndarray:
         _, _, d2 = self._sig(p)
@@ -108,16 +108,18 @@ class LogisticToyProblem(ProblemDefinition):
         return val
 
     def l_utheta(self, p, v) -> np.ndarray:
-        return np.zeros(1)
+        return np.zeros((1,) + v.shape[1:])
 
     def l_utheta_adj(self, p, w) -> np.ndarray:
-        return np.zeros(2)
+        return np.zeros((2,) + w.shape[1:])
 
     def l_ztheta(self, p, v) -> np.ndarray:
         return np.array([p.lam[0] * self._c_ztheta1(p) * v[0]])
 
     def l_ztheta_adj(self, p, w) -> np.ndarray:
-        return np.array([p.lam[0] * self._c_ztheta1(p) * w[0], 0.0])
+        out = np.zeros((2,) + w.shape[1:])
+        out[0] = p.lam[0] * self._c_ztheta1(p) * w[0]
+        return out
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
         return np.array([rhs[0]])

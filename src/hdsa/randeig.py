@@ -22,13 +22,14 @@ from .linalg import (
     LinalgError,
     SpdOperator,
     b_orthonormalize,
+    check_operand,
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
 )
 from .operators import SensitivityOperator
 from .problems.base import WeightedSpaces
-from .sampling import probe_vector
+from .sampling import PROBE_STREAM, SQUARED_PROBE_STREAM, probe_vector
 
 # Eigenvalues at or below this fraction of the largest are treated as zero rank.
 RANK_TOL = 1e-12
@@ -73,11 +74,28 @@ class GenEigDiagnostics:
     n_probes: int
     n_dropped: int
     rank_deficient: bool
-    kkt_solves: int
+    kkt_solves: int  # KktOperator.solve calls
+    kkt_rhs: int  # right-hand-side columns of those calls
+    # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
+    # / sigma, with D* = M_Theta^{-1} D^T M_Z the weighted adjoint
+    triple_residuals: list[float]
+
+
+def _kkt_work(d: SensitivityOperator, before: int) -> dict[str, int]:
+    stats = d.kkt.solve_stats[before:]
+    return {"kkt_solves": len(stats), "kkt_rhs": sum(s.n_rhs for s in stats)}
+
+
+def _positive_pairs(evals: np.ndarray, k_pairs: int) -> list[int]:
+    max_eval = float(evals[0]) if evals.size else 0.0
+    return [
+        k for k in range(evals.shape[0])
+        if evals[k] > 0.0 and evals[k] > RANK_TOL * max_eval
+    ][:k_pairs]
 
 
 class _BlockMass:
-    """B = blockdiag(M_Z, M_Theta) on stacked (z, theta) coordinates."""
+    """B = blockdiag(M_Z, M_Theta) on stacked (z, theta) vectors or blocks."""
 
     def __init__(self, spaces: WeightedSpaces, n_z: int, n_theta: int):
         self.m_z = spaces.m_z
@@ -103,10 +121,10 @@ class _BlockMass:
 
 
 def apply_pencil_a(d: SensitivityOperator, spaces: WeightedSpaces, v: np.ndarray) -> np.ndarray:
-    """A (z~, theta~) = (M_Z D theta~, D^T M_Z z~); exactly two KKT solves."""
+    """A (z~, theta~) = (M_Z D theta~, D^T M_Z z~) on a vector or on every
+    column of a block; two KKT right-hand sides per column."""
     n_z = d.n_z
-    if v.shape != (n_z + d.n_theta,):
-        raise LinalgError("pencil vector has the wrong stacked dimension")
+    check_operand(v, n_z + d.n_theta, "pencil")
     z_part, th_part = v[:n_z], v[n_z:]
     top = spaces.m_z.apply(d.apply(th_part))
     bottom = d.apply_transpose(spaces.m_z.apply(z_part))
@@ -133,17 +151,47 @@ def _normalize_triples(
     return triples
 
 
+def _ritz_triples(
+    sigmas: np.ndarray,
+    vectors: np.ndarray,
+    images: np.ndarray,
+    spaces: WeightedSpaces,
+) -> tuple[list[SingularTriple], list[float]]:
+    """Triples from Ritz vectors (z~, theta~) and their a-posteriori residuals.
+
+    ``images`` holds B^{-1} A of each Ritz vector, that is (D theta~, D* z~),
+    so the residuals cost no operator application.
+    """
+    n_z = spaces.m_z.dim
+    triples, residuals = [], []
+    for k, sigma in enumerate(sigmas):
+        z_t, th_t = vectors[:n_z, k], vectors[n_z:, k]
+        z_n, th_n = spaces.m_z.norm(z_t), spaces.m_theta.norm(th_t)
+        if th_n == 0.0 or z_n == 0.0:
+            continue
+        t = SingularTriple(float(sigma), th_t / th_n, z_t / z_n)
+        res_z = spaces.m_z.norm(images[:n_z, k] / th_n - t.sigma * t.z_vec)
+        res_th = spaces.m_theta.norm(images[n_z:, k] / z_n - t.sigma * t.theta_vec)
+        triples.append(t)
+        residuals.append(max(res_z, res_th) / t.sigma)
+    return triples, residuals
+
+
 def randomized_geneig(
     d: SensitivityOperator,
     spaces: WeightedSpaces,
     cfg: RandEigConfig,
     sample_index: int = 0,
+    key: tuple[int, ...] | None = None,
 ) -> tuple[list[SingularTriple], GenEigDiagnostics]:
     """Randomized solve of the pencil; returns up to K singular triples.
 
-    Probes are standard-normal vectors keyed by (seed, sample, probe index),
-    so results do not depend on scheduling. Fewer than K positive eigenvalues
-    above the rank tolerance yields a truncated list with a rank flag.
+    Probes are standard-normal vectors keyed by (seed, *key, probe index),
+    with ``key = (PROBE_STREAM, sample_index)`` unless given, so results do
+    not depend on scheduling. Each power pass applies the pencil to the whole
+    probe block in one call (Halko, Martinsson and Tropp 2011, Alg. 4.3/4.4).
+    Fewer than K positive eigenvalues above the rank tolerance yields a
+    truncated list with a rank flag.
     """
     n_z, n_theta = d.n_z, d.n_theta
     dim = n_z + n_theta
@@ -152,46 +200,33 @@ def randomized_geneig(
     r = min(cfg.n_probes, dim)
     b = _BlockMass(spaces, n_z, n_theta)
     solves_before = len(d.kkt.solve_stats)
+    key = (PROBE_STREAM, sample_index) if key is None else key
 
-    def apply_binv_a(mat):
-        out = np.empty_like(mat)
-        for i in range(mat.shape[1]):
-            out[:, i] = b.solve(apply_pencil_a(d, spaces, mat[:, i]))
-        return out
-
-    y = np.column_stack(
-        [probe_vector(cfg.seed, sample_index, i, dim) for i in range(r)]
-    )
-    y = apply_binv_a(y)
+    y = np.column_stack([probe_vector(cfg.seed, key, i, dim) for i in range(r)])
+    y = b.solve(apply_pencil_a(d, spaces, y))
     dropped = 0
     for _ in range(cfg.power_iterations):
         y, ndrop = b_orthonormalize(y, b)
         dropped += ndrop
-        y = apply_binv_a(y)
+        y = b.solve(apply_pencil_a(d, spaces, y))
     q, ndrop = b_orthonormalize(y, b)
     dropped += ndrop
 
-    aq = np.column_stack(
-        [apply_pencil_a(d, spaces, q[:, i]) for i in range(q.shape[1])]
-    )
+    aq = apply_pencil_a(d, spaces, q)
     t = q.T @ aq
     evals, evecs = dense_sym_eig(0.5 * (t + t.T))
-
-    max_eval = float(evals[0]) if evals.size else 0.0
-    keep = [
-        k for k in range(evals.shape[0])
-        if evals[k] > 0.0 and evals[k] > RANK_TOL * max_eval
-    ][: cfg.k_pairs]
-    vectors = q @ evecs[:, keep]
-    triples = _normalize_triples(
-        evals[keep], vectors[:n_z, :], vectors[n_z:, :], spaces
+    keep = _positive_pairs(evals, cfg.k_pairs)
+    ritz = evecs[:, keep]
+    triples, residuals = _ritz_triples(
+        evals[keep], q @ ritz, b.solve(aq @ ritz), spaces
     )
     diag = GenEigDiagnostics(
         ritz_values=evals,
         n_probes=r,
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
-        kkt_solves=len(d.kkt.solve_stats) - solves_before,
+        triple_residuals=residuals,
+        **_kkt_work(d, solves_before),
     )
     return triples, diag
 
@@ -199,8 +234,8 @@ def randomized_geneig(
 def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[SingularTriple]:
     """Weighted SVD via explicit Cholesky factors: SVD of R_Z D R_Theta^{-1}.
 
-    Builds D column by column (one KKT solve per parameter) and returns the
-    full set of singular triples in the weighted inner products.
+    Builds D from one block of KKT solves over the parameter basis and returns
+    the full set of singular triples in the weighted inner products.
     """
     if d.n_z + d.n_theta > DENSE_THRESHOLD:
         raise LinalgError(
@@ -228,59 +263,56 @@ def alternative_formulation(
     """Randomized solve of D^T M_Z D theta = alpha M_Theta theta.
 
     The returned eigenvalues are the squares of the primary formulation's
-    singular values; sigma = sqrt(alpha). Left vectors are recovered with K
-    extra applications of the sensitivity operator: z_k = D theta_k / sigma_k.
+    singular values; sigma = sqrt(alpha). Left vectors are recovered with one
+    more block application of the sensitivity operator: z_k = D theta_k / sigma_k.
     """
     n_theta = d.n_theta
     r = min(cfg.k_pairs + cfg.oversampling, n_theta)
-    m_theta = spaces.m_theta
+    m_theta, m_z = spaces.m_theta, spaces.m_z
     solves_before = len(d.kkt.solve_stats)
 
-    def apply_a2(phi):
-        return d.apply_transpose(spaces.m_z.apply(d.apply(phi)))
+    def apply_a2(mat):
+        return d.apply_transpose(m_z.apply(d.apply(mat)))
 
-    def apply_binv_a2(mat):
-        out = np.empty_like(mat)
-        for i in range(mat.shape[1]):
-            out[:, i] = m_theta.solve(apply_a2(mat[:, i]))
-        return out
-
-    y = np.column_stack(
-        [probe_vector(cfg.seed, sample_index, 10_000 + i, n_theta) for i in range(r)]
-    )
-    y = apply_binv_a2(y)
+    key = (SQUARED_PROBE_STREAM, sample_index)
+    y = np.column_stack([probe_vector(cfg.seed, key, i, n_theta) for i in range(r)])
+    y = m_theta.solve(apply_a2(y))
     dropped = 0
     for _ in range(cfg.power_iterations):
         y, ndrop = b_orthonormalize(y, m_theta)
         dropped += ndrop
-        y = apply_binv_a2(y)
+        y = m_theta.solve(apply_a2(y))
     q, ndrop = b_orthonormalize(y, m_theta)
     dropped += ndrop
 
-    aq = np.column_stack([apply_a2(q[:, i]) for i in range(q.shape[1])])
+    aq = apply_a2(q)
     t = q.T @ aq
     evals, evecs = dense_sym_eig(0.5 * (t + t.T))
-    max_eval = float(evals[0]) if evals.size else 0.0
-    keep = [
-        k for k in range(evals.shape[0])
-        if evals[k] > 0.0 and evals[k] > RANK_TOL * max_eval
-    ][: cfg.k_pairs]
+    keep = _positive_pairs(evals, cfg.k_pairs)
+    thetas = q @ evecs[:, keep]
+    th_norms = np.array([m_theta.norm(thetas[:, k]) for k in range(len(keep))])
+    thetas = thetas / th_norms
+    # D* D theta_k from the Rayleigh-Ritz block, for the residuals
+    adj_images = m_theta.solve(aq @ evecs[:, keep]) / th_norms
+    images = d.apply(thetas)
 
-    triples = []
-    for k in keep:
-        th = q @ evecs[:, k]
-        th = th / m_theta.norm(th)
-        sigma = float(np.sqrt(evals[k]))
-        zv = d.apply(th) / sigma
-        z_n = spaces.m_z.norm(zv)
-        if z_n == 0.0:
+    triples, residuals = [], []
+    for k in range(len(keep)):
+        sigma = float(np.sqrt(evals[keep[k]]))
+        d_n = m_z.norm(images[:, k])
+        if d_n == 0.0:
             continue
-        triples.append(SingularTriple(sigma, th, zv / z_n))
+        triple = SingularTriple(sigma, thetas[:, k], images[:, k] / d_n)
+        # z_k is parallel to D theta_k, so ||D theta - sigma z||_Z = | ||D theta||_Z - sigma |
+        res_th = m_theta.norm(adj_images[:, k] / d_n - sigma * triple.theta_vec)
+        triples.append(triple)
+        residuals.append(max(abs(d_n - sigma), res_th) / sigma)
     diag = GenEigDiagnostics(
         ritz_values=evals,
         n_probes=r,
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
-        kkt_solves=len(d.kkt.solve_stats) - solves_before,
+        triple_residuals=residuals,
+        **_kkt_work(d, solves_before),
     )
     return triples, diag

@@ -16,6 +16,17 @@ class SamplingError(Exception):
     pass
 
 
+# Purpose keys: the first key of every stream names what it is drawn for, so
+# streams of different purposes cannot collide whatever the other keys are.
+THETA_STREAM = 0  # (THETA_STREAM, j): parameter sample j
+INIT_STREAM = 1  # (INIT_STREAM, j): seeded-random initial iterate of sample j
+PROBE_STREAM = 2  # (PROBE_STREAM, j, i): range-finder probe i of sample j
+VERIFY_STREAM = 3  # (VERIFY_STREAM,): directions of the adjoint check
+SQUARED_PROBE_STREAM = 4  # (SQUARED_PROBE_STREAM, j, i): squared formulation
+SET_PROBE_STREAM = 5  # (SET_PROBE_STREAM, j, set, i): direct set indices
+KKT_NORM_STREAM = 6  # (KKT_NORM_STREAM,): probes of the KKT norm estimate
+
+
 def rng_for(master_seed: int, *key: int) -> np.random.Generator:
     """Generator deterministically keyed by (master_seed, *key)."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
@@ -72,7 +83,7 @@ class SamplingPlan:
 
     def sample(self, j: int) -> tuple[np.ndarray, "InitialIterate"]:
         """Deterministic function of (master_seed, j); independent across j."""
-        rng = rng_for(self.master_seed, 0, j)
+        rng = rng_for(self.master_seed, THETA_STREAM, j)
         theta = np.array([d.draw(rng) for d in self.theta_dists])
         if self.init_mode == "zero":
             init = InitialIterate(
@@ -81,7 +92,7 @@ class SamplingPlan:
                 provenance="fixed-zero",
             )
         else:
-            init_rng = rng_for(self.master_seed, 1, j)
+            init_rng = rng_for(self.master_seed, INIT_STREAM, j)
             init = InitialIterate(
                 u_init=init_rng.standard_normal(self.n_u),
                 z_init=init_rng.standard_normal(self.n_z),
@@ -97,6 +108,11 @@ class InitialIterate:
     provenance: str = "fixed-zero"
 
 
-def probe_vector(master_seed: int, sample_j: int, probe_i: int, dim: int) -> np.ndarray:
-    """Standard-normal probe keyed by (seed, sample, probe index)."""
-    return rng_for(master_seed, 2, sample_j, probe_i).standard_normal(dim)
+def probe_vector(
+    master_seed: int, key: tuple[int, ...], probe_i: int, dim: int
+) -> np.ndarray:
+    """Standard-normal probe ``probe_i`` of the stream keyed by (seed, *key).
+
+    ``key`` starts with a purpose key, e.g. ``(PROBE_STREAM, sample_j)``.
+    """
+    return rng_for(master_seed, *key, probe_i).standard_normal(dim)

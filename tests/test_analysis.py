@@ -7,8 +7,13 @@ from hdsa.analysis import (
     perturbation_check,
     traditional_comparison,
 )
+from hdsa.config import parse_config
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
-from hdsa.problems import build_diffusion_control_1d, build_logistic_toy
+from hdsa.problems import (
+    AdvDiffInversionProblem,
+    build_diffusion_control_1d,
+    build_logistic_toy,
+)
 from hdsa.randeig import RandEigConfig
 from hdsa.sampling import Distribution, SamplingPlan
 
@@ -138,3 +143,29 @@ class TestTraditionalComparison:
         opt = solve_optimization(problem, np.zeros(4))
         trad = traditional_comparison(problem, opt)
         np.testing.assert_allclose(trad, 0.0, atol=1e-12)
+
+
+def test_advdiff_sample_solve_count(tmp_path, monkeypatch):
+    """Block solves do the work of column solves: one default
+    advection-diffusion sample still solves 1,364 state and adjoint
+    right-hand sides over its 256 KKT columns, as column solves did."""
+    columns = []
+    for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
+        original = getattr(AdvDiffInversionProblem, name)
+
+        def counted(self, p, rhs, original=original):
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return original(self, p, rhs)
+
+        monkeypatch.setattr(AdvDiffInversionProblem, name, counted)
+    cfg = parse_config({
+        "problem": {"name": "advdiff_inversion_1d", "params": {}},
+        "hdsa": {"n_samples": 1, "k_pairs": 12, "oversampling": 8,
+                 "power_iterations": 2, "seed": 1},
+        "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
+        "output_dir": str(tmp_path),
+    })
+    problem = cfg.build_problem()
+    res = analyze_sample(problem, cfg.build_plan(problem), cfg.randeig, 0, cfg.optimizer)
+    assert res.diagnostics.kkt_rhs == 256
+    assert sum(columns) == 1364

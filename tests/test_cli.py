@@ -96,6 +96,18 @@ class TestRunCommand:
         for name in CSV_FILES:
             assert (out / name).is_file()
 
+    def test_report_has_solver_work_and_residuals(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, logistic_config(out))
+        assert main(["run", str(path)]) == EXIT_OK
+        _, report = read_bundle(out)
+        for s in report["samples"]:
+            # four pencil applications, D and D^T one KKT call each, on
+            # blocks of the 3-dimensional pencil's probes
+            assert s["kkt_solves"] == 8
+            assert s["kkt_rhs"] > s["kkt_solves"]
+            assert len(s["triple_residuals"]) == len(s["sigmas"])
+
     def test_non_empty_output_needs_force(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, logistic_config(out))

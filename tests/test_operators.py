@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hdsa.linalg as linalg
 import hdsa.operators as operators
 import hdsa.optimizer as optimizer
 from hdsa.analysis import analyze_sample
@@ -118,6 +119,52 @@ class TestKktOperator:
         r = np.linalg.norm(rhs - k @ x)
         assert r <= 1e-8 * (np.linalg.norm(k, 2) * np.linalg.norm(x))
 
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_block_solve_equals_column_solves(self, diffusion_point, monkeypatch, path):
+        problem, point = diffusion_point
+        if path == "schur":
+            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
+        op = KktOperator(problem, point)
+        rhs = np.random.default_rng(12).standard_normal((op.dim, 5))
+        x, stats = op.solve(rhs)
+        cols = [op.solve(rhs[:, j]) for j in range(5)]
+        np.testing.assert_allclose(
+            x, np.column_stack([c[0] for c in cols]), rtol=0, atol=1e-9 * np.abs(x).max()
+        )
+        # one stats entry per call, describing all of its columns
+        assert len(op.solve_stats) == 6
+        assert stats.n_rhs == 5
+        assert stats.iterations == max(c[1].iterations for c in cols)
+        assert stats.backward_error <= KKT_TOL
+
+    def test_dense_assembly_in_uneven_chunks(self, diffusion_point, monkeypatch):
+        problem, point = diffusion_point
+        op = KktOperator(problem, point)
+        by_columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
+        # 5 columns per chunk do not divide the dimension 72
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * op.dim * 5)
+        np.testing.assert_allclose(op.dense(), by_columns, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_backward_error_independent_of_history(
+        self, diffusion_point, monkeypatch, path
+    ):
+        """A solve does not depend on which vectors the operator saw before."""
+        problem, point = diffusion_point
+        # the dominant eigenvector stretches more than any vector a solve
+        # applies, so a running estimate of ||K|| would remember it
+        evals, evecs = np.linalg.eigh(KktOperator(problem, point).dense())
+        if path == "schur":
+            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
+        fresh = KktOperator(problem, point)
+        used = KktOperator(problem, point)
+        used.apply(evecs[:, np.argmax(np.abs(evals))])
+        rhs = np.random.default_rng(13).standard_normal((fresh.dim, 3))
+        x_fresh, stats_fresh = fresh.solve(rhs)
+        x_used, stats_used = used.solve(rhs)
+        np.testing.assert_array_equal(x_fresh, x_used)
+        assert stats_fresh == stats_used
+
 
 
 class TestSchurPath:
@@ -205,6 +252,36 @@ class TestSensitivityOperator:
         rng = np.random.default_rng(7)
         phi = rng.standard_normal(sens.n_theta)
         np.testing.assert_allclose(sens.apply(phi), d @ phi, atol=1e-9)
+
+    def test_dense_equals_columns_of_apply(self, diffusion_point):
+        problem, point = diffusion_point
+        sens = SensitivityOperator(problem, point)
+        d = sens.dense()
+        cols = np.column_stack([sens.apply(e) for e in np.eye(sens.n_theta)])
+        np.testing.assert_allclose(d, cols, rtol=0, atol=1e-9 * np.abs(d).max())
+
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_block_apply_in_capped_chunks(self, diffusion_point, monkeypatch, path):
+        problem, point = diffusion_point
+        if path == "schur":
+            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
+        sens = SensitivityOperator(problem, point)
+        # two columns per KKT solve, so a 5-column block goes as 2, 2 and 1
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * 8 * sens.kkt.dim)
+        rng = np.random.default_rng(14)
+        for apply, n_in in (
+            (sens.apply, sens.n_theta),
+            (sens.apply_transpose, sens.n_z),
+        ):
+            block = rng.standard_normal((n_in, 5))
+            before = len(sens.kkt.solve_stats)
+            out = apply(block)
+            widths = [s.n_rhs for s in sens.kkt.solve_stats[before:]]
+            assert widths == [2, 2, 1]
+            cols = np.column_stack([apply(block[:, j]) for j in range(5)])
+            np.testing.assert_allclose(
+                out, cols, rtol=0, atol=1e-9 * np.abs(cols).max()
+            )
 
     def test_directional_sensitivity_scale_invariant(self, diffusion_point):
         problem, point = diffusion_point

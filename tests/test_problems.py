@@ -154,3 +154,35 @@ class TestAdvDiff:
         p1 = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
         p2 = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+# (method, operand space) for every derivative action and both solves
+BLOCK_METHODS = [
+    ("c_u", "n_u"), ("c_u_adj", "n_lambda"), ("c_z", "n_z"), ("c_z_adj", "n_lambda"),
+    ("c_theta", "n_theta"), ("c_theta_adj", "n_lambda"),
+    ("l_uu", "n_u"), ("l_uz", "n_z"), ("l_zu", "n_u"), ("l_zz", "n_z"),
+    ("l_utheta", "n_theta"), ("l_ztheta", "n_theta"),
+    ("l_utheta_adj", "n_u"), ("l_ztheta_adj", "n_z"),
+    ("state_jacobian_solve", "n_lambda"), ("state_jacobian_adjoint_solve", "n_u"),
+]
+
+
+@pytest.mark.parametrize("name", ["logistic", "diffusion", "advdiff"])
+def test_blocks_equal_columns(name):
+    """An (n, 5) block gives the five single-column results, column by column."""
+    problem = {
+        "logistic": build_logistic_toy,
+        "diffusion": lambda: build_diffusion_control_1d(n_state=20, n_param=5),
+        "advdiff": lambda: build_advdiff_inversion_1d(n_space=12, n_steps=6, n_window=4),
+    }[name]()
+    point = random_point(problem, seed=3)
+    rng = np.random.default_rng(4)
+    for method, space in BLOCK_METHODS:
+        block = rng.standard_normal((getattr(problem.dims, space), 5))
+        out = getattr(problem, method)(point, block)
+        cols = np.column_stack(
+            [getattr(problem, method)(point, block[:, j]) for j in range(5)]
+        )
+        assert out.shape == cols.shape, method
+        scale = max(float(np.abs(cols).max()), 1e-300)
+        assert float(np.abs(out - cols).max()) <= 1e-12 * scale, method

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import hdsa.randeig as randeig
+from hdsa.analysis import analyze_sample
+from hdsa.indices import set_indices
 from hdsa.operators import SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import build_diffusion_control_1d, build_logistic_toy
@@ -11,6 +14,7 @@ from hdsa.randeig import (
     dense_oracle,
     randomized_geneig,
 )
+from hdsa.sampling import Distribution, SamplingPlan
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +155,83 @@ class TestSpectralGapInstance:
         oracle = dense_oracle(sens, problem.spaces)
         sig = np.array([t.sigma for t in oracle])
         assert sig[3] / sig[4] >= 10.0
+
+
+class TestTripleResiduals:
+    """max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta) / sigma per triple."""
+
+    @staticmethod
+    def sample(amplitude):
+        problem = build_diffusion_control_1d(
+            n_state=64, n_param=16, gamma=0.01, amplitude=amplitude
+        )
+        plan = SamplingPlan(
+            theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
+            master_seed=0,
+            n_u=64,
+            n_z=64,
+        )
+        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0)
+        return problem, analyze_sample(problem, plan, cfg, 0)
+
+    def test_flat_spectrum_is_flagged(self):
+        # the README quick-start: randomized triples far from converged
+        problem, res = self.sample(0.2)
+        residuals = res.diagnostics.triple_residuals
+        assert len(residuals) == len(res.triples) == 4
+        assert max(residuals) >= 1e-3
+
+    def test_gapped_spectrum_is_accurate(self):
+        _, res = self.sample([0.2] * 4 + [0.005] * 12)
+        assert len(res.diagnostics.triple_residuals) == 4
+        assert max(res.diagnostics.triple_residuals) <= 1e-4
+
+    def test_residuals_match_explicit_applications(self, diffusion_sens):
+        problem, sens = diffusion_sens
+        spaces = problem.spaces
+        cfg = RandEigConfig(k_pairs=3, oversampling=0, seed=2, power_iterations=0)
+        triples, diag = randomized_geneig(sens, spaces, cfg)
+        for t, reported in zip(triples, diag.triple_residuals):
+            r_z = spaces.m_z.norm(sens.apply(t.theta_vec) - t.sigma * t.z_vec)
+            adj = spaces.m_theta.solve(sens.apply_transpose(spaces.m_z.apply(t.z_vec)))
+            r_th = spaces.m_theta.norm(adj - t.sigma * t.theta_vec)
+            assert reported == pytest.approx(max(r_z, r_th) / t.sigma, rel=1e-6)
+
+    def test_squared_formulation_reports_residuals(self, diffusion_sens):
+        problem, sens = diffusion_sens
+        cfg = RandEigConfig(k_pairs=4, oversampling=4, seed=5, power_iterations=2)
+        triples, diag = alternative_formulation(sens, problem.spaces, cfg)
+        assert len(diag.triple_residuals) == len(triples) == 4
+        assert max(diag.triple_residuals) <= 1e-6
+
+
+def test_kkt_work_counts_calls_and_columns(diffusion_sens):
+    problem, sens = diffusion_sens
+    cfg = RandEigConfig(k_pairs=3, oversampling=4, seed=1, power_iterations=1)
+    _, diag = randomized_geneig(sens, problem.spaces, cfg)
+    # three pencil applications (range, one power pass, Rayleigh-Ritz) to
+    # 10 columns; D and D^T each take one KKT call per application here
+    assert diag.kkt_solves == 3 * 2
+    assert diag.kkt_rhs == 3 * 2 * 10
+
+
+def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
+    """Direct set indices of sample 0 once drew the probes of sample 100_000."""
+    problem, sens = diffusion_sens
+    drawn = []
+    original = randeig.probe_vector
+
+    def record(seed, key, i, dim):
+        v = original(seed, key, i, dim)
+        drawn.append(v)
+        return v
+
+    monkeypatch.setattr(randeig, "probe_vector", record)
+    cfg = RandEigConfig(k_pairs=2, oversampling=2, seed=4, set_index_mode="direct")
+    triples = dense_oracle(sens, problem.spaces)[:2]
+    set_indices(triples, problem.spaces, problem.spaces.partition, mode="direct",
+                sens_op=sens, cfg=cfg, sample_index=0)
+    set_probe = drawn[0]
+    drawn.clear()
+    randomized_geneig(sens, problem.spaces, cfg, sample_index=100_000)
+    assert not np.array_equal(set_probe, drawn[0])
