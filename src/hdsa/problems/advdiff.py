@@ -336,26 +336,46 @@ class AdvDiffInversionProblem(ProblemDefinition):
         return out.reshape((self.dims.n_theta,) + w.shape[1:])
 
     # One factorization of G(theta) per call; every column of the block is
-    # stepped through the time levels together. The adjoint runs backwards in
-    # time on the same factor, transposed.
+    # stepped through the time levels together by LAPACK getrs, called
+    # directly: scipy's lu_solve would add its batching, dtype dispatch and
+    # finiteness check on each of the n_steps levels. The adjoint runs
+    # backwards in time on the same factor, transposed.
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
-        b = self._columns(rhs)
-        lu = scipy.linalg.lu_factor(self._system_matrix(p.theta))
-        out = np.empty_like(b)
-        out[0] = scipy.linalg.lu_solve(lu, b[0])
-        for i in range(1, self.n_steps):
-            out[i] = scipy.linalg.lu_solve(lu, b[i] + self._mass @ out[i - 1])
-        return self._stacked(out, rhs)
+        return self._step_levels(p, rhs, trans=0)
 
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
+        return self._step_levels(p, rhs, trans=1)
+
+    def _step_levels(self, p, rhs, trans: int) -> np.ndarray:
+        _check_finite(rhs)
         b = self._columns(rhs)
-        lu = scipy.linalg.lu_factor(self._system_matrix(p.theta))
+        lu, piv = scipy.linalg.lu_factor(self._system_matrix(p.theta))
+        (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+
+        def solve(v, overwrite_b):
+            x, info = getrs(lu, piv, v, trans=trans, overwrite_b=overwrite_b)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+            return x
+
+        step = -1 if trans else 1
+        levels = range(self.n_steps)[::step]
         out = np.empty_like(b)
-        out[-1] = scipy.linalg.lu_solve(lu, b[-1], trans=1)
-        for i in range(self.n_steps - 2, -1, -1):
-            out[i] = scipy.linalg.lu_solve(lu, b[i] + self._mass @ out[i + 1], trans=1)
+        # the first level's b is a view into the caller's rhs, so getrs works
+        # on a copy; every later level solves a temporary in place
+        out[levels[0]] = solve(b[levels[0]], overwrite_b=0)
+        for i in levels[1:]:
+            out[i] = solve(b[i] + self._mass @ out[i - step], overwrite_b=1)
+        # a non-finite intermediate carries through to the result, so this
+        # one check covers every level
+        _check_finite(out)
         return self._stacked(out, rhs)
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def build_advdiff_inversion_1d(**kwargs) -> AdvDiffInversionProblem:

@@ -131,6 +131,16 @@ def apply_pencil_a(d: SensitivityOperator, spaces: WeightedSpaces, v: np.ndarray
     return np.concatenate([top, bottom])
 
 
+def _fix_sign(t: SingularTriple) -> SingularTriple:
+    """The triple with its sign fixed: the entry of theta_vec largest in
+    magnitude (the first of them, on a tie) is positive, and z_vec flips with
+    theta_vec. Eigensolvers fix no sign, so without this a change in rounding
+    could flip a reported pair of vectors."""
+    if t.theta_vec[np.argmax(np.abs(t.theta_vec))] >= 0.0:
+        return t
+    return SingularTriple(t.sigma, -t.theta_vec, -t.z_vec)
+
+
 def _normalize_triples(
     sigmas: np.ndarray,
     z_vecs: np.ndarray,
@@ -146,7 +156,7 @@ def _normalize_triples(
         if th_n == 0.0 or z_n == 0.0:
             continue
         triples.append(
-            SingularTriple(float(sigmas[k]), th / th_n, zv / z_n)
+            _fix_sign(SingularTriple(float(sigmas[k]), th / th_n, zv / z_n))
         )
     return triples
 
@@ -172,7 +182,7 @@ def _ritz_triples(
         t = SingularTriple(float(sigma), th_t / th_n, z_t / z_n)
         res_z = spaces.m_z.norm(images[:n_z, k] / th_n - t.sigma * t.z_vec)
         res_th = spaces.m_theta.norm(images[n_z:, k] / z_n - t.sigma * t.theta_vec)
-        triples.append(t)
+        triples.append(_fix_sign(t))
         residuals.append(max(res_z, res_th) / t.sigma)
     return triples, residuals
 
@@ -305,7 +315,7 @@ def alternative_formulation(
         triple = SingularTriple(sigma, thetas[:, k], images[:, k] / d_n)
         # z_k is parallel to D theta_k, so ||D theta - sigma z||_Z = | ||D theta||_Z - sigma |
         res_th = m_theta.norm(adj_images[:, k] / d_n - sigma * triple.theta_vec)
-        triples.append(triple)
+        triples.append(_fix_sign(triple))
         residuals.append(max(abs(d_n - sigma), res_th) / sigma)
     diag = GenEigDiagnostics(
         ritz_values=evals,

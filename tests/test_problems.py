@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdsa.problems import (
     EvalPoint,
@@ -154,6 +155,60 @@ class TestAdvDiff:
         p1 = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
         p2 = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def _lu_solve_levels(problem, point, rhs, trans):
+    """One scipy.linalg.lu_solve per time level: the arithmetic that the
+    advection-diffusion solves must reproduce bit for bit."""
+    b = rhs.reshape(problem.n_steps, problem.n_space, -1)
+    lu = scipy.linalg.lu_factor(problem._system_matrix(point.theta))
+    out = np.empty_like(b)
+    if trans == 0:
+        out[0] = scipy.linalg.lu_solve(lu, b[0])
+        for i in range(1, problem.n_steps):
+            out[i] = scipy.linalg.lu_solve(lu, b[i] + problem._mass @ out[i - 1])
+    else:
+        out[-1] = scipy.linalg.lu_solve(lu, b[-1], trans=1)
+        for i in range(problem.n_steps - 2, -1, -1):
+            out[i] = scipy.linalg.lu_solve(lu, b[i] + problem._mass @ out[i + 1], trans=1)
+    return out.reshape(rhs.shape)
+
+
+ADVDIFF_SOLVES = [("state_jacobian_solve", 0), ("state_jacobian_adjoint_solve", 1)]
+
+
+class TestAdvDiffTimeStepping:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        problem = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
+        return problem, random_point(problem, seed=6)
+
+    @pytest.mark.parametrize("method, trans", ADVDIFF_SOLVES)
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["vector", "block"])
+    def test_bitwise_equal_to_lu_solve_per_level(self, setup, method, trans, shape):
+        problem, point = setup
+        rhs = np.random.default_rng(7).standard_normal((problem.dims.n_u,) + shape)
+        before = rhs.copy()
+        out = getattr(problem, method)(point, rhs)
+        np.testing.assert_array_equal(rhs, before)  # the caller's rhs is untouched
+        np.testing.assert_array_equal(out, _lu_solve_levels(problem, point, rhs, trans))
+
+    @pytest.mark.parametrize("method", [m for m, _ in ADVDIFF_SOLVES])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, setup, method, bad):
+        problem, point = setup
+        rhs = np.ones((problem.dims.n_u, 2))
+        rhs[problem.n_space * (problem.n_steps // 2) + 3, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            getattr(problem, method)(point, rhs)
+
+    @pytest.mark.parametrize("method", [m for m, _ in ADVDIFF_SOLVES])
+    def test_overflowing_solution_rejected(self, setup, method):
+        # a finite rhs whose solution overflows: G(theta) maps constants to
+        # M 1, about h times smaller, so the first level solved is already inf
+        problem, point = setup
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            getattr(problem, method)(point, np.full(problem.dims.n_u, 1e308))
 
 
 # (method, operand space) for every derivative action and both solves

@@ -235,3 +235,70 @@ def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
     drawn.clear()
     randomized_geneig(sens, problem.spaces, cfg, sample_index=100_000)
     assert not np.array_equal(set_probe, drawn[0])
+
+
+@pytest.fixture(scope="module")
+def gapped_sens():
+    problem = build_diffusion_control_1d(
+        n_state=64, n_param=16, amplitude=[0.2] * 4 + [0.005] * 12
+    )
+    opt = solve_optimization(problem, np.zeros(16))
+    return problem, SensitivityOperator(problem, opt.as_eval_point())
+
+
+class TestTripleSigns:
+    """theta_k's largest entry in magnitude is positive and z_k flips with it."""
+
+    @staticmethod
+    def assert_sign_rule(triples):
+        for t in triples:
+            assert t.theta_vec[np.argmax(np.abs(t.theta_vec))] > 0.0
+
+    def test_randomized_and_oracle_agree_in_sign(self, gapped_sens):
+        problem, sens = gapped_sens
+        spaces = problem.spaces
+        oracle = dense_oracle(sens, spaces)[:4]
+        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, power_iterations=2)
+        for triples, _ in (
+            randomized_geneig(sens, spaces, cfg),
+            alternative_formulation(sens, spaces, cfg),
+        ):
+            assert len(triples) == 4
+            self.assert_sign_rule(triples)
+            for t, o in zip(triples, oracle):
+                assert spaces.m_theta.inner(t.theta_vec, o.theta_vec) > 0.99
+                assert spaces.m_z.inner(t.z_vec, o.z_vec) > 0.99
+        self.assert_sign_rule(oracle)
+
+    def test_negated_ritz_vectors_give_the_same_triples(self, gapped_sens):
+        problem, sens = gapped_sens
+        spaces = problem.spaces
+        oracle = dense_oracle(sens, spaces)[:4]
+        sigmas = np.array([t.sigma for t in oracle])
+        # Ritz vectors (z~, theta~) at an arbitrary scale, and B^-1 A of each
+        vectors = np.vstack([
+            np.column_stack([3.0 * t.z_vec for t in oracle]),
+            np.column_stack([3.0 * t.theta_vec for t in oracle]),
+        ])
+        b = randeig._BlockMass(spaces, sens.n_z, sens.n_theta)
+        images = b.solve(apply_pencil_a(sens, spaces, vectors))
+        triples, residuals = randeig._ritz_triples(sigmas, vectors, images, spaces)
+        flipped, flipped_res = randeig._ritz_triples(sigmas, -vectors, -images, spaces)
+        assert flipped_res == residuals
+        for t, f in zip(triples, flipped):
+            assert f.sigma == t.sigma
+            np.testing.assert_array_equal(f.theta_vec, t.theta_vec)
+            np.testing.assert_array_equal(f.z_vec, t.z_vec)
+        self.assert_sign_rule(triples)
+
+    def test_tie_goes_to_the_first_entry(self):
+        t = randeig._fix_sign(randeig.SingularTriple(
+            1.0, np.array([0.5, -0.5, 0.5]), np.array([1.0, 2.0])
+        ))
+        np.testing.assert_array_equal(t.theta_vec, [0.5, -0.5, 0.5])
+        np.testing.assert_array_equal(t.z_vec, [1.0, 2.0])
+        t = randeig._fix_sign(randeig.SingularTriple(
+            1.0, np.array([-0.5, 0.5, 0.5]), np.array([1.0, 2.0])
+        ))
+        np.testing.assert_array_equal(t.theta_vec, [0.5, -0.5, -0.5])
+        np.testing.assert_array_equal(t.z_vec, [-1.0, -2.0])
