@@ -26,6 +26,10 @@ from .randeig import GenEigDiagnostics, RandEigConfig, SingularTriple, randomize
 from .sampling import SamplingPlan
 
 
+class AllSamplesFailedError(RuntimeError):
+    """A sweep in which every sample failed with a numerical error."""
+
+
 @dataclass
 class SampleResult:
     sample_index: int
@@ -130,8 +134,9 @@ def global_analysis(
 
     Per-sample numerical failures (optimizer divergence, rejected SOSC, KKT
     solves short of tolerance) are recorded and excluded from the aggregates;
-    any other exception propagates. Results are gathered by sample index and
-    are identical for any worker count.
+    any other exception propagates. If every sample fails, the sweep raises
+    ``AllSamplesFailedError``. Results are gathered by sample index and are
+    identical for any worker count.
     """
     results: dict[int, SampleResult] = {}
     failures: dict[int, SampleFailure] = {}
@@ -157,7 +162,7 @@ def global_analysis(
                     failures[j] = SampleFailure(j, plan.sample(j)[0], str(exc))
 
     if not results:
-        raise RuntimeError(
+        raise AllSamplesFailedError(
             "every sample failed; first failure: "
             + (failures[min(failures)].message if failures else "unknown")
         )

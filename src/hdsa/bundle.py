@@ -183,7 +183,8 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
 
 
 def render_report(manifest: dict, report: dict) -> str:
-    """Plain-text tables: set indices, top parameter indices, spectral decay."""
+    """Plain-text tables: set indices, top parameter indices, spectral decay
+    with each sample's worst triple residual."""
     lines: list[str] = []
     n_done = report["n_samples_completed"]
     lines.append(
@@ -213,13 +214,17 @@ def render_report(manifest: dict, report: dict) -> str:
         lines.append(f"{i:<8}{mean[i]:>16.6e}{std[i]:>16.6e}")
     lines.append("")
 
-    lines.append("spectral decay sigma_K / sigma_1 per sample")
-    lines.append(f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}")
+    lines.append(
+        "spectral decay sigma_K / sigma_1 and worst triple residual per sample"
+    )
+    lines.append(
+        f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}{'worst_resid':>16}"
+    )
     for s in report["samples"]:
         sig = s["sigmas"]
         if sig:
             lines.append(
                 f"{s['j']:<8}{sig[0]:>16.6e}{sig[-1]:>16.6e}"
-                f"{s['spectral_decay']:>16.6e}"
+                f"{s['spectral_decay']:>16.6e}{max(s['triple_residuals']):>16.6e}"
             )
     return "\n".join(lines) + "\n"

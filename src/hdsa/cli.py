@@ -1,7 +1,8 @@
 """Command-line entry points: run, verify, report.
 
 Exit-code contract: 0 success, 1 compute or verification failure, 2 usage or
-configuration error.
+configuration error. Any other exception is a programming error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import global_analysis, perturbation_check
+from .analysis import AllSamplesFailedError, global_analysis, perturbation_check
 from .bundle import BundleError, read_bundle, render_report, write_bundle
 from .config import ConfigError, RunConfig, load_config
 from .operators import SensitivityOperator
-from .optimizer import OptimizerError, solve_optimization
+from .optimizer import COMPUTE_ERRORS, OptimizerError, solve_optimization
 from .problems.base import check_derivatives
 from .randeig import alternative_formulation, dense_oracle, randomized_geneig
 from .sampling import VERIFY_STREAM, rng_for
@@ -66,7 +67,7 @@ def cmd_run(config_path: str, force: bool = False, workers: int | None = None) -
         report = global_analysis(
             problem, plan, cfg.randeig, opt_cfg=cfg.optimizer, workers=workers
         )
-    except Exception as exc:
+    except (*COMPUTE_ERRORS, AllSamplesFailedError) as exc:
         _err(f"analysis failed: {exc}")
         return EXIT_COMPUTE
     wall = time.perf_counter() - t0
@@ -219,7 +220,7 @@ def cmd_verify(config_path: str) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_USAGE
-    except Exception as exc:
+    except COMPUTE_ERRORS as exc:
         _err(f"verification aborted: {exc}")
         return EXIT_COMPUTE
 

@@ -153,16 +153,24 @@ def b_orthonormalize(
     return np.column_stack(cols), dropped
 
 
-def dense_sym_eig(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dense_sym_eig(
+    t: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a small dense symmetric matrix.
 
     Eigenvalues are sorted descending, eigenvectors are the matching columns.
+    With ``vectors=False`` only the eigenvalues are computed and the second
+    element is None.
     """
     t = np.asarray(t, dtype=float)
     scale = max(float(np.linalg.norm(t)), 1.0)
     if float(np.linalg.norm(t - t.T)) > 1e-12 * scale:
         raise LinalgError("matrix is not symmetric within 1e-12")
-    evals, evecs = scipy.linalg.eigh(0.5 * (t + t.T))
+    sym = 0.5 * (t + t.T)
+    if not vectors:
+        # eigh returns the values ascending
+        return scipy.linalg.eigh(sym, eigvals_only=True)[::-1], None
+    evals, evecs = scipy.linalg.eigh(sym)
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
 

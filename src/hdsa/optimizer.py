@@ -147,7 +147,7 @@ def reduced_hessian_dense(problem: ProblemDefinition, p: EvalPoint) -> np.ndarra
 
 def check_sosc(h: np.ndarray) -> float:
     """Smallest eigenvalue of a dense reduced Hessian."""
-    evals, _ = dense_sym_eig(h)
+    evals, _ = dense_sym_eig(h, vectors=False)
     return float(evals[-1])
 
 

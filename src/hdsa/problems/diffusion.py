@@ -53,7 +53,12 @@ class DiffusionControlProblem(ProblemDefinition):
         # hat-basis values of the parameter expansion at element midpoints
         self._phi_mid = hat_interpolation(midpoints, n_param)
 
-        self._mass = interior_mass_matrix(n_state).toarray()
+        mass = interior_mass_matrix(n_state)
+        # the stencil of _apply_mass; the dense copy serves only mass_dense()
+        # and the Z-space weighting
+        self._mass_diag = mass.diagonal()
+        self._mass_off = mass.diagonal(1)
+        self._mass = mass.toarray()
         target = target if target is not None else {"preset": "sine"}
         self.target = evaluate_preset(target, self.x_interior)
 
@@ -108,6 +113,14 @@ class DiffusionControlProblem(ProblemDefinition):
         """Adjoint of ``_coeff_direction`` applied to per-element values."""
         return self.kappa0 * as_rows(self.amplitude, g) * (self._phi_mid.T @ g)
 
+    def _apply_mass(self, v: np.ndarray) -> np.ndarray:
+        """The tridiagonal mass matrix times a vector or an (n, r) block."""
+        off = as_rows(self._mass_off, v)
+        out = as_rows(self._mass_diag, v) * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
     def _banded_stiffness(self, theta: np.ndarray) -> np.ndarray:
         kappa = self._kappa_mid(theta)
         ab = np.zeros((3, self.n_state))
@@ -133,16 +146,18 @@ class DiffusionControlProblem(ProblemDefinition):
 
     def objective(self, u, z, theta) -> float:
         du = u - self.target
-        return float(0.5 * du @ (self._mass @ du) + 0.5 * self.gamma * z @ (self._mass @ z))
+        return float(
+            0.5 * du @ self._apply_mass(du) + 0.5 * self.gamma * z @ self._apply_mass(z)
+        )
 
     def residual(self, u, z, theta) -> np.ndarray:
-        return self._apply_stiffness(self._kappa_mid(theta), u) - self._mass @ z
+        return self._apply_stiffness(self._kappa_mid(theta), u) - self._apply_mass(z)
 
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
-        return self._mass @ (u - self.target)
+        return self._apply_mass(u - self.target)
 
     def obj_grad_z(self, u, z, theta) -> np.ndarray:
-        return self.gamma * (self._mass @ z)
+        return self.gamma * self._apply_mass(z)
 
     def obj_grad_theta(self, u, z, theta) -> np.ndarray:
         return np.zeros(self.n_param)
@@ -154,10 +169,10 @@ class DiffusionControlProblem(ProblemDefinition):
         return self.c_u(p, w)  # stiffness is symmetric
 
     def c_z(self, p, v) -> np.ndarray:
-        return -(self._mass @ v)
+        return -self._apply_mass(v)
 
     def c_z_adj(self, p, w) -> np.ndarray:
-        return -(self._mass @ w)
+        return -self._apply_mass(w)
 
     def c_theta(self, p, v) -> np.ndarray:
         return self._apply_stiffness(self._coeff_direction(v), p.u)
@@ -166,7 +181,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return self._coeff_adjoint(self._element_bilinear(p.u, w))
 
     def l_uu(self, p, v) -> np.ndarray:
-        return self._mass @ v
+        return self._apply_mass(v)
 
     def l_uz(self, p, v) -> np.ndarray:
         return np.zeros_like(v)
@@ -175,7 +190,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return np.zeros_like(v)
 
     def l_zz(self, p, v) -> np.ndarray:
-        return self.gamma * (self._mass @ v)
+        return self.gamma * self._apply_mass(v)
 
     def l_utheta(self, p, v) -> np.ndarray:
         # d/dtheta (A(theta)^T lam) . v, with A affine in theta

@@ -6,6 +6,7 @@ from hdsa.bundle import CSV_FILES, BundleError, read_bundle
 from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from hdsa.config import ConfigError, load_config, parse_config
 from hdsa.operators import SensitivityOperator
+from hdsa.problems.logistic import LogisticToyProblem
 
 
 def logistic_config(out_dir, n_samples=2, seed=42, **extra):
@@ -146,6 +147,14 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "set sensitivity indices" in text
         assert "spectral decay" in text
+        # the decay table ends with each sample's worst triple residual
+        _, report = read_bundle(out)
+        lines = text.splitlines()
+        head = next(i for i, line in enumerate(lines) if "worst_resid" in line)
+        rows = lines[head + 1 : head + 1 + len(report["samples"])]
+        for row, s in zip(rows, report["samples"]):
+            assert int(row.split()[0]) == s["j"]
+            assert row.split()[-1] == f"{max(s['triple_residuals']):.6e}"
 
     def test_missing_bundle_is_usage_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_USAGE
@@ -201,3 +210,15 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_programming_error_propagates(tmp_path, monkeypatch, command):
+    # a TypeError in a problem method is a bug, not a failed computation
+    def broken(self, p, v):
+        raise TypeError("broken l_uu")
+
+    monkeypatch.setattr(LogisticToyProblem, "l_uu", broken)
+    path = write_config(tmp_path, logistic_config(tmp_path / "out"))
+    with pytest.raises(TypeError, match="broken l_uu"):
+        main([command, str(path)])

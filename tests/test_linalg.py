@@ -45,10 +45,22 @@ class TestDense:
         assert np.all(np.diff(evals) <= 0)
         np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.T, a, atol=1e-10)
 
+    def test_sym_eig_values_only(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((30, 30))
+        a = a + a.T  # indefinite
+        evals, evecs = dense_sym_eig(a, vectors=False)
+        assert evecs is None
+        assert np.all(np.diff(evals) <= 0)
+        ref, _ = dense_sym_eig(a)
+        assert np.abs(evals - ref).max() <= 1e-12 * np.linalg.norm(a)
+
     def test_sym_eig_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(LinalgError):
             dense_sym_eig(a)
+        with pytest.raises(LinalgError):
+            dense_sym_eig(a, vectors=False)
 
     def test_svd_reconstruction(self):
         rng = np.random.default_rng(10)

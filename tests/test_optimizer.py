@@ -79,6 +79,7 @@ class TestReducedHessian:
         h = reduced_hessian_dense(p, opt.as_eval_point())
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         assert check_sosc(h) > 0.0
+        assert abs(check_sosc(h) - np.linalg.eigvalsh(h)[0]) <= 1e-12 * np.linalg.norm(h)
         # the optimizer hands on the matrix it certified
         np.testing.assert_array_equal(opt.reduced_hessian, h)
 

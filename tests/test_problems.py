@@ -119,6 +119,35 @@ class TestDiffusion:
         with pytest.raises(ProblemError):
             build_diffusion_control_1d(n_state=16, n_param=4, amplitude=[0.1, 0.2])
 
+    @pytest.mark.parametrize("n_state", [2, 3, 64])
+    def test_mass_stencil_matches_dense_mass(self, n_state):
+        """Every use of the mass stencil equals its expression on mass_dense()."""
+        p = build_diffusion_control_1d(n_state=n_state, n_param=4)
+        m = p.mass_dense()
+        pt = random_point(p, seed=5)
+        u, z, theta = pt.u, pt.z, pt.theta
+        du = u - p.target
+        # evaluations take vectors
+        cases = [
+            (p.objective(u, z, theta), 0.5 * du @ m @ du + 0.5 * p.gamma * z @ m @ z),
+            (p.residual(u, z, theta), p.stiffness_dense(theta) @ u - m @ z),
+            (p.obj_grad_u(u, z, theta), m @ du),
+            (p.obj_grad_z(u, z, theta), p.gamma * (m @ z)),
+        ]
+        # derivative actions take a vector or a 5-column block
+        rng = np.random.default_rng(6)
+        for v in (rng.standard_normal(n_state), rng.standard_normal((n_state, 5))):
+            cases += [
+                (p.c_z(pt, v), -(m @ v)),
+                (p.c_z_adj(pt, v), -(m @ v)),
+                (p.l_uu(pt, v), m @ v),
+                (p.l_zz(pt, v), p.gamma * (m @ v)),
+            ]
+        for out, ref in cases:
+            assert np.shape(out) == np.shape(ref)
+            scale = float(np.abs(ref).max())
+            assert float(np.abs(np.asarray(out) - ref).max()) <= 1e-14 * scale
+
 
 class TestAdvDiff:
     def test_state_solve_inverts_jacobian(self):
