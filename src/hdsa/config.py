@@ -131,7 +131,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("config.optimizer must be an object")
     opt_allowed = {
         "stationarity_tol", "max_iter", "forward_tol", "forward_max_iter",
-        "cg_tol", "armijo_c1", "min_step", "check_sosc",
+        "armijo_c1", "min_step", "check_sosc",
     }
     _require_keys(opt_raw, opt_allowed, "optimizer")
     opt = OptimizerConfig(
@@ -139,7 +139,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         max_iter=_get(opt_raw, "max_iter", int, 100, "optimizer"),
         forward_tol=_get(opt_raw, "forward_tol", float, 1e-12, "optimizer"),
         forward_max_iter=_get(opt_raw, "forward_max_iter", int, 50, "optimizer"),
-        cg_tol=_get(opt_raw, "cg_tol", float, 1e-12, "optimizer"),
         armijo_c1=_get(opt_raw, "armijo_c1", float, 1e-4, "optimizer"),
         min_step=_get(opt_raw, "min_step", float, 1e-14, "optimizer"),
         check_sosc=_get(opt_raw, "check_sosc", bool, True, "optimizer"),

@@ -1,4 +1,4 @@
-"""Reduced-space Newton-CG solver for the inner PDE-constrained problem.
+"""Reduced-space Newton solver for the inner PDE-constrained problem.
 
 Produces a verified stationary triple (u0, z0, lambda0) with adjoint recovery
 and a second-order sufficiency check, as required before any sensitivity
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import (
     DENSE_THRESHOLD,
@@ -39,7 +40,6 @@ class OptimizerConfig:
     max_iter: int = 100
     forward_tol: float = 1e-12
     forward_max_iter: int = 50
-    cg_tol: float = 1e-12
     armijo_c1: float = 1e-4
     min_step: float = 1e-14
     check_sosc: bool = True
@@ -55,7 +55,7 @@ class OptimalPoint:
     sosc_min_eig: float
     iterations: int
     objective: float = 0.0
-    # the SOSC reduced Hessian, reused by the KKT elimination at this point
+    # the reduced Hessian at this point, reused by the KKT elimination
     reduced_hessian: np.ndarray | None = field(default=None, repr=False)
 
     def as_eval_point(self) -> EvalPoint:
@@ -151,33 +151,6 @@ def check_sosc(h: np.ndarray) -> float:
     return float(evals[-1])
 
 
-def _newton_cg_direction(problem, p, g, tol) -> np.ndarray:
-    """Truncated CG on H d = -g with Steihaug-style negative-curvature exit."""
-    n = g.shape[0]
-    d = np.zeros(n)
-    r = -g.copy()
-    q = r.copy()
-    rr = float(r @ r)
-    g_norm = float(np.linalg.norm(g))
-    if g_norm == 0.0:
-        return d
-    for _ in range(2 * n + 10):
-        if np.sqrt(rr) <= tol * g_norm:
-            return d
-        hq = reduced_hessian_matvec(problem, p, q)
-        curv = float(q @ hq)
-        if curv <= 0.0:
-            # negative-curvature exit: keep progress, or fall back to steepest descent
-            return d if float(d @ g) < 0.0 else -g
-        alpha = rr / curv
-        d = d + alpha * q
-        r = r - alpha * hq
-        rr_new = float(r @ r)
-        q = r + (rr_new / rr) * q
-        rr = rr_new
-    return d
-
-
 def solve_optimization(
     problem: ProblemDefinition,
     theta0: np.ndarray,
@@ -186,8 +159,12 @@ def solve_optimization(
 ) -> OptimalPoint:
     """Reduced-space Newton with Armijo backtracking.
 
-    Returns an OptimalPoint whose adjoint is recomputed at the final iterate
-    and whose reduced Hessian is verified positive definite (unless disabled).
+    Each step solves H d = -g by Cholesky with the dense reduced Hessian H,
+    and takes steepest descent where H is not positive definite. A problem
+    whose H does not depend on the iterate assembles it once. Returns an
+    OptimalPoint whose adjoint is recomputed at the final iterate and whose
+    reduced Hessian, the one at that iterate, is verified positive definite
+    (unless disabled) and handed on for the KKT elimination.
     """
     cfg = cfg or OptimizerConfig()
     dims = problem.dims
@@ -207,14 +184,22 @@ def solve_optimization(
 
     it = 0
     f = problem.objective(u, z, theta0)
+    h = None
     while True:
         lam = solve_adjoint(problem, u, z, theta0)
         g = reduced_gradient(problem, u, z, theta0, lam)
         gnorm = grad_m_norm(g)
+        if h is None or not problem.constant_reduced_hessian:
+            h = reduced_hessian_dense(problem, EvalPoint(u, z, lam, theta0))
         if gnorm <= cfg.stationarity_tol or it >= cfg.max_iter:
             break
-        p = EvalPoint(u, z, lam, theta0)
-        d = _newton_cg_direction(problem, p, g, cfg.cg_tol)
+        try:
+            factor = scipy.linalg.cho_factor(h)
+        except np.linalg.LinAlgError:
+            # not positive definite: fall back to steepest descent
+            d = -g
+        else:
+            d = -scipy.linalg.cho_solve(factor, g)
         if float(d @ g) >= 0.0:
             d = -g
         step = 1.0
@@ -247,11 +232,8 @@ def solve_optimization(
             f"after {it} iterations"
         )
     lam = solve_adjoint(problem, u, z, theta0)
-    point = EvalPoint(u, z, lam, theta0)
     sosc = np.nan
-    h = None
     if cfg.check_sosc:
-        h = reduced_hessian_dense(problem, point)
         sosc = check_sosc(h)
         if sosc <= 0.0:
             raise OptimizerError(

@@ -30,6 +30,7 @@ from .fem1d import (
 
 class AdvDiffInversionProblem(ProblemDefinition):
     name = "advdiff_inversion_1d"
+    constant_reduced_hessian = True
 
     def __init__(
         self,

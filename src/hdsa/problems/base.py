@@ -99,6 +99,9 @@ class ProblemDefinition(ABC):
     """
 
     name: str = "problem"
+    # True when the reduced Hessian depends on theta alone (constraint linear
+    # in (u, z), objective quadratic); the optimizer then assembles it once
+    constant_reduced_hessian: bool = False
 
     @property
     @abstractmethod

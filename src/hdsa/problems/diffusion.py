@@ -22,6 +22,7 @@ from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mas
 
 class DiffusionControlProblem(ProblemDefinition):
     name = "diffusion_control_1d"
+    constant_reduced_hessian = True
 
     def __init__(
         self,

@@ -138,7 +138,7 @@ def test_criterion_4_linearity_of_optimal_solution():
     # gamma = 0 makes the reduced Hessian nearly singular; the optimizer has
     # to be run essentially to machine stationarity for the invariance of the
     # sensitivity operator to be visible at 1e-6
-    opt_cfg = OptimizerConfig(stationarity_tol=1e-13, cg_tol=1e-14, max_iter=200)
+    opt_cfg = OptimizerConfig(stationarity_tol=1e-13, max_iter=200)
     cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, power_iterations=3)
 
     sigmas, locals_ = [], []

@@ -145,10 +145,12 @@ class TestTraditionalComparison:
         np.testing.assert_allclose(trad, 0.0, atol=1e-12)
 
 
-def test_advdiff_sample_solve_count(tmp_path, monkeypatch):
-    """Block solves do the work of column solves: one default
-    advection-diffusion sample still solves 1,364 state and adjoint
-    right-hand sides over its 256 KKT columns, as column solves did."""
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
+    """One default advection-diffusion sample solves 1,156 state and adjoint
+    right-hand sides, over its 256 KKT columns, at every seed: the Newton
+    steps come from the reduced Hessian, assembled once, so the count does
+    not depend on theta."""
     columns = []
     for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
         original = getattr(AdvDiffInversionProblem, name)
@@ -161,11 +163,11 @@ def test_advdiff_sample_solve_count(tmp_path, monkeypatch):
     cfg = parse_config({
         "problem": {"name": "advdiff_inversion_1d", "params": {}},
         "hdsa": {"n_samples": 1, "k_pairs": 12, "oversampling": 8,
-                 "power_iterations": 2, "seed": 1},
+                 "power_iterations": 2, "seed": seed},
         "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
         "output_dir": str(tmp_path),
     })
     problem = cfg.build_problem()
     res = analyze_sample(problem, cfg.build_plan(problem), cfg.randeig, 0, cfg.optimizer)
     assert res.diagnostics.kkt_rhs == 256
-    assert sum(columns) == 1364
+    assert sum(columns) == 1156

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hdsa.bundle import CSV_FILES, BundleError, read_bundle
-from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
+from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _verify_checks, main
 from hdsa.config import ConfigError, load_config, parse_config
 from hdsa.operators import SensitivityOperator
 from hdsa.problems.logistic import LogisticToyProblem
@@ -40,10 +40,11 @@ class TestConfigParsing:
             parse_config(cfg)
 
     def test_retired_oracle_key_is_usage_error(self, tmp_path):
-        cfg = logistic_config(tmp_path / "out")
-        cfg["oracle"] = True
-        path = write_config(tmp_path, cfg)
-        assert main(["verify", str(path)]) == EXIT_USAGE
+        for retired in ({"oracle": True}, {"optimizer": {"cg_tol": 1e-12}}):
+            cfg = logistic_config(tmp_path / "out")
+            cfg.update(retired)
+            path = write_config(tmp_path, cfg)
+            assert main(["verify", str(path)]) == EXIT_USAGE
 
     def test_unknown_problem_param_rejected(self, tmp_path):
         cfg = logistic_config(tmp_path / "out")
@@ -205,6 +206,21 @@ class TestVerifyCommand:
         rows = capsys.readouterr().out.splitlines()
         failed = {row.split("  ")[1] for row in rows if row.startswith("FAIL")}
         assert {"perturbation sweep", "adjoint consistency"} <= failed
+
+    def test_gamma_zero_linearity_row_passes(self, tmp_path):
+        # with gamma = 0 the optimum is affine in theta, so sigma must not
+        # vary across samples beyond rounding in the optimizer's Newton solve
+        cfg = parse_config({
+            "problem": {
+                "name": "diffusion_control_1d",
+                "params": {"n_state": 64, "n_param": 16, "gamma": 0.0},
+            },
+            "hdsa": {"seed": 0},
+            "output_dir": str(tmp_path / "out"),
+        })
+        rows = {name: (ok, detail) for name, ok, detail in _verify_checks(cfg)}
+        ok, detail = rows["linearity (gamma = 0)"]
+        assert ok, detail
 
     def test_usage_errors(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE

@@ -208,7 +208,8 @@ class TestSchurPath:
     def test_works_without_sosc_check(self, schur_sample):
         with_sosc, _ = schur_sample(OptimizerConfig())
         without, n_calls = schur_sample(OptimizerConfig(check_sosc=False))
-        # the elimination assembles the matrix itself, to the same bits
+        # the optimizer still assembles the matrix for its Newton steps, and
+        # the elimination reuses it: same bits, still one assembly
         assert n_calls == 1
         assert np.isnan(without.optimal.sosc_min_eig)
         np.testing.assert_array_equal(without.sigmas, with_sosc.sigmas)

@@ -12,7 +12,12 @@ from hdsa.optimizer import (
     solve_forward,
     solve_optimization,
 )
-from hdsa.problems import EvalPoint, build_diffusion_control_1d, build_logistic_toy
+from hdsa.problems import (
+    EvalPoint,
+    build_advdiff_inversion_1d,
+    build_diffusion_control_1d,
+    build_logistic_toy,
+)
 from hdsa.sampling import InitialIterate
 
 
@@ -84,6 +89,38 @@ class TestReducedHessian:
         np.testing.assert_array_equal(opt.reduced_hessian, h)
 
 
+class TestConstantReducedHessian:
+    @pytest.mark.parametrize(
+        "build",
+        [build_diffusion_control_1d, build_advdiff_inversion_1d, build_logistic_toy],
+        ids=["diffusion", "advdiff", "logistic"],
+    )
+    def test_flag_matches_the_hessian(self, build):
+        # the flag lets the optimizer keep its first reduced Hessian, so it
+        # must hold only where H is the same at every (u, z, lambda)
+        p = build()
+        d = p.dims
+        rng = np.random.default_rng(8)
+        theta = 0.2 * rng.standard_normal(d.n_theta)
+        h1, h2 = (
+            reduced_hessian_dense(
+                p,
+                EvalPoint(
+                    rng.standard_normal(d.n_u),
+                    rng.standard_normal(d.n_z),
+                    rng.standard_normal(d.n_lambda),
+                    theta,
+                ),
+            )
+            for _ in range(2)
+        )
+        gap = np.linalg.norm(h1 - h2) / np.linalg.norm(h1)
+        if p.constant_reduced_hessian:
+            assert gap <= 1e-12
+        else:
+            assert gap > 1e-6
+
+
 class TestSolveOptimization:
     def test_logistic_known_optimum(self):
         p = build_logistic_toy()
@@ -129,3 +166,24 @@ class TestSolveOptimization:
         cfg = OptimizerConfig(max_iter=0, stationarity_tol=1e-12)
         with pytest.raises(OptimizerError):
             solve_optimization(p, np.array([0.5, 0.5]), cfg=cfg)
+
+    def test_steepest_descent_where_hessian_is_indefinite(self):
+        p = build_logistic_toy()
+        theta = np.array([0.5, 0.5])
+        init = InitialIterate(u_init=np.zeros(1), z_init=np.array([-5.0]))
+        # the Cholesky factorization fails at the start
+        z = init.z_init
+        u = solve_forward(p, z, theta)
+        lam = solve_adjoint(p, u, z, theta)
+        assert reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))[0, 0] < 0.0
+        opt = solve_optimization(p, theta, init)
+        assert opt.z0[0] == pytest.approx(8.2156, abs=1e-3)
+        assert opt.grad_norm <= 1e-9
+        assert opt.sosc_min_eig > 0.0
+
+    def test_reduced_hessian_too_large_without_sosc_check(self):
+        # the Newton steps need the dense reduced Hessian even when SOSC is off
+        p = build_diffusion_control_1d(n_state=2001, n_param=8)
+        cfg = OptimizerConfig(check_sosc=False)
+        with pytest.raises(OptimizerError, match="reduced Hessian too large"):
+            solve_optimization(p, np.zeros(8), cfg=cfg)
