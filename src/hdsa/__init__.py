@@ -2,7 +2,8 @@
 
 Sensitivity of the SOLUTION of a PDE-constrained optimization problem with
 respect to auxiliary uncertain parameters, computed through KKT solves and a
-randomized weighted SVD of the resulting sensitivity operator.
+weighted SVD of the resulting sensitivity operator: exact where assembling the
+operator costs fewer solves, randomized otherwise.
 """
 
 from .analysis import (
@@ -56,6 +57,7 @@ from .randeig import (
     alternative_formulation,
     apply_pencil_a,
     dense_oracle,
+    exact_triples,
     randomized_geneig,
 )
 from .sampling import Distribution, InitialIterate, SamplingPlan, probe_vector
@@ -104,6 +106,7 @@ __all__ = [
     "alternative_formulation",
     "apply_pencil_a",
     "dense_oracle",
+    "exact_triples",
     "randomized_geneig",
     "Distribution",
     "InitialIterate",

@@ -1,8 +1,8 @@
 """Sampled global sensitivity analysis and the first-order diagnostics.
 
-Runs the full pipeline per parameter sample (optimize, randomized weighted
-SVD, indices), aggregates Monte Carlo statistics across samples, and provides
-the perturbation-ratio and fixed-z comparison diagnostics.
+Runs the full pipeline per parameter sample (optimize, weighted SVD, indices),
+aggregates Monte Carlo statistics across samples, and provides the
+perturbation-ratio and fixed-z comparison diagnostics.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .indices import local_indices, set_indices
+from .linalg import DENSE_THRESHOLD
 from .operators import SensitivityOperator
 from .optimizer import (
     COMPUTE_ERRORS,
@@ -22,7 +23,13 @@ from .optimizer import (
     solve_optimization,
 )
 from .problems.base import ProblemDefinition
-from .randeig import GenEigDiagnostics, RandEigConfig, SingularTriple, randomized_geneig
+from .randeig import (
+    GenEigDiagnostics,
+    RandEigConfig,
+    SingularTriple,
+    exact_triples,
+    randomized_geneig,
+)
 from .sampling import SamplingPlan
 
 
@@ -39,6 +46,7 @@ class SampleResult:
     local: np.ndarray
     sets: dict[str, float]
     diagnostics: GenEigDiagnostics
+    svd: str  # "exact" | "randomized", the path svd_path chose
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -91,6 +99,20 @@ class HdsaReport:
         }
 
 
+def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
+    """"exact" where assembling D takes no more KKT right-hand sides than the
+    randomized solve, and D fits the dense threshold; "randomized" otherwise.
+
+    The randomized solve applies the pencil q + 2 times to its probes, two
+    right-hand sides per probe each time; assembling D takes one per
+    parameter.
+    """
+    pencil_rhs = 2 * (cfg.power_iterations + 2) * min(cfg.n_probes, n_z + n_theta)
+    if n_theta <= pencil_rhs and n_z + n_theta <= DENSE_THRESHOLD:
+        return "exact"
+    return "randomized"
+
+
 def analyze_sample(
     problem: ProblemDefinition,
     plan: SamplingPlan,
@@ -106,7 +128,11 @@ def analyze_sample(
     )
     # the operator holds the matrix as long as its elimination path needs it
     optimal = replace(optimal, reduced_hessian=None)
-    triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=j)
+    svd = svd_path(cfg, sens.n_z, sens.n_theta)
+    if svd == "exact":
+        triples, diag = exact_triples(sens, problem.spaces, cfg)
+    else:
+        triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=j)
     local = local_indices(triples, problem.spaces)
     sets: dict[str, float] = {}
     partition = problem.spaces.partition
@@ -120,7 +146,7 @@ def analyze_sample(
             cfg=cfg,
             sample_index=j,
         )
-    return SampleResult(j, theta, optimal, triples, local, sets, diag)
+    return SampleResult(j, theta, optimal, triples, local, sets, diag, svd)
 
 
 def global_analysis(

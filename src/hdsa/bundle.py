@@ -137,6 +137,7 @@ def write_bundle(
                     float(v) for v in s.diagnostics.triple_residuals
                 ],
                 "rank_deficient": s.diagnostics.rank_deficient,
+                "svd": s.svd,
             }
             for s in report.samples
         ],
@@ -184,7 +185,7 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
 
 def render_report(manifest: dict, report: dict) -> str:
     """Plain-text tables: set indices, top parameter indices, spectral decay
-    with each sample's worst triple residual."""
+    with each sample's SVD path and worst triple residual."""
     lines: list[str] = []
     n_done = report["n_samples_completed"]
     lines.append(
@@ -215,16 +216,19 @@ def render_report(manifest: dict, report: dict) -> str:
     lines.append("")
 
     lines.append(
-        "spectral decay sigma_K / sigma_1 and worst triple residual per sample"
+        "spectral decay sigma_K / sigma_1, SVD path and worst triple residual "
+        "per sample"
     )
     lines.append(
-        f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}{'worst_resid':>16}"
+        f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}{'svd':>12}"
+        f"{'worst_resid':>16}"
     )
     for s in report["samples"]:
         sig = s["sigmas"]
         if sig:
             lines.append(
                 f"{s['j']:<8}{sig[0]:>16.6e}{sig[-1]:>16.6e}"
-                f"{s['spectral_decay']:>16.6e}{max(s['triple_residuals']):>16.6e}"
+                f"{s['spectral_decay']:>16.6e}{s['svd']:>12}"
+                f"{max(s['triple_residuals']):>16.6e}"
             )
     return "\n".join(lines) + "\n"

@@ -162,9 +162,9 @@ def solve_optimization(
     Each step solves H d = -g by Cholesky with the dense reduced Hessian H,
     and takes steepest descent where H is not positive definite. A problem
     whose H does not depend on the iterate assembles it once. Returns an
-    OptimalPoint whose adjoint is recomputed at the final iterate and whose
-    reduced Hessian, the one at that iterate, is verified positive definite
-    (unless disabled) and handed on for the KKT elimination.
+    OptimalPoint whose adjoint and reduced Hessian are the ones the last
+    iteration computed at the final iterate; the Hessian is verified positive
+    definite (unless disabled) and handed on for the KKT elimination.
     """
     cfg = cfg or OptimizerConfig()
     dims = problem.dims
@@ -231,7 +231,6 @@ def solve_optimization(
             f"optimizer did not reach stationarity: |g|_M = {gnorm:.3e} "
             f"after {it} iterations"
         )
-    lam = solve_adjoint(problem, u, z, theta0)
     sosc = np.nan
     if cfg.check_sosc:
         sosc = check_sosc(h)

@@ -5,9 +5,11 @@ products) are the positive eigenpairs of the symmetric pencil
 
     A = [[0, M_Z D], [D^T M_Z, 0]],   B = blockdiag(M_Z, M_Theta),
 
-solved by randomized range finding plus Rayleigh-Ritz. A dense Cholesky-based
-oracle and the n x n squared formulation D^T M_Z D theta = alpha M_Theta theta
-are provided for cross-validation.
+solved by randomized range finding plus Rayleigh-Ritz. Where assembling D
+costs fewer KKT right-hand sides than the probes would, ``exact_triples``
+takes the weighted SVD of the assembled matrix instead. A dense
+Cholesky-based oracle and the n x n squared formulation
+D^T M_Z D theta = alpha M_Theta theta are provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .operators import SensitivityOperator
 from .problems.base import WeightedSpaces
 from .sampling import PROBE_STREAM, SQUARED_PROBE_STREAM, probe_vector
 
-# Eigenvalues at or below this fraction of the largest are treated as zero rank.
+# Eigenvalues or singular values at or below this fraction of the largest are
+# treated as zero rank.
 RANK_TOL = 1e-12
 
 
@@ -241,17 +244,9 @@ def randomized_geneig(
     return triples, diag
 
 
-def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[SingularTriple]:
-    """Weighted SVD via explicit Cholesky factors: SVD of R_Z D R_Theta^{-1}.
-
-    Builds D from one block of KKT solves over the parameter basis and returns
-    the full set of singular triples in the weighted inner products.
-    """
-    if d.n_z + d.n_theta > DENSE_THRESHOLD:
-        raise LinalgError(
-            "problem too large for the dense oracle; use the randomized path"
-        )
-    dmat = d.dense()
+def _weighted_svd(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTriple]:
+    """Every singular triple of an assembled D in the weighted inner
+    products, from the SVD of R_Z D R_Theta^{-1} with R^T R = M."""
     r_z = dense_cholesky(spaces.m_z.dense())
     r_theta = dense_cholesky(spaces.m_theta.dense())
     # R_Z D R_Theta^{-1} without forming the inverse
@@ -262,6 +257,61 @@ def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[Singula
     theta_vecs = scipy.linalg.solve_triangular(r_theta, v, lower=False)
     z_vecs = scipy.linalg.solve_triangular(r_z, u, lower=False)
     return _normalize_triples(sig, z_vecs, theta_vecs, spaces)
+
+
+def _assembled(d: SensitivityOperator) -> np.ndarray:
+    """D as a matrix, from one block of KKT solves over the parameter basis."""
+    if d.n_z + d.n_theta > DENSE_THRESHOLD:
+        raise LinalgError(
+            "problem too large to assemble D densely; use the randomized path"
+        )
+    return d.dense()
+
+
+def exact_triples(
+    d: SensitivityOperator, spaces: WeightedSpaces, cfg: RandEigConfig
+) -> tuple[list[SingularTriple], GenEigDiagnostics]:
+    """The first K singular triples of D, from its weighted SVD.
+
+    Assembles D from one KKT right-hand side per parameter, so it pays where
+    n_theta is at most the randomized solve's right-hand-side count. Triples at
+    or below ``RANK_TOL`` times sigma_1 are dropped, with the rank flag set
+    when fewer than K remain. Residuals use the assembled matrix and cost no
+    further KKT solve.
+    """
+    solves_before = len(d.kkt.solve_stats)
+    dmat = _assembled(d)
+    every = _weighted_svd(dmat, spaces)
+    triples = [t for t in every if t.sigma > RANK_TOL * every[0].sigma][: cfg.k_pairs]
+    m_z, m_theta = spaces.m_z, spaces.m_theta
+    residuals = [
+        max(
+            m_z.norm(dmat @ t.theta_vec - t.sigma * t.z_vec),
+            m_theta.norm(
+                m_theta.solve(dmat.T @ m_z.apply(t.z_vec)) - t.sigma * t.theta_vec
+            ),
+        )
+        / t.sigma
+        for t in triples
+    ]
+    diag = GenEigDiagnostics(
+        ritz_values=np.array([t.sigma for t in every]),
+        n_probes=d.n_theta,
+        n_dropped=0,
+        rank_deficient=len(triples) < cfg.k_pairs,
+        triple_residuals=residuals,
+        **_kkt_work(d, solves_before),
+    )
+    return triples, diag
+
+
+def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[SingularTriple]:
+    """Weighted SVD via explicit Cholesky factors: SVD of R_Z D R_Theta^{-1}.
+
+    Builds D from one block of KKT solves over the parameter basis and returns
+    the full set of singular triples in the weighted inner products.
+    """
+    return _weighted_svd(_assembled(d), spaces)
 
 
 def alternative_formulation(

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,19 @@ from hdsa.analysis import (
     analyze_sample,
     global_analysis,
     perturbation_check,
+    svd_path,
     traditional_comparison,
 )
-from hdsa.config import parse_config
+from hdsa.cli import EXIT_OK, main
+from hdsa.config import load_config, parse_config
+from hdsa.operators import SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
     AdvDiffInversionProblem,
     build_diffusion_control_1d,
     build_logistic_toy,
 )
-from hdsa.randeig import RandEigConfig
+from hdsa.randeig import RandEigConfig, dense_oracle
 from hdsa.sampling import Distribution, SamplingPlan
 
 
@@ -147,10 +153,10 @@ class TestTraditionalComparison:
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
-    """One default advection-diffusion sample solves 1,156 state and adjoint
-    right-hand sides, over its 256 KKT columns, at every seed: the Newton
+    """One default advection-diffusion sample solves 195 state and adjoint
+    right-hand sides, over its 16 KKT columns, at every seed: the Newton
     steps come from the reduced Hessian, assembled once, so the count does
-    not depend on theta."""
+    not depend on theta, and D is assembled from one column per parameter."""
     columns = []
     for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
         original = getattr(AdvDiffInversionProblem, name)
@@ -169,5 +175,87 @@ def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
     })
     problem = cfg.build_problem()
     res = analyze_sample(problem, cfg.build_plan(problem), cfg.randeig, 0, cfg.optimizer)
-    assert res.diagnostics.kkt_rhs == 256
-    assert sum(columns) == 1156
+    assert res.svd == "exact"
+    assert res.diagnostics.kkt_rhs == 16
+    assert sum(columns) == 195
+
+
+def quick_start_sample(cfg):
+    problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)
+    plan = SamplingPlan(
+        theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
+        master_seed=0,
+        n_u=64,
+        n_z=64,
+    )
+    return analyze_sample(problem, plan, cfg, 0)
+
+
+class TestSvdPath:
+    """D is assembled where its n_theta columns cost no more KKT right-hand
+    sides than the pencil's 2 (q + 2) min(2K + p, n_z + n_theta)."""
+
+    def test_quick_start_defaults_assemble_d(self):
+        # 16 columns of D against 2 * 4 * 16 = 128 for the pencil
+        res = quick_start_sample(RandEigConfig(k_pairs=4, oversampling=8, seed=0))
+        assert res.svd == "exact"
+        assert res.diagnostics.kkt_solves == 1
+        assert res.diagnostics.kkt_rhs == 16
+        assert res.diagnostics.n_probes == 16
+        assert res.diagnostics.n_dropped == 0
+        assert len(res.triples) == 4 and not res.diagnostics.rank_deficient
+
+    def test_fewer_pencil_columns_take_the_randomized_path(self):
+        # 2 * 2 * 2 = 8 right-hand sides for the pencil against 16 for D
+        cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0, seed=0)
+        res = quick_start_sample(cfg)
+        assert res.svd == "randomized"
+        assert res.diagnostics.kkt_rhs == 8
+
+    def test_rule_reads_sizes_only(self):
+        cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
+        assert svd_path(cfg, 64, 8) == "exact"  # 8 <= 8
+        assert svd_path(cfg, 64, 9) == "randomized"
+        # the pencil never has more probes than dimensions: 2 * 2 * 3 = 12
+        cfg = RandEigConfig(k_pairs=4, oversampling=8, power_iterations=0)
+        assert svd_path(cfg, 1, 2) == "exact"
+        # D must also fit the dense threshold, whatever it costs
+        cfg = RandEigConfig(k_pairs=4, oversampling=8)
+        assert svd_path(cfg, 1984, 16) == "exact"
+        assert svd_path(cfg, 1985, 16) == "randomized"
+
+
+def test_quick_start_run_matches_dense_oracle(tmp_path):
+    """The README quick start: sigma of every sample at the dense weighted SVD,
+    and no set index above sigma_1."""
+    out = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 64, "n_param": 16, "gamma": 0.01},
+        },
+        "hdsa": {"n_samples": 5, "k_pairs": 4, "oversampling": 8, "seed": 0},
+        "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
+        "output_dir": str(out),
+    }))
+    assert main(["run", str(path), "--workers", "1"]) == EXIT_OK
+    with (out / "singular_values.csv").open() as fh:
+        sigmas = [(int(r["j"]), float(r["sigma"])) for r in csv.DictReader(fh)]
+    with (out / "set_indices.csv").open() as fh:
+        sets = [(int(r["j"]), float(r["value"])) for r in csv.DictReader(fh)]
+    assert sets
+
+    cfg = load_config(path)
+    problem = cfg.build_problem()
+    plan = cfg.build_plan(problem)
+    for j in range(5):
+        theta, init = plan.sample(j)
+        opt = solve_optimization(problem, theta, init, cfg.optimizer)
+        sens = SensitivityOperator(problem, opt.as_eval_point())
+        oracle = [t.sigma for t in dense_oracle(sens, problem.spaces)[:4]]
+        got = [s for i, s in sigmas if i == j]
+        np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=0.0)
+        # the quick start's one set holds every parameter, so its index is
+        # sigma_1 up to rounding
+        assert all(v <= got[0] * (1.0 + 1e-12) for i, v in sets if i == j)

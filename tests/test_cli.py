@@ -104,9 +104,10 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         _, report = read_bundle(out)
         for s in report["samples"]:
-            # four pencil applications, D and D^T one KKT call each, on
-            # blocks of the 3-dimensional pencil's probes
-            assert s["kkt_solves"] == 8
+            # D assembled in one KKT call with a column per parameter
+            assert s["svd"] == "exact"
+            assert s["kkt_solves"] == 1
+            assert s["kkt_rhs"] == 2
             assert s["kkt_rhs"] > s["kkt_solves"]
             assert len(s["triple_residuals"]) == len(s["sigmas"])
 
@@ -148,13 +149,17 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "set sensitivity indices" in text
         assert "spectral decay" in text
-        # the decay table ends with each sample's worst triple residual
+        # the decay table ends with each sample's SVD path and worst triple
+        # residual
         _, report = read_bundle(out)
         lines = text.splitlines()
         head = next(i for i, line in enumerate(lines) if "worst_resid" in line)
+        assert lines[head].split()[-2:] == ["svd", "worst_resid"]
         rows = lines[head + 1 : head + 1 + len(report["samples"])]
+        assert len(rows) == len(report["samples"])
         for row, s in zip(rows, report["samples"]):
             assert int(row.split()[0]) == s["j"]
+            assert row.split()[-2] == s["svd"] == "exact"
             assert row.split()[-1] == f"{max(s['triple_residuals']):.6e}"
 
     def test_missing_bundle_is_usage_error(self, tmp_path):

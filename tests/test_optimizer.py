@@ -13,6 +13,7 @@ from hdsa.optimizer import (
     solve_optimization,
 )
 from hdsa.problems import (
+    DiffusionControlProblem,
     EvalPoint,
     build_advdiff_inversion_1d,
     build_diffusion_control_1d,
@@ -187,3 +188,25 @@ class TestSolveOptimization:
         cfg = OptimizerConfig(check_sosc=False)
         with pytest.raises(OptimizerError, match="reduced Hessian too large"):
             solve_optimization(p, np.zeros(8), cfg=cfg)
+
+    def test_adjoint_solved_once_per_iterate(self, monkeypatch):
+        # the loop's last adjoint is at the final iterate; solving it again
+        # there costs one more PDE solve for the same lambda
+        vectors = []
+        original = DiffusionControlProblem.state_jacobian_adjoint_solve
+
+        def counted(self, p, rhs):
+            if rhs.ndim == 1:
+                vectors.append(rhs)
+            return original(self, p, rhs)
+
+        monkeypatch.setattr(
+            DiffusionControlProblem, "state_jacobian_adjoint_solve", counted
+        )
+        p = build_diffusion_control_1d(n_state=24, n_param=6)
+        opt = solve_optimization(p, np.zeros(6))
+        assert opt.iterations == 1
+        assert len(vectors) == 2
+        np.testing.assert_array_equal(
+            opt.lambda0, solve_adjoint(p, opt.u0, opt.z0, opt.theta0)
+        )

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 import hdsa.randeig as randeig
-from hdsa.analysis import analyze_sample
 from hdsa.indices import set_indices
+from hdsa.linalg import block_width
 from hdsa.operators import SensitivityOperator
 from hdsa.optimizer import solve_optimization
-from hdsa.problems import build_diffusion_control_1d, build_logistic_toy
+from hdsa.problems import (
+    build_advdiff_inversion_1d,
+    build_diffusion_control_1d,
+    build_logistic_toy,
+)
 from hdsa.randeig import (
     RandEigConfig,
     alternative_formulation,
     apply_pencil_a,
     dense_oracle,
+    exact_triples,
     randomized_geneig,
 )
 from hdsa.sampling import Distribution, SamplingPlan
@@ -157,34 +162,43 @@ class TestSpectralGapInstance:
         assert sig[3] / sig[4] >= 10.0
 
 
+def sample_operator(problem, j=0):
+    """The sensitivity operator at sample j of a uniform(-1, 1) plan, as
+    ``analyze_sample`` builds it."""
+    dims = problem.dims
+    plan = SamplingPlan(
+        theta_dists=[Distribution("uniform", -1.0, 1.0)] * dims.n_theta,
+        master_seed=0,
+        n_u=dims.n_u,
+        n_z=dims.n_z,
+    )
+    theta, init = plan.sample(j)
+    opt = solve_optimization(problem, theta, init)
+    return SensitivityOperator(problem, opt.as_eval_point(), opt.reduced_hessian)
+
+
 class TestTripleResiduals:
     """max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta) / sigma per triple."""
 
     @staticmethod
-    def sample(amplitude):
+    def randomized(amplitude):
         problem = build_diffusion_control_1d(
             n_state=64, n_param=16, gamma=0.01, amplitude=amplitude
         )
-        plan = SamplingPlan(
-            theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
-            master_seed=0,
-            n_u=64,
-            n_z=64,
-        )
         cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0)
-        return problem, analyze_sample(problem, plan, cfg, 0)
+        sens = sample_operator(problem)
+        return randomized_geneig(sens, problem.spaces, cfg, sample_index=0)
 
     def test_flat_spectrum_is_flagged(self):
-        # the README quick-start: randomized triples far from converged
-        problem, res = self.sample(0.2)
-        residuals = res.diagnostics.triple_residuals
-        assert len(residuals) == len(res.triples) == 4
-        assert max(residuals) >= 1e-3
+        # the README quick-start operator: randomized triples far from converged
+        triples, diag = self.randomized(0.2)
+        assert len(diag.triple_residuals) == len(triples) == 4
+        assert max(diag.triple_residuals) >= 1e-3
 
     def test_gapped_spectrum_is_accurate(self):
-        _, res = self.sample([0.2] * 4 + [0.005] * 12)
-        assert len(res.diagnostics.triple_residuals) == 4
-        assert max(res.diagnostics.triple_residuals) <= 1e-4
+        _, diag = self.randomized([0.2] * 4 + [0.005] * 12)
+        assert len(diag.triple_residuals) == 4
+        assert max(diag.triple_residuals) <= 1e-4
 
     def test_residuals_match_explicit_applications(self, diffusion_sens):
         problem, sens = diffusion_sens
@@ -203,6 +217,58 @@ class TestTripleResiduals:
         triples, diag = alternative_formulation(sens, problem.spaces, cfg)
         assert len(diag.triple_residuals) == len(triples) == 4
         assert max(diag.triple_residuals) <= 1e-6
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("quick start", lambda: build_diffusion_control_1d(
+            n_state=64, n_param=16, gamma=0.01), 4),
+        ("advdiff", build_advdiff_inversion_1d, 12),
+    ],
+    ids=lambda p: p[0],
+)
+def exact_case(request):
+    _, build, k = request.param
+    problem = build()
+    return problem, sample_operator(problem), RandEigConfig(k_pairs=k, seed=0)
+
+
+class TestExactTriples:
+    """The weighted SVD of the assembled D, as analyze_sample takes it."""
+
+    def test_match_dense_oracle(self, exact_case):
+        problem, sens, cfg = exact_case
+        oracle = dense_oracle(sens, problem.spaces)[: cfg.k_pairs]
+        triples, diag = exact_triples(sens, problem.spaces, cfg)
+        assert len(triples) == cfg.k_pairs and not diag.rank_deficient
+        for t, o in zip(triples, oracle):
+            assert t.sigma == pytest.approx(o.sigma, rel=1e-12)
+            np.testing.assert_allclose(t.theta_vec, o.theta_vec, atol=1e-10)
+            np.testing.assert_allclose(t.z_vec, o.z_vec, atol=1e-10)
+        assert len(diag.triple_residuals) == cfg.k_pairs
+        assert max(diag.triple_residuals) <= 1e-10
+
+    def test_diagnostics(self, exact_case):
+        problem, sens, cfg = exact_case
+        triples, diag = exact_triples(sens, problem.spaces, cfg)
+        # one KKT column per parameter, in blocks of the capped width
+        width = block_width(sens.kkt.dim)
+        assert diag.kkt_rhs == sens.n_theta
+        assert diag.kkt_solves == -(-sens.n_theta // width)
+        assert diag.n_probes == sens.n_theta and diag.n_dropped == 0
+        # every weighted sigma, of which the triples are the first K
+        assert diag.ritz_values.shape == (min(sens.n_z, sens.n_theta),)
+        np.testing.assert_array_equal(
+            diag.ritz_values[: cfg.k_pairs], [t.sigma for t in triples]
+        )
+
+    def test_rank_flag(self, logistic_sens):
+        problem, sens = logistic_sens
+        # n_z = 1, so D has rank 1
+        triples, diag = exact_triples(sens, problem.spaces, RandEigConfig(k_pairs=2))
+        assert len(triples) == 1
+        assert diag.rank_deficient
 
 
 def test_kkt_work_counts_calls_and_columns(diffusion_sens):
