@@ -57,7 +57,6 @@ from .randeig import (
     alternative_formulation,
     apply_pencil_a,
     dense_oracle,
-    exact_triples,
     randomized_geneig,
 )
 from .sampling import Distribution, InitialIterate, SamplingPlan, probe_vector
@@ -106,7 +105,6 @@ __all__ = [
     "alternative_formulation",
     "apply_pencil_a",
     "dense_oracle",
-    "exact_triples",
     "randomized_geneig",
     "Distribution",
     "InitialIterate",

@@ -67,7 +67,7 @@ def check_operand(v: np.ndarray, dim: int, what: str = "operand") -> None:
 class SpdOperator:
     """Symmetric positive definite operator with an exact solve.
 
-    Dense-backed: the Cholesky factor is computed lazily and cached. All
+    Dense-backed: the upper Cholesky factor is computed lazily and cached. All
     weighting/mass matrices at desk scale fit comfortably below
     ``DENSE_THRESHOLD``. ``apply`` and ``solve`` take a vector (dim,) or a
     block (dim, r).
@@ -79,7 +79,7 @@ class SpdOperator:
             raise LinalgError("SpdOperator requires a square matrix")
         self.dim = matrix.shape[0]
         self._matrix = matrix
-        self._cho = None
+        self._r = None
 
     @classmethod
     def identity(cls, dim: int) -> "SpdOperator":
@@ -93,9 +93,13 @@ class SpdOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         check_operand(rhs, self.dim)
-        if self._cho is None:
-            self._cho = scipy.linalg.cho_factor(self._matrix, lower=False)
-        return scipy.linalg.cho_solve(self._cho, rhs)
+        return scipy.linalg.cho_solve((self.cholesky(), False), rhs)
+
+    def cholesky(self) -> np.ndarray:
+        """Upper-triangular R with R^T R = M, factored once."""
+        if self._r is None:
+            self._r = dense_cholesky(self._matrix)
+        return self._r
 
     def dense(self) -> np.ndarray:
         return self._matrix

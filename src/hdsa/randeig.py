@@ -25,7 +25,6 @@ from .linalg import (
     SpdOperator,
     b_orthonormalize,
     check_operand,
-    dense_cholesky,
     dense_svd,
     dense_sym_eig,
 )
@@ -247,8 +246,8 @@ def randomized_geneig(
 def _weighted_svd(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTriple]:
     """Every singular triple of an assembled D in the weighted inner
     products, from the SVD of R_Z D R_Theta^{-1} with R^T R = M."""
-    r_z = dense_cholesky(spaces.m_z.dense())
-    r_theta = dense_cholesky(spaces.m_theta.dense())
+    r_z = spaces.m_z.cholesky()
+    r_theta = spaces.m_theta.cholesky()
     # R_Z D R_Theta^{-1} without forming the inverse
     core = r_z @ scipy.linalg.solve_triangular(
         r_theta, dmat.T, lower=False, trans="T"

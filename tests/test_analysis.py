@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdsa.analysis import (
     analyze_sample,
@@ -256,6 +257,15 @@ def test_quick_start_run_matches_dense_oracle(tmp_path):
         oracle = [t.sigma for t in dense_oracle(sens, problem.spaces)[:4]]
         got = [s for i, s in sigmas if i == j]
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=0.0)
+        # and against a reference that shares no code with either: sigma^2
+        # are the eigenvalues of D^T M_Z D theta = alpha M_Theta theta
+        dmat = sens.dense()
+        alpha = scipy.linalg.eigh(
+            dmat.T @ problem.spaces.m_z.apply(dmat),
+            problem.spaces.m_theta.dense(),
+            eigvals_only=True,
+        )[::-1]
+        np.testing.assert_allclose(got, np.sqrt(alpha[:4]), rtol=1e-10, atol=0.0)
         # the quick start's one set holds every parameter, so its index is
         # sigma_1 up to rounding
         assert all(v <= got[0] * (1.0 + 1e-12) for i, v in sets if i == j)

@@ -78,3 +78,15 @@ class TestDense:
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(LinalgError):
             dense_cholesky(np.diag([1.0, -1.0]))
+
+    def test_spd_operator_factors_once(self):
+        m = random_spd(12, seed=12, cond=10)
+        op = SpdOperator(m)
+        r = op.cholesky()
+        # solve and every later caller share the one factor
+        x = op.solve(np.ones(12))
+        assert op.cholesky() is r
+        np.testing.assert_array_equal(r, dense_cholesky(m))
+        np.testing.assert_allclose(m @ x, np.ones(12), atol=1e-12)
+        with pytest.raises(LinalgError):
+            SpdOperator(np.diag([1.0, -1.0])).solve(np.ones(2))

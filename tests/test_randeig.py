@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hdsa.randeig as randeig
 from hdsa.indices import set_indices
@@ -248,6 +249,24 @@ class TestExactTriples:
             np.testing.assert_allclose(t.z_vec, o.z_vec, atol=1e-10)
         assert len(diag.triple_residuals) == cfg.k_pairs
         assert max(diag.triple_residuals) <= 1e-10
+
+    def test_sigma_matches_squared_formulation(self, exact_case):
+        # a reference that shares no code with the Cholesky-based SVD: the
+        # eigenvalues of D^T M_Z D theta = alpha M_Theta theta are sigma^2
+        problem, sens, cfg = exact_case
+        triples, _ = exact_triples(sens, problem.spaces, cfg)
+        dmat = sens.dense()
+        alpha = scipy.linalg.eigh(
+            dmat.T @ problem.spaces.m_z.apply(dmat),
+            problem.spaces.m_theta.dense(),
+            eigvals_only=True,
+        )[::-1]
+        np.testing.assert_allclose(
+            [t.sigma for t in triples],
+            np.sqrt(alpha[: cfg.k_pairs]),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
     def test_diagnostics(self, exact_case):
         problem, sens, cfg = exact_case
