@@ -29,6 +29,7 @@ from .randeig import (
     SingularTriple,
     exact_triples,
     randomized_geneig,
+    randomized_rhs,
 )
 from .sampling import SamplingPlan
 
@@ -100,15 +101,10 @@ class HdsaReport:
 
 
 def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
-    """"exact" where assembling D takes no more KKT right-hand sides than the
-    randomized solve, and D fits the dense threshold; "randomized" otherwise.
-
-    The randomized solve applies the pencil q + 2 times to its probes, two
-    right-hand sides per probe each time; assembling D takes one per
-    parameter.
-    """
-    pencil_rhs = 2 * (cfg.power_iterations + 2) * min(cfg.n_probes, n_z + n_theta)
-    if n_theta <= pencil_rhs and n_z + n_theta <= DENSE_THRESHOLD:
+    """"exact" where assembling D, one KKT right-hand side per parameter,
+    takes no more than the ``randomized_rhs`` of the randomized solve and D
+    fits the dense threshold; "randomized" otherwise."""
+    if n_theta <= randomized_rhs(cfg, n_theta) and n_z + n_theta <= DENSE_THRESHOLD:
         return "exact"
     return "randomized"
 

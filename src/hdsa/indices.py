@@ -79,7 +79,7 @@ def set_indices(
             proj_op = ProjectedSensitivityOperator(sens_op, np.arange(start, stop))
             sub_cfg = RandEigConfig(
                 k_pairs=1,
-                oversampling=min(cfg.oversampling, stop - start + sens_op.n_z - 1),
+                oversampling=cfg.oversampling,
                 seed=cfg.seed,
                 power_iterations=max(cfg.power_iterations, 2),
             )

@@ -1,7 +1,7 @@
 """Dense linear algebra kernels.
 
 Mass-weighted SPD operators, weighted orthonormalization, and the small dense
-factorizations used by the randomized eigensolver and the dense verification
+factorizations used by the randomized SVD and the dense verification
 oracles.
 """
 
@@ -112,26 +112,19 @@ class SpdOperator:
 
 
 def b_orthonormalize(
-    vectors: np.ndarray | list[np.ndarray],
-    b: SpdOperator,
-    drop_tol: float = 1e-10,
+    vectors: np.ndarray, b: SpdOperator, drop_tol: float = 1e-10
 ) -> tuple[np.ndarray, int]:
     """B-orthonormalize columns with two passes of modified Gram-Schmidt.
-
-    ``b`` needs only ``dim``, ``apply`` and ``norm``.
 
     Returns ``(Q, n_dropped)`` where Q has B-orthonormal columns spanning the
     numerically independent part of the input. Columns whose B-norm after
     projection falls below ``drop_tol`` times their original B-norm are
-    dropped.
+    dropped, so more vectors than the space has dimensions keep at most
+    ``b.dim`` of them.
     """
-    if isinstance(vectors, list):
-        vectors = np.column_stack(vectors)
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[0] != b.dim:
         raise LinalgError("vector dimension does not match the weighting operator")
-    if vectors.shape[1] > vectors.shape[0]:
-        raise LinalgError("more vectors than the space dimension")
 
     cols: list[np.ndarray] = []
     bcols: list[np.ndarray] = []

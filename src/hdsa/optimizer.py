@@ -38,7 +38,7 @@ COMPUTE_ERRORS = (ProblemError, OptimizerError, SolveError, LinalgError)
 class OptimizerConfig:
     stationarity_tol: float = 1e-9  # on the M^{-1}-norm of the reduced gradient
     max_iter: int = 100
-    forward_tol: float = 1e-12
+    forward_tol: float = 1e-12  # on ||c|| / ||residual_term_sizes|| (solve_forward)
     forward_max_iter: int = 50
     armijo_c1: float = 1e-4
     min_step: float = 1e-14
@@ -76,14 +76,17 @@ def solve_forward(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Newton with backtracking on the constraint residual c(u, z, theta) = 0."""
+    """Newton with backtracking on c(u, z, theta) = 0, to the normwise
+    backward error ||c|| <= tol ||s||, with s the summed magnitudes of the
+    terms of c (``residual_term_sizes``); rounding meets it on any mesh."""
     u = np.zeros(problem.dims.n_u) if u_guess is None else u_guess.copy()
     r = problem.residual(u, z, theta)
-    r0 = max(float(np.linalg.norm(r)), 1.0)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         rn = float(np.linalg.norm(r))
-        if rn <= tol * r0 or rn <= tol:
+        if rn <= tol * float(np.linalg.norm(problem.residual_term_sizes(u, z, theta))):
             return u
+        if it == max_iter:
+            raise OptimizerError(f"forward solve did not converge: residual {rn:.3e}")
         du = problem.state_jacobian_solve(_point(problem, u, z, theta), -r)
         step = 1.0
         while step >= 1e-12:
@@ -101,10 +104,6 @@ def solve_forward(
             raise OptimizerError(
                 f"forward Newton line search failed at residual {rn:.3e}"
             )
-    rn = float(np.linalg.norm(r))
-    if rn <= tol * r0 or rn <= tol:
-        return u
-    raise OptimizerError(f"forward solve did not converge: residual {rn:.3e}")
 
 
 def solve_adjoint(

@@ -220,6 +220,14 @@ class AdvDiffInversionProblem(ProblemDefinition):
             prev = c[i]
         return out.ravel()
 
+    def residual_term_sizes(self, u, z, theta) -> np.ndarray:
+        c = np.abs(self._blocks(u))
+        mass = np.abs(self._mass)
+        out = c @ np.abs(self._system_matrix(theta)).T
+        out[1:] += c[:-1] @ mass.T
+        out += self.dt * np.abs(self._weights(theta))[:, None] * (mass @ np.abs(z))
+        return out.ravel()
+
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
         c = self._blocks(u)
         out = np.zeros_like(c)

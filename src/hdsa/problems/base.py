@@ -117,6 +117,11 @@ class ProblemDefinition(ABC):
     @abstractmethod
     def residual(self, u: np.ndarray, z: np.ndarray, theta: np.ndarray) -> np.ndarray: ...
 
+    @abstractmethod
+    def residual_term_sizes(self, u, z, theta) -> np.ndarray:
+        """Summed magnitudes of the terms of each entry of c: |A| |u| + |B| |z|
+        + |f| for c = A u + B z + f, the scale of the rounding in ``residual``."""
+
     # First derivatives of the objective.
     @abstractmethod
     def obj_grad_u(self, u, z, theta) -> np.ndarray: ...

@@ -154,6 +154,13 @@ class DiffusionControlProblem(ProblemDefinition):
     def residual(self, u, z, theta) -> np.ndarray:
         return self._apply_stiffness(self._kappa_mid(theta), u) - self._apply_mass(z)
 
+    def residual_term_sizes(self, u, z, theta) -> np.ndarray:
+        # element e couples its two nodes with weight kappa_e / h in A(theta)
+        nodes = np.zeros(self.n_state + 2)
+        nodes[1:-1] = np.abs(u)
+        elem = self._kappa_mid(theta) * (nodes[:-1] + nodes[1:]) / self.h
+        return elem[:-1] + elem[1:] + self._apply_mass(np.abs(z))
+
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
         return self._apply_mass(u - self.target)
 

@@ -46,6 +46,9 @@ class LogisticToyProblem(ProblemDefinition):
     def residual(self, u, z, theta) -> np.ndarray:
         return np.array([u[0] - _sigmoid(theta[0] * z[0]) - theta[1]])
 
+    def residual_term_sizes(self, u, z, theta) -> np.ndarray:
+        return np.array([abs(u[0]) + _sigmoid(theta[0] * z[0]) + abs(theta[1])])
+
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
         return np.array([2.0 * (u[0] - 2.0)])
 

@@ -1,15 +1,15 @@
-"""Randomized generalized eigensolver for the weighted SVD of the sensitivity map.
+"""Randomized weighted SVD of the sensitivity map.
 
-The singular triples of the sensitivity operator (in the mass-weighted inner
-products) are the positive eigenpairs of the symmetric pencil
-
-    A = [[0, M_Z D], [D^T M_Z, 0]],   B = blockdiag(M_Z, M_Theta),
-
-solved by randomized range finding plus Rayleigh-Ritz. Where assembling D
-costs fewer KKT right-hand sides than the probes would, ``exact_triples``
-takes the weighted SVD of the assembled matrix instead. A dense
-Cholesky-based oracle and the n x n squared formulation
+The singular triples of the sensitivity operator D in the mass-weighted inner
+products satisfy D theta_k = sigma_k z_k and D* z_k = sigma_k theta_k, with
+D* = M_Theta^{-1} D^T M_Z the weighted adjoint. Both solvers take them from
+one Cholesky-based weighted SVD: ``exact_triples`` feeds it the assembled D,
+where that costs no more KKT right-hand sides than sampling, and
+``randomized_geneig`` the projection Q^T M_Z D onto a sampled range basis Q.
+A dense oracle and the n x n squared formulation
 D^T M_Z D theta = alpha M_Theta theta are provided for cross-validation.
+``apply_pencil_a`` applies the stacked pencil [[0, M_Z D], [D^T M_Z, 0]],
+whose positive eigenvalues are the same sigma_k; no solver here uses it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import scipy.linalg
 from .linalg import (
     DENSE_THRESHOLD,
     LinalgError,
-    SpdOperator,
     b_orthonormalize,
     check_operand,
     dense_svd,
@@ -43,8 +42,8 @@ class RandEigConfig:
     oversampling: int = 8
     seed: int = 0
     n_samples: int = 1
-    # extra pencil applications to sharpen the captured subspace; each pass
-    # costs one more application of B^{-1}A per probe vector
+    # extra passes through D* D to sharpen the sampled range; each pass costs
+    # two more KKT right-hand sides per probe
     power_iterations: int = 2
     set_index_mode: str = "truncated"  # "truncated" | "direct"
 
@@ -60,7 +59,7 @@ class RandEigConfig:
 
     @property
     def n_probes(self) -> int:
-        return 2 * self.k_pairs + self.oversampling
+        return self.k_pairs + self.oversampling
 
 
 @dataclass
@@ -72,14 +71,14 @@ class SingularTriple:
 
 @dataclass
 class GenEigDiagnostics:
-    ritz_values: np.ndarray
+    ritz_values: np.ndarray  # every weighted sigma of the assembled or projected D
     n_probes: int
     n_dropped: int
     rank_deficient: bool
     kkt_solves: int  # KktOperator.solve calls
     kkt_rhs: int  # right-hand-side columns of those calls
     # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
-    # / sigma, with D* = M_Theta^{-1} D^T M_Z the weighted adjoint
+    # / sigma
     triple_residuals: list[float]
 
 
@@ -94,32 +93,6 @@ def _positive_pairs(evals: np.ndarray, k_pairs: int) -> list[int]:
         k for k in range(evals.shape[0])
         if evals[k] > 0.0 and evals[k] > RANK_TOL * max_eval
     ][:k_pairs]
-
-
-class _BlockMass:
-    """B = blockdiag(M_Z, M_Theta) on stacked (z, theta) vectors or blocks."""
-
-    def __init__(self, spaces: WeightedSpaces, n_z: int, n_theta: int):
-        self.m_z = spaces.m_z
-        self.m_theta = spaces.m_theta
-        self.n_z = n_z
-        self.dim = n_z + n_theta
-
-    def apply(self, v):
-        return np.concatenate(
-            [self.m_z.apply(v[: self.n_z]), self.m_theta.apply(v[self.n_z :])]
-        )
-
-    def solve(self, v):
-        return np.concatenate(
-            [self.m_z.solve(v[: self.n_z]), self.m_theta.solve(v[self.n_z :])]
-        )
-
-    def inner(self, v, w):
-        return float(v @ self.apply(w))
-
-    def norm(self, v):
-        return float(np.sqrt(max(self.inner(v, v), 0.0)))
 
 
 def apply_pencil_a(d: SensitivityOperator, spaces: WeightedSpaces, v: np.ndarray) -> np.ndarray:
@@ -163,30 +136,43 @@ def _normalize_triples(
     return triples
 
 
-def _ritz_triples(
-    sigmas: np.ndarray,
-    vectors: np.ndarray,
-    images: np.ndarray,
-    spaces: WeightedSpaces,
-) -> tuple[list[SingularTriple], list[float]]:
-    """Triples from Ritz vectors (z~, theta~) and their a-posteriori residuals.
+def _over_r_theta(bt: np.ndarray, spaces: WeightedSpaces) -> np.ndarray:
+    """B R_Theta^{-1} from B^T, with R_Theta^T R_Theta = M_Theta."""
+    r_theta = spaces.m_theta.cholesky()
+    return scipy.linalg.solve_triangular(r_theta, bt, lower=False, trans="T").T
 
-    ``images`` holds B^{-1} A of each Ritz vector, that is (D theta~, D* z~),
-    so the residuals cost no operator application.
-    """
-    n_z = spaces.m_z.dim
-    triples, residuals = [], []
-    for k, sigma in enumerate(sigmas):
-        z_t, th_t = vectors[:n_z, k], vectors[n_z:, k]
-        z_n, th_n = spaces.m_z.norm(z_t), spaces.m_theta.norm(th_t)
-        if th_n == 0.0 or z_n == 0.0:
-            continue
-        t = SingularTriple(float(sigma), th_t / th_n, z_t / z_n)
-        res_z = spaces.m_z.norm(images[:n_z, k] / th_n - t.sigma * t.z_vec)
-        res_th = spaces.m_theta.norm(images[n_z:, k] / z_n - t.sigma * t.theta_vec)
-        triples.append(_fix_sign(t))
-        residuals.append(max(res_z, res_th) / t.sigma)
-    return triples, residuals
+
+def _weighted_svd(core: np.ndarray, spaces: WeightedSpaces):
+    """sigma, U and the theta vectors R_Theta^{-1} V of the SVD
+    U diag(sigma) V^T of ``core``, a matrix times R_Theta^{-1}."""
+    sig, u, v = dense_svd(core)
+    return sig, u, scipy.linalg.solve_triangular(spaces.m_theta.cholesky(), v, lower=False)
+
+
+def _leading(every: list[SingularTriple], k_pairs: int) -> list[SingularTriple]:
+    """The first K triples above ``RANK_TOL`` times sigma_1."""
+    return [t for t in every if t.sigma > RANK_TOL * every[0].sigma][:k_pairs]
+
+
+def _residuals(triples, d_thetas, adj_zs, spaces: WeightedSpaces) -> list[float]:
+    """max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta) / sigma of
+    each triple, given D theta_k and D* z_k."""
+    m_z, m_theta = spaces.m_z, spaces.m_theta
+    return [
+        max(
+            m_z.norm(d_th - t.sigma * t.z_vec),
+            m_theta.norm(adj_z - t.sigma * t.theta_vec),
+        )
+        / t.sigma
+        for t, d_th, adj_z in zip(triples, d_thetas, adj_zs)
+    ]
+
+
+def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
+    """KKT right-hand sides of ``randomized_geneig`` when K triples come out
+    and no probe drops: D or D^T applied 2 + 2q times to r = min(K + p,
+    n_theta) columns, and D once more to the K triples for their residuals."""
+    return (2 + 2 * cfg.power_iterations) * min(cfg.n_probes, n_theta) + cfg.k_pairs
 
 
 def randomized_geneig(
@@ -196,44 +182,48 @@ def randomized_geneig(
     sample_index: int = 0,
     key: tuple[int, ...] | None = None,
 ) -> tuple[list[SingularTriple], GenEigDiagnostics]:
-    """Randomized solve of the pencil; returns up to K singular triples.
+    """Randomized weighted SVD of D; returns up to K singular triples.
 
-    Probes are standard-normal vectors keyed by (seed, *key, probe index),
-    with ``key = (PROBE_STREAM, sample_index)`` unless given, so results do
-    not depend on scheduling. Each power pass applies the pencil to the whole
-    probe block in one call (Halko, Martinsson and Tropp 2011, Alg. 4.3/4.4).
-    Fewer than K positive eigenvalues above the rank tolerance yields a
-    truncated list with a rank flag.
+    Samples Y = D Omega with r = min(K + p, n_theta) standard-normal probes
+    keyed by (seed, *key, probe index), ``key = (PROBE_STREAM, sample_index)``
+    unless given, so results do not depend on scheduling. Each of q power
+    passes M_Z-orthonormalizes Y, applies D*, M_Theta-orthonormalizes and
+    applies D. With Q = M_Z-orth(Y) and B^T = D^T M_Z Q, the SVD of
+    B R_Theta^{-1} gives z_k = Q u_k and theta_k = R_Theta^{-1} v_k (Halko,
+    Martinsson and Tropp 2011, Alg. 4.4 + 5.1; Saibaba, Hart and van Bloemen
+    Waanders 2021). Columns that drop for rank cost no further solve. Fewer
+    than K singular values above the rank tolerance set the rank flag.
     """
-    n_z, n_theta = d.n_z, d.n_theta
-    dim = n_z + n_theta
-    # never draw more probes than the pencil has dimensions; small problems
-    # then get the exact subspace and a possibly rank-deficient triple list
-    r = min(cfg.n_probes, dim)
-    b = _BlockMass(spaces, n_z, n_theta)
+    m_z, m_theta = spaces.m_z, spaces.m_theta
+    r = min(cfg.n_probes, d.n_theta)
     solves_before = len(d.kkt.solve_stats)
     key = (PROBE_STREAM, sample_index) if key is None else key
 
-    y = np.column_stack([probe_vector(cfg.seed, key, i, dim) for i in range(r)])
-    y = b.solve(apply_pencil_a(d, spaces, y))
+    omega = [probe_vector(cfg.seed, key, i, d.n_theta) for i in range(r)]
+    y = d.apply(np.column_stack(omega))
     dropped = 0
     for _ in range(cfg.power_iterations):
-        y, ndrop = b_orthonormalize(y, b)
-        dropped += ndrop
-        y = b.solve(apply_pencil_a(d, spaces, y))
-    q, ndrop = b_orthonormalize(y, b)
+        q, ndrop_z = b_orthonormalize(y, m_z)
+        w, ndrop_th = b_orthonormalize(
+            m_theta.solve(d.apply_transpose(m_z.apply(q))), m_theta
+        )
+        dropped += ndrop_z + ndrop_th
+        y = d.apply(w)
+    q, ndrop = b_orthonormalize(y, m_z)
     dropped += ndrop
 
-    aq = apply_pencil_a(d, spaces, q)
-    t = q.T @ aq
-    evals, evecs = dense_sym_eig(0.5 * (t + t.T))
-    keep = _positive_pairs(evals, cfg.k_pairs)
-    ritz = evecs[:, keep]
-    triples, residuals = _ritz_triples(
-        evals[keep], q @ ritz, b.solve(aq @ ritz), spaces
-    )
+    bt = d.apply_transpose(m_z.apply(q))
+    sig, u, theta_vecs = _weighted_svd(_over_r_theta(bt, spaces), spaces)
+    triples = _leading(_normalize_triples(sig, q @ u, theta_vecs, spaces), cfg.k_pairs)
+    residuals = []
+    if triples:
+        thetas = np.column_stack([t.theta_vec for t in triples])
+        zs = np.column_stack([t.z_vec for t in triples])
+        # z_k lies in the range of Q, so D* z_k = M_Theta^{-1} B^T Q^T M_Z z_k
+        adj_zs = m_theta.solve(bt @ (q.T @ m_z.apply(zs)))
+        residuals = _residuals(triples, d.apply(thetas).T, adj_zs.T, spaces)
     diag = GenEigDiagnostics(
-        ritz_values=evals,
+        ritz_values=sig,
         n_probes=r,
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
@@ -241,21 +231,6 @@ def randomized_geneig(
         **_kkt_work(d, solves_before),
     )
     return triples, diag
-
-
-def _weighted_svd(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTriple]:
-    """Every singular triple of an assembled D in the weighted inner
-    products, from the SVD of R_Z D R_Theta^{-1} with R^T R = M."""
-    r_z = spaces.m_z.cholesky()
-    r_theta = spaces.m_theta.cholesky()
-    # R_Z D R_Theta^{-1} without forming the inverse
-    core = r_z @ scipy.linalg.solve_triangular(
-        r_theta, dmat.T, lower=False, trans="T"
-    ).T
-    sig, u, v = dense_svd(core)
-    theta_vecs = scipy.linalg.solve_triangular(r_theta, v, lower=False)
-    z_vecs = scipy.linalg.solve_triangular(r_z, u, lower=False)
-    return _normalize_triples(sig, z_vecs, theta_vecs, spaces)
 
 
 def _assembled(d: SensitivityOperator) -> np.ndarray:
@@ -267,32 +242,36 @@ def _assembled(d: SensitivityOperator) -> np.ndarray:
     return d.dense()
 
 
+def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTriple]:
+    """Every weighted singular triple of an assembled D, from the SVD of
+    R_Z D R_Theta^{-1} with R^T R = M."""
+    r_z = spaces.m_z.cholesky()
+    sig, u, theta_vecs = _weighted_svd(r_z @ _over_r_theta(dmat.T, spaces), spaces)
+    z_vecs = scipy.linalg.solve_triangular(r_z, u, lower=False)
+    return _normalize_triples(sig, z_vecs, theta_vecs, spaces)
+
+
 def exact_triples(
     d: SensitivityOperator, spaces: WeightedSpaces, cfg: RandEigConfig
 ) -> tuple[list[SingularTriple], GenEigDiagnostics]:
     """The first K singular triples of D, from its weighted SVD.
 
     Assembles D from one KKT right-hand side per parameter, so it pays where
-    n_theta is at most the randomized solve's right-hand-side count. Triples at
-    or below ``RANK_TOL`` times sigma_1 are dropped, with the rank flag set
-    when fewer than K remain. Residuals use the assembled matrix and cost no
-    further KKT solve.
+    n_theta is at most ``randomized_rhs``. Triples at or below ``RANK_TOL``
+    times sigma_1 are dropped, with the rank flag set when fewer than K
+    remain. Residuals use the assembled matrix and cost no further KKT solve.
     """
     solves_before = len(d.kkt.solve_stats)
     dmat = _assembled(d)
-    every = _weighted_svd(dmat, spaces)
-    triples = [t for t in every if t.sigma > RANK_TOL * every[0].sigma][: cfg.k_pairs]
+    every = _all_triples(dmat, spaces)
+    triples = _leading(every, cfg.k_pairs)
     m_z, m_theta = spaces.m_z, spaces.m_theta
-    residuals = [
-        max(
-            m_z.norm(dmat @ t.theta_vec - t.sigma * t.z_vec),
-            m_theta.norm(
-                m_theta.solve(dmat.T @ m_z.apply(t.z_vec)) - t.sigma * t.theta_vec
-            ),
-        )
-        / t.sigma
-        for t in triples
-    ]
+    residuals = _residuals(
+        triples,
+        (dmat @ t.theta_vec for t in triples),
+        (m_theta.solve(dmat.T @ m_z.apply(t.z_vec)) for t in triples),
+        spaces,
+    )
     diag = GenEigDiagnostics(
         ritz_values=np.array([t.sigma for t in every]),
         n_probes=d.n_theta,
@@ -310,7 +289,7 @@ def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[Singula
     Builds D from one block of KKT solves over the parameter basis and returns
     the full set of singular triples in the weighted inner products.
     """
-    return _weighted_svd(_assembled(d), spaces)
+    return _all_triples(_assembled(d), spaces)
 
 
 def alternative_formulation(

@@ -21,7 +21,7 @@ from hdsa.problems import (
     build_diffusion_control_1d,
     build_logistic_toy,
 )
-from hdsa.randeig import RandEigConfig, dense_oracle
+from hdsa.randeig import RandEigConfig, dense_oracle, randomized_geneig, randomized_rhs
 from hdsa.sampling import Distribution, SamplingPlan
 
 
@@ -192,12 +192,28 @@ def quick_start_sample(cfg):
     return analyze_sample(problem, plan, cfg, 0)
 
 
+@pytest.fixture(scope="module")
+def size_rule_operators():
+    """The quick-start operator (n_theta 16), one with n_theta 32, and the
+    rank-1 logistic toy's (n_theta 2)."""
+    out = {}
+    for name, build in (
+        ("quick start", lambda: build_diffusion_control_1d(n_state=64, n_param=16)),
+        ("n_theta 32", lambda: build_diffusion_control_1d(n_state=64, n_param=32)),
+        ("logistic", build_logistic_toy),
+    ):
+        problem = build()
+        opt = solve_optimization(problem, problem.default_theta())
+        out[name] = (problem, SensitivityOperator(problem, opt.as_eval_point()))
+    return out
+
+
 class TestSvdPath:
     """D is assembled where its n_theta columns cost no more KKT right-hand
-    sides than the pencil's 2 (q + 2) min(2K + p, n_z + n_theta)."""
+    sides than the randomized solve's (2 + 2q) min(K + p, n_theta) + K."""
 
     def test_quick_start_defaults_assemble_d(self):
-        # 16 columns of D against 2 * 4 * 16 = 128 for the pencil
+        # 16 columns of D against 6 * 12 + 4 = 76 for the randomized solve
         res = quick_start_sample(RandEigConfig(k_pairs=4, oversampling=8, seed=0))
         assert res.svd == "exact"
         assert res.diagnostics.kkt_solves == 1
@@ -206,24 +222,75 @@ class TestSvdPath:
         assert res.diagnostics.n_dropped == 0
         assert len(res.triples) == 4 and not res.diagnostics.rank_deficient
 
-    def test_fewer_pencil_columns_take_the_randomized_path(self):
-        # 2 * 2 * 2 = 8 right-hand sides for the pencil against 16 for D
+    def test_fewer_sampled_columns_take_the_randomized_path(self):
+        # 2 * 1 + 1 = 3 right-hand sides for the randomized solve against 16 for D
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0, seed=0)
         res = quick_start_sample(cfg)
         assert res.svd == "randomized"
-        assert res.diagnostics.kkt_rhs == 8
+        assert res.diagnostics.kkt_rhs == 3
 
     def test_rule_reads_sizes_only(self):
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
-        assert svd_path(cfg, 64, 8) == "exact"  # 8 <= 8
-        assert svd_path(cfg, 64, 9) == "randomized"
-        # the pencil never has more probes than dimensions: 2 * 2 * 3 = 12
+        assert svd_path(cfg, 64, 3) == "exact"  # 3 <= 3
+        assert svd_path(cfg, 64, 4) == "randomized"
+        # no more probes than parameters, so n_theta <= K + p always assembles
         cfg = RandEigConfig(k_pairs=4, oversampling=8, power_iterations=0)
         assert svd_path(cfg, 1, 2) == "exact"
         # D must also fit the dense threshold, whatever it costs
         cfg = RandEigConfig(k_pairs=4, oversampling=8)
         assert svd_path(cfg, 1984, 16) == "exact"
         assert svd_path(cfg, 1985, 16) == "randomized"
+
+    @pytest.mark.parametrize(
+        "name, k, p, q",
+        [
+            ("quick start", 4, 8, 2),  # the README defaults
+            ("quick start", 4, 8, 0),
+            ("quick start", 3, 2, 3),
+            ("quick start", 1, 0, 0),
+            ("quick start", 12, 8, 1),  # n_theta < K + p: 16 probes
+            ("quick start", 4, 20, 2),
+            ("n_theta 32", 4, 8, 0),  # 28 sampled columns: the randomized path
+            ("n_theta 32", 4, 8, 2),
+            ("logistic", 1, 0, 0),
+            ("logistic", 1, 0, 2),
+        ],
+    )
+    def test_count_is_the_solvers_kkt_rhs(self, size_rule_operators, name, k, p, q):
+        problem, sens = size_rule_operators[name]
+        cfg = RandEigConfig(k_pairs=k, oversampling=p, power_iterations=q, seed=0)
+        triples, diag = randomized_geneig(sens, problem.spaces, cfg)
+        assert len(triples) == k and diag.n_dropped == 0
+        assert diag.kkt_rhs == randomized_rhs(cfg, sens.n_theta)
+        path = "exact" if sens.n_theta <= diag.kkt_rhs else "randomized"
+        assert svd_path(cfg, sens.n_z, sens.n_theta) == path
+
+
+def test_direct_set_indices_match_sigma_1(tmp_path):
+    """The quick start's one set holds every parameter, so its direct set
+    index is the sample's sigma_1."""
+    out = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 64, "n_param": 16, "gamma": 0.01},
+        },
+        "hdsa": {"n_samples": 5, "k_pairs": 4, "oversampling": 8, "seed": 0,
+                 "set_index_mode": "direct"},
+        "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
+        "output_dir": str(out),
+    }))
+    assert main(["run", str(path), "--workers", "1"]) == EXIT_OK
+    with (out / "singular_values.csv").open() as fh:
+        sigma_1 = {
+            int(r["j"]): float(r["sigma"]) for r in csv.DictReader(fh) if r["k"] == "0"
+        }
+    with (out / "set_indices.csv").open() as fh:
+        sets = {int(r["j"]): float(r["value"]) for r in csv.DictReader(fh)}
+    assert sorted(sets) == sorted(sigma_1) == list(range(5))
+    for j, value in sets.items():
+        assert value == pytest.approx(sigma_1[j], rel=1e-4)
 
 
 def test_quick_start_run_matches_dense_oracle(tmp_path):

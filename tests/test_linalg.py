@@ -37,6 +37,13 @@ class TestBOrthonormalize:
         assert dropped == 1
         assert q.shape[1] == 3
 
+    def test_more_vectors_than_dimensions_keep_a_basis(self):
+        m = SpdOperator(random_spd(3, seed=9))
+        v = np.random.default_rng(10).standard_normal((3, 5))
+        q, dropped = b_orthonormalize(v, m)
+        assert dropped == 2
+        np.testing.assert_allclose(q.T @ (m.dense() @ q), np.eye(3), atol=1e-12)
+
 
 class TestDense:
     def test_sym_eig_descending_and_reconstruction(self):

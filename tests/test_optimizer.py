@@ -19,7 +19,7 @@ from hdsa.problems import (
     build_diffusion_control_1d,
     build_logistic_toy,
 )
-from hdsa.sampling import InitialIterate
+from hdsa.sampling import Distribution, InitialIterate, SamplingPlan
 
 
 class TestForward:
@@ -37,6 +37,40 @@ class TestForward:
         theta = 0.3 * rng.standard_normal(8)
         u = solve_forward(p, z, theta)
         np.testing.assert_allclose(p.residual(u, z, theta), 0.0, atol=1e-11)
+
+    def test_fine_mesh_newton_step_converges_in_one_iteration(self, monkeypatch):
+        # n_state 1,024: after one Newton iteration the residual sits at its
+        # rounding floor, 2.3e-12, above an absolute 1e-12 but a backward
+        # error of 5e-17 against the size of c's terms
+        p = build_diffusion_control_1d(n_state=1024, n_param=16, gamma=0.01)
+        plan = SamplingPlan(
+            theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
+            master_seed=0,
+            n_u=1024,
+            n_z=1024,
+        )
+        theta, init = plan.sample(0)
+        z = init.z_init
+        u = solve_forward(p, z, theta, init.u_init)
+        lam = solve_adjoint(p, u, z, theta)
+        h = reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))
+        g = reduced_gradient(p, u, z, theta, lam)
+        z_newton = z - np.linalg.solve(h, g)
+        solves = []
+        jacobian_solve = p.state_jacobian_solve
+
+        def counted(pt, rhs):
+            solves.append(rhs.shape)
+            return jacobian_solve(pt, rhs)
+
+        monkeypatch.setattr(p, "state_jacobian_solve", counted)
+        solve_forward(p, z_newton, theta, u)
+        assert len(solves) == 1
+        monkeypatch.undo()
+        # so the optimizer converges at the full Newton step
+        opt = solve_optimization(p, theta, init)
+        assert opt.iterations == 1
+        assert opt.grad_norm <= OptimizerConfig().stationarity_tol
 
     def test_programming_error_in_trial_step_propagates(self, monkeypatch):
         p = build_logistic_toy()

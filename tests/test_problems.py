@@ -82,6 +82,24 @@ def test_derivative_blocks_consistent(build):
     assert report.passed, report.failures()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_logistic_toy,
+        lambda: build_diffusion_control_1d(n_state=24, n_param=6),
+        lambda: build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5),
+    ],
+    ids=["logistic", "diffusion", "advdiff"],
+)
+def test_residual_term_sizes_bound_the_residual(build):
+    # each entry of c is a sum of terms, so it is at most their summed magnitudes
+    problem = build()
+    for seed in range(3):
+        p = random_point(problem, seed=seed)
+        sizes = problem.residual_term_sizes(p.u, p.z, p.theta)
+        assert np.all(np.abs(problem.residual(p.u, p.z, p.theta)) <= sizes * (1 + 1e-12))
+
+
 def test_corrupt_derivative_flag_caught():
     problem = build_logistic_toy(corrupt_derivative=True)
     point = random_point(problem, seed=2)
@@ -102,6 +120,17 @@ class TestDiffusion:
             p.stiffness_dense(theta) @ u, p.mass_dense() @ z, atol=1e-12
         )
         np.testing.assert_allclose(p.residual(u, z, theta), 0.0, atol=1e-12)
+
+    def test_residual_term_sizes_are_absolute_products(self):
+        p = build_diffusion_control_1d(n_state=24, n_param=6)
+        pt = random_point(p, seed=4)
+        expected = (
+            np.abs(p.stiffness_dense(pt.theta)) @ np.abs(pt.u)
+            + np.abs(p.mass_dense()) @ np.abs(pt.z)
+        )
+        np.testing.assert_allclose(
+            p.residual_term_sizes(pt.u, pt.z, pt.theta), expected, rtol=1e-13
+        )
 
     def test_ellipticity_guard(self):
         p = build_diffusion_control_1d(n_state=24, n_param=6, amplitude=0.5)

@@ -113,23 +113,42 @@ class TestRandomized:
             assert a.sigma == b.sigma
             np.testing.assert_array_equal(a.theta_vec, b.theta_vec)
 
-    def test_probe_clamp_and_rank_flag_on_tiny_pencil(self, logistic_sens):
+    def test_probe_count_and_rank_flag_on_rank_one_toy(self, logistic_sens):
         problem, sens = logistic_sens
         cfg = RandEigConfig(k_pairs=2, oversampling=8, seed=0)
         triples, diag = randomized_geneig(sens, problem.spaces, cfg)
-        # pencil dimension is n_z + n_theta = 3 and rank(D) = 1
-        assert diag.n_probes == 3
+        # min(K + p, n_theta) = 2 probes; n_z = 1, so rank(D) = 1 and the
+        # second column drops at the first M_Z-orthonormalization
+        assert diag.n_probes == 2
+        assert diag.n_dropped == 1
         assert len(triples) == 1
         assert diag.rank_deficient
+        oracle = dense_oracle(sens, problem.spaces)
+        assert triples[0].sigma == pytest.approx(oracle[0].sigma, rel=1e-12)
 
-    def test_ritz_pairs_come_in_plus_minus_pairs(self, diffusion_sens):
+    def test_ritz_values_are_the_projected_sigmas(self, diffusion_sens):
         problem, sens = diffusion_sens
-        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=3, power_iterations=2)
-        _, diag = randomized_geneig(sens, problem.spaces, cfg)
+        oracle = np.array([t.sigma for t in dense_oracle(sens, problem.spaces)])
+        cfg = RandEigConfig(k_pairs=3, oversampling=2, seed=3, power_iterations=2)
+        triples, diag = randomized_geneig(sens, problem.spaces, cfg)
+        # one weighted sigma of Q^T M_Z D per probe, descending, led by the
+        # returned triples, and none above the true sigma of its rank
         vals = diag.ritz_values
-        pos = vals[vals > 1e-12 * vals[0]]
-        neg = -vals[::-1][: pos.shape[0]]
-        np.testing.assert_allclose(pos[:4], neg[:4], rtol=1e-8)
+        assert vals.shape == (cfg.n_probes,)
+        assert np.all(vals > 0.0) and np.all(np.diff(vals) <= 0.0)
+        np.testing.assert_array_equal(vals[:3], [t.sigma for t in triples])
+        assert np.all(vals <= oracle[: cfg.n_probes] * (1.0 + 1e-12))
+
+    def test_flat_quick_start_spectrum_matches_oracle(self):
+        # the README quick start at the default q = 2: a flat spectrum
+        problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)
+        sens = sample_operator(problem)
+        oracle = dense_oracle(sens, problem.spaces)
+        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, power_iterations=2)
+        triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=0)
+        assert len(triples) == 4 and diag.n_dropped == 0
+        for t, o in zip(triples, oracle):
+            assert t.sigma == pytest.approx(o.sigma, rel=1e-6)
 
 
 class TestAlternativeFormulation:
@@ -182,17 +201,20 @@ class TestTripleResiduals:
     """max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta) / sigma per triple."""
 
     @staticmethod
-    def randomized(amplitude):
+    def randomized(amplitude, power_iterations=2):
         problem = build_diffusion_control_1d(
             n_state=64, n_param=16, gamma=0.01, amplitude=amplitude
         )
-        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0)
+        cfg = RandEigConfig(
+            k_pairs=4, oversampling=8, seed=0, power_iterations=power_iterations
+        )
         sens = sample_operator(problem)
         return randomized_geneig(sens, problem.spaces, cfg, sample_index=0)
 
     def test_flat_spectrum_is_flagged(self):
-        # the README quick-start operator: randomized triples far from converged
-        triples, diag = self.randomized(0.2)
+        # the README quick-start operator without power passes: randomized
+        # triples far from converged (sigma 1.0e-2 off the dense SVD)
+        triples, diag = self.randomized(0.2, power_iterations=0)
         assert len(diag.triple_residuals) == len(triples) == 4
         assert max(diag.triple_residuals) >= 1e-3
 
@@ -294,10 +316,10 @@ def test_kkt_work_counts_calls_and_columns(diffusion_sens):
     problem, sens = diffusion_sens
     cfg = RandEigConfig(k_pairs=3, oversampling=4, seed=1, power_iterations=1)
     _, diag = randomized_geneig(sens, problem.spaces, cfg)
-    # three pencil applications (range, one power pass, Rayleigh-Ritz) to
-    # 10 columns; D and D^T each take one KKT call per application here
-    assert diag.kkt_solves == 3 * 2
-    assert diag.kkt_rhs == 3 * 2 * 10
+    # D Omega, one power pass (D^T, then D) and B^T = D^T M_Z Q on 7 probes,
+    # then D on the 3 triples for their residuals; one KKT call each here
+    assert diag.kkt_solves == 5
+    assert diag.kkt_rhs == 4 * 7 + 3
 
 
 def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
@@ -360,16 +382,12 @@ class TestTripleSigns:
         spaces = problem.spaces
         oracle = dense_oracle(sens, spaces)[:4]
         sigmas = np.array([t.sigma for t in oracle])
-        # Ritz vectors (z~, theta~) at an arbitrary scale, and B^-1 A of each
-        vectors = np.vstack([
-            np.column_stack([3.0 * t.z_vec for t in oracle]),
-            np.column_stack([3.0 * t.theta_vec for t in oracle]),
-        ])
-        b = randeig._BlockMass(spaces, sens.n_z, sens.n_theta)
-        images = b.solve(apply_pencil_a(sens, spaces, vectors))
-        triples, residuals = randeig._ritz_triples(sigmas, vectors, images, spaces)
-        flipped, flipped_res = randeig._ritz_triples(sigmas, -vectors, -images, spaces)
-        assert flipped_res == residuals
+        # Ritz vectors z = Q u and theta = R_Theta^-1 v at an arbitrary scale,
+        # as the small SVD returns them, whose signs it does not fix
+        z_vecs = np.column_stack([3.0 * t.z_vec for t in oracle])
+        theta_vecs = np.column_stack([3.0 * t.theta_vec for t in oracle])
+        triples = randeig._normalize_triples(sigmas, z_vecs, theta_vecs, spaces)
+        flipped = randeig._normalize_triples(sigmas, -z_vecs, -theta_vecs, spaces)
         for t, f in zip(triples, flipped):
             assert f.sigma == t.sigma
             np.testing.assert_array_equal(f.theta_vec, t.theta_vec)
