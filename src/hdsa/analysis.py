@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .indices import local_indices, set_indices
-from .linalg import DENSE_THRESHOLD
 from .operators import SensitivityOperator
 from .optimizer import (
     COMPUTE_ERRORS,
@@ -29,7 +28,7 @@ from .randeig import (
     SingularTriple,
     exact_triples,
     randomized_geneig,
-    randomized_rhs,
+    svd_path,
 )
 from .sampling import SamplingPlan
 
@@ -100,15 +99,6 @@ class HdsaReport:
         }
 
 
-def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
-    """"exact" where assembling D, one KKT right-hand side per parameter,
-    takes no more than the ``randomized_rhs`` of the randomized solve and D
-    fits the dense threshold; "randomized" otherwise."""
-    if n_theta <= randomized_rhs(cfg, n_theta) and n_z + n_theta <= DENSE_THRESHOLD:
-        return "exact"
-    return "randomized"
-
-
 def analyze_sample(
     problem: ProblemDefinition,
     plan: SamplingPlan,
@@ -120,10 +110,14 @@ def analyze_sample(
     theta, init = plan.sample(j)
     optimal = solve_optimization(problem, theta, init, opt_cfg)
     sens = SensitivityOperator(
-        problem, optimal.as_eval_point(), optimal.reduced_hessian
+        problem,
+        optimal.as_eval_point(),
+        optimal.state_sensitivity,
+        optimal.hessian_factor,
     )
-    # the operator holds the matrix as long as its elimination path needs it
-    optimal = replace(optimal, reduced_hessian=None)
+    # the operator holds W and the factor for its elimination; the sample
+    # result keeps neither
+    optimal = replace(optimal, state_sensitivity=None, hessian_factor=None)
     svd = svd_path(cfg, sens.n_z, sens.n_theta)
     if svd == "exact":
         triples, diag = exact_triples(sens, problem.spaces, cfg)
@@ -220,7 +214,10 @@ def perturbation_check(
     phi = phi / nrm
     if sens is None:
         sens = SensitivityOperator(
-            problem, point.as_eval_point(), point.reduced_hessian
+            problem,
+            point.as_eval_point(),
+            point.state_sensitivity,
+            point.hessian_factor,
         )
     prediction = delta * spaces.m_z.norm(sens.apply(phi))
     if delta == 0.0:

@@ -104,7 +104,9 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         )
     )
 
-    sens = SensitivityOperator(problem, point, optimal.reduced_hessian)
+    sens = SensitivityOperator(
+        problem, point, optimal.state_sensitivity, optimal.hessian_factor
+    )
     oracle = dense_oracle(sens, problem.spaces)
     triples, _ = randomized_geneig(sens, problem.spaces, cfg.randeig, sample_index=0)
     k = min(len(triples), len(oracle))
@@ -186,7 +188,10 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
             theta_j, init_j = plan.sample(j)
             opt_j = solve_optimization(problem, theta_j, init_j, cfg.optimizer)
             s_j = SensitivityOperator(
-                problem, opt_j.as_eval_point(), opt_j.reduced_hessian
+                problem,
+                opt_j.as_eval_point(),
+                opt_j.state_sensitivity,
+                opt_j.hessian_factor,
             )
             # identical probes across theta samples isolate the operator's
             # theta-dependence from randomized-solver variation

@@ -7,7 +7,13 @@ import numpy as np
 from .linalg import dense_sym_eig
 from .operators import ProjectedSensitivityOperator, SensitivityOperator
 from .problems.base import ProblemError, SetPartition, WeightedSpaces
-from .randeig import RandEigConfig, SingularTriple, randomized_geneig
+from .randeig import (
+    RandEigConfig,
+    SingularTriple,
+    _all_triples,
+    randomized_geneig,
+    svd_path,
+)
 from .sampling import SET_PROBE_STREAM
 
 
@@ -48,8 +54,10 @@ def set_indices(
 
     "truncated" uses the rank-K representation: the index for a set is
     sqrt(lambda_max(S)) with S_kl = sigma_k sigma_l (Pi theta_k)^T M_Theta
-    (Pi theta_l). "direct" reruns the randomized solver on the projected
-    operator D o Pi (needs ``sens_op`` and ``cfg``).
+    (Pi theta_l). "direct" takes sigma_1 of D o Pi (needs ``sens_op`` and
+    ``cfg``): from the assembled D with the other columns zeroed where
+    ``svd_path`` assembles D, at no further KKT solve, and from the
+    randomized solver on the projected operator otherwise.
     """
     partition.validate_cover(triples[0].theta_vec.shape[0] if triples else 0)
     _check_partition_orthogonal(partition, spaces)
@@ -75,7 +83,15 @@ def set_indices(
     if mode == "direct":
         if sens_op is None or cfg is None:
             raise ProblemError("direct set-index mode needs the operator and config")
+        dmat = None
+        if svd_path(cfg, sens_op.n_z, sens_op.n_theta) == "exact":
+            dmat = sens_op.dense()
         for set_i, (name, start, stop) in enumerate(partition.sets):
+            if dmat is not None:
+                masked = np.zeros_like(dmat)
+                masked[:, start:stop] = dmat[:, start:stop]
+                out[name] = _all_triples(masked, spaces)[0].sigma
+                continue
             proj_op = ProjectedSensitivityOperator(sens_op, np.arange(start, stop))
             sub_cfg = RandEigConfig(
                 k_pairs=1,

@@ -19,8 +19,9 @@ from .linalg import (
     block_width,
     check_operand,
     identity_columns,
+    matmul,
 )
-from .optimizer import reduced_hessian_dense
+from .optimizer import factor_reduced_hessian, reduced_hessian_dense, state_sensitivity
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
 from .sampling import KKT_NORM_STREAM, rng_for
 
@@ -30,36 +31,35 @@ KKT_TOL = 1e-10
 # Probe columns of the fixed block that estimates ||K|| for the backward error.
 NORM_PROBES = 4
 
+# Elimination passes, the first included, that refinement may take per column.
+MAX_SWEEPS = 5
+
 
 class KktOperator:
     """Symmetric 3x3 block operator of Lagrangian second derivatives.
 
     Rows: (L_uu, L_uz, c_u^T; L_zu, L_zz, c_z^T; c_u, c_z, 0), evaluated at a
-    fixed stationary point. Systems up to ``DENSE_THRESHOLD`` are solved by
-    dense LU, larger ones by block elimination through the reduced Hessian;
-    ``reduced_hessian`` may pass in the one already assembled at the point.
-    ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r).
+    fixed stationary point. Systems are solved by block elimination through
+    the reduced Hessian H, with W = -c_u^{-1} c_z; ``state_sensitivity`` and
+    ``hessian_factor`` may pass in the W and the Cholesky factor of H that
+    the optimizer computed at the point, and are formed on the first solve
+    otherwise. ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r).
     """
 
     def __init__(
         self,
         problem: ProblemDefinition,
         point: EvalPoint,
-        reduced_hessian: np.ndarray | None = None,
+        state_sensitivity: np.ndarray | None = None,
+        hessian_factor: tuple | None = None,
     ):
         self.problem = problem
         self.point = point
         d = problem.dims
         self.n_u, self.n_z, self.n_lam = d.n_u, d.n_z, d.n_lambda
         self.dim = d.n_stacked
-        self._dense_lu = None
-        self._dense_scale = None
-        # only the elimination path needs the reduced Hessian; it is dropped
-        # once factored
-        self._reduced_hessian = (
-            reduced_hessian if self.dim > DENSE_THRESHOLD else None
-        )
-        self._schur_cho = None
+        self._w = state_sensitivity
+        self._factor = hessian_factor
         self._norm_est = None
         self.solve_stats: list[SolverStats] = []
 
@@ -106,10 +106,7 @@ class KktOperator:
         column and the worst backward error.
         """
         check_operand(rhs, self.dim, "KKT solve")
-        if self.dim <= DENSE_THRESHOLD:
-            x, stats = self._solve_dense(rhs)
-        else:
-            x, stats = self._solve_schur(rhs)
+        x, stats = self._refine(rhs)
         if not stats.converged:
             raise SolveError(
                 f"KKT solve did not reach backward error {KKT_TOL:g}: "
@@ -149,21 +146,22 @@ class KktOperator:
         # a zero right-hand side is solved exactly by x = 0
         return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=rhs_norm > 0.0)
 
-    def _refine(self, rhs, pass_, max_sweeps: int):
-        """Iterative refinement of ``pass_``, an approximate inverse of K.
+    def _refine(self, rhs):
+        """Iterative refinement of the elimination pass against ``apply``,
+        which recovers the accuracy that the widely spread block scales cost.
 
         Only the columns whose backward error is still above ``KKT_TOL`` get
         another sweep, so each column costs what a solve of it alone costs.
         """
-        x = pass_(rhs)
+        x = self._schur_pass(rhs)
         err = self._backward_errors(x, rhs)
         sweeps = 1
-        while sweeps < max_sweeps:
+        while sweeps < MAX_SWEEPS:
             todo = np.flatnonzero(err > KKT_TOL)
             if todo.size == 0:
                 break
             cols = (slice(None), todo) if rhs.ndim == 2 else slice(None)
-            x_c = x[cols] + pass_(rhs[cols] - self.apply(x[cols]))
+            x_c = x[cols] + self._schur_pass(rhs[cols] - self.apply(x[cols]))
             x[cols] = x_c
             err[todo] = self._backward_errors(x_c, rhs[cols])
             sweeps += 1
@@ -171,53 +169,31 @@ class KktOperator:
         n_rhs = rhs.shape[1] if rhs.ndim == 2 else 1
         return x, SolverStats(sweeps, worst, worst <= KKT_TOL, n_rhs)
 
-    def _solve_dense(self, rhs):
-        # symmetric equilibration plus iterative refinement: the KKT blocks
-        # mix O(1/h) stiffness with O(h) mass scales, so a raw LU pass can
-        # lose most of its digits on the small blocks
-        if self._dense_lu is None:
-            k = self.dense()
-            s = 1.0 / np.sqrt(np.maximum(np.abs(k).max(axis=1), 1e-30))
-            self._dense_scale = s
-            self._dense_lu = scipy.linalg.lu_factor(s[:, None] * k * s[None, :])
-
-        def pass_(b):
-            s = as_rows(self._dense_scale, b)
-            return s * scipy.linalg.lu_solve(self._dense_lu, s * b)
-
-        return self._refine(rhs, pass_, 10)
-
-    def _solve_schur(self, rhs):
-        """Block elimination through the (SPD) reduced Hessian.
-
-        With S = c_u^{-1}:
-          du = S (b_l - c_z dz)
-          dl = S^T (b_u - L_uu du - L_uz dz)
-          H_red dz = b_z - L_zu S b_l - c_z^T S^T (b_u - L_uu S b_l)
-
-        Refinement through the same elimination kills the loss of accuracy
-        from the widely spread block scales.
-        """
-        return self._refine(rhs, self._schur_pass, 5)
-
     def _schur_pass(self, rhs: np.ndarray) -> np.ndarray:
+        """One block elimination. With S = c_u^{-1} and s = S b_l:
+          dz = H^{-1} (b_z - L_zu s + W^T (b_u - L_uu s))
+          du = s + W dz
+          dl = S^T (b_u - L_uu du - L_uz dz)
+        one state and one adjoint solve per column.
+        """
         p, pt = self.problem, self.point
-        if self._schur_cho is None:
-            h = self._reduced_hessian
-            if h is None:
-                h = reduced_hessian_dense(p, pt)
-            self._schur_cho = scipy.linalg.cho_factor(h, lower=False)
-            self._reduced_hessian = None
+        if self._factor is None:
+            if self._w is None:
+                self._w = state_sensitivity(p, pt)
+            self._factor = factor_reduced_hessian(reduced_hessian_dense(p, pt, self._w))
+            if self._factor is None:
+                raise SolveError(
+                    "KKT elimination: the reduced Hessian is not positive definite"
+                )
         b_u, b_z, b_l = self.split(rhs)
         out = np.empty(rhs.shape)
         du, dz, dl = self.split(out)
-        s_bl = p.state_jacobian_solve(pt, b_l)
-        w = b_u - p.l_uu(pt, s_bl)
-        st_w = p.state_jacobian_adjoint_solve(pt, w)
-        red_rhs = b_z - p.l_zu(pt, s_bl) - p.c_z_adj(pt, st_w)
-        del s_bl, w, st_w
-        dz[...] = scipy.linalg.cho_solve(self._schur_cho, red_rhs)
-        du[...] = p.state_jacobian_solve(pt, b_l - p.c_z(pt, dz))
+        s = p.state_jacobian_solve(pt, b_l)
+        red = matmul(self._w, b_u - p.l_uu(pt, s), trans_a=True)
+        red += b_z
+        red -= p.l_zu(pt, s)
+        dz[...] = scipy.linalg.cho_solve(self._factor, red)
+        du[...] = s + matmul(self._w, dz)
         dl[...] = p.state_jacobian_adjoint_solve(
             pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz)
         )
@@ -263,16 +239,18 @@ class SensitivityOperator:
         self,
         problem: ProblemDefinition,
         point: EvalPoint,
-        reduced_hessian: np.ndarray | None = None,
+        state_sensitivity: np.ndarray | None = None,
+        hessian_factor: tuple | None = None,
     ):
         self.problem = problem
         self.point = point
         self.spaces: WeightedSpaces = problem.spaces
-        self.kkt = KktOperator(problem, point, reduced_hessian)
+        self.kkt = KktOperator(problem, point, state_sensitivity, hessian_factor)
         self.b = ParamJacobianOperator(problem, point)
         d = problem.dims
         self.n_theta = d.n_theta
         self.n_z = d.n_z
+        self._dense = None
 
     def _z_block(self, v: np.ndarray) -> np.ndarray:
         d = self.problem.dims
@@ -311,8 +289,12 @@ class SensitivityOperator:
         )
 
     def dense(self) -> np.ndarray:
-        """Coordinate matrix of D: the operator applied to the identity block."""
-        return self.apply(np.eye(self.n_theta))
+        """Coordinate matrix of D: the operator applied to the identity block,
+        assembled on the first call and kept, read-only, for every caller."""
+        if self._dense is None:
+            self._dense = self.apply(np.eye(self.n_theta))
+            self._dense.setflags(write=False)
+        return self._dense
 
     def directional_sensitivity(self, phi: np.ndarray) -> float:
         """||D (phi / ||phi||_Theta)||_Z with the weighted norms."""

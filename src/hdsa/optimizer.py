@@ -19,6 +19,7 @@ from .linalg import (
     block_width,
     dense_sym_eig,
     identity_columns,
+    matmul,
 )
 from .problems.base import EvalPoint, ProblemDefinition, ProblemError
 from .sampling import InitialIterate
@@ -55,8 +56,11 @@ class OptimalPoint:
     sosc_min_eig: float
     iterations: int
     objective: float = 0.0
-    # the reduced Hessian at this point, reused by the KKT elimination
-    reduced_hessian: np.ndarray | None = field(default=None, repr=False)
+    # W = -c_u^{-1} c_z and the Cholesky factor of the reduced Hessian at this
+    # point (None where it is not positive definite), reused by the KKT
+    # elimination
+    state_sensitivity: np.ndarray | None = field(default=None, repr=False)
+    hessian_factor: tuple | None = field(default=None, repr=False)
 
     def as_eval_point(self) -> EvalPoint:
         return EvalPoint(self.u0, self.z0, self.lambda0, self.theta0)
@@ -121,27 +125,59 @@ def reduced_gradient(problem, u, z, theta, lam) -> np.ndarray:
 
 
 def reduced_hessian_matvec(problem: ProblemDefinition, p: EvalPoint, v: np.ndarray) -> np.ndarray:
-    """Action of the reduced Hessian at a stationary-ish point on a vector or block."""
+    """Action of the reduced Hessian at a stationary-ish point on a vector or
+    block: one state and one adjoint solve per column. The matrix-free
+    reference for ``reduced_hessian_dense``."""
     du = problem.state_jacobian_solve(p, -problem.c_z(p, v))
     w = problem.l_uu(p, du) + problem.l_uz(p, v)
     dlam = problem.state_jacobian_adjoint_solve(p, -w)
     return problem.l_zu(p, du) + problem.l_zz(p, v) + problem.c_z_adj(p, dlam)
 
 
-def reduced_hessian_dense(problem: ProblemDefinition, p: EvalPoint) -> np.ndarray:
-    n_z = problem.dims.n_z
-    if n_z > DENSE_THRESHOLD:
+def state_sensitivity(problem: ProblemDefinition, p: EvalPoint) -> np.ndarray:
+    """W = -c_u^{-1} c_z, the state's change per unit change of z: n_z state
+    solves, in column blocks of ``block_width(n_u)``, stored in Fortran order
+    for ``matmul``."""
+    d = problem.dims
+    if d.n_z > DENSE_THRESHOLD:
         raise OptimizerError("reduced Hessian too large to form densely")
-    # identity columns in chunks that keep each (n_u, r) state block within
-    # the block byte budget
+    w = np.empty((d.n_u, d.n_z), order="F")
+    width = block_width(d.n_u)
+    for start in range(0, d.n_z, width):
+        stop = min(start + width, d.n_z)
+        w[:, start:stop] = problem.state_jacobian_solve(
+            p, -problem.c_z(p, identity_columns(d.n_z, start, stop))
+        )
+    return w
+
+
+def reduced_hessian_dense(
+    problem: ProblemDefinition, p: EvalPoint, w: np.ndarray | None = None
+) -> np.ndarray:
+    """H = L_zz + L_zu W + W^T (L_uu W + L_uz), the null-space form
+    Z^T (grad^2 L) Z with Z = [W; I], symmetrized. Costs no PDE solve beyond
+    the n_z of W, which is formed here unless given."""
+    if w is None:
+        w = state_sensitivity(problem, p)
+    n_z = problem.dims.n_z
     h = np.empty((n_z, n_z))
     width = block_width(problem.dims.n_u)
     for start in range(0, n_z, width):
         stop = min(start + width, n_z)
-        h[:, start:stop] = reduced_hessian_matvec(
-            problem, p, identity_columns(n_z, start, stop)
-        )
+        e, w_c = identity_columns(n_z, start, stop), w[:, start:stop]
+        h_c = h[:, start:stop]
+        h_c[...] = matmul(w, problem.l_uu(p, w_c) + problem.l_uz(p, e), trans_a=True)
+        h_c += problem.l_zu(p, w_c)
+        h_c += problem.l_zz(p, e)
     return 0.5 * (h + h.T)
+
+
+def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
+    """``scipy.linalg.cho_factor`` of H, or None where H is not positive definite."""
+    try:
+        return scipy.linalg.cho_factor(h)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def check_sosc(h: np.ndarray) -> float:
@@ -158,12 +194,13 @@ def solve_optimization(
 ) -> OptimalPoint:
     """Reduced-space Newton with Armijo backtracking.
 
-    Each step solves H d = -g by Cholesky with the dense reduced Hessian H,
-    and takes steepest descent where H is not positive definite. A problem
-    whose H does not depend on the iterate assembles it once. Returns an
-    OptimalPoint whose adjoint and reduced Hessian are the ones the last
-    iteration computed at the final iterate; the Hessian is verified positive
-    definite (unless disabled) and handed on for the KKT elimination.
+    Each step solves H d = -g with the Cholesky factor of the dense reduced
+    Hessian H, factored once per assembly, and takes steepest descent where
+    H is not positive definite. A problem whose H does not depend on the
+    iterate forms W and H once. Returns an OptimalPoint whose adjoint, W and
+    factor are the ones the last iteration computed at the final iterate; H
+    is verified positive definite (unless disabled), and W and the factor
+    are handed on for the KKT elimination.
     """
     cfg = cfg or OptimizerConfig()
     dims = problem.dims
@@ -183,22 +220,20 @@ def solve_optimization(
 
     it = 0
     f = problem.objective(u, z, theta0)
-    h = None
+    w = None
     while True:
         lam = solve_adjoint(problem, u, z, theta0)
         g = reduced_gradient(problem, u, z, theta0, lam)
         gnorm = grad_m_norm(g)
-        if h is None or not problem.constant_reduced_hessian:
-            h = reduced_hessian_dense(problem, EvalPoint(u, z, lam, theta0))
+        if w is None or not problem.constant_reduced_hessian:
+            p = EvalPoint(u, z, lam, theta0)
+            w = state_sensitivity(problem, p)
+            h = reduced_hessian_dense(problem, p, w)
+            factor = factor_reduced_hessian(h)
         if gnorm <= cfg.stationarity_tol or it >= cfg.max_iter:
             break
-        try:
-            factor = scipy.linalg.cho_factor(h)
-        except np.linalg.LinAlgError:
-            # not positive definite: fall back to steepest descent
-            d = -g
-        else:
-            d = -scipy.linalg.cho_solve(factor, g)
+        # steepest descent where H is not positive definite
+        d = -g if factor is None else -scipy.linalg.cho_solve(factor, g)
         if float(d @ g) >= 0.0:
             d = -g
         step = 1.0
@@ -246,5 +281,6 @@ def solve_optimization(
         sosc_min_eig=sosc,
         iterations=it,
         objective=f,
-        reduced_hessian=h,
+        state_sensitivity=w,
+        hessian_factor=factor,
     )

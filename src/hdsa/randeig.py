@@ -175,6 +175,15 @@ def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
     return (2 + 2 * cfg.power_iterations) * min(cfg.n_probes, n_theta) + cfg.k_pairs
 
 
+def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
+    """"exact" where assembling D, one KKT right-hand side per parameter,
+    takes no more than the ``randomized_rhs`` of the randomized solve and D
+    fits the dense threshold; "randomized" otherwise."""
+    if n_theta <= randomized_rhs(cfg, n_theta) and n_z + n_theta <= DENSE_THRESHOLD:
+        return "exact"
+    return "randomized"
+
+
 def randomized_geneig(
     d: SensitivityOperator,
     spaces: WeightedSpaces,

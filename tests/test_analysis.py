@@ -14,10 +14,11 @@ from hdsa.analysis import (
 )
 from hdsa.cli import EXIT_OK, main
 from hdsa.config import load_config, parse_config
-from hdsa.operators import SensitivityOperator
+from hdsa.operators import KktOperator, SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
     AdvDiffInversionProblem,
+    DiffusionControlProblem,
     build_diffusion_control_1d,
     build_logistic_toy,
 )
@@ -152,33 +153,73 @@ class TestTraditionalComparison:
         np.testing.assert_allclose(trad, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
-    """One default advection-diffusion sample solves 195 state and adjoint
-    right-hand sides, over its 16 KKT columns, at every seed: the Newton
-    steps come from the reduced Hessian, assembled once, so the count does
-    not depend on theta, and D is assembled from one column per parameter."""
-    columns = []
+def counted_solve_columns(monkeypatch, cls):
+    """State and adjoint right-hand sides that instances of ``cls`` solve; a
+    solve made inside another (diffusion's adjoint solve is its state solve)
+    counts once."""
+    columns, depth = [], []
     for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
-        original = getattr(AdvDiffInversionProblem, name)
+        original = getattr(cls, name)
 
         def counted(self, p, rhs, original=original):
-            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
-            return original(self, p, rhs)
+            if not depth:
+                columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            depth.append(1)
+            try:
+                return original(self, p, rhs)
+            finally:
+                depth.pop()
 
-        monkeypatch.setattr(AdvDiffInversionProblem, name, counted)
+        monkeypatch.setattr(cls, name, counted)
+    return columns
+
+
+def run_sample(tmp_path, problem, params, hdsa):
     cfg = parse_config({
-        "problem": {"name": "advdiff_inversion_1d", "params": {}},
-        "hdsa": {"n_samples": 1, "k_pairs": 12, "oversampling": 8,
-                 "power_iterations": 2, "seed": seed},
+        "problem": {"name": problem, "params": params},
+        "hdsa": {"n_samples": 1, **hdsa},
         "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
         "output_dir": str(tmp_path),
     })
     problem = cfg.build_problem()
-    res = analyze_sample(problem, cfg.build_plan(problem), cfg.randeig, 0, cfg.optimizer)
+    return analyze_sample(problem, cfg.build_plan(problem), cfg.randeig, 0, cfg.optimizer)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
+    """One default advection-diffusion sample solves 99 state and adjoint
+    right-hand sides at every seed: the n_z = 64 state solves of W, from
+    which the optimizer builds the reduced Hessian once, so the count does
+    not depend on theta, and one state and one adjoint solve for each of
+    the 16 KKT columns that assemble D."""
+    columns = counted_solve_columns(monkeypatch, AdvDiffInversionProblem)
+    res = run_sample(tmp_path, "advdiff_inversion_1d", {}, {
+        "k_pairs": 12, "oversampling": 8, "power_iterations": 2, "seed": seed
+    })
     assert res.svd == "exact"
     assert res.diagnostics.kkt_rhs == 16
-    assert sum(columns) == 195
+    assert sum(columns) == 99
+
+
+@pytest.mark.parametrize(
+    "params, hdsa, solves",
+    [
+        # the README quick start: 64 for W, 3 for the optimizer, 2 x 16 for D
+        ({"n_state": 64, "n_param": 16, "gamma": 0.01},
+         {"k_pairs": 4, "oversampling": 8, "seed": 0}, 99),
+        # 600 nodes, with a tapered amplitude that gives a spectral gap
+        ({"n_state": 600, "n_param": 16, "gamma": 0.01,
+          "amplitude": [0.2] * 4 + [0.005] * 12},
+         {"k_pairs": 4, "oversampling": 8, "seed": 1}, 635),
+    ],
+    ids=["quick start", "n_state 600"],
+)
+def test_diffusion_sample_solve_count(tmp_path, monkeypatch, params, hdsa, solves):
+    columns = counted_solve_columns(monkeypatch, DiffusionControlProblem)
+    res = run_sample(tmp_path, "diffusion_control_1d", params, hdsa)
+    assert res.svd == "exact"
+    assert res.diagnostics.kkt_rhs == 16
+    assert sum(columns) == solves
 
 
 def quick_start_sample(cfg):
@@ -290,7 +331,26 @@ def test_direct_set_indices_match_sigma_1(tmp_path):
         sets = {int(r["j"]): float(r["value"]) for r in csv.DictReader(fh)}
     assert sorted(sets) == sorted(sigma_1) == list(range(5))
     for j, value in sets.items():
-        assert value == pytest.approx(sigma_1[j], rel=1e-4)
+        assert value == pytest.approx(sigma_1[j], rel=1e-12)
+
+
+def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):
+    """Where D is assembled, each set's direct index is sigma_1 of its
+    columns of D, at no further KKT right-hand side."""
+    columns = []
+    solve = KktOperator.solve
+
+    def counted(self, rhs):
+        columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(KktOperator, "solve", counted)
+    res = quick_start_sample(
+        RandEigConfig(k_pairs=4, oversampling=8, seed=0, set_index_mode="direct")
+    )
+    assert res.svd == "exact"
+    assert sum(columns) == 16
+    assert res.sets["kappa"] == pytest.approx(res.triples[0].sigma, rel=1e-12)
 
 
 def test_quick_start_run_matches_dense_oracle(tmp_path):

@@ -8,6 +8,7 @@ from hdsa.linalg import (
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
+    matmul,
 )
 
 
@@ -68,6 +69,30 @@ class TestDense:
             dense_sym_eig(a)
         with pytest.raises(LinalgError):
             dense_sym_eig(a, vectors=False)
+
+    def test_sym_eig_rejects_small_antisymmetric_part_of_a_large_matrix(self):
+        a = random_spd(600, seed=13)
+        rng = np.random.default_rng(14)
+        b = rng.standard_normal((600, 600))
+        skew = b - b.T
+        # antisymmetric part 1e-10 relative to the matrix, above the 1e-12 gate
+        a = a + 1e-10 * np.linalg.norm(a) / np.linalg.norm(skew) * skew
+        with pytest.raises(LinalgError, match="not symmetric"):
+            dense_sym_eig(a, vectors=False)
+
+    def test_matmul_matches_numpy(self):
+        rng = np.random.default_rng(15)
+        a = np.asfortranarray(rng.standard_normal((40, 7)))
+        for b, trans in (
+            (rng.standard_normal(7), False),
+            (rng.standard_normal((7, 3)), False),
+            (rng.standard_normal(40), True),
+            (rng.standard_normal((40, 3)), True),
+        ):
+            ref = (a.T if trans else a) @ b
+            got = matmul(a, b, trans_a=trans)
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
     def test_svd_reconstruction(self):
         rng = np.random.default_rng(10)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hdsa.linalg as linalg
 import hdsa.operators as operators
@@ -13,8 +14,20 @@ from hdsa.operators import (
     SensitivityOperator,
     SolveError,
 )
-from hdsa.optimizer import OptimizerConfig, solve_optimization
-from hdsa.problems import build_diffusion_control_1d, build_logistic_toy
+from hdsa.optimizer import (
+    COMPUTE_ERRORS,
+    OptimizerConfig,
+    reduced_hessian_dense,
+    solve_adjoint,
+    solve_forward,
+    solve_optimization,
+)
+from hdsa.problems import (
+    EvalPoint,
+    build_advdiff_inversion_1d,
+    build_diffusion_control_1d,
+    build_logistic_toy,
+)
 from hdsa.randeig import RandEigConfig
 from hdsa.sampling import Distribution, SamplingPlan
 
@@ -33,6 +46,19 @@ def logistic_point():
     problem = build_logistic_toy()
     opt = solve_optimization(problem, np.array([0.5, 0.5]))
     return problem, opt.as_eval_point()
+
+
+@pytest.fixture(scope="module")
+def kkt_points(diffusion_point, logistic_point):
+    """Optimal points of the three problems; advection-diffusion on a grid
+    small enough for the dense KKT matrix (stacked dimension 336)."""
+    problem = build_advdiff_inversion_1d(n_space=16, n_steps=10)
+    opt = solve_optimization(problem, problem.default_theta())
+    return {
+        "diffusion": diffusion_point,
+        "advdiff": (problem, opt.as_eval_point()),
+        "logistic": logistic_point,
+    }
 
 
 class TestKktOperator:
@@ -59,30 +85,34 @@ class TestKktOperator:
         rhs = float(v @ op.apply(w))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("path", ["dense", "schur"])
-    def test_solve_paths_agree(self, diffusion_point, monkeypatch, path):
-        """Both paths agree, and solve() takes the one its dimension selects."""
-        problem, point = diffusion_point
+    @pytest.mark.parametrize("name", ["diffusion", "advdiff", "logistic"])
+    def test_elimination_matches_dense_solve(self, kkt_points, name):
+        problem, point = kkt_points[name]
         op = KktOperator(problem, point)
-        rhs = np.random.default_rng(3).standard_normal(op.dim)
-        x_dense, dense_stats = op._solve_dense(rhs)
-        x_schur, schur_stats = op._solve_schur(rhs)
-        assert dense_stats.converged and schur_stats.converged
-        atol = 1e-8 * np.linalg.norm(x_dense)
-        np.testing.assert_allclose(x_schur, x_dense, atol=atol)
+        k = op.dense()
+        rng = np.random.default_rng(3)
+        # the right-hand side of D^T w: only the z block is nonzero
+        dt_type = np.zeros(op.dim)
+        dt_type[op.n_u : op.n_u + op.n_z] = rng.standard_normal(op.n_z)
+        rhs = np.column_stack([rng.standard_normal((op.dim, 2)), dt_type])
+        for b in (rhs[:, 0], dt_type, rhs):
+            x, stats = op.solve(b)
+            ref = np.linalg.solve(k, b)
+            assert stats.backward_error <= KKT_TOL
+            np.testing.assert_allclose(x, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
-        threshold = op.dim if path == "dense" else op.dim - 1
-        monkeypatch.setattr(operators, "DENSE_THRESHOLD", threshold)
-        taken = []
-        for name in ("_solve_dense", "_solve_schur"):
-            method = getattr(op, name)
-            monkeypatch.setattr(
-                op, name, lambda b, n=name, m=method: taken.append(n) or m(b)
-            )
-        x, stats = op.solve(rhs)
-        assert taken == ["_solve_" + path]
-        assert stats.backward_error <= KKT_TOL
-        np.testing.assert_allclose(x, x_dense, atol=atol)
+    def test_indefinite_reduced_hessian_is_a_solve_error(self):
+        # the logistic toy's reduced Hessian is negative at z = -5
+        problem = build_logistic_toy()
+        theta = np.array([0.5, 0.5])
+        z = np.array([-5.0])
+        u = solve_forward(problem, z, theta)
+        point = EvalPoint(u, z, solve_adjoint(problem, u, z, theta), theta)
+        assert reduced_hessian_dense(problem, point)[0, 0] < 0.0
+        op = KktOperator(problem, point)
+        with pytest.raises(SolveError, match="not positive definite"):
+            op.solve(np.ones(op.dim))
+        assert isinstance(SolveError("x"), COMPUTE_ERRORS)
 
     def test_stalled_solve_raises(self, diffusion_point, monkeypatch):
         """A backward error just above KKT_TOL is not convergence."""
@@ -99,13 +129,12 @@ class TestKktOperator:
             monkeypatch.setattr(
                 op, "_schur_pass", lambda r: exact_pass(r) + scale * offset
             )
-            return op._solve_schur(rhs)[1]
+            return op._refine(rhs)[1]
 
         probe = stalled(1e-8)
         stats = stalled(1e-8 * 5 * KKT_TOL / probe.backward_error)
         assert KKT_TOL < stats.backward_error < 1e-9
         assert not stats.converged
-        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
         with pytest.raises(SolveError, match="backward error"):
             op.solve(rhs)
 
@@ -119,11 +148,8 @@ class TestKktOperator:
         r = np.linalg.norm(rhs - k @ x)
         assert r <= 1e-8 * (np.linalg.norm(k, 2) * np.linalg.norm(x))
 
-    @pytest.mark.parametrize("path", ["dense", "schur"])
-    def test_block_solve_equals_column_solves(self, diffusion_point, monkeypatch, path):
+    def test_block_solve_equals_column_solves(self, diffusion_point):
         problem, point = diffusion_point
-        if path == "schur":
-            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
         op = KktOperator(problem, point)
         rhs = np.random.default_rng(12).standard_normal((op.dim, 5))
         x, stats = op.solve(rhs)
@@ -145,17 +171,12 @@ class TestKktOperator:
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * op.dim * 5)
         np.testing.assert_allclose(op.dense(), by_columns, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("path", ["dense", "schur"])
-    def test_backward_error_independent_of_history(
-        self, diffusion_point, monkeypatch, path
-    ):
+    def test_backward_error_independent_of_history(self, diffusion_point):
         """A solve does not depend on which vectors the operator saw before."""
         problem, point = diffusion_point
         # the dominant eigenvector stretches more than any vector a solve
         # applies, so a running estimate of ||K|| would remember it
         evals, evecs = np.linalg.eigh(KktOperator(problem, point).dense())
-        if path == "schur":
-            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
         fresh = KktOperator(problem, point)
         used = KktOperator(problem, point)
         used.apply(evecs[:, np.argmax(np.abs(evals))])
@@ -168,20 +189,19 @@ class TestKktOperator:
 
 
 class TestSchurPath:
-    """A sample whose KKT system is above the dense threshold."""
+    """A sample's KKT elimination reuses the optimizer's W and factor."""
 
     @pytest.fixture
     def schur_sample(self, monkeypatch):
-        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
         calls = []
-        original = optimizer.reduced_hessian_dense
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(optimizer, "reduced_hessian_dense", counted)
-        monkeypatch.setattr(operators, "reduced_hessian_dense", counted)
+        for module in (optimizer, operators):
+            for name in ("reduced_hessian_dense", "state_sensitivity"):
+                original = getattr(optimizer, name)
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda *a, n=name, f=original: calls.append(n) or f(*a),
+                )
         problem = build_diffusion_control_1d(n_state=24, n_param=6)
         plan = SamplingPlan(
             theta_dists=[Distribution("uniform", -1.0, 1.0)] * 6,
@@ -194,23 +214,30 @@ class TestSchurPath:
 
         def run(opt_cfg):
             calls.clear()
-            return analyze_sample(problem, plan, cfg, 0, opt_cfg), len(calls)
+            return analyze_sample(problem, plan, cfg, 0, opt_cfg), sorted(calls)
 
         return run
 
-    def test_reduced_hessian_assembled_once(self, schur_sample):
-        res, n_calls = schur_sample(OptimizerConfig())
-        assert n_calls == 1
+    def test_reduced_hessian_assembled_once(self, schur_sample, monkeypatch):
+        factors = []
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(
+            scipy.linalg, "cho_factor", lambda *a, **k: factors.append(1) or cho_factor(*a, **k)
+        )
+        res, calls = schur_sample(OptimizerConfig())
+        assert calls == ["reduced_hessian_dense", "state_sensitivity"]
+        assert len(factors) == 1
         assert res.optimal.sosc_min_eig > 0.0
-        # the sample result does not keep the matrix
-        assert res.optimal.reduced_hessian is None
+        # the sample result keeps neither W nor the factor
+        assert res.optimal.state_sensitivity is None
+        assert res.optimal.hessian_factor is None
 
     def test_works_without_sosc_check(self, schur_sample):
         with_sosc, _ = schur_sample(OptimizerConfig())
-        without, n_calls = schur_sample(OptimizerConfig(check_sosc=False))
-        # the optimizer still assembles the matrix for its Newton steps, and
-        # the elimination reuses it: same bits, still one assembly
-        assert n_calls == 1
+        without, calls = schur_sample(OptimizerConfig(check_sosc=False))
+        # the optimizer still forms W and H for its Newton steps, and the
+        # elimination reuses them: same bits, still one assembly
+        assert calls == ["reduced_hessian_dense", "state_sensitivity"]
         assert np.isnan(without.optimal.sosc_min_eig)
         np.testing.assert_array_equal(without.sigmas, with_sosc.sigmas)
 
@@ -261,11 +288,8 @@ class TestSensitivityOperator:
         cols = np.column_stack([sens.apply(e) for e in np.eye(sens.n_theta)])
         np.testing.assert_allclose(d, cols, rtol=0, atol=1e-9 * np.abs(d).max())
 
-    @pytest.mark.parametrize("path", ["dense", "schur"])
-    def test_block_apply_in_capped_chunks(self, diffusion_point, monkeypatch, path):
+    def test_block_apply_in_capped_chunks(self, diffusion_point, monkeypatch):
         problem, point = diffusion_point
-        if path == "schur":
-            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 0)
         sens = SensitivityOperator(problem, point)
         # two columns per KKT solve, so a 5-column block goes as 2, 2 and 1
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * 8 * sens.kkt.dim)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdsa.optimizer import (
     OptimizerConfig,
@@ -11,6 +12,7 @@ from hdsa.optimizer import (
     solve_adjoint,
     solve_forward,
     solve_optimization,
+    state_sensitivity,
 )
 from hdsa.problems import (
     DiffusionControlProblem,
@@ -120,8 +122,41 @@ class TestReducedHessian:
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         assert check_sosc(h) > 0.0
         assert abs(check_sosc(h) - np.linalg.eigvalsh(h)[0]) <= 1e-12 * np.linalg.norm(h)
-        # the optimizer hands on the matrix it certified
-        np.testing.assert_array_equal(opt.reduced_hessian, h)
+        # the optimizer hands on W and the factor of the matrix it certified
+        np.testing.assert_array_equal(
+            opt.state_sensitivity, state_sensitivity(p, opt.as_eval_point())
+        )
+        c, lower = opt.hessian_factor
+        assert not lower
+        np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_diffusion_control_1d(n_state=24, n_param=6),
+            build_advdiff_inversion_1d,
+            build_logistic_toy,
+        ],
+        ids=["diffusion", "advdiff", "logistic"],
+    )
+    def test_null_space_form_matches_matvec_columns(self, build):
+        # H from W = -c_u^{-1} c_z against the state and adjoint solve per
+        # column of reduced_hessian_matvec
+        p = build()
+        rng = np.random.default_rng(9)
+        d = p.dims
+        pt = EvalPoint(
+            solve_forward(p, np.zeros(d.n_z), p.default_theta()),
+            rng.standard_normal(d.n_z),
+            rng.standard_normal(d.n_lambda),
+            p.default_theta(),
+        )
+        ref = reduced_hessian_matvec(p, pt, np.eye(d.n_z))
+        h = reduced_hessian_dense(p, pt)
+        assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
+        w = state_sensitivity(p, pt)
+        assert w.flags.f_contiguous
+        np.testing.assert_array_equal(reduced_hessian_dense(p, pt, w), h)
 
 
 class TestConstantReducedHessian:
@@ -137,21 +172,22 @@ class TestConstantReducedHessian:
         d = p.dims
         rng = np.random.default_rng(8)
         theta = 0.2 * rng.standard_normal(d.n_theta)
-        h1, h2 = (
-            reduced_hessian_dense(
-                p,
-                EvalPoint(
-                    rng.standard_normal(d.n_u),
-                    rng.standard_normal(d.n_z),
-                    rng.standard_normal(d.n_lambda),
-                    theta,
-                ),
+        points = [
+            EvalPoint(
+                rng.standard_normal(d.n_u),
+                rng.standard_normal(d.n_z),
+                rng.standard_normal(d.n_lambda),
+                theta,
             )
             for _ in range(2)
-        )
+        ]
+        h1, h2 = (reduced_hessian_dense(p, pt) for pt in points)
         gap = np.linalg.norm(h1 - h2) / np.linalg.norm(h1)
         if p.constant_reduced_hessian:
             assert gap <= 1e-12
+            # the optimizer then forms W once as well
+            w1, w2 = (state_sensitivity(p, pt) for pt in points)
+            assert np.linalg.norm(w1 - w2) <= 1e-12 * np.linalg.norm(w1)
         else:
             assert gap > 1e-6
 

@@ -194,7 +194,9 @@ def sample_operator(problem, j=0):
     )
     theta, init = plan.sample(j)
     opt = solve_optimization(problem, theta, init)
-    return SensitivityOperator(problem, opt.as_eval_point(), opt.reduced_hessian)
+    return SensitivityOperator(
+        problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+    )
 
 
 class TestTripleResiduals:
@@ -291,7 +293,9 @@ class TestExactTriples:
         )
 
     def test_diagnostics(self, exact_case):
-        problem, sens, cfg = exact_case
+        problem, _, cfg = exact_case
+        # a fresh operator: D, once assembled, is kept and costs no solve
+        sens = sample_operator(problem)
         triples, diag = exact_triples(sens, problem.spaces, cfg)
         # one KKT column per parameter, in blocks of the capped width
         width = block_width(sens.kkt.dim)
@@ -334,8 +338,11 @@ def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
         return v
 
     monkeypatch.setattr(randeig, "probe_vector", record)
-    cfg = RandEigConfig(k_pairs=2, oversampling=2, seed=4, set_index_mode="direct")
-    triples = dense_oracle(sens, problem.spaces)[:2]
+    # 3 sampled columns against 8 for D: the randomized path, which draws probes
+    cfg = RandEigConfig(
+        k_pairs=1, oversampling=0, power_iterations=0, seed=4, set_index_mode="direct"
+    )
+    triples = dense_oracle(sens, problem.spaces)[:1]
     set_indices(triples, problem.spaces, problem.spaces.partition, mode="direct",
                 sens_op=sens, cfg=cfg, sample_index=0)
     set_probe = drawn[0]
