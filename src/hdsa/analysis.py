@@ -224,7 +224,7 @@ def perturbation_check(
         return PerturbationCheck(0.0, 0.0, 0.0, 1.0)
     from .sampling import InitialIterate
 
-    warm = InitialIterate(point.u0.copy(), point.z0.copy(), provenance="fixed-zero")
+    warm = InitialIterate(point.u0.copy(), point.z0.copy())
     moved = solve_optimization(problem, point.theta0 + delta * phi, warm, opt_cfg)
     lhs = spaces.m_z.norm(moved.z0 - point.z0)
     ratio = lhs / prediction if prediction > 0 else np.inf

@@ -45,6 +45,18 @@ class OptimizerConfig:
     min_step: float = 1e-14
     check_sosc: bool = True
 
+    # max_iter and stationarity_tol are not checked: a caller may force a
+    # failure with max_iter=0
+    def __post_init__(self):
+        if not self.forward_tol > 0:
+            raise OptimizerError("forward_tol must be positive")
+        if self.forward_max_iter < 1:
+            raise OptimizerError("forward_max_iter must be at least 1")
+        if not 0 < self.armijo_c1 < 1:
+            raise OptimizerError("armijo_c1 must lie in (0, 1)")
+        if not self.min_step > 0:
+            raise OptimizerError("min_step must be positive")
+
 
 @dataclass
 class OptimalPoint:
@@ -77,8 +89,8 @@ def solve_forward(
     z: np.ndarray,
     theta: np.ndarray,
     u_guess: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = OptimizerConfig.forward_tol,
+    max_iter: int = OptimizerConfig.forward_max_iter,
 ) -> np.ndarray:
     """Newton with backtracking on c(u, z, theta) = 0, to the normwise
     backward error ||c|| <= tol ||s||, with s the summed magnitudes of the

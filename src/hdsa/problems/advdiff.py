@@ -52,6 +52,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
         data_refine: int = 2,
         true_source: dict | None = None,
     ):
+        window = tuple(window)  # a JSON config gives a list
         if eps0 <= 0:
             raise ProblemError("nominal diffusion coefficient must be positive")
         if not (0.0 <= window[0] < window[1] <= t_final):
@@ -388,6 +389,4 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def build_advdiff_inversion_1d(**kwargs) -> AdvDiffInversionProblem:
-    if "window" in kwargs and isinstance(kwargs["window"], list):
-        kwargs["window"] = tuple(kwargs["window"])
     return AdvDiffInversionProblem(**kwargs)

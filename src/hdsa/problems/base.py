@@ -53,12 +53,6 @@ class SetPartition:
         if covered != list(range(n_theta)):
             raise ProblemError("partition does not cover all parameter coordinates")
 
-    def indices(self, name: str) -> np.ndarray:
-        for set_name, start, stop in self.sets:
-            if set_name == name:
-                return np.arange(start, stop)
-        raise ProblemError(f"unknown partition set {name!r}")
-
     @property
     def names(self) -> list[str]:
         return [name for name, _, _ in self.sets]
@@ -198,9 +192,6 @@ class ProblemDefinition(ABC):
 
     def lagrangian_grad_z(self, p: EvalPoint) -> np.ndarray:
         return self.obj_grad_z(p.u, p.z, p.theta) + self.c_z_adj(p, p.lam)
-
-    def lagrangian_grad_theta(self, p: EvalPoint) -> np.ndarray:
-        return self.obj_grad_theta(p.u, p.z, p.theta) + self.c_theta_adj(p, p.lam)
 
 
 @dataclass

@@ -54,6 +54,10 @@ class RandEigConfig:
             raise LinalgError("oversampling must be nonnegative")
         if self.n_samples < 1:
             raise LinalgError("n_samples must be at least 1")
+        if self.power_iterations < 0:
+            raise LinalgError("power_iterations must be nonnegative")
+        if self.seed < 0:
+            raise LinalgError("seed must be nonnegative")
         if self.set_index_mode not in ("truncated", "direct"):
             raise LinalgError(f"unknown set_index_mode {self.set_index_mode!r}")
 

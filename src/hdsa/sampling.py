@@ -7,7 +7,7 @@ scheduling and reduction order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ SQUARED_PROBE_STREAM = 4  # (SQUARED_PROBE_STREAM, j, i): squared formulation
 SET_PROBE_STREAM = 5  # (SET_PROBE_STREAM, j, set, i): direct set indices
 KKT_NORM_STREAM = 6  # (KKT_NORM_STREAM,): probes of the KKT norm estimate
 
+INIT_MODES = ("zero", "seeded-random")
+
 
 def rng_for(master_seed: int, *key: int) -> np.random.Generator:
     """Generator deterministically keyed by (master_seed, *key)."""
@@ -35,19 +37,19 @@ def rng_for(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-coordinate scalar distribution: uniform[a, b] or normal(mu, sigma)."""
+    """Per-coordinate scalar distribution: uniform[a, b] or normal(mu=a, sigma=b)."""
 
-    kind: str
-    a: float = 0.0
+    kind: str = "uniform"
+    a: float = -1.0
     b: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("uniform", "normal"):
-            raise SamplingError(f"unknown distribution {self.kind!r}")
+            raise SamplingError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "uniform" and self.b < self.a:
             raise SamplingError("uniform distribution needs b >= a")
         if self.kind == "normal" and self.b < 0:
-            raise SamplingError("normal distribution needs sigma >= 0")
+            raise SamplingError("normal distribution needs sigma b >= 0")
 
     def draw(self, rng: np.random.Generator) -> float:
         if self.kind == "uniform":
@@ -56,29 +58,19 @@ class Distribution:
             return float(rng.uniform(self.a, self.b))
         return float(self.a + self.b * rng.standard_normal())
 
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b) if self.kind == "uniform" else self.a
-
-    @property
-    def std(self) -> float:
-        if self.kind == "uniform":
-            return (self.b - self.a) / np.sqrt(12.0)
-        return self.b
-
 
 @dataclass
 class SamplingPlan:
     """Distributions for theta coordinates plus the initial-iterate mode."""
 
     theta_dists: list[Distribution]
-    init_mode: str = "zero"  # "zero" | "seeded-random"
+    init_mode: str = "zero"  # one of INIT_MODES
     master_seed: int = 0
     n_u: int = 0
     n_z: int = 0
 
     def __post_init__(self):
-        if self.init_mode not in ("zero", "seeded-random"):
+        if self.init_mode not in INIT_MODES:
             raise SamplingError(f"unknown initial-iterate mode {self.init_mode!r}")
 
     def sample(self, j: int) -> tuple[np.ndarray, "InitialIterate"]:
@@ -86,17 +78,11 @@ class SamplingPlan:
         rng = rng_for(self.master_seed, THETA_STREAM, j)
         theta = np.array([d.draw(rng) for d in self.theta_dists])
         if self.init_mode == "zero":
-            init = InitialIterate(
-                u_init=np.zeros(self.n_u),
-                z_init=np.zeros(self.n_z),
-                provenance="fixed-zero",
-            )
+            init = InitialIterate(np.zeros(self.n_u), np.zeros(self.n_z))
         else:
             init_rng = rng_for(self.master_seed, INIT_STREAM, j)
             init = InitialIterate(
-                u_init=init_rng.standard_normal(self.n_u),
-                z_init=init_rng.standard_normal(self.n_z),
-                provenance="seeded-random",
+                init_rng.standard_normal(self.n_u), init_rng.standard_normal(self.n_z)
             )
         return theta, init
 
@@ -105,7 +91,6 @@ class SamplingPlan:
 class InitialIterate:
     u_init: np.ndarray
     z_init: np.ndarray
-    provenance: str = "fixed-zero"
 
 
 def probe_vector(

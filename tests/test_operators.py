@@ -18,15 +18,18 @@ from hdsa.optimizer import (
     COMPUTE_ERRORS,
     OptimizerConfig,
     reduced_hessian_dense,
+    reduced_hessian_matvec,
     solve_adjoint,
     solve_forward,
     solve_optimization,
 )
 from hdsa.problems import (
+    DiffusionControlProblem,
     EvalPoint,
     build_advdiff_inversion_1d,
     build_diffusion_control_1d,
     build_logistic_toy,
+    check_derivatives,
 )
 from hdsa.randeig import RandEigConfig
 from hdsa.sampling import Distribution, SamplingPlan
@@ -48,16 +51,48 @@ def logistic_point():
     return problem, opt.as_eval_point()
 
 
+class CoupledDiffusion(DiffusionControlProblem):
+    """Diffusion control plus beta u^T M z: the built-in problems all have
+    L_uz = L_zu = 0, this one has beta M. With gamma > beta^2 the Hessian of
+    the objective in (u, z) stays positive definite."""
+
+    beta = 0.05
+
+    def objective(self, u, z, theta):
+        return super().objective(u, z, theta) + self.beta * u @ self._apply_mass(z)
+
+    def obj_grad_u(self, u, z, theta):
+        return super().obj_grad_u(u, z, theta) + self.beta * self._apply_mass(z)
+
+    def obj_grad_z(self, u, z, theta):
+        return super().obj_grad_z(u, z, theta) + self.beta * self._apply_mass(u)
+
+    def l_uz(self, p, v):
+        return self.beta * self._apply_mass(v)
+
+    def l_zu(self, p, v):
+        return self.beta * self._apply_mass(v)
+
+
 @pytest.fixture(scope="module")
-def kkt_points(diffusion_point, logistic_point):
-    """Optimal points of the three problems; advection-diffusion on a grid
-    small enough for the dense KKT matrix (stacked dimension 336)."""
+def coupled_point():
+    problem = CoupledDiffusion(n_state=24, n_param=6)
+    theta = 0.2 * np.random.default_rng(5).standard_normal(6)
+    return problem, solve_optimization(problem, theta).as_eval_point()
+
+
+@pytest.fixture(scope="module")
+def kkt_points(diffusion_point, logistic_point, coupled_point):
+    """Optimal points of the three problems and of the coupled one;
+    advection-diffusion on a grid small enough for the dense KKT matrix
+    (stacked dimension 336)."""
     problem = build_advdiff_inversion_1d(n_space=16, n_steps=10)
     opt = solve_optimization(problem, problem.default_theta())
     return {
         "diffusion": diffusion_point,
         "advdiff": (problem, opt.as_eval_point()),
         "logistic": logistic_point,
+        "coupled": coupled_point,
     }
 
 
@@ -85,7 +120,7 @@ class TestKktOperator:
         rhs = float(v @ op.apply(w))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("name", ["diffusion", "advdiff", "logistic"])
+    @pytest.mark.parametrize("name", ["diffusion", "advdiff", "logistic", "coupled"])
     def test_elimination_matches_dense_solve(self, kkt_points, name):
         problem, point = kkt_points[name]
         op = KktOperator(problem, point)
@@ -186,6 +221,34 @@ class TestKktOperator:
         np.testing.assert_array_equal(x_fresh, x_used)
         assert stats_fresh == stats_used
 
+
+
+class TestCoupledObjective:
+    """The L_zu and L_uz terms of the null-space Hessian and the elimination."""
+
+    def test_derivatives(self, coupled_point):
+        problem, point = coupled_point
+        report = check_derivatives(problem, point, h=1e-4)
+        assert report.passed, report.failures()
+        v = np.random.default_rng(6).standard_normal(problem.dims.n_u)
+        assert np.linalg.norm(problem.l_zu(point, v)) > 1e-3 * np.linalg.norm(v)
+
+    def test_null_space_form_matches_matvec_columns(self, coupled_point):
+        problem, point = coupled_point
+        ref = reduced_hessian_matvec(problem, point, np.eye(problem.dims.n_z))
+        h = reduced_hessian_dense(problem, point)
+        assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_one_elimination_pass_is_exact(self, coupled_point):
+        # refinement against apply() mends a wrong L_zu or L_uz term of the
+        # pass, so solve() alone cannot see one
+        problem, point = coupled_point
+        op = KktOperator(problem, point)
+        b = np.random.default_rng(7).standard_normal((op.dim, 3))
+        ref = np.linalg.solve(op.dense(), b)
+        np.testing.assert_allclose(
+            op._schur_pass(b), ref, rtol=0, atol=1e-8 * np.abs(ref).max()
+        )
 
 
 class TestSchurPath:

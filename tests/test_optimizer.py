@@ -221,7 +221,6 @@ class TestSolveOptimization:
         init = InitialIterate(
             u_init=rng.standard_normal(24),
             z_init=rng.standard_normal(24),
-            provenance="seeded-random",
         )
         opt_rand = solve_optimization(p, theta, init)
         np.testing.assert_allclose(opt_rand.z0, opt_zero.z0, atol=1e-6)
