@@ -133,6 +133,7 @@ def write_bundle(
                 "objective": s.optimal.objective,
                 "kkt_solves": s.diagnostics.kkt_solves,
                 "kkt_rhs": s.diagnostics.kkt_rhs,
+                "kkt_backward_error": s.diagnostics.kkt_backward_error,
                 "triple_residuals": [
                     float(v) for v in s.diagnostics.triple_residuals
                 ],
@@ -185,7 +186,7 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
 
 def render_report(manifest: dict, report: dict) -> str:
     """Plain-text tables: set indices, top parameter indices, spectral decay
-    with each sample's SVD path and worst triple residual."""
+    with each sample's SVD path, worst triple residual and KKT check."""
     lines: list[str] = []
     n_done = report["n_samples_completed"]
     lines.append(
@@ -216,12 +217,12 @@ def render_report(manifest: dict, report: dict) -> str:
     lines.append("")
 
     lines.append(
-        "spectral decay sigma_K / sigma_1, SVD path and worst triple residual "
-        "per sample"
+        "spectral decay sigma_K / sigma_1, SVD path, worst triple residual and "
+        "KKT backward error per sample"
     )
     lines.append(
         f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}{'svd':>12}"
-        f"{'worst_resid':>16}"
+        f"{'worst_resid':>16}{'kkt_bwd_err':>16}"
     )
     for s in report["samples"]:
         sig = s["sigmas"]
@@ -230,5 +231,6 @@ def render_report(manifest: dict, report: dict) -> str:
                 f"{s['j']:<8}{sig[0]:>16.6e}{sig[-1]:>16.6e}"
                 f"{s['spectral_decay']:>16.6e}{s['svd']:>12}"
                 f"{max(s['triple_residuals']):>16.6e}"
+                f"{s.get('kkt_backward_error', float('nan')):>16.6e}"
             )
     return "\n".join(lines) + "\n"

@@ -4,9 +4,9 @@ The schema is strict: unknown keys are rejected and ranges are checked before
 any compute starts. The `optimizer`, `hdsa` and `sampling.distribution`
 sections take their keys, value types and defaults from the fields of
 `OptimizerConfig`, `RandEigConfig` and `Distribution`, and their range checks
-from those classes; `problem.params` takes its keys from the problem class's
-constructor. The environment variable HDSA_SEED, when set, overrides the
-configured master seed.
+from those classes; `problem.params` takes its keys and scalar types from the
+problem class's constructor, which checks the rest. HDSA_SEED, when set,
+overrides the configured master seed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from .linalg import LinalgError
 from .optimizer import OptimizerConfig, OptimizerError
 from .problems.advdiff import AdvDiffInversionProblem
-from .problems.base import ProblemDefinition
+from .problems.base import ProblemDefinition, ProblemError
 from .problems.diffusion import DiffusionControlProblem
 from .problems.logistic import LogisticToyProblem
 from .randeig import RandEigConfig
@@ -92,7 +92,7 @@ class RunConfig:
     def build_problem(self) -> ProblemDefinition:
         try:
             return PROBLEMS[self.problem_name](**self.problem_params)
-        except Exception as exc:
+        except ProblemError as exc:
             raise ConfigError(f"problem construction failed: {exc}") from exc
 
     def build_plan(self, problem: ProblemDefinition) -> SamplingPlan:
@@ -123,9 +123,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if name not in PROBLEMS:
         raise ConfigError(f"problem.name must be one of {sorted(PROBLEMS)}, got {name!r}")
     params = _section(prob, "params", "problem")
-    _require_keys(
-        params, inspect.signature(PROBLEMS[name]).parameters, f"problem.params ({name})"
-    )
+    # a param whose annotation names just the type of its default (int, float,
+    # bool) takes that type; the constructor checks the others
+    sig = inspect.signature(PROBLEMS[name]).parameters.values()
+    kinds = {
+        p.name: type(p.default) if p.annotation == type(p.default).__name__ else None
+        for p in sig
+    }
+    _require_keys(params, kinds, f"problem.params ({name})")
+    params = {k: v if kinds[k] is None else _typed(v, kinds[k], f"problem.params.{k}")
+              for k, v in params.items()}
 
     opt = _build(OptimizerConfig, _section(raw, "optimizer"), "optimizer")
     # the library takes these to force a failure on purpose; a run never wants one
@@ -167,7 +174,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     return RunConfig(
         problem_name=name,
-        problem_params=dict(params),
+        problem_params=params,
         optimizer=opt,
         randeig=randeig,
         distribution=dist,

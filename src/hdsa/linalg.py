@@ -63,12 +63,10 @@ class SolveError(Exception):
 
 @dataclass
 class SolverStats:
-    """One solve call: most sweeps and worst backward error over its columns."""
+    """One solve call: elimination passes and worst backward error of its columns."""
 
     iterations: int
     backward_error: float
-    converged: bool
-    n_rhs: int = 1
 
 
 def check_operand(v: np.ndarray, dim: int, what: str = "operand") -> None:

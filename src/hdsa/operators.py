@@ -1,8 +1,9 @@
 """KKT, parameter-Jacobian, and sensitivity operators at an optimal point.
 
 The sensitivity operator maps a parameter perturbation to the first-order
-change of the optimal optimization variable: extract the z-block of the KKT
-solve against the negated Lagrangian cross-derivatives.
+change of the optimal optimization variable: the z-block of the KKT solve
+against the negated Lagrangian cross-derivatives, from the forward half of
+the block elimination alone; its transpose takes the backward half.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from .optimizer import factor_reduced_hessian, reduced_hessian_dense, state_sens
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
 from .sampling import KKT_NORM_STREAM, rng_for
 
-# A KKT solve has converged when its normwise backward error is at most this.
+# A KKT solve is accepted when its normwise backward error is at most this.
 KKT_TOL = 1e-10
 
-# Probe columns of the fixed block that estimates ||K|| for the backward error.
+# Probe columns of the fixed blocks that estimate ||K|| and check each operator.
 NORM_PROBES = 4
-
-# Elimination passes, the first included, that refinement may take per column.
-MAX_SWEEPS = 5
 
 
 class KktOperator:
@@ -43,7 +41,8 @@ class KktOperator:
     the reduced Hessian H, with W = -c_u^{-1} c_z; ``state_sensitivity`` and
     ``hessian_factor`` may pass in the W and the Cholesky factor of H that
     the optimizer computed at the point, and are formed on the first solve
-    otherwise. ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r).
+    otherwise. ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r);
+    ``solve_z`` and ``solve_from_z`` run the forward and the backward half.
     """
 
     def __init__(
@@ -62,6 +61,7 @@ class KktOperator:
         self._factor = hessian_factor
         self._norm_est = None
         self.solve_stats: list[SolverStats] = []
+        self.rhs_columns = 0
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (
@@ -100,20 +100,20 @@ class KktOperator:
         return k
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolverStats]:
-        """Solve K x = rhs for a vector or for every column of a block.
-
-        The stats describe the whole call: the most refinement sweeps of any
-        column and the worst backward error.
-        """
+        """Solve K x = rhs, a vector or every column of a block, in one
+        elimination pass whose worst backward error must be ``KKT_TOL``."""
         check_operand(rhs, self.dim, "KKT solve")
-        x, stats = self._refine(rhs)
-        if not stats.converged:
-            raise SolveError(
-                f"KKT solve did not reach backward error {KKT_TOL:g}: "
-                f"{stats.backward_error:.3e} after {stats.iterations} sweeps"
-            )
+        x = self._backward(self.split(rhs)[0], *self.solve_z(rhs))
+        err = float(self._backward_errors(x, rhs).max())
+        if err > KKT_TOL:
+            raise SolveError(f"KKT solve did not reach backward error {KKT_TOL:g}: {err:.3e}")
+        stats = SolverStats(1, err)
         self.solve_stats.append(stats)
         return x, stats
+
+    def work(self) -> tuple[int, int]:
+        """(solve calls, columns of every elimination pass, full or half)."""
+        return len(self.solve_stats), self.rhs_columns
 
     def _norm_estimate(self) -> float:
         """Lower bound on ||K|| from a fixed probe block, computed once.
@@ -146,58 +146,43 @@ class KktOperator:
         # a zero right-hand side is solved exactly by x = 0
         return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=rhs_norm > 0.0)
 
-    def _refine(self, rhs):
-        """Iterative refinement of the elimination pass against ``apply``,
-        which recovers the accuracy that the widely spread block scales cost.
-
-        Only the columns whose backward error is still above ``KKT_TOL`` get
-        another sweep, so each column costs what a solve of it alone costs.
-        """
-        x = self._schur_pass(rhs)
-        err = self._backward_errors(x, rhs)
-        sweeps = 1
-        while sweeps < MAX_SWEEPS:
-            todo = np.flatnonzero(err > KKT_TOL)
-            if todo.size == 0:
-                break
-            cols = (slice(None), todo) if rhs.ndim == 2 else slice(None)
-            x_c = x[cols] + self._schur_pass(rhs[cols] - self.apply(x[cols]))
-            x[cols] = x_c
-            err[todo] = self._backward_errors(x_c, rhs[cols])
-            sweeps += 1
-        worst = float(err.max())
-        n_rhs = rhs.shape[1] if rhs.ndim == 2 else 1
-        return x, SolverStats(sweeps, worst, worst <= KKT_TOL, n_rhs)
-
-    def _schur_pass(self, rhs: np.ndarray) -> np.ndarray:
-        """One block elimination. With S = c_u^{-1} and s = S b_l:
-          dz = H^{-1} (b_z - L_zu s + W^T (b_u - L_uu s))
-          du = s + W dz
-          dl = S^T (b_u - L_uu du - L_uz dz)
-        one state and one adjoint solve per column.
-        """
+    def _hessian_factor(self) -> tuple:
         p, pt = self.problem, self.point
         if self._factor is None:
             if self._w is None:
                 self._w = state_sensitivity(p, pt)
             self._factor = factor_reduced_hessian(reduced_hessian_dense(p, pt, self._w))
             if self._factor is None:
-                raise SolveError(
-                    "KKT elimination: the reduced Hessian is not positive definite"
-                )
+                raise SolveError("KKT elimination: the reduced Hessian is not positive definite")
+        return self._factor
+
+    def solve_z(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Forward half of the elimination, one state solve per column: with
+        S = c_u^{-1}, s = S b_l and the z-block of K^{-1} rhs,
+        dz = H^{-1} (b_z - L_zu s + W^T (b_u - L_uu s))."""
+        p, pt = self.problem, self.point
+        factor = self._hessian_factor()
+        self.rhs_columns += rhs.size // self.dim
         b_u, b_z, b_l = self.split(rhs)
-        out = np.empty(rhs.shape)
-        du, dz, dl = self.split(out)
         s = p.state_jacobian_solve(pt, b_l)
         red = matmul(self._w, b_u - p.l_uu(pt, s), trans_a=True)
         red += b_z
         red -= p.l_zu(pt, s)
-        dz[...] = scipy.linalg.cho_solve(self._factor, red)
-        du[...] = s + matmul(self._w, dz)
-        dl[...] = p.state_jacobian_adjoint_solve(
-            pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz)
-        )
-        return out
+        return s, scipy.linalg.cho_solve(factor, red)
+
+    def solve_from_z(self, w: np.ndarray) -> np.ndarray:
+        """K^{-1} P^T w for w in z-space: s = 0, dz = H^{-1} w and the
+        backward half, one adjoint solve per column."""
+        self.rhs_columns += w.size // self.n_z
+        return self._backward(0.0, 0.0, scipy.linalg.cho_solve(self._hessian_factor(), w))
+
+    def _backward(self, b_u, s, dz: np.ndarray) -> np.ndarray:
+        """Backward half: the stacked (du, dz, dl) with du = s + W dz and
+        dl = S^T (b_u - L_uu du - L_uz dz)."""
+        p, pt = self.problem, self.point
+        du = s + matmul(self._w, dz)
+        dl = p.state_jacobian_adjoint_solve(pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz))
+        return np.concatenate([du, dz, dl])
 
 
 class ParamJacobianOperator:
@@ -218,10 +203,7 @@ class ParamJacobianOperator:
 
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
         p, pt = self.problem, self.point
-        d = p.dims
-        wu = w[: d.n_u]
-        wz = w[d.n_u : d.n_u + d.n_z]
-        wl = w[d.n_u + d.n_z :]
+        wu, wz, wl = np.split(w, [p.dims.n_u, p.dims.n_u + p.dims.n_z])
         return -(
             p.l_utheta_adj(pt, wu) + p.l_ztheta_adj(pt, wz) + p.c_theta_adj(pt, wl)
         )
@@ -231,8 +213,8 @@ class SensitivityOperator:
     """Frechet derivative of the optimal z with respect to the parameters.
 
     ``apply`` and ``apply_transpose`` take a vector or a block of columns. A
-    block goes through the KKT solver ``block_width(n_stacked)`` columns at a
-    time, which caps the stacked arrays that one solve forms.
+    block goes through the KKT elimination ``block_width(n_stacked)`` columns
+    at a time, which caps the stacked arrays that one pass forms.
     """
 
     def __init__(
@@ -252,18 +234,13 @@ class SensitivityOperator:
         self.n_z = d.n_z
         self._dense = None
 
-    def _z_block(self, v: np.ndarray) -> np.ndarray:
-        d = self.problem.dims
-        return v[d.n_u : d.n_u + d.n_z]
-
-    def _inject_z(self, w: np.ndarray) -> np.ndarray:
-        d = self.problem.dims
-        out = np.zeros((d.n_stacked,) + w.shape[1:])
-        out[d.n_u : d.n_u + d.n_z] = w
-        return out
-
     def _by_chunks(self, v: np.ndarray, n_out: int, solve) -> np.ndarray:
-        """``solve`` on a vector, or on a block in capped column chunks."""
+        """``solve`` on a vector, or on a block in capped column chunks. The
+        first call checks the operator by one ``KktOperator.solve`` of
+        K x = B Phi for a fixed probe block Phi, the right-hand sides D sees."""
+        if not self.kkt.solve_stats:
+            phi = rng_for(0, KKT_NORM_STREAM, 1).standard_normal((self.n_theta, NORM_PROBES))
+            self.kkt.solve(self.b.apply(phi))
         if v.ndim == 1:
             return solve(v)
         out = np.empty((n_out, v.shape[1]))
@@ -273,19 +250,16 @@ class SensitivityOperator:
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """D phi = P K^{-1} B phi (one KKT right-hand side per column)."""
+        """D phi = P K^{-1} B phi: the forward half, one state solve per column."""
         check_operand(phi, self.n_theta, "sensitivity operator")
-        return self._by_chunks(
-            phi, self.n_z, lambda c: self._z_block(self.kkt.solve(self.b.apply(c))[0])
-        )
+        return self._by_chunks(phi, self.n_z, lambda c: self.kkt.solve_z(self.b.apply(c))[1])
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        """Euclidean transpose D^T w = B^T K^{-1} P^T w (one right-hand side per column)."""
+        """Euclidean transpose D^T w = B^T K^{-1} P^T w: the backward half, one
+        adjoint solve per column."""
         check_operand(w, self.n_z, "sensitivity transpose")
         return self._by_chunks(
-            w,
-            self.n_theta,
-            lambda c: self.b.apply_adjoint(self.kkt.solve(self._inject_z(c))[0]),
+            w, self.n_theta, lambda c: self.b.apply_adjoint(self.kkt.solve_from_z(c))
         )
 
     def dense(self) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from ..linalg import SpdOperator
-from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces
+from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import (
     advection_matrix_neumann,
     evaluate_preset,
@@ -52,13 +52,15 @@ class AdvDiffInversionProblem(ProblemDefinition):
         data_refine: int = 2,
         true_source: dict | None = None,
     ):
-        window = tuple(window)  # a JSON config gives a list
+        window = number_array(window, "window")
         if eps0 <= 0:
             raise ProblemError("nominal diffusion coefficient must be positive")
-        if not (0.0 <= window[0] < window[1] <= t_final):
-            raise ProblemError("source window must lie inside (0, t_final)")
+        if len(window) != 2 or not (0.0 <= window[0] < window[1] <= t_final):
+            raise ProblemError("source window must be two times inside (0, t_final)")
         if n_window < 2:
             raise ProblemError("need at least 2 source-window parameters")
+        if min(n_steps, obs_every) < 1 or data_seed < 0:
+            raise ProblemError("n_steps and obs_every must be positive, data_seed nonnegative")
         self.n_space = n_space
         self.n_steps = n_steps
         self.t_final = t_final
@@ -100,7 +102,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
 
         if sensors is None:
             sensors = list(np.linspace(0.0, 1.0, 11))
-        self.sensors = np.asarray(sensors, dtype=float)
+        self.sensors = number_array(sensors, "sensors")
         self._s_obs = hat_interpolation(self.sensors, n_space)
         self.obs_steps = np.arange(0, n_steps, obs_every)  # 0-based step indices
         self.n_sensors = self.sensors.shape[0]
@@ -127,8 +129,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
             "width": 0.05,
             "amplitude": 1.0,
         }
+        self.true_source = evaluate_preset(true_source, self.x_nodes, "true_source")
         self._true_source_spec = dict(true_source)
-        self.true_source = evaluate_preset(true_source, self.x_nodes)
         self.data = self._generate_data(max(1, data_refine))
 
     # Coefficients -----------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -12,6 +13,15 @@ from ..linalg import SpdOperator
 
 class ProblemError(Exception):
     """Invalid problem configuration or evaluation outside the domain."""
+
+
+def number_array(value, what: str) -> np.ndarray:
+    """``value``, a number or a list of numbers (not bools), as a 1-D float
+    array; ``ProblemError`` naming ``what`` otherwise."""
+    arr = np.atleast_1d(np.asarray(value, dtype=object))
+    if arr.ndim != 1 or not all(isinstance(v, Real) and not isinstance(v, bool) for v in arr):
+        raise ProblemError(f"{what} must be a number or a list of numbers, got {value!r}")
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from ..linalg import SpdOperator, as_rows
-from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces
+from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mass_matrix
 
 
@@ -35,11 +35,13 @@ class DiffusionControlProblem(ProblemDefinition):
     ):
         if gamma < 0:
             raise ProblemError("gamma must be nonnegative")
+        if n_param < 2:
+            raise ProblemError("n_param must be at least 2")
         self.n_state = n_state
         self.n_param = n_param
         self.gamma = gamma
         self.kappa0 = kappa0
-        amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
+        amp = number_array(amplitude, "amplitude")
         if amp.shape == (1,):
             amp = np.full(n_param, amp[0])
         if amp.shape != (n_param,):
@@ -61,7 +63,7 @@ class DiffusionControlProblem(ProblemDefinition):
         self._mass_off = mass.diagonal(1)
         self._mass = mass.toarray()
         target = target if target is not None else {"preset": "sine"}
-        self.target = evaluate_preset(target, self.x_interior)
+        self.target = evaluate_preset(target, self.x_interior, "target")
 
         partition = SetPartition((("kappa", 0, n_param),))
         self._spaces = WeightedSpaces(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .base import ProblemError
+from .base import ProblemError, number_array
 
 
 def mass_matrix(n_nodes: int, length: float = 1.0) -> scipy.sparse.csr_matrix:
@@ -75,10 +75,10 @@ _PRESETS = {
 }
 
 
-def evaluate_preset(spec: dict, x: np.ndarray) -> np.ndarray:
-    """Evaluate a named analytic preset (sine, constant, gaussian-bump, zero)."""
-    spec = dict(spec)
-    name = spec.pop("preset", None)
-    if name not in _PRESETS:
-        raise ProblemError(f"unknown function preset {name!r}")
-    return _PRESETS[name](np.asarray(x, dtype=float), spec)
+def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarray:
+    """Evaluate the named analytic preset ``what`` (sine, constant, gaussian-bump, zero)."""
+    if not isinstance(spec, dict) or spec.get("preset") not in _PRESETS:
+        raise ProblemError(f"{what} must name a preset of {sorted(_PRESETS)}, got {spec!r}")
+    params = {k: v for k, v in spec.items() if k != "preset"}
+    number_array(list(params.values()), f"{what} parameters")
+    return _PRESETS[spec["preset"]](np.asarray(x, dtype=float), params)

@@ -80,15 +80,17 @@ class GenEigDiagnostics:
     n_dropped: int
     rank_deficient: bool
     kkt_solves: int  # KktOperator.solve calls
-    kkt_rhs: int  # right-hand-side columns of those calls
+    kkt_rhs: int  # right-hand-side columns of every elimination pass, full or half
+    kkt_backward_error: float  # worst of the operator's KKT solves
     # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
     # / sigma
     triple_residuals: list[float]
 
 
-def _kkt_work(d: SensitivityOperator, before: int) -> dict[str, int]:
-    stats = d.kkt.solve_stats[before:]
-    return {"kkt_solves": len(stats), "kkt_rhs": sum(s.n_rhs for s in stats)}
+def _kkt_work(d: SensitivityOperator, before: tuple[int, int]) -> dict:
+    solves, rhs = d.kkt.work()
+    worst = max(s.backward_error for s in d.kkt.solve_stats)
+    return dict(kkt_solves=solves - before[0], kkt_rhs=rhs - before[1], kkt_backward_error=worst)
 
 
 def _positive_pairs(evals: np.ndarray, k_pairs: int) -> list[int]:
@@ -209,7 +211,7 @@ def randomized_geneig(
     """
     m_z, m_theta = spaces.m_z, spaces.m_theta
     r = min(cfg.n_probes, d.n_theta)
-    solves_before = len(d.kkt.solve_stats)
+    work_before = d.kkt.work()
     key = (PROBE_STREAM, sample_index) if key is None else key
 
     omega = [probe_vector(cfg.seed, key, i, d.n_theta) for i in range(r)]
@@ -241,7 +243,7 @@ def randomized_geneig(
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, solves_before),
+        **_kkt_work(d, work_before),
     )
     return triples, diag
 
@@ -274,7 +276,7 @@ def exact_triples(
     times sigma_1 are dropped, with the rank flag set when fewer than K
     remain. Residuals use the assembled matrix and cost no further KKT solve.
     """
-    solves_before = len(d.kkt.solve_stats)
+    work_before = d.kkt.work()
     dmat = _assembled(d)
     every = _all_triples(dmat, spaces)
     triples = _leading(every, cfg.k_pairs)
@@ -291,7 +293,7 @@ def exact_triples(
         n_dropped=0,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, solves_before),
+        **_kkt_work(d, work_before),
     )
     return triples, diag
 
@@ -320,7 +322,7 @@ def alternative_formulation(
     n_theta = d.n_theta
     r = min(cfg.k_pairs + cfg.oversampling, n_theta)
     m_theta, m_z = spaces.m_theta, spaces.m_z
-    solves_before = len(d.kkt.solve_stats)
+    work_before = d.kkt.work()
 
     def apply_a2(mat):
         return d.apply_transpose(m_z.apply(d.apply(mat)))
@@ -364,6 +366,6 @@ def alternative_formulation(
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, solves_before),
+        **_kkt_work(d, work_before),
     )
     return triples, diag

@@ -5,7 +5,7 @@ import pytest
 from hdsa.bundle import CSV_FILES, BundleError, read_bundle
 from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _verify_checks, main
 from hdsa.config import ConfigError, load_config, parse_config
-from hdsa.operators import SensitivityOperator
+from hdsa.operators import KKT_TOL, NORM_PROBES, SensitivityOperator
 from hdsa.problems.logistic import LogisticToyProblem
 
 
@@ -104,11 +104,12 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         _, report = read_bundle(out)
         for s in report["samples"]:
-            # D assembled in one KKT call with a column per parameter
+            # the operator's check is the one KKT solve; then D is assembled
+            # from a column per parameter
             assert s["svd"] == "exact"
             assert s["kkt_solves"] == 1
-            assert s["kkt_rhs"] == 2
-            assert s["kkt_rhs"] > s["kkt_solves"]
+            assert s["kkt_rhs"] == NORM_PROBES + 2
+            assert 0.0 <= s["kkt_backward_error"] <= KKT_TOL
             assert len(s["triple_residuals"]) == len(s["sigmas"])
 
     def test_non_empty_output_needs_force(self, tmp_path):
@@ -149,18 +150,20 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "set sensitivity indices" in text
         assert "spectral decay" in text
-        # the decay table ends with each sample's SVD path and worst triple
-        # residual
+        # the decay table ends with each sample's SVD path, worst triple
+        # residual and the backward error of its KKT check
         _, report = read_bundle(out)
         lines = text.splitlines()
         head = next(i for i, line in enumerate(lines) if "worst_resid" in line)
-        assert lines[head].split()[-2:] == ["svd", "worst_resid"]
+        assert lines[head].split()[-3:] == ["svd", "worst_resid", "kkt_bwd_err"]
         rows = lines[head + 1 : head + 1 + len(report["samples"])]
         assert len(rows) == len(report["samples"])
         for row, s in zip(rows, report["samples"]):
             assert int(row.split()[0]) == s["j"]
-            assert row.split()[-2] == s["svd"] == "exact"
-            assert row.split()[-1] == f"{max(s['triple_residuals']):.6e}"
+            assert row.split()[-3] == s["svd"] == "exact"
+            assert row.split()[-2] == f"{max(s['triple_residuals']):.6e}"
+            assert row.split()[-1] == f"{s['kkt_backward_error']:.6e}"
+            assert 0.0 <= s["kkt_backward_error"] <= KKT_TOL
 
     def test_missing_bundle_is_usage_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_USAGE

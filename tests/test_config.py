@@ -68,6 +68,10 @@ def dist(**kw):
     return {"sampling": {"distribution": kw}}
 
 
+def diffusion(**params):
+    return {"problem": {"name": "diffusion_control_1d", "params": params}}
+
+
 # (id, patch, expected outcome or (ConfigError, key the message must name))
 OTHER = [
     ("defaults", {}, {}),
@@ -160,6 +164,22 @@ OTHER = [
      {"problem": {"name": "advdiff_inversion_1d",
                   "params": {"window": [0.1, 0.3], "n_window": 4}}},
      {"problem": ("advdiff_inversion_1d", {"window": [0.1, 0.3], "n_window": 4})}),
+    # scalar params take the type of the constructor's default
+    ("diffusion.n_state=True", diffusion(n_state=True), (E, "n_state")),
+    ("diffusion.n_state=2.5", diffusion(n_state=2.5), (E, "n_state")),
+    ("diffusion.n_param=None", diffusion(n_param=None), (E, "n_param")),
+    ("diffusion.gamma=0.1-string", diffusion(gamma="0.1"), (E, "gamma")),
+    ("diffusion.kappa0=[1]", diffusion(kappa0=[1]), (E, "kappa0")),
+    ("diffusion.gamma=1", diffusion(gamma=1),
+     {"problem": ("diffusion_control_1d", {"gamma": 1.0})}),
+    ("advdiff.n_window=1.0",
+     {"problem": {"name": "advdiff_inversion_1d", "params": {"n_window": 1.0}}},
+     (E, "n_window")),
+    ("advdiff.t_final=x",
+     {"problem": {"name": "advdiff_inversion_1d", "params": {"t_final": "x"}}},
+     (E, "t_final")),
+    ("logistic.corrupt_derivative=1",
+     {"problem": {"params": {"corrupt_derivative": 1}}}, (E, "corrupt_derivative")),
     ("problem.name=nope", {"problem": {"name": "nope"}}, (E, "problem")),
     ("problem.name=None", {"problem": {"name": None}}, (E, "problem")),
     ("problem.name-missing", {"problem": {"name": DELETE}}, (E, "problem")),
@@ -244,6 +264,11 @@ def test_config_contract(patch, expected, monkeypatch):
             parse_config(_config(patch))
     else:
         assert _outcome(parse_config(_config(patch))) == _expected(expected)
+
+
+def test_scalar_params_keep_their_type():
+    params = parse_config(_config(diffusion(n_state=8, gamma=1))).problem_params
+    assert _typed(params) == {"n_state": ("int", 8), "gamma": ("float", 1.0)}
 
 
 def test_document_must_be_an_object():

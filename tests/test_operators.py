@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hdsa.analysis as analysis
 import hdsa.linalg as linalg
 import hdsa.operators as operators
 import hdsa.optimizer as optimizer
-from hdsa.analysis import analyze_sample
+from hdsa.analysis import analyze_sample, global_analysis
 from hdsa.operators import (
     KKT_TOL,
+    NORM_PROBES,
     KktOperator,
     ParamJacobianOperator,
     ProjectedSensitivityOperator,
@@ -150,28 +152,28 @@ class TestKktOperator:
         assert isinstance(SolveError("x"), COMPUTE_ERRORS)
 
     def test_stalled_solve_raises(self, diffusion_point, monkeypatch):
-        """A backward error just above KKT_TOL is not convergence."""
+        """A backward error just above KKT_TOL is an error."""
         problem, point = diffusion_point
         op = KktOperator(problem, point)
         rng = np.random.default_rng(11)
         rhs = rng.standard_normal(op.dim)
-        exact_pass = op._schur_pass
+        exact = op.solve(rhs)[0]
+        backward = op._backward
         offset = rng.standard_normal(op.dim)
 
-        def stalled(scale):
-            # every elimination pass misses by the same offset, so refinement
-            # stalls at a backward error proportional to it
-            monkeypatch.setattr(
-                op, "_schur_pass", lambda r: exact_pass(r) + scale * offset
-            )
-            return op._refine(rhs)[1]
+        def offset_pass(scale):
+            # the single elimination pass misses by a multiple of the offset,
+            # so its backward error is proportional to the multiple
+            monkeypatch.setattr(op, "_backward", lambda *a: backward(*a) + scale * offset)
+            return float(op._backward_errors(exact + scale * offset, rhs)[0])
 
-        probe = stalled(1e-8)
-        stats = stalled(1e-8 * 5 * KKT_TOL / probe.backward_error)
-        assert KKT_TOL < stats.backward_error < 1e-9
-        assert not stats.converged
+        scale = 1e-8 * KKT_TOL / offset_pass(1e-8)
+        assert 0.4 * KKT_TOL < offset_pass(0.5 * scale) < 0.6 * KKT_TOL
+        assert op.solve(rhs)[1].iterations == 1
+        assert 4 * KKT_TOL < offset_pass(5 * scale) < 1e-9
         with pytest.raises(SolveError, match="backward error"):
             op.solve(rhs)
+        assert len(op.solve_stats) == 2
 
     def test_solve_residual_small(self, diffusion_point):
         problem, point = diffusion_point
@@ -193,8 +195,7 @@ class TestKktOperator:
             x, np.column_stack([c[0] for c in cols]), rtol=0, atol=1e-9 * np.abs(x).max()
         )
         # one stats entry per call, describing all of its columns
-        assert len(op.solve_stats) == 6
-        assert stats.n_rhs == 5
+        assert op.work() == (6, 10)
         assert stats.iterations == max(c[1].iterations for c in cols)
         assert stats.backward_error <= KKT_TOL
 
@@ -240,15 +241,26 @@ class TestCoupledObjective:
         assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_one_elimination_pass_is_exact(self, coupled_point):
-        # refinement against apply() mends a wrong L_zu or L_uz term of the
-        # pass, so solve() alone cannot see one
         problem, point = coupled_point
         op = KktOperator(problem, point)
         b = np.random.default_rng(7).standard_normal((op.dim, 3))
         ref = np.linalg.solve(op.dense(), b)
         np.testing.assert_allclose(
-            op._schur_pass(b), ref, rtol=0, atol=1e-8 * np.abs(ref).max()
+            op.solve(b)[0], ref, rtol=0, atol=1e-8 * np.abs(ref).max()
         )
+
+    def test_half_passes_match_dense_solve(self, coupled_point):
+        """D from the forward half pins L_zu, D^T from the backward half pins
+        L_uz: this is the one problem on which either term is nonzero."""
+        problem, point = coupled_point
+        sens = SensitivityOperator(problem, point)
+        kkt = sens.kkt
+        ref = np.linalg.solve(kkt.dense(), sens.b.apply(np.eye(sens.n_theta)))
+        d_ref = ref[kkt.n_u : kkt.n_u + kkt.n_z]
+        d = sens.apply(np.eye(sens.n_theta))
+        dt = sens.apply_transpose(np.eye(sens.n_z))
+        assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+        assert np.linalg.norm(dt - d_ref.T) <= 1e-10 * np.linalg.norm(d_ref)
 
 
 class TestSchurPath:
@@ -305,6 +317,80 @@ class TestSchurPath:
         np.testing.assert_array_equal(without.sigmas, with_sosc.sigmas)
 
 
+def _scaled_factor(factor, scale):
+    """The Cholesky factor of scale * H, from that of H."""
+    c, lower = factor
+    return np.sqrt(scale) * c, lower
+
+
+@pytest.fixture(scope="module")
+def check_points():
+    """Sample-0 optimal points of the README quick start and of default
+    advection-diffusion, with the W and the factor of H the optimizer formed."""
+    out = {}
+    for name, problem in (
+        ("quick start", build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)),
+        ("advdiff", build_advdiff_inversion_1d()),
+    ):
+        d = problem.dims
+        plan = SamplingPlan(
+            [Distribution("uniform", -1.0, 1.0)] * d.n_theta, n_u=d.n_u, n_z=d.n_z
+        )
+        out[name] = (problem, plan, solve_optimization(problem, *plan.sample(0)))
+    return out
+
+
+class TestOperatorCheck:
+    """A sensitivity operator solves K x = B Phi once, on its first use, and
+    a wrong factor of H fails that solve instead of being refined away."""
+
+    @pytest.mark.parametrize("first", ["apply", "apply_transpose"])
+    @pytest.mark.parametrize(
+        "name, scale", [("quick start", 1 + 1e-3), ("advdiff", 1 + 1e-6)]
+    )
+    def test_wrong_factor_fails_first_use(self, check_points, name, scale, first):
+        problem, _, opt = check_points[name]
+        point, w = opt.as_eval_point(), opt.state_sensitivity
+        good = SensitivityOperator(problem, point, w, opt.hessian_factor)
+        wrong = SensitivityOperator(
+            problem, point, w, _scaled_factor(opt.hessian_factor, scale)
+        )
+        n_in = good.n_theta if first == "apply" else good.n_z
+        v = np.ones(n_in)
+        getattr(good, first)(v)
+        assert [s.backward_error <= KKT_TOL for s in good.kkt.solve_stats] == [True]
+        with pytest.raises(SolveError, match="backward error"):
+            getattr(wrong, first)(v)
+        assert not wrong.kkt.solve_stats
+
+    def test_check_runs_once(self, check_points):
+        problem, _, opt = check_points["quick start"]
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        sens.apply(np.eye(sens.n_theta))
+        sens.apply_transpose(np.eye(sens.n_z))
+        assert sens.kkt.work() == (1, NORM_PROBES + sens.n_theta + sens.n_z)
+
+    def test_wrong_factor_is_a_sample_failure(self, check_points, monkeypatch):
+        problem, plan, _ = check_points["quick start"]
+        built = []
+
+        class FirstWrong(SensitivityOperator):
+            def __init__(self, problem, point, w, factor):
+                if not built:
+                    factor = _scaled_factor(factor, 1 + 1e-3)
+                built.append(1)
+                super().__init__(problem, point, w, factor)
+
+        monkeypatch.setattr(analysis, "SensitivityOperator", FirstWrong)
+        cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, n_samples=2)
+        report = global_analysis(problem, plan, cfg)
+        assert [f.sample_index for f in report.failures] == [0]
+        assert "backward error" in report.failures[0].message
+        assert [s.sample_index for s in report.samples] == [1]
+
+
 class TestParamJacobian:
     def test_adjoint_consistency(self, diffusion_point):
         problem, point = diffusion_point
@@ -354,18 +440,25 @@ class TestSensitivityOperator:
     def test_block_apply_in_capped_chunks(self, diffusion_point, monkeypatch):
         problem, point = diffusion_point
         sens = SensitivityOperator(problem, point)
-        # two columns per KKT solve, so a 5-column block goes as 2, 2 and 1
+        # two columns per elimination pass, so a 5-column block goes as 2, 2
+        # and 1
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * 8 * sens.kkt.dim)
+        sens.apply(np.zeros(sens.n_theta))  # the first-use check, a solve of its own width
+        widths = []
+        for name in ("solve_z", "solve_from_z"):
+            half = getattr(sens.kkt, name)
+            monkeypatch.setattr(
+                sens.kkt, name, lambda c, half=half: widths.append(c.shape[1:]) or half(c)
+            )
         rng = np.random.default_rng(14)
         for apply, n_in in (
             (sens.apply, sens.n_theta),
             (sens.apply_transpose, sens.n_z),
         ):
             block = rng.standard_normal((n_in, 5))
-            before = len(sens.kkt.solve_stats)
+            widths.clear()
             out = apply(block)
-            widths = [s.n_rhs for s in sens.kkt.solve_stats[before:]]
-            assert widths == [2, 2, 1]
+            assert widths == [(2,), (2,), (1,)]
             cols = np.column_stack([apply(block[:, j]) for j in range(5)])
             np.testing.assert_allclose(
                 out, cols, rtol=0, atol=1e-9 * np.abs(cols).max()

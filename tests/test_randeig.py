@@ -4,8 +4,7 @@ import scipy.linalg
 
 import hdsa.randeig as randeig
 from hdsa.indices import set_indices
-from hdsa.linalg import block_width
-from hdsa.operators import SensitivityOperator
+from hdsa.operators import NORM_PROBES, SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import (
     build_advdiff_inversion_1d,
@@ -297,10 +296,9 @@ class TestExactTriples:
         # a fresh operator: D, once assembled, is kept and costs no solve
         sens = sample_operator(problem)
         triples, diag = exact_triples(sens, problem.spaces, cfg)
-        # one KKT column per parameter, in blocks of the capped width
-        width = block_width(sens.kkt.dim)
-        assert diag.kkt_rhs == sens.n_theta
-        assert diag.kkt_solves == -(-sens.n_theta // width)
+        # the operator's check, then one column of D per parameter
+        assert diag.kkt_solves == 1
+        assert diag.kkt_rhs == NORM_PROBES + sens.n_theta
         assert diag.n_probes == sens.n_theta and diag.n_dropped == 0
         # every weighted sigma, of which the triples are the first K
         assert diag.ritz_values.shape == (min(sens.n_z, sens.n_theta),)
@@ -317,13 +315,20 @@ class TestExactTriples:
 
 
 def test_kkt_work_counts_calls_and_columns(diffusion_sens):
-    problem, sens = diffusion_sens
+    problem, shared = diffusion_sens
+    sens = SensitivityOperator(problem, shared.point)
     cfg = RandEigConfig(k_pairs=3, oversampling=4, seed=1, power_iterations=1)
     _, diag = randomized_geneig(sens, problem.spaces, cfg)
-    # D Omega, one power pass (D^T, then D) and B^T = D^T M_Z Q on 7 probes,
-    # then D on the 3 triples for their residuals; one KKT call each here
-    assert diag.kkt_solves == 5
-    assert diag.kkt_rhs == 4 * 7 + 3
+    # the operator's check is the one KKT solve call; then D Omega, one power
+    # pass (D^T, then D) and B^T = D^T M_Z Q on 7 probes, and D on the 3
+    # triples for their residuals, each one half of the elimination
+    assert diag.kkt_solves == 1
+    assert diag.kkt_rhs == NORM_PROBES + 4 * 7 + 3
+    assert diag.kkt_backward_error == sens.kkt.solve_stats[0].backward_error
+    # a second call on the checked operator makes no KKT solve
+    _, again = randomized_geneig(sens, problem.spaces, cfg)
+    assert again.kkt_solves == 0
+    assert again.kkt_rhs == 4 * 7 + 3
 
 
 def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
