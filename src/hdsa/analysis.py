@@ -107,8 +107,8 @@ def analyze_sample(
     opt_cfg: OptimizerConfig | None = None,
 ) -> SampleResult:
     """Single outer-loop iteration: sample, optimize, decompose, index."""
-    theta, init = plan.sample(j)
-    optimal = solve_optimization(problem, theta, init, opt_cfg)
+    theta = plan.sample(j)
+    optimal = solve_optimization(problem, theta, cfg=opt_cfg)
     sens = SensitivityOperator(
         problem,
         optimal.as_eval_point(),
@@ -166,7 +166,7 @@ def global_analysis(
             try:
                 results[j] = task(j)
             except COMPUTE_ERRORS as exc:
-                failures[j] = SampleFailure(j, plan.sample(j)[0], str(exc))
+                failures[j] = SampleFailure(j, plan.sample(j), str(exc))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(task, j): j for j in indices}
@@ -175,7 +175,7 @@ def global_analysis(
                 try:
                     results[j] = fut.result()
                 except COMPUTE_ERRORS as exc:
-                    failures[j] = SampleFailure(j, plan.sample(j)[0], str(exc))
+                    failures[j] = SampleFailure(j, plan.sample(j), str(exc))
 
     if not results:
         raise AllSamplesFailedError(

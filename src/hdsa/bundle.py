@@ -33,7 +33,8 @@ CSV_FILES = (
 
 
 def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form; deterministic for a given value."""
+    """17 significant digits, enough to round-trip any double (0.1 reads
+    0.10000000000000001); deterministic for a given value."""
     return format(float(x), ".17g")
 
 

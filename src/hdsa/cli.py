@@ -32,6 +32,8 @@ EXIT_USAGE = 2
 # delta, and the relative mismatch of <D phi, w> and <phi, D^T w>.
 PERTURBATION_TOL = 1e-3
 ADJOINT_TOL = 1e-8
+# the perturbation sweep's deltas, largest first
+PERTURBATION_DELTAS = (1e-2, 1e-3, 1e-4)
 
 
 def _err(msg: str) -> None:
@@ -89,8 +91,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     problem = cfg.build_problem()
     plan = cfg.build_plan(problem)
-    theta0, init = plan.sample(0)
-    optimal = solve_optimization(problem, theta0, init, cfg.optimizer)
+    optimal = solve_optimization(problem, plan.sample(0), cfg=cfg.optimizer)
     point = optimal.as_eval_point()
 
     rep = check_derivatives(problem, point)
@@ -156,14 +157,13 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         )
     )
 
-    deltas = sorted(cfg.perturbation_deltas or [1e-2, 1e-3, 1e-4], reverse=True)
     phi = np.zeros(problem.dims.n_theta)
     phi[0] = 1.0
     ratios = []
     ok = True
     detail = ""
     try:
-        for delta in deltas:
+        for delta in PERTURBATION_DELTAS:
             pc = perturbation_check(
                 problem, optimal, phi, delta, opt_cfg=cfg.optimizer, sens=sens
             )
@@ -185,8 +185,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     if cfg.problem_name == "diffusion_control_1d" and gamma == 0.0:
         sigma_sets = []
         for j in range(3):
-            theta_j, init_j = plan.sample(j)
-            opt_j = solve_optimization(problem, theta_j, init_j, cfg.optimizer)
+            opt_j = solve_optimization(problem, plan.sample(j), cfg=cfg.optimizer)
             s_j = SensitivityOperator(
                 problem,
                 opt_j.as_eval_point(),

@@ -5,8 +5,7 @@ any compute starts. The `optimizer`, `hdsa` and `sampling.distribution`
 sections take their keys, value types and defaults from the fields of
 `OptimizerConfig`, `RandEigConfig` and `Distribution`, and their range checks
 from those classes; `problem.params` takes its keys and scalar types from the
-problem class's constructor, which checks the rest. HDSA_SEED, when set,
-overrides the configured master seed.
+problem class's constructor, which checks the rest.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .problems.base import ProblemDefinition, ProblemError
 from .problems.diffusion import DiffusionControlProblem
 from .problems.logistic import LogisticToyProblem
 from .randeig import RandEigConfig
-from .sampling import INIT_MODES, Distribution, SamplingError, SamplingPlan
+from .sampling import Distribution, SamplingError, SamplingPlan
 
 
 class ConfigError(Exception):
@@ -63,14 +61,14 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-def _build(cls, section: dict, where: str, **override):
+def _build(cls, section: dict, where: str):
     """``cls`` from ``section``: the keys are the dataclass fields, each value
     must have the type of the field's default, and omitted keys take it."""
     kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     _require_keys(section, kinds, where)
     kwargs = {k: _typed(v, kinds[k], f"{where}.{k}") for k, v in section.items()}
     try:
-        return cls(**{**kwargs, **override})
+        return cls(**kwargs)
     except _RANGE_ERRORS as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -84,9 +82,7 @@ class RunConfig:
     optimizer: OptimizerConfig
     randeig: RandEigConfig
     distribution: Distribution
-    init_mode: str
     output_dir: Path
-    perturbation_deltas: list[float] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
     def build_problem(self) -> ProblemDefinition:
@@ -96,20 +92,10 @@ class RunConfig:
             raise ConfigError(f"problem construction failed: {exc}") from exc
 
     def build_plan(self, problem: ProblemDefinition) -> SamplingPlan:
-        d = problem.dims
-        return SamplingPlan(
-            theta_dists=[self.distribution] * d.n_theta,
-            init_mode=self.init_mode,
-            master_seed=self.randeig.seed,
-            n_u=d.n_u,
-            n_z=d.n_z,
-        )
+        return SamplingPlan([self.distribution] * problem.dims.n_theta, self.randeig.seed)
 
 
-_TOP_KEYS = {
-    "problem", "optimizer", "hdsa", "sampling", "output_dir",
-    "perturbation_deltas",
-}
+_TOP_KEYS = {"problem", "optimizer", "hdsa", "sampling", "output_dir"}
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
@@ -141,23 +127,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if opt.max_iter < 1:
         raise ConfigError("optimizer.max_iter must be at least 1")
 
-    env_seed = os.environ.get("HDSA_SEED")
-    seed = {}
-    if env_seed is not None:
-        try:
-            seed["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"HDSA_SEED must be an integer, got {env_seed!r}") from exc
-    randeig = _build(RandEigConfig, _section(raw, "hdsa"), "hdsa", **seed)
+    randeig = _build(RandEigConfig, _section(raw, "hdsa"), "hdsa")
 
     sm = _section(raw, "sampling")
-    _require_keys(sm, {"distribution", "init_mode"}, "sampling")
+    _require_keys(sm, {"distribution"}, "sampling")
     dist = _build(
         Distribution, _section(sm, "distribution", "sampling"), "sampling.distribution"
     )
-    init_mode = sm.get("init_mode", SamplingPlan.init_mode)
-    if init_mode not in INIT_MODES:
-        raise ConfigError(f"sampling.init_mode must be one of {INIT_MODES}, got {init_mode!r}")
 
     out_raw = raw.get("output_dir")
     if not isinstance(out_raw, str) or not out_raw:
@@ -166,21 +142,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
-    deltas = raw.get("perturbation_deltas", [])
-    if not isinstance(deltas, list) or not all(
-        isinstance(d, (int, float)) and not isinstance(d, bool) and d >= 0 for d in deltas
-    ):
-        raise ConfigError("config.perturbation_deltas must be a list of nonnegative numbers")
-
     return RunConfig(
         problem_name=name,
         problem_params=params,
         optimizer=opt,
         randeig=randeig,
         distribution=dist,
-        init_mode=init_mode,
         output_dir=out_dir,
-        perturbation_deltas=[float(d) for d in deltas],
         raw=raw,
     )
 

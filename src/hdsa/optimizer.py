@@ -34,15 +34,19 @@ class OptimizerError(Exception):
 # programming error and propagates.
 COMPUTE_ERRORS = (ProblemError, OptimizerError, SolveError, LinalgError)
 
+# Newton iterations of the forward solve, and the Armijo sufficient-decrease
+# constant (Nocedal & Wright, Numerical Optimization, sec. 3.1) and shortest
+# step of the outer line search
+FORWARD_MAX_ITER = 50
+ARMIJO_C1 = 1e-4
+MIN_STEP = 1e-14
+
 
 @dataclass
 class OptimizerConfig:
     stationarity_tol: float = 1e-9  # on the M^{-1}-norm of the reduced gradient
     max_iter: int = 100
     forward_tol: float = 1e-12  # on ||c|| / ||residual_term_sizes|| (solve_forward)
-    forward_max_iter: int = 50
-    armijo_c1: float = 1e-4
-    min_step: float = 1e-14
     check_sosc: bool = True
 
     # max_iter and stationarity_tol are not checked: a caller may force a
@@ -50,12 +54,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.forward_tol > 0:
             raise OptimizerError("forward_tol must be positive")
-        if self.forward_max_iter < 1:
-            raise OptimizerError("forward_max_iter must be at least 1")
-        if not 0 < self.armijo_c1 < 1:
-            raise OptimizerError("armijo_c1 must lie in (0, 1)")
-        if not self.min_step > 0:
-            raise OptimizerError("min_step must be positive")
 
 
 @dataclass
@@ -90,18 +88,17 @@ def solve_forward(
     theta: np.ndarray,
     u_guess: np.ndarray | None = None,
     tol: float = OptimizerConfig.forward_tol,
-    max_iter: int = OptimizerConfig.forward_max_iter,
 ) -> np.ndarray:
     """Newton with backtracking on c(u, z, theta) = 0, to the normwise
     backward error ||c|| <= tol ||s||, with s the summed magnitudes of the
     terms of c (``residual_term_sizes``); rounding meets it on any mesh."""
     u = np.zeros(problem.dims.n_u) if u_guess is None else u_guess.copy()
     r = problem.residual(u, z, theta)
-    for it in range(max_iter + 1):
+    for it in range(FORWARD_MAX_ITER + 1):
         rn = float(np.linalg.norm(r))
         if rn <= tol * float(np.linalg.norm(problem.residual_term_sizes(u, z, theta))):
             return u
-        if it == max_iter:
+        if it == FORWARD_MAX_ITER:
             raise OptimizerError(f"forward solve did not converge: residual {rn:.3e}")
         du = problem.state_jacobian_solve(_point(problem, u, z, theta), -r)
         step = 1.0
@@ -223,9 +220,7 @@ def solve_optimization(
     m_z = problem.spaces.m_z
 
     z = init.z_init.copy()
-    u = solve_forward(
-        problem, z, theta0, init.u_init, tol=cfg.forward_tol, max_iter=cfg.forward_max_iter
-    )
+    u = solve_forward(problem, z, theta0, init.u_init, tol=cfg.forward_tol)
 
     def grad_m_norm(g):
         return float(np.sqrt(max(g @ m_z.solve(g), 0.0)))
@@ -250,18 +245,15 @@ def solve_optimization(
             d = -g
         step = 1.0
         accepted = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             z_trial = z + step * d
             try:
-                u_trial = solve_forward(
-                    problem, z_trial, theta0, u,
-                    tol=cfg.forward_tol, max_iter=cfg.forward_max_iter,
-                )
+                u_trial = solve_forward(problem, z_trial, theta0, u, tol=cfg.forward_tol)
             except COMPUTE_ERRORS:
                 step *= 0.5
                 continue
             f_trial = problem.objective(u_trial, z_trial, theta0)
-            if f_trial <= f + cfg.armijo_c1 * step * float(d @ g) + 1e-14:
+            if f_trial <= f + ARMIJO_C1 * step * float(d @ g) + 1e-14:
                 z, u, f = z_trial, u_trial, f_trial
                 accepted = True
                 break

@@ -103,6 +103,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
         if sensors is None:
             sensors = list(np.linspace(0.0, 1.0, 11))
         self.sensors = number_array(sensors, "sensors")
+        if self.sensors.size == 0:
+            raise ProblemError("sensors must name at least one point")
         self._s_obs = hat_interpolation(self.sensors, n_space)
         self.obs_steps = np.arange(0, n_steps, obs_every)  # 0-based step indices
         self.n_sensors = self.sensors.shape[0]

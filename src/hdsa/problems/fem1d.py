@@ -64,21 +64,33 @@ def hat_interpolation(points: np.ndarray, n_nodes: int, length: float = 1.0) -> 
     return out
 
 
+# name -> (the keys the preset reads, with their defaults; its formula)
 _PRESETS = {
-    "sine": lambda x, p: p.get("amplitude", 1.0) * np.sin(
-        p.get("frequency", 1.0) * np.pi * x
+    "sine": (
+        {"amplitude": 1.0, "frequency": 1.0},
+        lambda x, p: p["amplitude"] * np.sin(p["frequency"] * np.pi * x),
     ),
-    "constant": lambda x, p: np.full_like(x, p.get("value", 1.0)),
-    "gaussian-bump": lambda x, p: p.get("amplitude", 1.0)
-    * np.exp(-((x - p.get("center", 0.5)) ** 2) / (2.0 * p.get("width", 0.05) ** 2)),
-    "zero": lambda x, p: np.zeros_like(x),
+    "constant": ({"value": 1.0}, lambda x, p: np.full_like(x, p["value"])),
+    "gaussian-bump": (
+        {"amplitude": 1.0, "center": 0.5, "width": 0.05},
+        lambda x, p: p["amplitude"]
+        * np.exp(-((x - p["center"]) ** 2) / (2.0 * p["width"] ** 2)),
+    ),
+    "zero": ({}, lambda x, p: np.zeros_like(x)),
 }
 
 
 def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarray:
-    """Evaluate the named analytic preset ``what`` (sine, constant, gaussian-bump, zero)."""
+    """Evaluate the named analytic preset ``what`` (sine, constant, gaussian-bump,
+    zero); a key the preset does not read is a ``ProblemError`` naming it."""
     if not isinstance(spec, dict) or spec.get("preset") not in _PRESETS:
         raise ProblemError(f"{what} must name a preset of {sorted(_PRESETS)}, got {spec!r}")
+    defaults, formula = _PRESETS[spec["preset"]]
     params = {k: v for k, v in spec.items() if k != "preset"}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ProblemError(
+            f"{what} preset {spec['preset']!r} does not read {', '.join(unknown)}"
+        )
     number_array(list(params.values()), f"{what} parameters")
-    return _PRESETS[spec["preset"]](np.asarray(x, dtype=float), params)
+    return formula(np.asarray(x, dtype=float), {**defaults, **params})

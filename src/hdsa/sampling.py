@@ -1,4 +1,4 @@
-"""Deterministic seeded sampling for parameters, initial iterates, and probes.
+"""Deterministic seeded sampling for parameters and probes.
 
 Every random draw is keyed by (master seed, structured key) through a
 counter-based Philox generator, so results are independent of worker
@@ -19,14 +19,12 @@ class SamplingError(Exception):
 # Purpose keys: the first key of every stream names what it is drawn for, so
 # streams of different purposes cannot collide whatever the other keys are.
 THETA_STREAM = 0  # (THETA_STREAM, j): parameter sample j
-INIT_STREAM = 1  # (INIT_STREAM, j): seeded-random initial iterate of sample j
+# key 1 is retired: renumbering the keys after it would change every probe
 PROBE_STREAM = 2  # (PROBE_STREAM, j, i): range-finder probe i of sample j
 VERIFY_STREAM = 3  # (VERIFY_STREAM,): directions of the adjoint check
 SQUARED_PROBE_STREAM = 4  # (SQUARED_PROBE_STREAM, j, i): squared formulation
 SET_PROBE_STREAM = 5  # (SET_PROBE_STREAM, j, set, i): direct set indices
 KKT_NORM_STREAM = 6  # (KKT_NORM_STREAM,): ||K|| probes; (.., 1): operator check
-
-INIT_MODES = ("zero", "seeded-random")
 
 
 def rng_for(master_seed: int, *key: int) -> np.random.Generator:
@@ -61,30 +59,16 @@ class Distribution:
 
 @dataclass
 class SamplingPlan:
-    """Distributions for theta coordinates plus the initial-iterate mode."""
+    """Distributions for the theta coordinates."""
 
     theta_dists: list[Distribution]
-    init_mode: str = "zero"  # one of INIT_MODES
     master_seed: int = 0
-    n_u: int = 0
-    n_z: int = 0
 
-    def __post_init__(self):
-        if self.init_mode not in INIT_MODES:
-            raise SamplingError(f"unknown initial-iterate mode {self.init_mode!r}")
-
-    def sample(self, j: int) -> tuple[np.ndarray, "InitialIterate"]:
-        """Deterministic function of (master_seed, j); independent across j."""
+    def sample(self, j: int) -> np.ndarray:
+        """Parameter sample j: a deterministic function of (master_seed, j),
+        independent across j."""
         rng = rng_for(self.master_seed, THETA_STREAM, j)
-        theta = np.array([d.draw(rng) for d in self.theta_dists])
-        if self.init_mode == "zero":
-            init = InitialIterate(np.zeros(self.n_u), np.zeros(self.n_z))
-        else:
-            init_rng = rng_for(self.master_seed, INIT_STREAM, j)
-            init = InitialIterate(
-                init_rng.standard_normal(self.n_u), init_rng.standard_normal(self.n_z)
-            )
-        return theta, init
+        return np.array([d.draw(rng) for d in self.theta_dists])
 
 
 @dataclass

@@ -132,8 +132,6 @@ def test_criterion_4_linearity_of_optimal_solution():
     plan = SamplingPlan(
         theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
         master_seed=7,
-        n_u=64,
-        n_z=64,
     )
     # gamma = 0 makes the reduced Hessian nearly singular; the optimizer has
     # to be run essentially to machine stationarity for the invariance of the
@@ -143,8 +141,7 @@ def test_criterion_4_linearity_of_optimal_solution():
 
     sigmas, locals_ = [], []
     for j in range(5):
-        theta_j, init_j = plan.sample(j)
-        opt_j = solve_optimization(problem, theta_j, init_j, opt_cfg)
+        opt_j = solve_optimization(problem, plan.sample(j), cfg=opt_cfg)
         sens_j = SensitivityOperator(problem, opt_j.as_eval_point())
         # identical probe vectors across samples isolate the operator itself
         triples, _ = randomized_geneig(sens_j, problem.spaces, cfg, sample_index=0)
@@ -326,8 +323,6 @@ def test_criterion_8_transient_inversion_analog():
     plan = SamplingPlan(
         theta_dists=[Distribution("uniform", -1.0, 1.0)] * problem.dims.n_theta,
         master_seed=1234,
-        n_u=problem.dims.n_u,
-        n_z=problem.dims.n_z,
     )
     # the theta sample plan is held fixed; the two seeds drive the randomized
     # eigensolver's probe vectors, which is what reproducibility of the

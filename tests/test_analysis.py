@@ -26,13 +26,10 @@ from hdsa.randeig import RandEigConfig, dense_oracle, randomized_geneig, randomi
 from hdsa.sampling import Distribution, SamplingPlan
 
 
-def logistic_plan(n_u=1, n_z=1, seed=0):
+def logistic_plan(seed=0):
     return SamplingPlan(
         theta_dists=[Distribution("uniform", 0.4, 0.6), Distribution("uniform", 0.4, 0.6)],
-        init_mode="zero",
         master_seed=seed,
-        n_u=n_u,
-        n_z=n_z,
     )
 
 
@@ -230,8 +227,6 @@ def quick_start_sample(cfg):
     plan = SamplingPlan(
         theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
         master_seed=0,
-        n_u=64,
-        n_z=64,
     )
     return analyze_sample(problem, plan, cfg, 0)
 
@@ -387,8 +382,7 @@ def test_quick_start_run_matches_dense_oracle(tmp_path):
     problem = cfg.build_problem()
     plan = cfg.build_plan(problem)
     for j in range(5):
-        theta, init = plan.sample(j)
-        opt = solve_optimization(problem, theta, init, cfg.optimizer)
+        opt = solve_optimization(problem, plan.sample(j), cfg=cfg.optimizer)
         sens = SensitivityOperator(problem, opt.as_eval_point())
         oracle = [t.sigma for t in dense_oracle(sens, problem.spaces)[:4]]
         got = [s for i, s in sigmas if i == j]

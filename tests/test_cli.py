@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -76,15 +78,24 @@ class TestConfigParsing:
         parsed = load_config(path)
         assert parsed.output_dir == tmp_path / "results"
 
-    def test_hdsa_seed_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, logistic_config(tmp_path / "out", seed=42))
-        monkeypatch.setenv("HDSA_SEED", "777")
-        assert load_config(path).randeig.seed == 777
-        monkeypatch.setenv("HDSA_SEED", "not-a-number")
-        with pytest.raises(ConfigError, match="HDSA_SEED"):
-            load_config(path)
-        monkeypatch.delenv("HDSA_SEED")
-        assert load_config(path).randeig.seed == 42
+    def test_hdsa_seed_environment_is_not_read(self, tmp_path, monkeypatch):
+        # the bundle is a function of the config alone, so re-running the
+        # manifest's config echo reproduces it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quick_start = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        outs = []
+        monkeypatch.delenv("HDSA_SEED", raising=False)
+        for env in (None, "7"):
+            if env is not None:
+                monkeypatch.setenv("HDSA_SEED", env)
+            out = tmp_path / f"out-{env}"
+            path = write_config(tmp_path, {**quick_start, "output_dir": str(out)})
+            assert main(["run", str(path), "--workers", "1"]) == EXIT_OK
+            manifest, _ = read_bundle(out)
+            assert manifest["seed"] == manifest["config"]["hdsa"]["seed"]
+            outs.append(out)
+        for name in (*CSV_FILES, "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestRunCommand:
@@ -187,9 +198,7 @@ class TestReportCommand:
 
 class TestVerifyCommand:
     def test_verify_passes_on_sound_problem(self, tmp_path, capsys):
-        cfg = logistic_config(tmp_path / "out")
-        cfg["perturbation_deltas"] = [1e-2, 1e-3, 1e-4]
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, logistic_config(tmp_path / "out"))
         assert main(["verify", str(path)]) == EXIT_OK
         text = capsys.readouterr().out
         assert "PASS" in text and "FAIL" not in text

@@ -2,8 +2,8 @@
 
 Each case patches a minimal config and states the outcome of `parse_config`:
 the parsed objects, or `ConfigError`. The table pins the accepted keys, the
-value types (ints widen to float, bools are not numbers), the defaults and
-the range checks, whichever module owns them.
+value types (ints widen to float, bools are not numbers), the defaults, the
+range checks, whichever module owns them, and the refusal of removed keys.
 """
 
 import pytest
@@ -24,9 +24,6 @@ DEFAULTS = {
         "stationarity_tol": 1e-9,
         "max_iter": 100,
         "forward_tol": 1e-12,
-        "forward_max_iter": 50,
-        "armijo_c1": 1e-4,
-        "min_step": 1e-14,
         "check_sosc": True,
     },
     "hdsa": {
@@ -38,8 +35,6 @@ DEFAULTS = {
         "set_index_mode": "truncated",
     },
     "distribution": {"kind": "uniform", "a": -1.0, "b": 1.0},
-    "init_mode": "zero",
-    "perturbation_deltas": [],
 }
 
 # outcome of each of VALUES for every optimizer and hdsa key
@@ -48,9 +43,6 @@ GRID = {
         "stationarity_tol": (E, E, 1.0, 2.5, E, E, E, E),
         "max_iter": (E, E, 1, E, E, E, E, E),
         "forward_tol": (RANGE, RANGE, 1.0, 2.5, E, E, E, E),
-        "forward_max_iter": (RANGE, RANGE, 1, E, E, E, E, E),
-        "armijo_c1": (RANGE, RANGE, RANGE, RANGE, E, E, E, E),
-        "min_step": (RANGE, RANGE, 1.0, 2.5, E, E, E, E),
         "check_sosc": (E, E, E, E, True, E, E, E),
     },
     "hdsa": {
@@ -62,6 +54,10 @@ GRID = {
         "set_index_mode": (E, E, E, E, E, E, E, E),
     },
 }
+
+# optimizer keys that are now constants of the optimizer: every value of
+# VALUES is an unknown key
+REMOVED = ("forward_max_iter", "armijo_c1", "min_step")
 
 
 def dist(**kw):
@@ -80,8 +76,7 @@ OTHER = [
     ("hdsa.set_index_mode=truncated", {"hdsa": {"set_index_mode": "truncated"}}, {}),
     ("optimizer.check_sosc=False", {"optimizer": {"check_sosc": False}},
      {"optimizer": {"check_sosc": False}}),
-    ("optimizer.armijo_c1=0.5", {"optimizer": {"armijo_c1": 0.5}},
-     {"optimizer": {"armijo_c1": 0.5}}),
+    ("optimizer.armijo_c1=0.5", {"optimizer": {"armijo_c1": 0.5}}, (E, "armijo_c1")),
     # distribution
     ("dist=empty", dist(), {}),
     ("dist.kind=normal", dist(kind="normal"), {"distribution": {"kind": "normal"}}),
@@ -104,20 +99,19 @@ OTHER = [
      {"distribution": {"kind": "normal", "a": 3.0, "b": 0.0}}),
     ("dist.normal-sigma-neg", dist(kind="normal", b=-1), (E, "b")),
     ("dist.unknown-key", dist(mu=0.0), (E, "mu")),
-    # sampling.init_mode
-    ("init_mode=zero", {"sampling": {"init_mode": "zero"}}, {}),
+    # sampling.init_mode is removed: every iterate starts at zero
+    ("init_mode=zero", {"sampling": {"init_mode": "zero"}}, (E, "init_mode")),
     ("init_mode=seeded-random", {"sampling": {"init_mode": "seeded-random"}},
-     {"init_mode": "seeded-random"}),
+     (E, "init_mode")),
     ("init_mode=x", {"sampling": {"init_mode": "x"}}, (E, "init_mode")),
     ("init_mode=1", {"sampling": {"init_mode": 1}}, (E, "init_mode")),
     ("init_mode=None", {"sampling": {"init_mode": None}}, (E, "init_mode")),
     ("init_mode=True", {"sampling": {"init_mode": True}}, (E, "init_mode")),
     ("sampling.unknown-key", {"sampling": {"seed": 1}}, (E, "seed")),
-    # perturbation_deltas
-    ("deltas=[]", {"perturbation_deltas": []}, {}),
-    ("deltas=[1,0.5]", {"perturbation_deltas": [1, 0.5]},
-     {"perturbation_deltas": [1.0, 0.5]}),
-    ("deltas=[0]", {"perturbation_deltas": [0]}, {"perturbation_deltas": [0.0]}),
+    # perturbation_deltas is removed: verify sweeps fixed deltas
+    ("deltas=[]", {"perturbation_deltas": []}, (E, "perturbation_deltas")),
+    ("deltas=[1,0.5]", {"perturbation_deltas": [1, 0.5]}, (E, "perturbation_deltas")),
+    ("deltas=[0]", {"perturbation_deltas": [0]}, (E, "perturbation_deltas")),
     ("deltas=[-1]", {"perturbation_deltas": [-1]}, (E, "perturbation_deltas")),
     ("deltas=[True]", {"perturbation_deltas": [True]}, (E, "perturbation_deltas")),
     ("deltas=[x]", {"perturbation_deltas": ["x"]}, (E, "perturbation_deltas")),
@@ -202,6 +196,9 @@ def _grid_cases():
                 else:
                     expected = {section: {key: expected}}
                 yield (f"{section}.{key}={value!r}", {section: {key: value}}, expected)
+    for key in REMOVED:
+        for value in VALUES:
+            yield (f"optimizer.{key}={value!r}", {"optimizer": {key: value}}, (E, key))
 
 
 CASES = list(_grid_cases()) + OTHER
@@ -233,8 +230,6 @@ def _outcome(cfg):
         "optimizer": _typed(vars(cfg.optimizer)),
         "hdsa": _typed(vars(cfg.randeig)),
         "distribution": _typed(vars(cfg.distribution)),
-        "init_mode": cfg.init_mode,
-        "perturbation_deltas": [(type(d).__name__, d) for d in cfg.perturbation_deltas],
     }
 
 
@@ -242,10 +237,6 @@ def _expected(overrides):
     want = {**DEFAULTS, **{k: v for k, v in overrides.items() if k == "problem"}}
     for section in ("optimizer", "hdsa", "distribution"):
         want[section] = _typed({**DEFAULTS[section], **overrides.get(section, {})})
-    want["init_mode"] = overrides.get("init_mode", DEFAULTS["init_mode"])
-    want["perturbation_deltas"] = [
-        ("float", d) for d in overrides.get("perturbation_deltas", [])
-    ]
     return want
 
 
@@ -257,8 +248,7 @@ def test_table_covers_every_key_and_value():
 @pytest.mark.parametrize(
     "patch, expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
-def test_config_contract(patch, expected, monkeypatch):
-    monkeypatch.delenv("HDSA_SEED", raising=False)
+def test_config_contract(patch, expected):
     if isinstance(expected, tuple):
         with pytest.raises(ConfigError):
             parse_config(_config(patch))

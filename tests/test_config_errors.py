@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from test_config import CASES, GRID, RANGE, VALUES, _config
 
-from hdsa.cli import EXIT_OK, EXIT_USAGE, main
+from hdsa.cli import EXIT_USAGE, main
 from hdsa.config import ConfigError, parse_config
 from hdsa.optimizer import OptimizerConfig
 from hdsa.problems.logistic import LogisticToyProblem
@@ -19,8 +19,7 @@ ERROR_CASES = [c for c in CASES if isinstance(c[2], tuple)]
 @pytest.mark.parametrize(
     "patch, key", [(c[1], c[2][1]) for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES]
 )
-def test_error_names_the_key(patch, key, monkeypatch):
-    monkeypatch.delenv("HDSA_SEED", raising=False)
+def test_error_names_the_key(patch, key):
     with pytest.raises(ConfigError) as info:
         parse_config(_config(patch))
     assert re.search(rf"\b{re.escape(key)}\b", str(info.value)), str(info.value)
@@ -33,6 +32,18 @@ RANGE_CASES = [
     for key, outcomes in keys.items()
     for value, expected in zip(VALUES, outcomes)
     if expected is RANGE
+]
+# the removed optimizer settings at the values their range checks refused:
+# they still stop `hdsa run` before any compute, now as unknown keys
+RETIRED_RANGE_CASES = [
+    ("optimizer", "forward_max_iter", -1),
+    ("optimizer", "forward_max_iter", 0),
+    ("optimizer", "armijo_c1", -1),
+    ("optimizer", "armijo_c1", 0),
+    ("optimizer", "armijo_c1", 1),
+    ("optimizer", "armijo_c1", 2.5),
+    ("optimizer", "min_step", -1),
+    ("optimizer", "min_step", 0),
 ]
 
 
@@ -49,32 +60,37 @@ def _run(tmp_path, patch):
 
 def test_range_cases_are_the_fixed_settings():
     assert sorted((s, k) for s, k, _ in RANGE_CASES) == sorted(
-        [("optimizer", "forward_tol")] * 2
-        + [("optimizer", "forward_max_iter")] * 2
-        + [("optimizer", "armijo_c1")] * 4
-        + [("optimizer", "min_step")] * 2
-        + [("hdsa", "seed")]
+        [("optimizer", "forward_tol")] * 2 + [("hdsa", "seed")]
     )
 
 
 @pytest.mark.parametrize(
     "section, key, value",
-    RANGE_CASES,
-    ids=[f"{s}.{k}={v!r}" for s, k, v in RANGE_CASES],
+    RANGE_CASES + RETIRED_RANGE_CASES,
+    ids=[f"{s}.{k}={v!r}" for s, k, v in RANGE_CASES + RETIRED_RANGE_CASES],
 )
-def test_out_of_range_setting_is_usage_error(tmp_path, monkeypatch, capsys, section, key, value):
-    monkeypatch.delenv("HDSA_SEED", raising=False)
+def test_out_of_range_setting_is_usage_error(tmp_path, capsys, section, key, value):
     assert _run(tmp_path, {section: {key: value}}) == EXIT_USAGE
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_seed_from_environment_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HDSA_SEED", "-1")
-    assert _run(tmp_path, {}) == EXIT_USAGE
-    assert "seed" in capsys.readouterr().err
-    monkeypatch.setenv("HDSA_SEED", "3")
-    assert _run(tmp_path, {}) == EXIT_OK
+# one config per removed setting, each at the value the run used before
+REMOVED_KEYS = [
+    ({"sampling": {"init_mode": "zero"}}, "init_mode"),
+    ({"optimizer": {"forward_max_iter": 50}}, "forward_max_iter"),
+    ({"optimizer": {"armijo_c1": 1e-4}}, "armijo_c1"),
+    ({"optimizer": {"min_step": 1e-14}}, "min_step"),
+    ({"perturbation_deltas": [1e-2, 1e-3, 1e-4]}, "perturbation_deltas"),
+]
+
+
+@pytest.mark.parametrize("patch, key", REMOVED_KEYS, ids=[k for _, k in REMOVED_KEYS])
+def test_removed_setting_is_usage_error(tmp_path, capsys, patch, key):
+    assert _run(tmp_path, patch) == EXIT_USAGE
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert main(["verify", str(tmp_path / "config.json")]) == EXIT_USAGE
 
 
 def test_library_still_takes_forced_failure_settings():
@@ -117,14 +133,15 @@ CONSTRUCTOR_CASES = [
     (_problem(ADVDIFF, n_steps=0), "n_steps"),
     (_problem(ADVDIFF, obs_every=0), "obs_every"),
     (_problem(ADVDIFF, data_seed=-1), "data_seed"),
+    (_problem(DIFFUSION, target={"preset": "sine", "amplitud": 2}), "amplitud"),
+    (_problem(ADVDIFF, sensors=[]), "sensors"),
 ]
 
 
 @pytest.mark.parametrize(
     "patch, key", CONSTRUCTOR_CASES, ids=[f"{key}={i}" for i, (_, key) in enumerate(CONSTRUCTOR_CASES)]
 )
-def test_constructor_error_is_usage_error(tmp_path, monkeypatch, capsys, patch, key):
-    monkeypatch.delenv("HDSA_SEED", raising=False)
+def test_constructor_error_is_usage_error(tmp_path, capsys, patch, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_config(patch)))
     assert main(["run", str(path)]) == EXIT_USAGE
@@ -148,8 +165,7 @@ README_CONFIGS = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
 
 
 @pytest.mark.parametrize("block", README_CONFIGS)
-def test_readme_config_parses(block, monkeypatch):
-    monkeypatch.delenv("HDSA_SEED", raising=False)
+def test_readme_config_parses(block):
     parse_config(json.loads(block))
 
 

@@ -280,10 +280,7 @@ class TestSchurPath:
         problem = build_diffusion_control_1d(n_state=24, n_param=6)
         plan = SamplingPlan(
             theta_dists=[Distribution("uniform", -1.0, 1.0)] * 6,
-            init_mode="zero",
             master_seed=0,
-            n_u=24,
-            n_z=24,
         )
         cfg = RandEigConfig(k_pairs=2, oversampling=2, seed=0)
 
@@ -332,11 +329,8 @@ def check_points():
         ("quick start", build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)),
         ("advdiff", build_advdiff_inversion_1d()),
     ):
-        d = problem.dims
-        plan = SamplingPlan(
-            [Distribution("uniform", -1.0, 1.0)] * d.n_theta, n_u=d.n_u, n_z=d.n_z
-        )
-        out[name] = (problem, plan, solve_optimization(problem, *plan.sample(0)))
+        plan = SamplingPlan([Distribution("uniform", -1.0, 1.0)] * problem.dims.n_theta)
+        out[name] = (problem, plan, solve_optimization(problem, plan.sample(0)))
     return out
 
 

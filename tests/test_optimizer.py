@@ -48,12 +48,10 @@ class TestForward:
         plan = SamplingPlan(
             theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
             master_seed=0,
-            n_u=1024,
-            n_z=1024,
         )
-        theta, init = plan.sample(0)
-        z = init.z_init
-        u = solve_forward(p, z, theta, init.u_init)
+        theta = plan.sample(0)
+        z = np.zeros(1024)
+        u = solve_forward(p, z, theta)
         lam = solve_adjoint(p, u, z, theta)
         h = reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))
         g = reduced_gradient(p, u, z, theta, lam)
@@ -70,7 +68,7 @@ class TestForward:
         assert len(solves) == 1
         monkeypatch.undo()
         # so the optimizer converges at the full Newton step
-        opt = solve_optimization(p, theta, init)
+        opt = solve_optimization(p, theta)
         assert opt.iterations == 1
         assert opt.grad_norm <= OptimizerConfig().stationarity_tol
 

@@ -184,15 +184,11 @@ class TestSpectralGapInstance:
 def sample_operator(problem, j=0):
     """The sensitivity operator at sample j of a uniform(-1, 1) plan, as
     ``analyze_sample`` builds it."""
-    dims = problem.dims
     plan = SamplingPlan(
-        theta_dists=[Distribution("uniform", -1.0, 1.0)] * dims.n_theta,
+        theta_dists=[Distribution("uniform", -1.0, 1.0)] * problem.dims.n_theta,
         master_seed=0,
-        n_u=dims.n_u,
-        n_z=dims.n_z,
     )
-    theta, init = plan.sample(j)
-    opt = solve_optimization(problem, theta, init)
+    opt = solve_optimization(problem, plan.sample(j))
     return SensitivityOperator(
         problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
     )
