@@ -24,6 +24,12 @@ DENSE_THRESHOLD = 2000
 # advection-diffusion problem; wider blocks add peak memory for little speed.
 BLOCK_BYTES = 331_776
 
+# Matrix entries below which ``matmul`` hands a matrix-vector product to
+# numpy's ``@``: OpenBLAS runs it on one thread below 2304 x 4 entries, so
+# no thread pool wakes, and ``@`` costs less per call than scipy's wrapper
+# (the 16- and 64-node weighting matrices of the small problems).
+SERIAL_GEMV_MAX = 9216
+
 
 def block_width(n_rows: int) -> int:
     """Columns of an (n_rows, r) float64 block that fit in ``BLOCK_BYTES``."""
@@ -38,12 +44,28 @@ def identity_columns(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, trans_a: bool = False) -> np.ndarray:
-    """``a @ b``, or ``a.T @ b``, for a vector or a block ``b``, through
-    scipy's BLAS ``dgemm``. numpy's bundled OpenBLAS stalls on the tall,
-    skinny products of the KKT elimination: (2560 x 64)^T (2560 x 16) took
-    8.0 ms with ``@`` and 0.20 ms with ``dgemm`` under two threads on a
-    2-core machine. ``a`` is best stored in Fortran order, which dgemm reads
-    without a copy."""
+    """``a @ b``, or ``a.T @ b``, for a vector or a block ``b``.
+
+    numpy and scipy each ship their own OpenBLAS runtime, and each runtime
+    keeps its own thread pool. A product large enough to wake numpy's
+    threads, such as ``@`` of the 600 x 600 M_Z with a block, leaves them
+    competing for the cores with the threads of scipy's ``eigh``, Cholesky
+    and ``dgemm``. So products run through scipy's BLAS ``dgemm``; only a
+    matrix-vector product with fewer than ``SERIAL_GEMV_MAX`` matrix
+    entries takes ``@``. The callers are ``SpdOperator.apply`` (M_Z and
+    M_Theta), the R_Z product of the exact weighted SVD, and the W products
+    of the reduced Hessian and the KKT elimination. On a 2-core machine this
+    halved ``hdsa verify`` at 600 diffusion nodes (0.32 to 0.17 s). There,
+    ``@`` took 8.0 ms for a (2560 x 64)^T (2560 x 16) product and 7.9 ms
+    for a 700 x 700 matrix-vector product, ``dgemm`` 0.20 and 0.12 ms.
+
+    ``dgemm`` reads a C-ordered ``a`` without a copy, as the Fortran-ordered
+    view ``a.T`` with the transpose flag flipped.
+    """
+    if b.ndim == 1 and a.size < SERIAL_GEMV_MAX:
+        return a.T @ b if trans_a else a @ b
+    if a.flags.c_contiguous and not a.flags.f_contiguous:
+        a, trans_a = a.T, not trans_a
     out = scipy.linalg.blas.dgemm(1.0, a, b.reshape(b.shape[0], -1), trans_a=trans_a)
     return out.reshape(-1) if b.ndim == 1 else out
 
@@ -99,7 +121,7 @@ class SpdOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         check_operand(v, self.dim)
-        return self._matrix @ v
+        return matmul(self._matrix, v)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

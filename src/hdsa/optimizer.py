@@ -146,7 +146,7 @@ def reduced_hessian_matvec(problem: ProblemDefinition, p: EvalPoint, v: np.ndarr
 def state_sensitivity(problem: ProblemDefinition, p: EvalPoint) -> np.ndarray:
     """W = -c_u^{-1} c_z, the state's change per unit change of z: n_z state
     solves, in column blocks of ``block_width(n_u)``, stored in Fortran order
-    for ``matmul``."""
+    so that each block is written to contiguous memory."""
     d = problem.dims
     if d.n_z > DENSE_THRESHOLD:
         raise OptimizerError("reduced Hessian too large to form densely")

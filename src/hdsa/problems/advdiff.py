@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from ..linalg import SpdOperator
-from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
+from .base import ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import (
     advection_matrix_neumann,
     evaluate_preset,

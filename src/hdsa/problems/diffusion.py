@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from ..linalg import SpdOperator, as_rows
-from .base import EvalPoint, ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
+from .base import ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mass_matrix
 
 

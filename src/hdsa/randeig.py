@@ -26,6 +26,7 @@ from .linalg import (
     check_operand,
     dense_svd,
     dense_sym_eig,
+    matmul,
 )
 from .operators import SensitivityOperator
 from .problems.base import WeightedSpaces
@@ -261,7 +262,7 @@ def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTripl
     """Every weighted singular triple of an assembled D, from the SVD of
     R_Z D R_Theta^{-1} with R^T R = M."""
     r_z = spaces.m_z.cholesky()
-    sig, u, theta_vecs = _weighted_svd(r_z @ _over_r_theta(dmat.T, spaces), spaces)
+    sig, u, theta_vecs = _weighted_svd(matmul(r_z, _over_r_theta(dmat.T, spaces)), spaces)
     z_vecs = scipy.linalg.solve_triangular(r_z, u, lower=False)
     return _normalize_triples(sig, z_vecs, theta_vecs, spaces)
 

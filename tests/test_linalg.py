@@ -1,6 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg.blas
 
+import hdsa.linalg
 from hdsa.linalg import (
     LinalgError,
     SpdOperator,
@@ -82,17 +87,58 @@ class TestDense:
 
     def test_matmul_matches_numpy(self):
         rng = np.random.default_rng(15)
-        a = np.asfortranarray(rng.standard_normal((40, 7)))
-        for b, trans in (
-            (rng.standard_normal(7), False),
-            (rng.standard_normal((7, 3)), False),
-            (rng.standard_normal(40), True),
-            (rng.standard_normal((40, 3)), True),
+        # (40, 7) with a vector takes ``@``, every other case ``dgemm``
+        for shape, layout, trans, cols in itertools.product(
+            [(40, 7), (120, 100)], ["C", "F", "strided"], [False, True], [None, 3]
         ):
+            full = rng.standard_normal((2 * shape[0], 2 * shape[1]))
+            a = {
+                "C": np.ascontiguousarray(full[: shape[0], : shape[1]]),
+                "F": np.asfortranarray(full[: shape[0], : shape[1]]),
+                "strided": full[::2, ::2],
+            }[layout]
+            rows = shape[0] if trans else shape[1]
+            b = rng.standard_normal(rows if cols is None else (rows, cols))
             ref = (a.T if trans else a) @ b
             got = matmul(a, b, trans_a=trans)
-            assert got.shape == ref.shape
-            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+            case = f"{shape} {layout} trans_a={trans} cols={cols}"
+            assert got.shape == ref.shape, case
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13, err_msg=case)
+
+    @pytest.mark.parametrize(
+        "n, cols, dgemm_calls",
+        # 95^2 < SERIAL_GEMV_MAX = 96^2
+        [(95, None, 0), (96, None, 1), (16, 8, 1)],
+    )
+    def test_matmul_takes_dgemm_except_for_small_vectors(
+        self, monkeypatch, n, cols, dgemm_calls
+    ):
+        calls = []
+        dgemm = scipy.linalg.blas.dgemm
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return dgemm(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dgemm", spy)
+        a = random_spd(n, seed=19)
+        b = np.ones(n if cols is None else (n, cols))
+        np.testing.assert_allclose(matmul(a, b), a @ b, rtol=1e-13, atol=1e-13)
+        assert len(calls) == dgemm_calls
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_matmul_reads_c_ordered_matrix_without_copy(self, trans):
+        # the diffusion mass matrix M_Z at 600 nodes is C-ordered
+        a = np.random.default_rng(16).standard_normal((600, 600))
+        assert a.flags.c_contiguous
+        v = np.ones(600)
+        tracemalloc.start()
+        try:
+            matmul(a, v, trans_a=trans)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
 
     def test_svd_reconstruction(self):
         rng = np.random.default_rng(10)
@@ -110,6 +156,22 @@ class TestDense:
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(LinalgError):
             dense_cholesky(np.diag([1.0, -1.0]))
+
+    def test_spd_operator_apply_runs_through_matmul(self, monkeypatch):
+        m = random_spd(30, seed=17)
+        calls = []
+
+        def spy(a, b, trans_a=False):
+            calls.append(b.shape)
+            return matmul(a, b, trans_a=trans_a)
+
+        monkeypatch.setattr(hdsa.linalg, "matmul", spy)
+        rng = np.random.default_rng(18)
+        for v in (rng.standard_normal(30), rng.standard_normal((30, 4))):
+            np.testing.assert_allclose(
+                SpdOperator(m).apply(v), m @ v, rtol=1e-13, atol=1e-13
+            )
+        assert calls == [(30,), (30, 4)]
 
     def test_spd_operator_factors_once(self):
         m = random_spd(12, seed=12, cond=10)
