@@ -7,7 +7,6 @@ perturbation-ratio and fixed-z comparison diagnostics.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,49 +143,28 @@ def global_analysis(
     plan: SamplingPlan,
     cfg: RandEigConfig,
     opt_cfg: OptimizerConfig | None = None,
-    workers: int = 1,
 ) -> HdsaReport:
-    """Monte Carlo sweep over N parameter samples.
+    """Monte Carlo sweep over N parameter samples, in sample order.
 
     Per-sample numerical failures (optimizer divergence, rejected SOSC, KKT
     solves short of tolerance) are recorded and excluded from the aggregates;
     any other exception propagates. If every sample fails, the sweep raises
-    ``AllSamplesFailedError``. Results are gathered by sample index and are
-    identical for any worker count.
+    ``AllSamplesFailedError``.
     """
-    results: dict[int, SampleResult] = {}
-    failures: dict[int, SampleFailure] = {}
-
-    def task(j: int):
-        return analyze_sample(problem, plan, cfg, j, opt_cfg)
-
-    indices = list(range(cfg.n_samples))
-    if workers <= 1:
-        for j in indices:
-            try:
-                results[j] = task(j)
-            except COMPUTE_ERRORS as exc:
-                failures[j] = SampleFailure(j, plan.sample(j), str(exc))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(task, j): j for j in indices}
-            for fut in concurrent.futures.as_completed(futures):
-                j = futures[fut]
-                try:
-                    results[j] = fut.result()
-                except COMPUTE_ERRORS as exc:
-                    failures[j] = SampleFailure(j, plan.sample(j), str(exc))
+    results: list[SampleResult] = []
+    failures: list[SampleFailure] = []
+    for j in range(cfg.n_samples):
+        try:
+            results.append(analyze_sample(problem, plan, cfg, j, opt_cfg))
+        except COMPUTE_ERRORS as exc:
+            failures.append(SampleFailure(j, plan.sample(j), str(exc)))
 
     if not results:
         raise AllSamplesFailedError(
             "every sample failed; first failure: "
-            + (failures[min(failures)].message if failures else "unknown")
+            + (failures[0].message if failures else "unknown")
         )
-    return HdsaReport(
-        samples=[results[j] for j in sorted(results)],
-        failures=[failures[j] for j in sorted(failures)],
-        cfg=cfg,
-    )
+    return HdsaReport(samples=results, failures=failures, cfg=cfg)
 
 
 @dataclass

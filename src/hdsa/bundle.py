@@ -2,12 +2,11 @@
 
 All tabular files carry explicit index headers (sample j, triple k, parameter
 or coordinate i) and use a fixed float format, so reruns with the same config
-produce byte-identical files regardless of worker count.
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import platform
 from pathlib import Path
@@ -22,27 +21,42 @@ class BundleError(Exception):
     """Missing or corrupt result bundle."""
 
 
-CSV_FILES = (
-    "singular_values.csv",
-    "local_indices.csv",
-    "set_indices.csv",
-    "singular_vectors_theta.csv",
-    "singular_vectors_z.csv",
-    "optimal_z.csv",
-)
+# file -> (header, the sample's table): an array indexed i or k, a K x n
+# array indexed (k, i), or a dict of values keyed by set name
+_TABLES = {
+    "singular_values.csv": ("j,k,sigma", lambda s: s.sigmas),
+    "local_indices.csv": ("j,i,S_hat", lambda s: s.local),
+    "set_indices.csv": ("j,set,value", lambda s: s.sets),
+    "singular_vectors_theta.csv": (
+        "j,k,i,value",
+        lambda s: [t.theta_vec for t in s.triples],
+    ),
+    "singular_vectors_z.csv": ("j,k,i,value", lambda s: [t.z_vec for t in s.triples]),
+    "optimal_z.csv": ("j,i,value", lambda s: s.optimal.z0),
+}
+CSV_FILES = tuple(_TABLES)
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, enough to round-trip any double (0.1 reads
-    0.10000000000000001); deterministic for a given value."""
-    return format(float(x), ".17g")
+def _rows(table):
+    """(index columns, value) pairs of one sample's table, in index order."""
+    if isinstance(table, dict):
+        return table.items()
+    a = np.asarray(table, dtype=float)
+    if a.ndim == 1:
+        return enumerate(a.tolist())
+    return (
+        (f"{k},{i}", v) for k, row in enumerate(a.tolist()) for i, v in enumerate(row)
+    )
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: str, table, report: HdsaReport) -> None:
+    """One line per value; 17 significant digits round-trip any double
+    (0.1 reads 0.10000000000000001)."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header + "\n")
+        for s in report.samples:
+            j = s.sample_index
+            fh.writelines(f"{j},{idx},{v:.17g}\n" for idx, v in _rows(table(s)))
 
 
 def write_bundle(
@@ -53,63 +67,8 @@ def write_bundle(
     wall_clock: float,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    _write_csv(
-        out_dir / "singular_values.csv",
-        ["j", "k", "sigma"],
-        (
-            [s.sample_index, k, _fmt(t.sigma)]
-            for s in report.samples
-            for k, t in enumerate(s.triples)
-        ),
-    )
-    _write_csv(
-        out_dir / "local_indices.csv",
-        ["j", "i", "S_hat"],
-        (
-            [s.sample_index, i, _fmt(v)]
-            for s in report.samples
-            for i, v in enumerate(s.local)
-        ),
-    )
-    _write_csv(
-        out_dir / "set_indices.csv",
-        ["j", "set", "value"],
-        (
-            [s.sample_index, name, _fmt(v)]
-            for s in report.samples
-            for name, v in s.sets.items()
-        ),
-    )
-    _write_csv(
-        out_dir / "singular_vectors_theta.csv",
-        ["j", "k", "i", "value"],
-        (
-            [s.sample_index, k, i, _fmt(v)]
-            for s in report.samples
-            for k, t in enumerate(s.triples)
-            for i, v in enumerate(t.theta_vec)
-        ),
-    )
-    _write_csv(
-        out_dir / "singular_vectors_z.csv",
-        ["j", "k", "i", "value"],
-        (
-            [s.sample_index, k, i, _fmt(v)]
-            for s in report.samples
-            for k, t in enumerate(s.triples)
-            for i, v in enumerate(t.z_vec)
-        ),
-    )
-    _write_csv(
-        out_dir / "optimal_z.csv",
-        ["j", "i", "value"],
-        (
-            [s.sample_index, i, _fmt(v)]
-            for s in report.samples
-            for i, v in enumerate(s.optimal.z0)
-        ),
-    )
+    for name, (header, table) in _TABLES.items():
+        _write_table(out_dir / name, header, table, report)
 
     doc = {
         "n_samples_requested": report.n_requested,

@@ -8,7 +8,6 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,10 @@ EXIT_USAGE = 2
 # Verification gates: |ratio - 1| of the perturbation sweep at its smallest
 # delta, and the relative mismatch of <D phi, w> and <phi, D^T w>.
 PERTURBATION_TOL = 1e-3
+# |ratio - 1| at or below this counts as converged even where it grows as delta
+# shrinks: on a map affine in theta the re-solve's rounding gap is constant,
+# so relative to delta it grows while the ratio stays 1 to 1e-7
+PERTURBATION_FLOOR = 1e-6
 ADJOINT_TOL = 1e-8
 # the perturbation sweep's deltas, largest first
 PERTURBATION_DELTAS = (1e-2, 1e-3, 1e-4)
@@ -40,7 +43,7 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def cmd_run(config_path: str, force: bool = False, workers: int | None = None) -> int:
+def cmd_run(config_path: str, force: bool = False, workers: int = 1) -> int:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -51,8 +54,7 @@ def cmd_run(config_path: str, force: bool = False, workers: int | None = None) -
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         _err(f"output directory {out_dir} is not empty; pass --force to replace")
         return EXIT_USAGE
-    if workers is None:
-        workers = os.cpu_count() or 1
+    # --workers has no effect; it is still parsed and range-checked
     if workers < 1:
         _err("--workers must be at least 1")
         return EXIT_USAGE
@@ -66,9 +68,7 @@ def cmd_run(config_path: str, force: bool = False, workers: int | None = None) -
 
     t0 = time.perf_counter()
     try:
-        report = global_analysis(
-            problem, plan, cfg.randeig, opt_cfg=cfg.optimizer, workers=workers
-        )
+        report = global_analysis(problem, plan, cfg.randeig, opt_cfg=cfg.optimizer)
     except (*COMPUTE_ERRORS, AllSamplesFailedError) as exc:
         _err(f"analysis failed: {exc}")
         return EXIT_COMPUTE
@@ -172,7 +172,10 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         # the ratio must approach 1 as delta shrinks and be there at the end;
         # a wrong D gives a ratio that converges, but not to 1
         ok = (
-            all(e2 <= e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
+            all(
+                e2 <= e1 + 1e-12 or e2 <= PERTURBATION_FLOOR
+                for e1, e2 in zip(errs, errs[1:])
+            )
             and errs[-1] <= PERTURBATION_TOL
         )
         detail = "ratios " + ", ".join(f"{r:.6f}" for r in ratios)
@@ -266,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="parallel sample workers (default: available parallelism)",
+        default=1,
+        help="no effect (samples run in one serial loop); will be removed",
     )
 
     p_verify = sub.add_parser("verify", help="run the verification suite on a config")

@@ -93,7 +93,7 @@ class ProblemDefinition(ABC):
     All derivative methods are matrix-free actions. The Lagrangian is
     L(u, z, lam, theta) = J(u, z, theta) + lam . c(u, z, theta), and the
     second-derivative blocks below are evaluated at an ``EvalPoint``.
-    Instances are immutable after construction and safe for concurrent use.
+    Instances are immutable after construction.
 
     Block contract: every derivative action and both linearized solves take
     a vector or a block of columns. An (n,) operand gives an (m,) result and

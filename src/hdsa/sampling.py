@@ -1,8 +1,8 @@
 """Deterministic seeded sampling for parameters and probes.
 
 Every random draw is keyed by (master seed, structured key) through a
-counter-based Philox generator, so results are independent of worker
-scheduling and reduction order.
+counter-based Philox generator, so results are independent of the order
+in which samples and probes are drawn.
 """
 
 from __future__ import annotations

@@ -333,7 +333,7 @@ def test_criterion_8_transient_inversion_analog():
         cfg = RandEigConfig(
             k_pairs=12, oversampling=8, seed=seed, n_samples=5, power_iterations=2
         )
-        reports.append(global_analysis(problem, plan, cfg, workers=4))
+        reports.append(global_analysis(problem, plan, cfg))
 
     decay = max(s.spectral_decay for r in reports for s in r.samples)
     means = [r.set_mean() for r in reports]

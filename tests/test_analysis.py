@@ -43,16 +43,6 @@ class TestGlobalAnalysis:
         np.testing.assert_array_equal(report.local_std(), 0.0)
         assert all(v == 0.0 for v in report.set_std().values())
 
-    def test_worker_count_does_not_change_results(self):
-        problem = build_logistic_toy()
-        cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=4)
-        serial = global_analysis(problem, logistic_plan(), cfg, workers=1)
-        threaded = global_analysis(problem, logistic_plan(), cfg, workers=3)
-        for a, b in zip(serial.samples, threaded.samples):
-            np.testing.assert_array_equal(a.sigmas, b.sigmas)
-            np.testing.assert_array_equal(a.local, b.local)
-            assert a.sets == b.sets
-
     def test_all_samples_failing_raises(self):
         problem = build_logistic_toy()
         cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=2)
@@ -60,8 +50,7 @@ class TestGlobalAnalysis:
         with pytest.raises(RuntimeError):
             global_analysis(problem, logistic_plan(), cfg, opt_cfg=bad)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_programming_error_propagates(self, monkeypatch, workers):
+    def test_programming_error_propagates(self, monkeypatch):
         # a TypeError in a problem method is a bug, not a failed sample
         problem = build_logistic_toy()
         residual = problem.residual
@@ -74,7 +63,7 @@ class TestGlobalAnalysis:
         monkeypatch.setattr(problem, "residual", broken)
         cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=2)
         with pytest.raises(TypeError, match="broken residual"):
-            global_analysis(problem, logistic_plan(), cfg, workers=workers)
+            global_analysis(problem, logistic_plan(), cfg)
 
     def test_analyze_sample_fields(self):
         problem = build_logistic_toy()
