@@ -50,8 +50,10 @@ class TestGlobalAnalysis:
         with pytest.raises(RuntimeError):
             global_analysis(problem, logistic_plan(), cfg, opt_cfg=bad)
 
-    def test_programming_error_propagates(self, monkeypatch):
-        # a TypeError in a problem method is a bug, not a failed sample
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, n_samples):
+        # a TypeError in a problem method is a bug, not a failed sample,
+        # whether the sweep holds one sample or several
         problem = build_logistic_toy()
         residual = problem.residual
 
@@ -61,7 +63,7 @@ class TestGlobalAnalysis:
             return residual(u, z, theta)
 
         monkeypatch.setattr(problem, "residual", broken)
-        cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=2)
+        cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=n_samples)
         with pytest.raises(TypeError, match="broken residual"):
             global_analysis(problem, logistic_plan(), cfg)
 
