@@ -53,7 +53,7 @@ from .problems import (
 )
 from .randeig import (
     RandEigConfig,
-    SingularTriple,
+    Triples,
     alternative_formulation,
     apply_pencil_a,
     dense_oracle,
@@ -101,7 +101,7 @@ __all__ = [
     "build_logistic_toy",
     "check_derivatives",
     "RandEigConfig",
-    "SingularTriple",
+    "Triples",
     "alternative_formulation",
     "apply_pencil_a",
     "dense_oracle",

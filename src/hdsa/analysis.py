@@ -24,7 +24,7 @@ from .problems.base import ProblemDefinition
 from .randeig import (
     GenEigDiagnostics,
     RandEigConfig,
-    SingularTriple,
+    Triples,
     exact_triples,
     randomized_geneig,
     svd_path,
@@ -41,19 +41,15 @@ class SampleResult:
     sample_index: int
     theta: np.ndarray
     optimal: OptimalPoint
-    triples: list[SingularTriple]
+    triples: Triples
     local: np.ndarray
     sets: dict[str, float]
     diagnostics: GenEigDiagnostics
     svd: str  # "exact" | "randomized", the path svd_path chose
 
     @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([t.sigma for t in self.triples])
-
-    @property
     def spectral_decay(self) -> float:
-        s = self.sigmas
+        s = self.triples.sigma
         return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
 

@@ -24,17 +24,25 @@ class BundleError(Exception):
 # file -> (header, the sample's table): an array indexed i or k, a K x n
 # array indexed (k, i), or a dict of values keyed by set name
 _TABLES = {
-    "singular_values.csv": ("j,k,sigma", lambda s: s.sigmas),
+    "singular_values.csv": ("j,k,sigma", lambda s: s.triples.sigma),
     "local_indices.csv": ("j,i,S_hat", lambda s: s.local),
     "set_indices.csv": ("j,set,value", lambda s: s.sets),
-    "singular_vectors_theta.csv": (
-        "j,k,i,value",
-        lambda s: [t.theta_vec for t in s.triples],
-    ),
-    "singular_vectors_z.csv": ("j,k,i,value", lambda s: [t.z_vec for t in s.triples]),
+    "singular_vectors_theta.csv": ("j,k,i,value", lambda s: s.triples.theta.T),
+    "singular_vectors_z.csv": ("j,k,i,value", lambda s: s.triples.z.T),
     "optimal_z.csv": ("j,i,value", lambda s: s.optimal.z0),
 }
 CSV_FILES = tuple(_TABLES)
+
+# what render_report reads of report.json, at its top level and per sample
+REPORT_KEYS = (
+    "n_samples_requested",
+    "n_samples_completed",
+    "n_failures",
+    "local_indices_mean",
+    "local_indices_std",
+    "samples",
+)
+SAMPLE_KEYS = ("j", "sigmas", "spectral_decay", "svd", "triple_residuals")
 
 
 def _rows(table):
@@ -85,7 +93,7 @@ def write_bundle(
             {
                 "j": s.sample_index,
                 "theta": [float(v) for v in s.theta],
-                "sigmas": [float(v) for v in s.sigmas],
+                "sigmas": s.triples.sigma.tolist(),
                 "spectral_decay": s.spectral_decay,
                 "optimizer_iterations": s.optimal.iterations,
                 "grad_norm": s.optimal.grad_norm,
@@ -94,9 +102,7 @@ def write_bundle(
                 "kkt_solves": s.diagnostics.kkt_solves,
                 "kkt_rhs": s.diagnostics.kkt_rhs,
                 "kkt_backward_error": s.diagnostics.kkt_backward_error,
-                "triple_residuals": [
-                    float(v) for v in s.diagnostics.triple_residuals
-                ],
+                "triple_residuals": s.diagnostics.triple_residuals.tolist(),
                 "rank_deficient": s.diagnostics.rank_deficient,
                 "svd": s.svd,
             }
@@ -134,14 +140,33 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise BundleError(f"corrupt manifest: {exc}") from exc
-    for name in manifest.get("files", []):
+    if not isinstance(manifest, dict):
+        raise BundleError("corrupt manifest: not a JSON object")
+    files = manifest.get("files", [])
+    if not isinstance(files, list) or not all(isinstance(n, str) for n in files):
+        raise BundleError("corrupt manifest: files must be a list of file names")
+    for name in files:
         if not (bundle_dir / name).is_file():
             raise BundleError(f"bundle file listed in manifest is missing: {name}")
     try:
         report = json.loads(report_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise BundleError(f"corrupt report: {exc}") from exc
+    if not isinstance(report, dict):
+        raise BundleError("corrupt report: not a JSON object")
+    _require(report, REPORT_KEYS, "report")
+    samples = report["samples"]
+    if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
+        raise BundleError("corrupt report: samples must be a list of objects")
+    for s in samples:
+        _require(s, SAMPLE_KEYS, "report sample")
     return manifest, report
+
+
+def _require(doc: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise BundleError(f"corrupt {what}: missing {', '.join(missing)}")
 
 
 def render_report(manifest: dict, report: dict) -> str:

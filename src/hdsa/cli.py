@@ -51,6 +51,12 @@ def cmd_run(config_path: str, force: bool = False, workers: int = 1) -> int:
         return EXIT_USAGE
 
     out_dir = cfg.output_dir
+    # the output directory, or the nearest of its parents that exists, must
+    # be a directory, or the bundle cannot be written once the run is done
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        _err(f"output directory {out_dir} cannot be made: {nearest} is not a directory")
+        return EXIT_USAGE
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         _err(f"output directory {out_dir} is not empty; pass --force to replace")
         return EXIT_USAGE
@@ -114,10 +120,8 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     if k == 0:
         checks.append(("oracle cross-validation", False, "no singular triples"))
     else:
-        rel = max(
-            abs(triples[i].sigma - oracle[i].sigma) / max(oracle[i].sigma, 1e-30)
-            for i in range(k)
-        )
+        ref = oracle.sigma[:k]
+        rel = float(np.max(np.abs(triples.sigma[:k] - ref) / np.maximum(ref, 1e-30)))
         checks.append(
             (
                 "oracle cross-validation",
@@ -131,10 +135,8 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     if ka == 0:
         checks.append(("alternative formulation", False, "no eigenpairs"))
     else:
-        rel = max(
-            abs(alt[i].sigma**2 - oracle[i].sigma**2) / max(oracle[i].sigma**2, 1e-30)
-            for i in range(ka)
-        )
+        ref = oracle.sigma[:ka] ** 2
+        rel = float(np.max(np.abs(alt.sigma[:ka] ** 2 - ref) / np.maximum(ref, 1e-30)))
         checks.append(
             (
                 "alternative formulation",
@@ -200,7 +202,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
             tr_j, _ = randomized_geneig(
                 s_j, problem.spaces, cfg.randeig, sample_index=0
             )
-            sigma_sets.append(np.array([t.sigma for t in tr_j]))
+            sigma_sets.append(tr_j.sigma)
         base = sigma_sets[0]
         rel = max(
             float(np.max(np.abs(s - base) / np.maximum(base, 1e-30)))

@@ -9,7 +9,7 @@ from .operators import ProjectedSensitivityOperator, SensitivityOperator
 from .problems.base import ProblemError, SetPartition, WeightedSpaces
 from .randeig import (
     RandEigConfig,
-    SingularTriple,
+    Triples,
     _all_triples,
     randomized_geneig,
     svd_path,
@@ -17,15 +17,11 @@ from .randeig import (
 from .sampling import SET_PROBE_STREAM
 
 
-def local_indices(triples: list[SingularTriple], spaces: WeightedSpaces) -> np.ndarray:
+def local_indices(triples: Triples, spaces: WeightedSpaces) -> np.ndarray:
     """Per-coordinate indices S_i = sqrt(sum_k sigma_k^2 ((M_Theta theta_k)_i)^2)."""
     if not triples:
         raise ProblemError("local_indices needs at least one singular triple")
-    acc = np.zeros(triples[0].theta_vec.shape[0])
-    for t in triples:
-        w = spaces.m_theta.apply(t.theta_vec)
-        acc += (t.sigma**2) * w**2
-    return np.sqrt(acc)
+    return np.sqrt(spaces.m_theta.apply(triples.theta) ** 2 @ triples.sigma**2)
 
 
 def _check_partition_orthogonal(
@@ -42,7 +38,7 @@ def _check_partition_orthogonal(
 
 
 def set_indices(
-    triples: list[SingularTriple],
+    triples: Triples,
     spaces: WeightedSpaces,
     partition: SetPartition,
     mode: str = "truncated",
@@ -59,24 +55,19 @@ def set_indices(
     ``svd_path`` assembles D, at no further KKT solve, and from the
     randomized solver on the projected operator otherwise.
     """
-    partition.validate_cover(triples[0].theta_vec.shape[0] if triples else 0)
+    partition.validate_cover(triples.theta.shape[0])
     _check_partition_orthogonal(partition, spaces)
     out: dict[str, float] = {}
     if mode == "truncated":
         if not triples:
             raise ProblemError("set_indices needs at least one singular triple")
-        sigmas = np.array([t.sigma for t in triples])
-        thetas = np.column_stack([t.theta_vec for t in triples])
-        m_thetas = np.column_stack(
-            [spaces.m_theta.apply(t.theta_vec) for t in triples]
-        )
+        thetas = triples.theta
+        m_thetas = spaces.m_theta.apply(thetas)
         for name, start, stop in partition.sets:
-            proj = np.zeros_like(thetas)
-            proj[start:stop, :] = thetas[start:stop, :]
             # (Pi theta_k)^T M_Theta (Pi theta_l): M block-diagonal over sets,
             # so the projected pairing only sees the set's own block
-            gram = proj[start:stop, :].T @ m_thetas[start:stop, :]
-            s = (sigmas[:, None] * sigmas[None, :]) * gram
+            gram = thetas[start:stop].T @ m_thetas[start:stop]
+            s = np.outer(triples.sigma, triples.sigma) * gram
             evals, _ = dense_sym_eig(0.5 * (s + s.T))
             out[name] = float(np.sqrt(max(evals[0], 0.0)))
         return out
@@ -90,7 +81,7 @@ def set_indices(
             if dmat is not None:
                 masked = np.zeros_like(dmat)
                 masked[:, start:stop] = dmat[:, start:stop]
-                out[name] = _all_triples(masked, spaces)[0].sigma
+                out[name] = float(_all_triples(masked, spaces).sigma[0])
                 continue
             proj_op = ProjectedSensitivityOperator(sens_op, np.arange(start, stop))
             sub_cfg = RandEigConfig(
@@ -102,6 +93,6 @@ def set_indices(
             sub_triples, _ = randomized_geneig(
                 proj_op, spaces, sub_cfg, key=(SET_PROBE_STREAM, sample_index, set_i)
             )
-            out[name] = sub_triples[0].sigma if sub_triples else 0.0
+            out[name] = float(sub_triples.sigma[0]) if sub_triples else 0.0
         return out
     raise ProblemError(f"unknown set-index mode {mode!r}")

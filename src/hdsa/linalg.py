@@ -143,6 +143,10 @@ class SpdOperator:
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(v, v), 0.0)))
 
+    def norms(self, v: np.ndarray) -> np.ndarray:
+        """M-norm of each column of a block (dim, r)."""
+        return np.sqrt(np.maximum(np.einsum("ij,ij->j", v, self.apply(v)), 0.0))
+
 
 def b_orthonormalize(
     vectors: np.ndarray, b: SpdOperator, drop_tol: float = 1e-10

@@ -61,6 +61,10 @@ class AdvDiffInversionProblem(ProblemDefinition):
             raise ProblemError("need at least 2 source-window parameters")
         if min(n_steps, obs_every) < 1 or data_seed < 0:
             raise ProblemError("n_steps and obs_every must be positive, data_seed nonnegative")
+        if data_refine < 1:
+            raise ProblemError("data_refine must be positive")
+        if noise_level < 0 or alpha < 0:
+            raise ProblemError("noise_level and alpha must be nonnegative")
         self.n_space = n_space
         self.n_steps = n_steps
         self.t_final = t_final
@@ -133,7 +137,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
         }
         self.true_source = evaluate_preset(true_source, self.x_nodes, "true_source")
         self._true_source_spec = dict(true_source)
-        self.data = self._generate_data(max(1, data_refine))
+        self.data = self._generate_data(data_refine)
 
     # Coefficients -----------------------------------------------------------
 

@@ -35,6 +35,8 @@ class DiffusionControlProblem(ProblemDefinition):
     ):
         if gamma < 0:
             raise ProblemError("gamma must be nonnegative")
+        if kappa0 <= 0:
+            raise ProblemError("kappa0 must be positive")
         if n_param < 2:
             raise ProblemError("n_param must be at least 2")
         self.n_state = n_state

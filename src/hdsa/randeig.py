@@ -67,11 +67,23 @@ class RandEigConfig:
         return self.k_pairs + self.oversampling
 
 
-@dataclass
-class SingularTriple:
-    sigma: float
-    theta_vec: np.ndarray  # right vector, unit M_Theta norm
-    z_vec: np.ndarray  # left vector, unit M_Z norm
+@dataclass(frozen=True, eq=False)
+class Triples:
+    """K weighted singular triples of D as one block, with
+    D theta[:, k] = sigma[k] z[:, k]."""
+
+    sigma: np.ndarray  # (K,), descending
+    theta: np.ndarray  # (n_theta, K), right vectors with unit M_Theta norm
+    z: np.ndarray  # (n_z, K), left vectors with unit M_Z norm
+
+    def __len__(self) -> int:
+        return self.sigma.shape[0]
+
+    def __getitem__(self, k: slice) -> Triples:
+        """The triples at the positions of slice ``k``, as copies: a view
+        would keep every column of a sample's full SVD alive."""
+        sigma, theta, z = self.sigma[k], self.theta[:, k], self.z[:, k]
+        return Triples(sigma.copy(), theta.copy(), z.copy())
 
 
 @dataclass
@@ -85,7 +97,7 @@ class GenEigDiagnostics:
     kkt_backward_error: float  # worst of the operator's KKT solves
     # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
     # / sigma
-    triple_residuals: list[float]
+    triple_residuals: np.ndarray
 
 
 def _kkt_work(d: SensitivityOperator, before: tuple[int, int]) -> dict:
@@ -113,34 +125,22 @@ def apply_pencil_a(d: SensitivityOperator, spaces: WeightedSpaces, v: np.ndarray
     return np.concatenate([top, bottom])
 
 
-def _fix_sign(t: SingularTriple) -> SingularTriple:
-    """The triple with its sign fixed: the entry of theta_vec largest in
-    magnitude (the first of them, on a tie) is positive, and z_vec flips with
-    theta_vec. Eigensolvers fix no sign, so without this a change in rounding
-    could flip a reported pair of vectors."""
-    if t.theta_vec[np.argmax(np.abs(t.theta_vec))] >= 0.0:
-        return t
-    return SingularTriple(t.sigma, -t.theta_vec, -t.z_vec)
+def _normalized(
+    sigma: np.ndarray, theta: np.ndarray, z: np.ndarray, spaces: WeightedSpaces
+) -> Triples:
+    """The triples with unit M-norm columns, less those with a zero column.
 
-
-def _normalize_triples(
-    sigmas: np.ndarray,
-    z_vecs: np.ndarray,
-    theta_vecs: np.ndarray,
-    spaces: WeightedSpaces,
-) -> list[SingularTriple]:
-    triples = []
-    for k in range(sigmas.shape[0]):
-        th = theta_vecs[:, k]
-        zv = z_vecs[:, k]
-        th_n = spaces.m_theta.norm(th)
-        z_n = spaces.m_z.norm(zv)
-        if th_n == 0.0 or z_n == 0.0:
-            continue
-        triples.append(
-            _fix_sign(SingularTriple(float(sigmas[k]), th / th_n, zv / z_n))
-        )
-    return triples
+    Signs are fixed: the entry of each theta column largest in magnitude (the
+    first of them, on a tie) is positive, and z flips with theta. Eigensolvers
+    fix no sign, so without this a change in rounding could flip a reported
+    pair of vectors.
+    """
+    th_n, z_n = spaces.m_theta.norms(theta), spaces.m_z.norms(z)
+    live = (th_n != 0.0) & (z_n != 0.0)
+    theta, z = theta[:, live] / th_n[live], z[:, live] / z_n[live]
+    peak = theta[np.argmax(np.abs(theta), axis=0), np.arange(theta.shape[1])]
+    sign = np.where(peak >= 0.0, 1.0, -1.0)
+    return Triples(sigma[live], theta * sign, z * sign)
 
 
 def _over_r_theta(bt: np.ndarray, spaces: WeightedSpaces) -> np.ndarray:
@@ -156,23 +156,20 @@ def _weighted_svd(core: np.ndarray, spaces: WeightedSpaces):
     return sig, u, scipy.linalg.solve_triangular(spaces.m_theta.cholesky(), v, lower=False)
 
 
-def _leading(every: list[SingularTriple], k_pairs: int) -> list[SingularTriple]:
+def _leading(every: Triples, k_pairs: int) -> Triples:
     """The first K triples above ``RANK_TOL`` times sigma_1."""
-    return [t for t in every if t.sigma > RANK_TOL * every[0].sigma][:k_pairs]
+    above = int(np.count_nonzero(every.sigma > RANK_TOL * every.sigma[:1]))
+    return every[: min(above, k_pairs)]
 
 
-def _residuals(triples, d_thetas, adj_zs, spaces: WeightedSpaces) -> list[float]:
+def _residuals(
+    t: Triples, d_theta: np.ndarray, adj_z: np.ndarray, spaces: WeightedSpaces
+) -> np.ndarray:
     """max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta) / sigma of
-    each triple, given D theta_k and D* z_k."""
-    m_z, m_theta = spaces.m_z, spaces.m_theta
-    return [
-        max(
-            m_z.norm(d_th - t.sigma * t.z_vec),
-            m_theta.norm(adj_z - t.sigma * t.theta_vec),
-        )
-        / t.sigma
-        for t, d_th, adj_z in zip(triples, d_thetas, adj_zs)
-    ]
+    each triple, given the blocks D Theta and D* Z."""
+    r_z = spaces.m_z.norms(d_theta - t.z * t.sigma)
+    r_theta = spaces.m_theta.norms(adj_z - t.theta * t.sigma)
+    return np.maximum(r_z, r_theta) / t.sigma
 
 
 def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
@@ -197,7 +194,7 @@ def randomized_geneig(
     cfg: RandEigConfig,
     sample_index: int = 0,
     key: tuple[int, ...] | None = None,
-) -> tuple[list[SingularTriple], GenEigDiagnostics]:
+) -> tuple[Triples, GenEigDiagnostics]:
     """Randomized weighted SVD of D; returns up to K singular triples.
 
     Samples Y = D Omega with r = min(K + p, n_theta) standard-normal probes
@@ -229,15 +226,13 @@ def randomized_geneig(
     dropped += ndrop
 
     bt = d.apply_transpose(m_z.apply(q))
-    sig, u, theta_vecs = _weighted_svd(_over_r_theta(bt, spaces), spaces)
-    triples = _leading(_normalize_triples(sig, q @ u, theta_vecs, spaces), cfg.k_pairs)
-    residuals = []
+    sig, u, theta = _weighted_svd(_over_r_theta(bt, spaces), spaces)
+    triples = _leading(_normalized(sig, theta, q @ u, spaces), cfg.k_pairs)
+    residuals = np.zeros(0)
     if triples:
-        thetas = np.column_stack([t.theta_vec for t in triples])
-        zs = np.column_stack([t.z_vec for t in triples])
         # z_k lies in the range of Q, so D* z_k = M_Theta^{-1} B^T Q^T M_Z z_k
-        adj_zs = m_theta.solve(bt @ (q.T @ m_z.apply(zs)))
-        residuals = _residuals(triples, d.apply(thetas).T, adj_zs.T, spaces)
+        adj_z = m_theta.solve(bt @ (q.T @ m_z.apply(triples.z)))
+        residuals = _residuals(triples, d.apply(triples.theta), adj_z, spaces)
     diag = GenEigDiagnostics(
         ritz_values=sig,
         n_probes=r,
@@ -258,18 +253,18 @@ def _assembled(d: SensitivityOperator) -> np.ndarray:
     return d.dense()
 
 
-def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> list[SingularTriple]:
+def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> Triples:
     """Every weighted singular triple of an assembled D, from the SVD of
     R_Z D R_Theta^{-1} with R^T R = M."""
     r_z = spaces.m_z.cholesky()
-    sig, u, theta_vecs = _weighted_svd(matmul(r_z, _over_r_theta(dmat.T, spaces)), spaces)
-    z_vecs = scipy.linalg.solve_triangular(r_z, u, lower=False)
-    return _normalize_triples(sig, z_vecs, theta_vecs, spaces)
+    sig, u, theta = _weighted_svd(matmul(r_z, _over_r_theta(dmat.T, spaces)), spaces)
+    z = scipy.linalg.solve_triangular(r_z, u, lower=False)
+    return _normalized(sig, theta, z, spaces)
 
 
 def exact_triples(
     d: SensitivityOperator, spaces: WeightedSpaces, cfg: RandEigConfig
-) -> tuple[list[SingularTriple], GenEigDiagnostics]:
+) -> tuple[Triples, GenEigDiagnostics]:
     """The first K singular triples of D, from its weighted SVD.
 
     Assembles D from one KKT right-hand side per parameter, so it pays where
@@ -281,15 +276,11 @@ def exact_triples(
     dmat = _assembled(d)
     every = _all_triples(dmat, spaces)
     triples = _leading(every, cfg.k_pairs)
-    m_z, m_theta = spaces.m_z, spaces.m_theta
-    residuals = _residuals(
-        triples,
-        (dmat @ t.theta_vec for t in triples),
-        (m_theta.solve(dmat.T @ m_z.apply(t.z_vec)) for t in triples),
-        spaces,
-    )
+    m_z_z = spaces.m_z.apply(triples.z)
+    adj_z = spaces.m_theta.solve(matmul(dmat, m_z_z, trans_a=True))
+    residuals = _residuals(triples, matmul(dmat, triples.theta), adj_z, spaces)
     diag = GenEigDiagnostics(
-        ritz_values=np.array([t.sigma for t in every]),
+        ritz_values=every.sigma,
         n_probes=d.n_theta,
         n_dropped=0,
         rank_deficient=len(triples) < cfg.k_pairs,
@@ -299,7 +290,7 @@ def exact_triples(
     return triples, diag
 
 
-def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> list[SingularTriple]:
+def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> Triples:
     """Weighted SVD via explicit Cholesky factors: SVD of R_Z D R_Theta^{-1}.
 
     Builds D from one block of KKT solves over the parameter basis and returns
@@ -313,7 +304,7 @@ def alternative_formulation(
     spaces: WeightedSpaces,
     cfg: RandEigConfig,
     sample_index: int = 0,
-) -> tuple[list[SingularTriple], GenEigDiagnostics]:
+) -> tuple[Triples, GenEigDiagnostics]:
     """Randomized solve of D^T M_Z D theta = alpha M_Theta theta.
 
     The returned eigenvalues are the squares of the primary formulation's
@@ -343,24 +334,20 @@ def alternative_formulation(
     t = q.T @ aq
     evals, evecs = dense_sym_eig(0.5 * (t + t.T))
     keep = _positive_pairs(evals, cfg.k_pairs)
+    sigma = np.sqrt(evals[keep])
     thetas = q @ evecs[:, keep]
-    th_norms = np.array([m_theta.norm(thetas[:, k]) for k in range(len(keep))])
+    th_norms = m_theta.norms(thetas)
     thetas = thetas / th_norms
     # D* D theta_k from the Rayleigh-Ritz block, for the residuals
     adj_images = m_theta.solve(aq @ evecs[:, keep]) / th_norms
     images = d.apply(thetas)
-
-    triples, residuals = [], []
-    for k in range(len(keep)):
-        sigma = float(np.sqrt(evals[keep[k]]))
-        d_n = m_z.norm(images[:, k])
-        if d_n == 0.0:
-            continue
-        triple = SingularTriple(sigma, thetas[:, k], images[:, k] / d_n)
-        # z_k is parallel to D theta_k, so ||D theta - sigma z||_Z = | ||D theta||_Z - sigma |
-        res_th = m_theta.norm(adj_images[:, k] / d_n - sigma * triple.theta_vec)
-        triples.append(_fix_sign(triple))
-        residuals.append(max(abs(d_n - sigma), res_th) / sigma)
+    d_n = m_z.norms(images)
+    live = d_n != 0.0
+    sigma_l, d_n_l = sigma[live], d_n[live]
+    # z_k is parallel to D theta_k, so ||D theta - sigma z||_Z = | ||D theta||_Z - sigma |
+    res_th = m_theta.norms(adj_images[:, live] / d_n_l - thetas[:, live] * sigma_l)
+    residuals = np.maximum(np.abs(d_n_l - sigma_l), res_th) / sigma_l
+    triples = _normalized(sigma, thetas, images, spaces)
     diag = GenEigDiagnostics(
         ritz_values=evals,
         n_probes=r,

@@ -345,7 +345,7 @@ def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):
     assert res.svd == "exact"
     # the operator's check, then D
     assert sum(columns) == NORM_PROBES + 16
-    assert res.sets["kappa"] == pytest.approx(res.triples[0].sigma, rel=1e-12)
+    assert res.sets["kappa"] == pytest.approx(res.triples.sigma[0], rel=1e-12)
 
 
 def test_quick_start_run_matches_dense_oracle(tmp_path):
@@ -375,7 +375,7 @@ def test_quick_start_run_matches_dense_oracle(tmp_path):
     for j in range(5):
         opt = solve_optimization(problem, plan.sample(j), cfg=cfg.optimizer)
         sens = SensitivityOperator(problem, opt.as_eval_point())
-        oracle = [t.sigma for t in dense_oracle(sens, problem.spaces)[:4]]
+        oracle = dense_oracle(sens, problem.spaces).sigma[:4]
         got = [s for i, s in sigmas if i == j]
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=0.0)
         # and against a reference that shares no code with either: sigma^2

@@ -23,11 +23,12 @@ def expected_tables(report) -> dict[str, list[tuple]]:
     tables = {name: [] for name in CSV_FILES}
     for s in report.samples:
         j = s.sample_index
-        for k, t in enumerate(s.triples):
-            tables["singular_values.csv"].append((j, k, t.sigma))
-            for i, v in enumerate(t.theta_vec):
+        t = s.triples
+        for k, sigma in enumerate(t.sigma):
+            tables["singular_values.csv"].append((j, k, sigma))
+            for i, v in enumerate(t.theta[:, k]):
                 tables["singular_vectors_theta.csv"].append((j, k, i, v))
-            for i, v in enumerate(t.z_vec):
+            for i, v in enumerate(t.z[:, k]):
                 tables["singular_vectors_z.csv"].append((j, k, i, v))
         for i, v in enumerate(s.local):
             tables["local_indices.csv"].append((j, i, v))

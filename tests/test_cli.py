@@ -150,6 +150,27 @@ class TestRunCommand:
         path = write_config(tmp_path, logistic_config(tmp_path / "out"))
         assert main(["run", str(path), "--workers", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_output_dir_is_a_file(self, tmp_path, capsys, monkeypatch, force):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        path = write_config(tmp_path, logistic_config(out))
+        monkeypatch.setattr("hdsa.cli.global_analysis", _no_compute)
+        assert main(["run", str(path), *force]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.read_text() == "not a directory"
+
+    def test_output_dir_beneath_a_file(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, logistic_config(tmp_path / "file" / "out"))
+        monkeypatch.setattr("hdsa.cli.global_analysis", _no_compute)
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("the analysis ran before the output path was checked")
+
 
 class TestReportCommand:
     def test_round_trip(self, tmp_path, capsys):
@@ -194,6 +215,33 @@ class TestReportCommand:
         assert main(["run", str(path)]) == EXIT_OK
         (out / "singular_values.csv").unlink()
         assert main(["report", str(out)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", lambda doc: []),
+            ("manifest.json", lambda doc: {**doc, "files": 3}),
+            ("report.json", lambda doc: {}),
+            ("report.json", lambda doc: {
+                k: v for k, v in doc.items() if k != "n_failures"
+            }),
+            ("report.json", lambda doc: {**doc, "samples": {}}),
+            ("report.json", lambda doc: {**doc, "samples": [{"j": 0}]}),
+        ],
+        ids=["manifest list", "files not a list", "empty report", "no n_failures",
+             "samples not a list", "sample without sigmas"],
+    )
+    def test_malformed_document_is_usage_error(self, tmp_path, capsys, name, edit):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, logistic_config(out))
+        assert main(["run", str(path)]) == EXIT_OK
+        doc = json.loads((out / name).read_text())
+        (out / name).write_text(json.dumps(edit(doc)))
+        with pytest.raises(BundleError):
+            read_bundle(out)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerifyCommand:

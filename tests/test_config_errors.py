@@ -135,6 +135,12 @@ CONSTRUCTOR_CASES = [
     (_problem(ADVDIFF, data_seed=-1), "data_seed"),
     (_problem(DIFFUSION, target={"preset": "sine", "amplitud": 2}), "amplitud"),
     (_problem(ADVDIFF, sensors=[]), "sensors"),
+    (_problem(ADVDIFF, data_refine=0), "data_refine"),
+    (_problem(ADVDIFF, data_refine=-2), "data_refine"),
+    (_problem(ADVDIFF, noise_level=-0.1), "noise_level"),
+    (_problem(ADVDIFF, alpha=-1e-3), "alpha"),
+    (_problem(DIFFUSION, kappa0=0), "kappa0"),
+    (_problem(DIFFUSION, kappa0=-1.0), "kappa0"),
 ]
 
 

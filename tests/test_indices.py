@@ -12,7 +12,7 @@ from hdsa.problems import (
     build_advdiff_inversion_1d,
 )
 from hdsa.problems.fem1d import mass_matrix
-from hdsa.randeig import RandEigConfig, SingularTriple, dense_oracle
+from hdsa.randeig import RandEigConfig, Triples, dense_oracle
 
 
 def identity_spaces(n_theta, n_z, partition=None):
@@ -29,10 +29,14 @@ def unit(n, i):
     return e
 
 
+def rank_one(sigma, theta, z):
+    return Triples(np.array([sigma]), theta[:, None], z[:, None])
+
+
 class TestLocalIndices:
     def test_rank_one_picks_the_active_coordinate(self):
         spaces = identity_spaces(5, 3)
-        triples = [SingularTriple(2.0, unit(5, 3), unit(3, 0))]
+        triples = rank_one(2.0, unit(5, 3), unit(3, 0))
         s = local_indices(triples, spaces)
         np.testing.assert_allclose(s, 2.0 * unit(5, 3), atol=1e-14)
 
@@ -41,22 +45,17 @@ class TestLocalIndices:
         # local indices sum to the squared sigmas
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-        sigmas = [3.0, 2.0, 1.0, 0.5]
+        sigmas = np.array([3.0, 2.0, 1.0, 0.5])
         spaces = identity_spaces(6, 6)
-        triples = [
-            SingularTriple(s, q[:, k], unit(6, k)) for k, s in enumerate(sigmas)
-        ]
+        triples = Triples(sigmas, q, np.eye(6)[:, :4])
         s = local_indices(triples, spaces)
-        assert float(s @ s) == pytest.approx(sum(x * x for x in sigmas))
+        assert float(s @ s) == pytest.approx(float(sigmas @ sigmas))
 
     def test_truncation_is_monotone(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-        sigmas = [3.0, 2.0, 1.0, 0.5]
         spaces = identity_spaces(6, 6)
-        triples = [
-            SingularTriple(s, q[:, k], unit(6, k)) for k, s in enumerate(sigmas)
-        ]
+        triples = Triples(np.array([3.0, 2.0, 1.0, 0.5]), q, np.eye(6)[:, :4])
         prev = local_indices(triples[:1], spaces)
         for k in range(2, 5):
             cur = local_indices(triples[:k], spaces)
@@ -65,7 +64,10 @@ class TestLocalIndices:
 
     def test_empty_triples_rejected(self):
         with pytest.raises(ProblemError):
-            local_indices([], identity_spaces(3, 3))
+            local_indices(
+                Triples(np.zeros(0), np.zeros((3, 0)), np.zeros((3, 0))),
+                identity_spaces(3, 3),
+            )
 
 
 class TestSetIndices:
@@ -74,10 +76,7 @@ class TestSetIndices:
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         part = SetPartition((("all", 0, 6),))
         spaces = identity_spaces(6, 6, part)
-        triples = [
-            SingularTriple(s, q[:, k], unit(6, k))
-            for k, s in enumerate([3.0, 2.0, 1.0])
-        ]
+        triples = Triples(np.array([3.0, 2.0, 1.0]), q, np.eye(6)[:, :3])
         out = set_indices(triples, spaces, part)
         assert out["all"] == pytest.approx(3.0)
 
@@ -85,7 +84,7 @@ class TestSetIndices:
         part = SetPartition((("left", 0, 2), ("right", 2, 4)))
         spaces = identity_spaces(4, 4, part)
         th = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-        triples = [SingularTriple(2.0, th, unit(4, 0))]
+        triples = rank_one(2.0, th, unit(4, 0))
         out = set_indices(triples, spaces, part)
         assert out["left"] == pytest.approx(2.0 * np.sqrt(0.5))
         assert out["right"] == pytest.approx(2.0 * np.sqrt(0.5))
@@ -97,14 +96,14 @@ class TestSetIndices:
             m_z=SpdOperator.identity(4),
             partition=part,
         )
-        triples = [SingularTriple(1.0, unit(4, 0), unit(4, 0))]
+        triples = rank_one(1.0, unit(4, 0), unit(4, 0))
         with pytest.raises(ProblemError):
             set_indices(triples, spaces, part)
 
     def test_partition_must_cover(self):
         part = SetPartition((("a", 0, 2),))
         spaces = identity_spaces(4, 4, part)
-        triples = [SingularTriple(1.0, unit(4, 0), unit(4, 0))]
+        triples = rank_one(1.0, unit(4, 0), unit(4, 0))
         with pytest.raises(ProblemError):
             set_indices(triples, spaces, part)
 

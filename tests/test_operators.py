@@ -311,7 +311,7 @@ class TestSchurPath:
         # elimination reuses them: same bits, still one assembly
         assert calls == ["reduced_hessian_dense", "state_sensitivity"]
         assert np.isnan(without.optimal.sosc_min_eig)
-        np.testing.assert_array_equal(without.sigmas, with_sosc.sigmas)
+        np.testing.assert_array_equal(without.triples.sigma, with_sosc.triples.sigma)
 
 
 def _scaled_factor(factor, scale):

@@ -4,6 +4,7 @@ import scipy.linalg
 
 import hdsa.randeig as randeig
 from hdsa.indices import set_indices
+from hdsa.linalg import SpdOperator
 from hdsa.operators import NORM_PROBES, SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import (
@@ -11,6 +12,7 @@ from hdsa.problems import (
     build_diffusion_control_1d,
     build_logistic_toy,
 )
+from hdsa.problems.base import WeightedSpaces
 from hdsa.randeig import (
     RandEigConfig,
     alternative_formulation,
@@ -62,23 +64,23 @@ class TestDenseOracle:
         d = sens.dense()
         s = np.linalg.svd(d, compute_uv=False)
         assert len(triples) == 1
-        assert triples[0].sigma == pytest.approx(s[0], rel=1e-12)
+        assert triples.sigma[0] == pytest.approx(s[0], rel=1e-12)
 
     def test_weighted_residual_identity(self, diffusion_sens):
         problem, sens = diffusion_sens
         triples = dense_oracle(sens, problem.spaces)
         m_z = problem.spaces.m_z
-        sigma1 = triples[0].sigma
-        for t in triples[:4]:
-            r = sens.apply(t.theta_vec) - t.sigma * t.z_vec
+        sigma1 = triples.sigma[0]
+        for k in range(4):
+            r = sens.apply(triples.theta[:, k]) - triples.sigma[k] * triples.z[:, k]
             assert m_z.norm(r) <= 1e-8 * sigma1
 
     def test_vectors_unit_norm(self, diffusion_sens):
         problem, sens = diffusion_sens
         triples = dense_oracle(sens, problem.spaces)
-        for t in triples:
-            assert problem.spaces.m_theta.norm(t.theta_vec) == pytest.approx(1.0)
-            assert problem.spaces.m_z.norm(t.z_vec) == pytest.approx(1.0)
+        for k in range(len(triples)):
+            assert problem.spaces.m_theta.norm(triples.theta[:, k]) == pytest.approx(1.0)
+            assert problem.spaces.m_z.norm(triples.z[:, k]) == pytest.approx(1.0)
 
 
 class TestRandomized:
@@ -89,15 +91,13 @@ class TestRandomized:
         triples, diag = randomized_geneig(sens, problem.spaces, cfg)
         assert len(triples) == 4
         assert not diag.rank_deficient
-        for t, o in zip(triples, oracle):
-            assert t.sigma == pytest.approx(o.sigma, rel=1e-7)
+        np.testing.assert_allclose(triples.sigma, oracle.sigma[:4], rtol=1e-7)
 
     def test_vectors_weighted_orthonormal(self, diffusion_sens):
         problem, sens = diffusion_sens
         cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=11, power_iterations=2)
         triples, _ = randomized_geneig(sens, problem.spaces, cfg)
-        th = np.column_stack([t.theta_vec for t in triples])
-        zv = np.column_stack([t.z_vec for t in triples])
+        th, zv = triples.theta, triples.z
         gram_th = th.T @ (problem.spaces.m_theta.dense() @ th)
         gram_z = zv.T @ (problem.spaces.m_z.dense() @ zv)
         np.testing.assert_allclose(gram_th, np.eye(4), atol=1e-8)
@@ -108,9 +108,8 @@ class TestRandomized:
         cfg = RandEigConfig(k_pairs=3, oversampling=6, seed=7)
         t1, _ = randomized_geneig(sens, problem.spaces, cfg)
         t2, _ = randomized_geneig(sens, problem.spaces, cfg)
-        for a, b in zip(t1, t2):
-            assert a.sigma == b.sigma
-            np.testing.assert_array_equal(a.theta_vec, b.theta_vec)
+        np.testing.assert_array_equal(t1.sigma, t2.sigma)
+        np.testing.assert_array_equal(t1.theta, t2.theta)
 
     def test_probe_count_and_rank_flag_on_rank_one_toy(self, logistic_sens):
         problem, sens = logistic_sens
@@ -123,11 +122,11 @@ class TestRandomized:
         assert len(triples) == 1
         assert diag.rank_deficient
         oracle = dense_oracle(sens, problem.spaces)
-        assert triples[0].sigma == pytest.approx(oracle[0].sigma, rel=1e-12)
+        assert triples.sigma[0] == pytest.approx(oracle.sigma[0], rel=1e-12)
 
     def test_ritz_values_are_the_projected_sigmas(self, diffusion_sens):
         problem, sens = diffusion_sens
-        oracle = np.array([t.sigma for t in dense_oracle(sens, problem.spaces)])
+        oracle = dense_oracle(sens, problem.spaces).sigma
         cfg = RandEigConfig(k_pairs=3, oversampling=2, seed=3, power_iterations=2)
         triples, diag = randomized_geneig(sens, problem.spaces, cfg)
         # one weighted sigma of Q^T M_Z D per probe, descending, led by the
@@ -135,7 +134,7 @@ class TestRandomized:
         vals = diag.ritz_values
         assert vals.shape == (cfg.n_probes,)
         assert np.all(vals > 0.0) and np.all(np.diff(vals) <= 0.0)
-        np.testing.assert_array_equal(vals[:3], [t.sigma for t in triples])
+        np.testing.assert_array_equal(vals[:3], triples.sigma)
         assert np.all(vals <= oracle[: cfg.n_probes] * (1.0 + 1e-12))
 
     def test_flat_quick_start_spectrum_matches_oracle(self):
@@ -146,8 +145,7 @@ class TestRandomized:
         cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, power_iterations=2)
         triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=0)
         assert len(triples) == 4 and diag.n_dropped == 0
-        for t, o in zip(triples, oracle):
-            assert t.sigma == pytest.approx(o.sigma, rel=1e-6)
+        np.testing.assert_allclose(triples.sigma, oracle.sigma[:4], rtol=1e-6)
 
 
 class TestAlternativeFormulation:
@@ -157,16 +155,15 @@ class TestAlternativeFormulation:
         cfg = RandEigConfig(k_pairs=4, oversampling=4, seed=5, power_iterations=2)
         triples, diag = alternative_formulation(sens, problem.spaces, cfg)
         assert len(triples) == 4
-        for t, o in zip(triples, oracle):
-            assert t.sigma == pytest.approx(o.sigma, rel=1e-7)
+        np.testing.assert_allclose(triples.sigma, oracle.sigma[:4], rtol=1e-7)
 
     def test_left_vectors_consistent(self, diffusion_sens):
         problem, sens = diffusion_sens
         cfg = RandEigConfig(k_pairs=3, oversampling=4, seed=5, power_iterations=2)
         triples, _ = alternative_formulation(sens, problem.spaces, cfg)
-        for t in triples:
-            r = sens.apply(t.theta_vec) - t.sigma * t.z_vec
-            assert problem.spaces.m_z.norm(r) <= 1e-6 * triples[0].sigma
+        for k in range(len(triples)):
+            r = sens.apply(triples.theta[:, k]) - triples.sigma[k] * triples.z[:, k]
+            assert problem.spaces.m_z.norm(r) <= 1e-6 * triples.sigma[0]
 
 
 class TestSpectralGapInstance:
@@ -177,7 +174,7 @@ class TestSpectralGapInstance:
         opt = solve_optimization(problem, np.zeros(16))
         sens = SensitivityOperator(problem, opt.as_eval_point())
         oracle = dense_oracle(sens, problem.spaces)
-        sig = np.array([t.sigma for t in oracle])
+        sig = oracle.sigma
         assert sig[3] / sig[4] >= 10.0
 
 
@@ -225,11 +222,13 @@ class TestTripleResiduals:
         spaces = problem.spaces
         cfg = RandEigConfig(k_pairs=3, oversampling=0, seed=2, power_iterations=0)
         triples, diag = randomized_geneig(sens, spaces, cfg)
-        for t, reported in zip(triples, diag.triple_residuals):
-            r_z = spaces.m_z.norm(sens.apply(t.theta_vec) - t.sigma * t.z_vec)
-            adj = spaces.m_theta.solve(sens.apply_transpose(spaces.m_z.apply(t.z_vec)))
-            r_th = spaces.m_theta.norm(adj - t.sigma * t.theta_vec)
-            assert reported == pytest.approx(max(r_z, r_th) / t.sigma, rel=1e-6)
+        assert len(diag.triple_residuals) == len(triples) == 3
+        for k, reported in enumerate(diag.triple_residuals):
+            sigma, theta, z = triples.sigma[k], triples.theta[:, k], triples.z[:, k]
+            r_z = spaces.m_z.norm(sens.apply(theta) - sigma * z)
+            adj = spaces.m_theta.solve(sens.apply_transpose(spaces.m_z.apply(z)))
+            r_th = spaces.m_theta.norm(adj - sigma * theta)
+            assert reported == pytest.approx(max(r_z, r_th) / sigma, rel=1e-6)
 
     def test_squared_formulation_reports_residuals(self, diffusion_sens):
         problem, sens = diffusion_sens
@@ -259,13 +258,13 @@ class TestExactTriples:
 
     def test_match_dense_oracle(self, exact_case):
         problem, sens, cfg = exact_case
-        oracle = dense_oracle(sens, problem.spaces)[: cfg.k_pairs]
+        k = cfg.k_pairs
+        oracle = dense_oracle(sens, problem.spaces)
         triples, diag = exact_triples(sens, problem.spaces, cfg)
-        assert len(triples) == cfg.k_pairs and not diag.rank_deficient
-        for t, o in zip(triples, oracle):
-            assert t.sigma == pytest.approx(o.sigma, rel=1e-12)
-            np.testing.assert_allclose(t.theta_vec, o.theta_vec, atol=1e-10)
-            np.testing.assert_allclose(t.z_vec, o.z_vec, atol=1e-10)
+        assert len(triples) == k and not diag.rank_deficient
+        np.testing.assert_allclose(triples.sigma, oracle.sigma[:k], rtol=1e-12)
+        np.testing.assert_allclose(triples.theta, oracle.theta[:, :k], atol=1e-10)
+        np.testing.assert_allclose(triples.z, oracle.z[:, :k], atol=1e-10)
         assert len(diag.triple_residuals) == cfg.k_pairs
         assert max(diag.triple_residuals) <= 1e-10
 
@@ -281,7 +280,7 @@ class TestExactTriples:
             eigvals_only=True,
         )[::-1]
         np.testing.assert_allclose(
-            [t.sigma for t in triples],
+            triples.sigma,
             np.sqrt(alpha[: cfg.k_pairs]),
             rtol=1e-12,
             atol=0.0,
@@ -299,7 +298,7 @@ class TestExactTriples:
         # every weighted sigma, of which the triples are the first K
         assert diag.ritz_values.shape == (min(sens.n_z, sens.n_theta),)
         np.testing.assert_array_equal(
-            diag.ritz_values[: cfg.k_pairs], [t.sigma for t in triples]
+            diag.ritz_values[: cfg.k_pairs], triples.sigma
         )
 
     def test_rank_flag(self, logistic_sens):
@@ -366,8 +365,9 @@ class TestTripleSigns:
 
     @staticmethod
     def assert_sign_rule(triples):
-        for t in triples:
-            assert t.theta_vec[np.argmax(np.abs(t.theta_vec))] > 0.0
+        theta = triples.theta
+        peak = theta[np.argmax(np.abs(theta), axis=0), np.arange(len(triples))]
+        assert np.all(peak > 0.0)
 
     def test_randomized_and_oracle_agree_in_sign(self, gapped_sens):
         problem, sens = gapped_sens
@@ -380,36 +380,41 @@ class TestTripleSigns:
         ):
             assert len(triples) == 4
             self.assert_sign_rule(triples)
-            for t, o in zip(triples, oracle):
-                assert spaces.m_theta.inner(t.theta_vec, o.theta_vec) > 0.99
-                assert spaces.m_z.inner(t.z_vec, o.z_vec) > 0.99
+            for k in range(4):
+                assert spaces.m_theta.inner(triples.theta[:, k], oracle.theta[:, k]) > 0.99
+                assert spaces.m_z.inner(triples.z[:, k], oracle.z[:, k]) > 0.99
         self.assert_sign_rule(oracle)
 
     def test_negated_ritz_vectors_give_the_same_triples(self, gapped_sens):
         problem, sens = gapped_sens
         spaces = problem.spaces
         oracle = dense_oracle(sens, spaces)[:4]
-        sigmas = np.array([t.sigma for t in oracle])
         # Ritz vectors z = Q u and theta = R_Theta^-1 v at an arbitrary scale,
         # as the small SVD returns them, whose signs it does not fix
-        z_vecs = np.column_stack([3.0 * t.z_vec for t in oracle])
-        theta_vecs = np.column_stack([3.0 * t.theta_vec for t in oracle])
-        triples = randeig._normalize_triples(sigmas, z_vecs, theta_vecs, spaces)
-        flipped = randeig._normalize_triples(sigmas, -z_vecs, -theta_vecs, spaces)
-        for t, f in zip(triples, flipped):
-            assert f.sigma == t.sigma
-            np.testing.assert_array_equal(f.theta_vec, t.theta_vec)
-            np.testing.assert_array_equal(f.z_vec, t.z_vec)
+        theta, z = 3.0 * oracle.theta, 3.0 * oracle.z
+        triples = randeig._normalized(oracle.sigma, theta, z, spaces)
+        flipped = randeig._normalized(oracle.sigma, -theta, -z, spaces)
+        np.testing.assert_array_equal(flipped.sigma, triples.sigma)
+        np.testing.assert_array_equal(flipped.theta, triples.theta)
+        np.testing.assert_array_equal(flipped.z, triples.z)
         self.assert_sign_rule(triples)
 
     def test_tie_goes_to_the_first_entry(self):
-        t = randeig._fix_sign(randeig.SingularTriple(
-            1.0, np.array([0.5, -0.5, 0.5]), np.array([1.0, 2.0])
-        ))
-        np.testing.assert_array_equal(t.theta_vec, [0.5, -0.5, 0.5])
-        np.testing.assert_array_equal(t.z_vec, [1.0, 2.0])
-        t = randeig._fix_sign(randeig.SingularTriple(
-            1.0, np.array([-0.5, 0.5, 0.5]), np.array([1.0, 2.0])
-        ))
-        np.testing.assert_array_equal(t.theta_vec, [0.5, -0.5, -0.5])
-        np.testing.assert_array_equal(t.z_vec, [-1.0, -2.0])
+        spaces = WeightedSpaces(SpdOperator.identity(3), SpdOperator.identity(2))
+        # column 0 ties at a positive first entry, column 1 at a negative one
+        theta = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]])
+        z = np.array([[1.0, 1.0], [2.0, 2.0]])
+        t = randeig._normalized(np.array([2.0, 1.0]), theta, z, spaces)
+        np.testing.assert_array_equal(
+            t.theta, theta * np.array([1.0, -1.0]) / np.sqrt(0.75)
+        )
+        np.testing.assert_array_equal(t.z, z * np.array([1.0, -1.0]) / np.sqrt(5.0))
+
+    def test_zero_columns_are_dropped(self):
+        spaces = WeightedSpaces(SpdOperator.identity(2), SpdOperator.identity(2))
+        theta = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        z = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        t = randeig._normalized(np.array([3.0, 2.0, 1.0]), theta, z, spaces)
+        np.testing.assert_array_equal(t.sigma, [3.0])
+        np.testing.assert_array_equal(t.theta, [[1.0], [0.0]])
+        np.testing.assert_array_equal(t.z, [[1.0], [0.0]])

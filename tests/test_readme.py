@@ -11,4 +11,4 @@ def test_library_example_runs():
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     ns: dict = {}
     exec(compile(block, "README.md", "exec"), ns)
-    assert ns["triples"][0].sigma == pytest.approx(ns["exact"][0].sigma, rel=1e-8)
+    assert ns["triples"].sigma[0] == pytest.approx(ns["exact"].sigma[0], rel=1e-8)
