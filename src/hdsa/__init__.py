@@ -6,108 +6,41 @@ weighted SVD of the resulting sensitivity operator: exact where assembling the
 operator costs fewer solves, randomized otherwise.
 """
 
-from .analysis import (
-    HdsaReport,
-    PerturbationCheck,
-    SampleResult,
-    global_analysis,
-    perturbation_check,
-    traditional_comparison,
-)
 from .indices import local_indices, set_indices
-from .linalg import (
-    LinalgError,
-    SolverStats,
-    SpdOperator,
-    b_orthonormalize,
-    dense_cholesky,
-    dense_svd,
-    dense_sym_eig,
-)
-from .operators import (
-    KKT_TOL,
-    KktOperator,
-    ParamJacobianOperator,
-    SensitivityOperator,
-    SolveError,
-)
-from .optimizer import (
-    OptimalPoint,
-    OptimizerConfig,
-    OptimizerError,
-    check_sosc,
-    solve_adjoint,
-    solve_forward,
-    solve_optimization,
-)
-from .problems import (
-    EvalPoint,
-    ProblemDefinition,
-    ProblemError,
-    SetPartition,
-    WeightedSpaces,
-    build_advdiff_inversion_1d,
-    build_diffusion_control_1d,
-    build_logistic_toy,
-    check_derivatives,
-)
+from .linalg import SpdOperator
+from .operators import KKT_TOL, KktOperator, SensitivityOperator, SolveError
+from .optimizer import OptimalPoint, OptimizerConfig, OptimizerError, solve_optimization
+from .problems import ProblemDefinition, build_diffusion_control_1d, check_derivatives
 from .randeig import (
     RandEigConfig,
     Triples,
     alternative_formulation,
-    apply_pencil_a,
     dense_oracle,
     randomized_geneig,
 )
-from .sampling import Distribution, InitialIterate, SamplingPlan, probe_vector
+from .sampling import Distribution
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HdsaReport",
-    "PerturbationCheck",
-    "SampleResult",
-    "global_analysis",
-    "perturbation_check",
-    "traditional_comparison",
     "local_indices",
     "set_indices",
-    "LinalgError",
-    "SolverStats",
     "SpdOperator",
-    "b_orthonormalize",
-    "dense_cholesky",
-    "dense_svd",
-    "dense_sym_eig",
     "KKT_TOL",
     "KktOperator",
-    "ParamJacobianOperator",
     "SensitivityOperator",
     "SolveError",
     "OptimalPoint",
     "OptimizerConfig",
     "OptimizerError",
-    "check_sosc",
-    "solve_adjoint",
-    "solve_forward",
     "solve_optimization",
-    "EvalPoint",
     "ProblemDefinition",
-    "ProblemError",
-    "SetPartition",
-    "WeightedSpaces",
-    "build_advdiff_inversion_1d",
     "build_diffusion_control_1d",
-    "build_logistic_toy",
     "check_derivatives",
     "RandEigConfig",
     "Triples",
     "alternative_formulation",
-    "apply_pencil_a",
     "dense_oracle",
     "randomized_geneig",
     "Distribution",
-    "InitialIterate",
-    "SamplingPlan",
-    "probe_vector",
 ]

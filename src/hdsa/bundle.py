@@ -33,16 +33,35 @@ _TABLES = {
 }
 CSV_FILES = tuple(_TABLES)
 
-# what render_report reads of report.json, at its top level and per sample
-REPORT_KEYS = (
-    "n_samples_requested",
-    "n_samples_completed",
-    "n_failures",
-    "local_indices_mean",
-    "local_indices_std",
-    "samples",
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what render_report reads of report.json, at its top level and per sample:
+# key -> (test of its value, what the test asks for); OPTIONAL_KEYS may be absent
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_SETS = (
+    lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "an object of numbers",
 )
-SAMPLE_KEYS = ("j", "sigmas", "spectral_decay", "svd", "triple_residuals")
+REPORT_KEYS = {
+    **dict.fromkeys(("n_samples_requested", "n_samples_completed", "n_failures"), _INT),
+    **dict.fromkeys(("local_indices_mean", "local_indices_std"), _NUMBERS),
+    **dict.fromkeys(("set_indices_mean", "set_indices_std"), _SETS),
+    "samples": (
+        lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+        "a list of objects",
+    ),
+}
+SAMPLE_KEYS = {
+    "j": _INT,
+    **dict.fromkeys(("sigmas", "triple_residuals"), _NUMBERS),
+    **dict.fromkeys(("spectral_decay", "kkt_backward_error"), (_is_number, "a number")),
+    "svd": (lambda v: isinstance(v, str), "a string"),
+}
+OPTIONAL_KEYS = {"set_indices_mean", "set_indices_std", "kkt_backward_error"}
 
 
 def _rows(table):
@@ -97,7 +116,7 @@ def write_bundle(
                 "spectral_decay": s.spectral_decay,
                 "optimizer_iterations": s.optimal.iterations,
                 "grad_norm": s.optimal.grad_norm,
-                "sosc_min_eig": s.optimal.sosc_min_eig,
+                "sosc_min_eig_est": s.optimal.sosc_min_eig_est,
                 "objective": s.optimal.objective,
                 "kkt_solves": s.diagnostics.kkt_solves,
                 "kkt_rhs": s.diagnostics.kkt_rhs,
@@ -154,19 +173,23 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
         raise BundleError(f"corrupt report: {exc}") from exc
     if not isinstance(report, dict):
         raise BundleError("corrupt report: not a JSON object")
-    _require(report, REPORT_KEYS, "report")
-    samples = report["samples"]
-    if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
-        raise BundleError("corrupt report: samples must be a list of objects")
-    for s in samples:
-        _require(s, SAMPLE_KEYS, "report sample")
+    _check(report, REPORT_KEYS, "report")
+    if len(report["local_indices_mean"]) != len(report["local_indices_std"]):
+        raise BundleError("corrupt report: local_indices_mean and _std differ in length")
+    for s in report["samples"]:
+        _check(s, SAMPLE_KEYS, "report sample")
+        if s["sigmas"] and not s["triple_residuals"]:
+            raise BundleError(f"corrupt report sample {s['j']}: no triple_residuals")
     return manifest, report
 
 
-def _require(doc: dict, keys: tuple[str, ...], what: str) -> None:
-    missing = [k for k in keys if k not in doc]
+def _check(doc: dict, keys: dict, what: str) -> None:
+    missing = [k for k in keys if k not in doc and k not in OPTIONAL_KEYS]
     if missing:
         raise BundleError(f"corrupt {what}: missing {', '.join(missing)}")
+    for k, (test, kind) in keys.items():
+        if k in doc and not test(doc[k]):
+            raise BundleError(f"corrupt {what}: {k} must be {kind}")
 
 
 def render_report(manifest: dict, report: dict) -> str:

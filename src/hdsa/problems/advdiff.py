@@ -86,9 +86,9 @@ class AdvDiffInversionProblem(ProblemDefinition):
         )
         self.x_nodes = np.linspace(0.0, 1.0, n_space)
 
-        self._mass = mass_matrix(n_space).toarray()
-        self._stiff = stiffness_matrix_neumann(n_space).toarray()
-        self._adv = advection_matrix_neumann(n_space).toarray()
+        self._mass = mass_matrix(n_space)
+        self._stiff = stiffness_matrix_neumann(n_space)
+        self._adv = advection_matrix_neumann(n_space)
 
         # temporal source profile: chi on the window plus hat-basis weights
         times = self.dt * np.arange(1, n_steps + 1)
@@ -114,7 +114,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
         self.n_sensors = self.sensors.shape[0]
 
         m_theta = scipy.linalg.block_diag(
-            np.eye(2), mass_matrix(n_window, length=window[1] - window[0]).toarray()
+            np.eye(2), mass_matrix(n_window, length=window[1] - window[0])
         )
         partition = SetPartition(
             (
@@ -179,9 +179,9 @@ class AdvDiffInversionProblem(ProblemDefinition):
     def _generate_data(self, refine: int) -> np.ndarray:
         nx = refine * (self.n_space - 1) + 1
         x = np.linspace(0.0, 1.0, nx)
-        mass = mass_matrix(nx).toarray()
-        stiff = stiffness_matrix_neumann(nx).toarray()
-        adv = advection_matrix_neumann(nx).toarray()
+        mass = mass_matrix(nx)
+        stiff = stiffness_matrix_neumann(nx)
+        adv = advection_matrix_neumann(nx)
         g = mass + self.dt * (self.eps0 * stiff + self.vel0 * adv)
         lu = scipy.linalg.lu_factor(g)
         z_true = evaluate_preset(self._true_source_spec, x)

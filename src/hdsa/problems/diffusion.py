@@ -58,18 +58,17 @@ class DiffusionControlProblem(ProblemDefinition):
         # hat-basis values of the parameter expansion at element midpoints
         self._phi_mid = hat_interpolation(midpoints, n_param)
 
-        mass = interior_mass_matrix(n_state)
-        # the stencil of _apply_mass; the dense copy serves only mass_dense()
-        # and the Z-space weighting
-        self._mass_diag = mass.diagonal()
-        self._mass_off = mass.diagonal(1)
-        self._mass = mass.toarray()
+        self._mass = interior_mass_matrix(n_state)
+        # the stencil of _apply_mass; the dense matrix serves only
+        # mass_dense() and the Z-space weighting
+        self._mass_diag = np.diag(self._mass).copy()
+        self._mass_off = np.diag(self._mass, 1).copy()
         target = target if target is not None else {"preset": "sine"}
         self.target = evaluate_preset(target, self.x_interior, "target")
 
         partition = SetPartition((("kappa", 0, n_param),))
         self._spaces = WeightedSpaces(
-            m_theta=SpdOperator(mass_matrix(n_param).toarray()),
+            m_theta=SpdOperator(mass_matrix(n_param)),
             m_z=SpdOperator(self._mass),
             partition=partition,
         )

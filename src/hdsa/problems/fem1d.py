@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from .base import ProblemError, number_array
 
 
-def mass_matrix(n_nodes: int, length: float = 1.0) -> scipy.sparse.csr_matrix:
+def _tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix with the given sub-, main and super-diagonal."""
+    out = np.diag(main)
+    out.flat[main.size :: main.size + 1] = lower
+    out.flat[1 :: main.size + 1] = upper
+    return out
+
+
+def mass_matrix(n_nodes: int, length: float = 1.0) -> np.ndarray:
     """Consistent mass matrix for linear elements on n_nodes equally spaced nodes."""
     if n_nodes < 2:
         raise ProblemError("mass_matrix needs at least 2 nodes")
@@ -16,29 +23,24 @@ def mass_matrix(n_nodes: int, length: float = 1.0) -> scipy.sparse.csr_matrix:
     main = np.full(n_nodes, 2.0 * h / 3.0)
     main[0] = main[-1] = h / 3.0
     off = np.full(n_nodes - 1, h / 6.0)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
+    return _tridiagonal(off, main, off)
 
 
-def interior_mass_matrix(n_interior: int, length: float = 1.0) -> scipy.sparse.csr_matrix:
+def interior_mass_matrix(n_interior: int, length: float = 1.0) -> np.ndarray:
     """Mass matrix restricted to the interior nodes of a Dirichlet grid."""
-    h = length / (n_interior + 1)
-    main = np.full(n_interior, 2.0 * h / 3.0)
-    off = np.full(n_interior - 1, h / 6.0)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
+    return mass_matrix(n_interior + 2, length)[1:-1, 1:-1].copy()
 
 
-def stiffness_matrix_neumann(
-    n_nodes: int, length: float = 1.0
-) -> scipy.sparse.csr_matrix:
+def stiffness_matrix_neumann(n_nodes: int, length: float = 1.0) -> np.ndarray:
     """Stiffness matrix for -u'' with zero-flux boundaries (unit coefficient)."""
     h = length / (n_nodes - 1)
     main = np.full(n_nodes, 2.0 / h)
     main[0] = main[-1] = 1.0 / h
     off = np.full(n_nodes - 1, -1.0 / h)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
+    return _tridiagonal(off, main, off)
 
 
-def advection_matrix_neumann(n_nodes: int, length: float = 1.0) -> scipy.sparse.csr_matrix:
+def advection_matrix_neumann(n_nodes: int, length: float = 1.0) -> np.ndarray:
     """Advection matrix C_ij = integral(phi_i phi_j') for unit velocity."""
     # element contribution for nodes (a, b): [[-1/2, 1/2], [-1/2, 1/2]]
     main = np.zeros(n_nodes)
@@ -46,7 +48,7 @@ def advection_matrix_neumann(n_nodes: int, length: float = 1.0) -> scipy.sparse.
     upper = np.full(n_nodes - 1, 0.5)
     main[0] = -0.5
     main[-1] = 0.5
-    return scipy.sparse.diags([lower, main, upper], [-1, 0, 1]).tocsr()
+    return _tridiagonal(lower, main, upper)
 
 
 def hat_interpolation(points: np.ndarray, n_nodes: int, length: float = 1.0) -> np.ndarray:

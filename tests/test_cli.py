@@ -227,9 +227,17 @@ class TestReportCommand:
             }),
             ("report.json", lambda doc: {**doc, "samples": {}}),
             ("report.json", lambda doc: {**doc, "samples": [{"j": 0}]}),
+            ("report.json", lambda doc: {**doc, "local_indices_mean": 3}),
+            ("report.json", lambda doc: {**doc, "samples": [
+                {**s, "triple_residuals": []} for s in doc["samples"]
+            ]}),
+            ("report.json", lambda doc: {**doc, "set_indices_mean": {"kappa": "big"}}),
+            ("report.json", lambda doc: {**doc, "local_indices_std": []}),
         ],
         ids=["manifest list", "files not a list", "empty report", "no n_failures",
-             "samples not a list", "sample without sigmas"],
+             "samples not a list", "sample without sigmas", "mean not a list",
+             "sigmas without residuals", "set index not a number",
+             "mean and std differ in length"],
     )
     def test_malformed_document_is_usage_error(self, tmp_path, capsys, name, edit):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
-"""Every module-level import in ``hdsa`` is used by its module.
+"""Every module-level import in ``hdsa`` is used by its module, the CLI
+loads no module it does not need, and every name the benchmark's tracer
+wraps exists.
 
 Neither pyflakes nor ruff is a dependency, so this AST scan is the check.
 ``__init__.py`` files re-export names and ``__future__`` imports are
@@ -6,6 +8,10 @@ directives, so both are exempt.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +19,7 @@ import pytest
 import hdsa
 
 PACKAGE = Path(hdsa.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -48,3 +55,26 @@ def test_scan_finds_an_unused_import():
 )
 def test_module_uses_its_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_cli_does_not_import_scipy_sparse():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hdsa.cli; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # the benchmark replaces each name where its caller looks it up, so a
+    # rename under src/ breaks the benchmark, not the package
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in tracer.targets()
+        if attr not in owner.__dict__
+    ]
+    assert missing == []

@@ -92,7 +92,7 @@ class TestSetIndices:
     def test_non_orthogonal_partition_rejected(self):
         part = SetPartition((("a", 0, 2), ("b", 2, 4)))
         spaces = WeightedSpaces(
-            m_theta=SpdOperator(mass_matrix(4).toarray()),  # tridiagonal coupling
+            m_theta=SpdOperator(mass_matrix(4)),  # tridiagonal coupling
             m_z=SpdOperator.identity(4),
             partition=part,
         )

@@ -299,7 +299,7 @@ class TestSchurPath:
         res, calls = schur_sample(OptimizerConfig())
         assert calls == ["reduced_hessian_dense", "state_sensitivity"]
         assert len(factors) == 1
-        assert res.optimal.sosc_min_eig > 0.0
+        assert res.optimal.sosc_min_eig_est > 0.0
         # the sample result keeps neither W nor the factor
         assert res.optimal.state_sensitivity is None
         assert res.optimal.hessian_factor is None
@@ -310,7 +310,7 @@ class TestSchurPath:
         # the optimizer still forms W and H for its Newton steps, and the
         # elimination reuses them: same bits, still one assembly
         assert calls == ["reduced_hessian_dense", "state_sensitivity"]
-        assert np.isnan(without.optimal.sosc_min_eig)
+        assert np.isnan(without.optimal.sosc_min_eig_est)
         np.testing.assert_array_equal(without.triples.sigma, with_sosc.triples.sigma)
 
 

@@ -32,16 +32,16 @@ def random_point(problem, seed=0, scale=0.5):
 
 class TestFem1d:
     def test_mass_matrix_total_mass(self):
-        m = mass_matrix(17, length=2.0).toarray()
+        m = mass_matrix(17, length=2.0)
         ones = np.ones(17)
         assert ones @ m @ ones == pytest.approx(2.0)
 
     def test_stiffness_annihilates_constants(self):
-        k = stiffness_matrix_neumann(12).toarray()
+        k = stiffness_matrix_neumann(12)
         np.testing.assert_allclose(k @ np.ones(12), 0.0, atol=1e-14)
 
     def test_advection_skew_part(self):
-        c = advection_matrix_neumann(10).toarray()
+        c = advection_matrix_neumann(10)
         # int phi_i phi_j' over (0,1): row sums vanish, c + c^T is boundary-only
         np.testing.assert_allclose(c.sum(axis=1), 0.0, atol=1e-14)
         s = c + c.T

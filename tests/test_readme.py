@@ -1,14 +1,26 @@
-"""The README's library example runs and agrees with its own dense check."""
+"""The README's library example runs and agrees with its own dense check,
+and the README documents every name the package exports."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+import hdsa
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_library_example_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     ns: dict = {}
     exec(compile(block, "README.md", "exec"), ns)
     assert ns["triples"].sigma[0] == pytest.approx(ns["exact"].sigma[0], rel=1e-8)
+
+
+def test_every_export_is_documented():
+    readme = README.read_text()
+    missing = [n for n in hdsa.__all__ if not re.search(rf"\b{n}\b", readme)]
+    assert missing == []
+    assert all(hasattr(hdsa, n) for n in hdsa.__all__)
