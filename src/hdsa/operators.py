@@ -29,7 +29,8 @@ from .sampling import KKT_NORM_STREAM, rng_for
 # A KKT solve is accepted when its normwise backward error is at most this.
 KKT_TOL = 1e-10
 
-# Probe columns of the fixed blocks that estimate ||K|| and check each operator.
+# Probe columns of the fixed block that estimates ||K||, and the number of an
+# operator's first columns that check it.
 NORM_PROBES = 4
 
 
@@ -115,20 +116,23 @@ class KktOperator:
         """(solve calls, columns of every elimination pass, full or half)."""
         return len(self.solve_stats), self.rhs_columns
 
-    def _norm_estimate(self) -> float:
-        """Lower bound on ||K|| from a fixed probe block, computed once.
+    def _norm_estimate(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """K x, and a lower bound on ||K|| from a fixed probe block Psi.
 
-        The probes are keyed by their own stream, so the estimate and every
-        backward error measured with it depend on the operator alone, not on
-        which vectors were applied or solved before.
+        The bound is formed once, on the first call, from the same K apply
+        as K x: [x | Psi] goes through ``apply`` as one block. Psi is keyed
+        by its own stream, so the bound and every backward error measured
+        with it depend on the operator alone, not on which vectors were
+        applied or solved before.
         """
-        if self._norm_est is None:
-            probes = rng_for(0, KKT_NORM_STREAM).standard_normal((self.dim, NORM_PROBES))
-            ratios = np.linalg.norm(self.apply(probes), axis=0) / np.linalg.norm(
-                probes, axis=0
-            )
-            self._norm_est = float(ratios.max())
-        return self._norm_est
+        if self._norm_est is not None:
+            return self.apply(x), self._norm_est
+        probes = rng_for(0, KKT_NORM_STREAM).standard_normal((self.dim, NORM_PROBES))
+        applied = self.apply(np.column_stack([x, probes]))
+        k_probes = applied[:, -NORM_PROBES:]
+        ratios = np.linalg.norm(k_probes, axis=0) / np.linalg.norm(probes, axis=0)
+        self._norm_est = float(ratios.max())
+        return applied[:, :-NORM_PROBES].reshape(x.shape), self._norm_est
 
     def _backward_errors(self, x, rhs) -> np.ndarray:
         """Normwise backward error ||r|| / (||K||*||x|| + ||b||) per column.
@@ -137,14 +141,13 @@ class KktOperator:
         which for the ill-conditioned gamma -> 0 regime sits far above any
         sensible tolerance; the backward error is the achievable measure.
         """
-        rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
-        r = self.apply(x)
+        r, k_norm = self._norm_estimate(x)
         r -= rhs
         r_norm = np.atleast_1d(np.linalg.norm(r, axis=0))
         x_norm = np.atleast_1d(np.linalg.norm(x, axis=0))
-        denom = self._norm_estimate() * x_norm + rhs_norm
-        # a zero right-hand side is solved exactly by x = 0
-        return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=rhs_norm > 0.0)
+        denom = k_norm * x_norm + np.atleast_1d(np.linalg.norm(rhs, axis=0))
+        # only b = 0 solved by x = 0 has no scale, and it is solved exactly
+        return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=denom > 0.0)
 
     def _hessian_factor(self) -> tuple:
         p, pt = self.problem, self.point
@@ -234,32 +237,51 @@ class SensitivityOperator:
         self.n_z = d.n_z
         self._dense = None
 
-    def _by_chunks(self, v: np.ndarray, n_out: int, solve) -> np.ndarray:
-        """``solve`` on a vector, or on a block in capped column chunks. The
-        first call checks the operator by one ``KktOperator.solve`` of
-        K x = B Phi for a fixed probe block Phi, the right-hand sides D sees."""
-        if not self.kkt.solve_stats:
-            phi = rng_for(0, KKT_NORM_STREAM, 1).standard_normal((self.n_theta, NORM_PROBES))
-            self.kkt.solve(self.b.apply(phi))
+    def _by_chunks(self, v: np.ndarray, n_out: int, half, check) -> np.ndarray:
+        """``half`` on a vector, or on a block in capped column chunks.
+
+        The operator's first block checks it: its first
+        ``min(NORM_PROBES, r)`` columns go through one ``KktOperator.solve``,
+        the full elimination and its ``KKT_TOL`` gate, and ``check`` reads
+        their result from that solve. The check costs no right-hand side
+        beyond the operator's own, only the other half pass on those columns.
+        """
         if v.ndim == 1:
-            return solve(v)
+            return half(v) if self.kkt.solve_stats else check(v)
         out = np.empty((n_out, v.shape[1]))
+        first = 0 if self.kkt.solve_stats else min(NORM_PROBES, v.shape[1])
+        if first:
+            out[:, :first] = check(v[:, :first])
         width = block_width(self.kkt.dim)
-        for start in range(0, v.shape[1], width):
-            out[:, start : start + width] = solve(v[:, start : start + width])
+        for start in range(first, v.shape[1], width):
+            out[:, start : start + width] = half(v[:, start : start + width])
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """D phi = P K^{-1} B phi: the forward half, one state solve per column."""
         check_operand(phi, self.n_theta, "sensitivity operator")
-        return self._by_chunks(phi, self.n_z, lambda c: self.kkt.solve_z(self.b.apply(c))[1])
+        return self._by_chunks(
+            phi,
+            self.n_z,
+            lambda c: self.kkt.solve_z(self.b.apply(c))[1],
+            lambda c: self.kkt.split(self.kkt.solve(self.b.apply(c))[0])[1],
+        )
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
         """Euclidean transpose D^T w = B^T K^{-1} P^T w: the backward half, one
         adjoint solve per column."""
         check_operand(w, self.n_z, "sensitivity transpose")
+
+        def check(c):
+            rhs = np.zeros((self.kkt.dim,) + c.shape[1:])
+            self.kkt.split(rhs)[1][...] = c
+            return self.b.apply_adjoint(self.kkt.solve(rhs)[0])
+
         return self._by_chunks(
-            w, self.n_theta, lambda c: self.b.apply_adjoint(self.kkt.solve_from_z(c))
+            w,
+            self.n_theta,
+            lambda c: self.b.apply_adjoint(self.kkt.solve_from_z(c)),
+            check,
         )
 
     def dense(self) -> np.ndarray:

@@ -24,7 +24,7 @@ PROBE_STREAM = 2  # (PROBE_STREAM, j, i): range-finder probe i of sample j
 VERIFY_STREAM = 3  # (VERIFY_STREAM,): directions of the adjoint check
 SQUARED_PROBE_STREAM = 4  # (SQUARED_PROBE_STREAM, j, i): squared formulation
 SET_PROBE_STREAM = 5  # (SET_PROBE_STREAM, j, set, i): direct set indices
-KKT_NORM_STREAM = 6  # (KKT_NORM_STREAM,): ||K|| probes; (.., 1): operator check
+KKT_NORM_STREAM = 6  # (KKT_NORM_STREAM,): the ||K|| probes of every KKT operator
 
 
 def rng_for(master_seed: int, *key: int) -> np.random.Generator:

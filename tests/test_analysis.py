@@ -14,7 +14,7 @@ from hdsa.analysis import (
 )
 from hdsa.cli import EXIT_OK, main
 from hdsa.config import load_config, parse_config
-from hdsa.operators import KKT_TOL, NORM_PROBES, KktOperator, SensitivityOperator
+from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
     AdvDiffInversionProblem,
@@ -175,33 +175,34 @@ def run_sample(tmp_path, problem, params, hdsa):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
-    """One default advection-diffusion sample solves 91 state and adjoint
+    """One default advection-diffusion sample solves 86 state and adjoint
     right-hand sides at every seed: the n_z = 64 state solves of W, from
     which the optimizer builds the reduced Hessian once, so the count does
-    not depend on theta; one state and one adjoint solve for each of the
-    4 columns of the operator's check; one state solve for each of the 16
-    columns of D, the forward half of the elimination; and 3 for the
-    optimizer."""
+    not depend on theta; one state solve for each of the 16 columns of D,
+    the forward half of the elimination; one adjoint solve for each of the
+    4 columns of D that check the operator through the full elimination;
+    and 2 for the optimizer, whose line search predicts the state after
+    its one Newton step without a solve."""
     columns = counted_solve_columns(monkeypatch, AdvDiffInversionProblem)
     res = run_sample(tmp_path, "advdiff_inversion_1d", {}, {
         "k_pairs": 12, "oversampling": 8, "power_iterations": 2, "seed": seed
     })
     assert res.svd == "exact"
-    assert res.diagnostics.kkt_rhs == 16 + NORM_PROBES
-    assert sum(columns) == 91
+    assert res.diagnostics.kkt_rhs == 16
+    assert sum(columns) == 86
 
 
 @pytest.mark.parametrize(
     "params, hdsa, solves",
     [
-        # the README quick start: 64 for W, 3 for the optimizer, 2 x 4 for
-        # the check and 16 for D
+        # the README quick start: 64 for W, 2 for the optimizer, 16 for D
+        # and 4 for the adjoint half of its checked columns
         ({"n_state": 64, "n_param": 16, "gamma": 0.01},
-         {"k_pairs": 4, "oversampling": 8, "seed": 0}, 91),
+         {"k_pairs": 4, "oversampling": 8, "seed": 0}, 86),
         # 600 nodes, with a tapered amplitude that gives a spectral gap
         ({"n_state": 600, "n_param": 16, "gamma": 0.01,
           "amplitude": [0.2] * 4 + [0.005] * 12},
-         {"k_pairs": 4, "oversampling": 8, "seed": 1}, 627),
+         {"k_pairs": 4, "oversampling": 8, "seed": 1}, 622),
     ],
     ids=["quick start", "n_state 600"],
 )
@@ -209,7 +210,7 @@ def test_diffusion_sample_solve_count(tmp_path, monkeypatch, params, hdsa, solve
     columns = counted_solve_columns(monkeypatch, DiffusionControlProblem)
     res = run_sample(tmp_path, "diffusion_control_1d", params, hdsa)
     assert res.svd == "exact"
-    assert res.diagnostics.kkt_rhs == 16 + NORM_PROBES
+    assert res.diagnostics.kkt_rhs == 16
     assert sum(columns) == solves
 
 
@@ -244,11 +245,11 @@ class TestSvdPath:
 
     def test_quick_start_defaults_assemble_d(self):
         # 16 columns of D against 6 * 12 + 4 = 76 for the randomized solve;
-        # the one KKT solve is the operator's check
+        # the one KKT solve is the operator's check on the first columns of D
         res = quick_start_sample(RandEigConfig(k_pairs=4, oversampling=8, seed=0))
         assert res.svd == "exact"
         assert res.diagnostics.kkt_solves == 1
-        assert res.diagnostics.kkt_rhs == 16 + NORM_PROBES
+        assert res.diagnostics.kkt_rhs == 16
         assert res.diagnostics.kkt_backward_error <= KKT_TOL
         assert res.diagnostics.n_probes == 16
         assert res.diagnostics.n_dropped == 0
@@ -259,7 +260,7 @@ class TestSvdPath:
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0, seed=0)
         res = quick_start_sample(cfg)
         assert res.svd == "randomized"
-        assert res.diagnostics.kkt_rhs == 3 + NORM_PROBES
+        assert res.diagnostics.kkt_rhs == 3
 
     def test_rule_reads_sizes_only(self):
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
@@ -293,10 +294,9 @@ class TestSvdPath:
         cfg = RandEigConfig(k_pairs=k, oversampling=p, power_iterations=q, seed=0)
         triples, diag = randomized_geneig(sens, problem.spaces, cfg)
         assert len(triples) == k and diag.n_dropped == 0
-        # the first application of a shared operator also runs its check
-        rhs = diag.kkt_rhs - NORM_PROBES * diag.kkt_solves
-        assert rhs == randomized_rhs(cfg, sens.n_theta)
-        path = "exact" if sens.n_theta <= rhs else "randomized"
+        # the operator's check runs on its own first columns, so it adds none
+        assert diag.kkt_rhs == randomized_rhs(cfg, sens.n_theta)
+        path = "exact" if sens.n_theta <= diag.kkt_rhs else "randomized"
         assert svd_path(cfg, sens.n_z, sens.n_theta) == path
 
 
@@ -343,8 +343,8 @@ def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):
         RandEigConfig(k_pairs=4, oversampling=8, seed=0, set_index_mode="direct")
     )
     assert res.svd == "exact"
-    # the operator's check, then D
-    assert sum(columns) == NORM_PROBES + 16
+    # D, whose first columns check the operator through the full solve
+    assert sum(columns) == 16
     assert res.sets["kappa"] == pytest.approx(res.triples.sigma[0], rel=1e-12)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hdsa.bundle import CSV_FILES, BundleError, read_bundle
 from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _verify_checks, main
 from hdsa.config import ConfigError, load_config, parse_config
-from hdsa.operators import KKT_TOL, NORM_PROBES, SensitivityOperator
+from hdsa.operators import KKT_TOL, SensitivityOperator
 from hdsa.problems.logistic import LogisticToyProblem
 
 
@@ -115,11 +115,11 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         _, report = read_bundle(out)
         for s in report["samples"]:
-            # the operator's check is the one KKT solve; then D is assembled
-            # from a column per parameter
+            # D is assembled from a column per parameter, and its first
+            # columns, the operator's check, are the one KKT solve
             assert s["svd"] == "exact"
             assert s["kkt_solves"] == 1
-            assert s["kkt_rhs"] == NORM_PROBES + 2
+            assert s["kkt_rhs"] == 2
             assert 0.0 <= s["kkt_backward_error"] <= KKT_TOL
             assert len(s["triple_residuals"]) == len(s["sigmas"])
 

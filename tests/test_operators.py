@@ -175,6 +175,32 @@ class TestKktOperator:
             op.solve(rhs)
         assert len(op.solve_stats) == 2
 
+    def test_zero_rhs_reads_the_error_of_a_nonzero_x(self, diffusion_point, monkeypatch):
+        """b = 0 is solved by x = 0 alone: any other x has a backward error."""
+        problem, point = diffusion_point
+        op = KktOperator(problem, point)
+        x = np.zeros((op.dim, 2))
+        x[:, 1] = np.random.default_rng(14).standard_normal(op.dim)
+        err = op._backward_errors(x, np.zeros((op.dim, 2)))
+        assert err[0] == 0.0 and err[1] > KKT_TOL
+        backward = op._backward
+        monkeypatch.setattr(op, "_backward", lambda *a: backward(*a) + 1e-6 * x[:, 1])
+        with pytest.raises(SolveError, match="backward error"):
+            op.solve(np.zeros(op.dim))
+
+    def test_first_check_applies_k_once(self, diffusion_point, monkeypatch):
+        """The first backward error takes the residual and the ||K|| probes
+        from one block apply; later ones apply K to x alone."""
+        problem, point = diffusion_point
+        op = KktOperator(problem, point)
+        shapes = []
+        apply = op.apply
+        monkeypatch.setattr(op, "apply", lambda v: shapes.append(v.shape) or apply(v))
+        rhs = np.random.default_rng(15).standard_normal((op.dim, 3))
+        op.solve(rhs)
+        op.solve(rhs[:, 0])
+        assert shapes == [(op.dim, 3 + NORM_PROBES), (op.dim,)]
+
     def test_solve_residual_small(self, diffusion_point):
         problem, point = diffusion_point
         op = KktOperator(problem, point)
@@ -335,10 +361,11 @@ def check_points():
 
 
 class TestOperatorCheck:
-    """A sensitivity operator solves K x = B Phi once, on its first use, and
-    a wrong factor of H fails that solve instead of being refined away."""
+    """A sensitivity operator's first columns go through one full KKT solve,
+    on its first use, and a wrong factor of H fails that solve instead of
+    being refined away."""
 
-    @pytest.mark.parametrize("first", ["apply", "apply_transpose"])
+    @pytest.mark.parametrize("first", ["apply", "apply_transpose", "dense"])
     @pytest.mark.parametrize(
         "name, scale", [("quick start", 1 + 1e-3), ("advdiff", 1 + 1e-6)]
     )
@@ -349,13 +376,35 @@ class TestOperatorCheck:
         wrong = SensitivityOperator(
             problem, point, w, _scaled_factor(opt.hessian_factor, scale)
         )
-        n_in = good.n_theta if first == "apply" else good.n_z
-        v = np.ones(n_in)
-        getattr(good, first)(v)
+
+        def use(op):
+            if first == "dense":
+                return op.dense()
+            return getattr(op, first)(np.ones(op.n_theta if first == "apply" else op.n_z))
+
+        use(good)
         assert [s.backward_error <= KKT_TOL for s in good.kkt.solve_stats] == [True]
         with pytest.raises(SolveError, match="backward error"):
-            getattr(wrong, first)(v)
+            use(wrong)
         assert not wrong.kkt.solve_stats
+
+    @pytest.mark.parametrize("name", ["quick start", "advdiff"])
+    def test_checked_columns_equal_half_pass_columns(self, check_points, name):
+        """The columns that the full solve checks are the columns D and D^T
+        would give from their half passes."""
+        problem, _, opt = check_points[name]
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        kkt, b = sens.kkt, sens.b
+        d = sens.apply(np.eye(sens.n_theta))
+        dt = sens.apply_transpose(np.eye(sens.n_z))
+        assert len(kkt.solve_stats) == 1
+        d_half = kkt.solve_z(b.apply(np.eye(sens.n_theta)))[1]
+        dt_half = b.apply_adjoint(kkt.solve_from_z(np.eye(sens.n_z)))
+        for got, ref in ((d[:, :NORM_PROBES], d_half), (dt[:, :NORM_PROBES], dt_half)):
+            ref = ref[:, :NORM_PROBES]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_check_runs_once(self, check_points):
         problem, _, opt = check_points["quick start"]
@@ -364,7 +413,7 @@ class TestOperatorCheck:
         )
         sens.apply(np.eye(sens.n_theta))
         sens.apply_transpose(np.eye(sens.n_z))
-        assert sens.kkt.work() == (1, NORM_PROBES + sens.n_theta + sens.n_z)
+        assert sens.kkt.work() == (1, sens.n_theta + sens.n_z)
 
     def test_wrong_factor_is_a_sample_failure(self, check_points, monkeypatch):
         problem, plan, _ = check_points["quick start"]

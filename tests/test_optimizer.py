@@ -354,3 +354,83 @@ class TestSecondOrderCheck:
             check_sosc(h, factor)
         h = np.diag([1.0, 1e-3])
         assert check_sosc(h, scipy.linalg.cho_factor(h)) == pytest.approx(1e-3)
+
+
+class TestInverseNormEstimate:
+    """The SOSC estimate solves with H by two triangular ``dtrsv`` each."""
+
+    @staticmethod
+    def _dpotrs(factor, v):
+        c, lower = factor
+        return scipy.linalg.lapack.dpotrs(c, v, lower=lower)[0]
+
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("n", [1, 5, 64, 600])
+    def test_matches_dpotrs(self, monkeypatch, n, lower):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        h = (q * np.logspace(0.0, -2.0, n)) @ q.T
+        factor = scipy.linalg.cho_factor(h, lower=lower)
+        v = rng.standard_normal(n)
+        ref = self._dpotrs(factor, v)
+        got = optimizer._cho_solve_vector(factor, v)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        est = optimizer._inverse_norm_estimate(factor)
+        for _ in range(3):
+            assert optimizer._inverse_norm_estimate(factor) == est
+        monkeypatch.setattr(optimizer, "_cho_solve_vector", self._dpotrs)
+        assert est == pytest.approx(optimizer._inverse_norm_estimate(factor), rel=1e-14)
+
+
+class TestTrialState:
+    """The line search starts each trial forward solve from u + step W d."""
+
+    @pytest.mark.parametrize("name", ["diffusion", "advdiff"])
+    def test_trial_of_a_linear_state_costs_no_solve(self, name, monkeypatch):
+        p = BUILT_IN[name]()
+        per_forward, inside = [], []
+        solve, forward = p.state_jacobian_solve, optimizer.solve_forward
+
+        def counted_solve(pt, rhs):
+            if inside:
+                per_forward[-1] += 1 if rhs.ndim == 1 else rhs.shape[1]
+            return solve(pt, rhs)
+
+        def counted_forward(*args, **kwargs):
+            per_forward.append(0)
+            inside.append(1)
+            try:
+                return forward(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(p, "state_jacobian_solve", counted_solve)
+        monkeypatch.setattr(optimizer, "solve_forward", counted_forward)
+        opt = solve_optimization(p, p.default_theta())
+        # after the first forward solve, one trial per Newton step, each
+        # solved by its prediction
+        assert opt.iterations >= 1
+        assert per_forward[1:] == [0] * opt.iterations
+
+    @pytest.mark.parametrize(
+        "theta, iterations, solves",
+        # outer iterations and state solves with trials started from the old u
+        [
+            ([0.5, 0.5], 4, 10),
+            ([0.4, 0.6], 4, 10),
+            ([0.6, 0.4], 4, 10),
+            ([1.0, 0.0], 4, 10),
+            ([0.2, 1.2], 3, 8),
+        ],
+    )
+    def test_logistic_counts_do_not_rise(self, theta, iterations, solves, monkeypatch):
+        p = build_logistic_toy()
+        columns = []
+        solve = p.state_jacobian_solve
+        monkeypatch.setattr(
+            p, "state_jacobian_solve", lambda pt, rhs: columns.append(1) or solve(pt, rhs)
+        )
+        opt = solve_optimization(p, np.array(theta))
+        assert opt.grad_norm <= 1e-9
+        assert opt.iterations <= iterations
+        assert len(columns) <= solves

@@ -291,9 +291,9 @@ class TestExactTriples:
         # a fresh operator: D, once assembled, is kept and costs no solve
         sens = sample_operator(problem)
         triples, diag = exact_triples(sens, problem.spaces, cfg)
-        # the operator's check, then one column of D per parameter
+        # one column of D per parameter, the first ones the operator's check
         assert diag.kkt_solves == 1
-        assert diag.kkt_rhs == NORM_PROBES + sens.n_theta
+        assert diag.kkt_rhs == sens.n_theta
         assert diag.n_probes == sens.n_theta and diag.n_dropped == 0
         # every weighted sigma, of which the triples are the first K
         assert diag.ritz_values.shape == (min(sens.n_z, sens.n_theta),)
@@ -314,11 +314,12 @@ def test_kkt_work_counts_calls_and_columns(diffusion_sens):
     sens = SensitivityOperator(problem, shared.point)
     cfg = RandEigConfig(k_pairs=3, oversampling=4, seed=1, power_iterations=1)
     _, diag = randomized_geneig(sens, problem.spaces, cfg)
-    # the operator's check is the one KKT solve call; then D Omega, one power
-    # pass (D^T, then D) and B^T = D^T M_Z Q on 7 probes, and D on the 3
-    # triples for their residuals, each one half of the elimination
+    # D Omega, one power pass (D^T, then D) and B^T = D^T M_Z Q on 7 probes,
+    # and D on the 3 triples for their residuals, each one half of the
+    # elimination; the operator's check is the one KKT solve call, on the
+    # first NORM_PROBES columns of D Omega
     assert diag.kkt_solves == 1
-    assert diag.kkt_rhs == NORM_PROBES + 4 * 7 + 3
+    assert diag.kkt_rhs == 4 * 7 + 3
     assert diag.kkt_backward_error == sens.kkt.solve_stats[0].backward_error
     # a second call on the checked operator makes no KKT solve
     _, again = randomized_geneig(sens, problem.spaces, cfg)
