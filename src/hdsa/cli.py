@@ -18,8 +18,8 @@ from .analysis import AllSamplesFailedError, global_analysis, perturbation_check
 from .bundle import BundleError, read_bundle, render_report, write_bundle
 from .config import ConfigError, RunConfig, load_config
 from .operators import SensitivityOperator
-from .optimizer import COMPUTE_ERRORS, OptimizerError, solve_optimization
-from .problems.base import check_derivatives
+from .optimizer import COMPUTE_ERRORS, OptimalPoint, OptimizerError, solve_optimization
+from .problems.base import ProblemDefinition, check_derivatives
 from .randeig import alternative_formulation, dense_oracle, randomized_geneig
 from .sampling import VERIFY_STREAM, rng_for
 
@@ -159,32 +159,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         )
     )
 
-    phi = np.zeros(problem.dims.n_theta)
-    phi[0] = 1.0
-    ratios = []
-    ok = True
-    detail = ""
-    try:
-        for delta in PERTURBATION_DELTAS:
-            pc = perturbation_check(
-                problem, optimal, phi, delta, opt_cfg=cfg.optimizer, sens=sens
-            )
-            ratios.append(pc.ratio)
-        errs = [abs(r - 1.0) for r in ratios]
-        # the ratio must approach 1 as delta shrinks and be there at the end;
-        # a wrong D gives a ratio that converges, but not to 1
-        ok = (
-            all(
-                e2 <= e1 + 1e-12 or e2 <= PERTURBATION_FLOOR
-                for e1, e2 in zip(errs, errs[1:])
-            )
-            and errs[-1] <= PERTURBATION_TOL
-        )
-        detail = "ratios " + ", ".join(f"{r:.6f}" for r in ratios)
-    except OptimizerError as exc:
-        ok = False
-        detail = f"re-solve failed: {exc}"
-    checks.append(("perturbation sweep", ok, detail))
+    checks.append(_perturbation_sweep(problem, optimal, sens))
 
     gamma = cfg.problem_params.get("gamma")
     if cfg.problem_name == "diffusion_control_1d" and gamma == 0.0:
@@ -216,6 +191,31 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
             )
         )
     return checks
+
+
+def _perturbation_sweep(
+    problem: ProblemDefinition, optimal: OptimalPoint, sens: SensitivityOperator
+) -> tuple[str, bool, str]:
+    """The perturbation-sweep row: ratios along the first coordinate
+    direction at each of PERTURBATION_DELTAS, each moved optimum re-solved by
+    chord steps with the KKT operator of ``sens``."""
+    phi = np.zeros(problem.dims.n_theta)
+    phi[0] = 1.0
+    try:
+        ratios = [
+            perturbation_check(problem, optimal, phi, delta, sens=sens).ratio
+            for delta in PERTURBATION_DELTAS
+        ]
+    except OptimizerError as exc:
+        return "perturbation sweep", False, f"re-solve failed: {exc}"
+    errs = [abs(r - 1.0) for r in ratios]
+    # the ratio must approach 1 as delta shrinks and be there at the end;
+    # a wrong D gives a ratio that converges, but not to 1
+    ok = (
+        all(e2 <= e1 + 1e-12 or e2 <= PERTURBATION_FLOOR for e1, e2 in zip(errs, errs[1:]))
+        and errs[-1] <= PERTURBATION_TOL
+    )
+    return "perturbation sweep", ok, "ratios " + ", ".join(f"{r:.6f}" for r in ratios)
 
 
 def cmd_verify(config_path: str) -> int:

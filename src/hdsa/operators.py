@@ -22,7 +22,12 @@ from .linalg import (
     identity_columns,
     matmul,
 )
-from .optimizer import factor_reduced_hessian, reduced_hessian_dense, state_sensitivity
+from .optimizer import (
+    OptimizerError,
+    factor_reduced_hessian,
+    reduced_hessian_dense,
+    state_sensitivity,
+)
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
 from .sampling import KKT_NORM_STREAM, rng_for
 
@@ -32,6 +37,14 @@ KKT_TOL = 1e-10
 # Probe columns of the fixed block that estimates ||K||, and the number of an
 # operator's first columns that check it.
 NORM_PROBES = 4
+
+# Chord re-solve at a nearby theta: converged when the z-correction is at
+# most CHORD_TOL of the distance z has moved from the base point, or when it
+# stops shrinking at or below CHORD_FLOOR of that distance, where rounding
+# holds it; CHORD_MAX_STEPS steps without either is a failure.
+CHORD_TOL = 1e-9
+CHORD_FLOOR = float(np.sqrt(np.finfo(float).eps))
+CHORD_MAX_STEPS = 50
 
 
 class KktOperator:
@@ -106,7 +119,7 @@ class KktOperator:
         check_operand(rhs, self.dim, "KKT solve")
         x = self._backward(self.split(rhs)[0], *self.solve_z(rhs))
         err = float(self._backward_errors(x, rhs).max())
-        if err > KKT_TOL:
+        if not err <= KKT_TOL:
             raise SolveError(f"KKT solve did not reach backward error {KKT_TOL:g}: {err:.3e}")
         stats = SolverStats(1, err)
         self.solve_stats.append(stats)
@@ -139,15 +152,21 @@ class KktOperator:
 
         The plain relative residual is floored at eps * ||K|| * ||x|| / ||b||,
         which for the ill-conditioned gamma -> 0 regime sits far above any
-        sensible tolerance; the backward error is the achievable measure.
+        sensible tolerance; the backward error is the achievable measure. A
+        column of x that is not finite has an infinite error; it enters the
+        K apply as zeros, so no invalid arithmetic runs.
         """
+        finite = np.atleast_1d(np.isfinite(x).all(axis=0))
+        x = np.where(finite, x, 0.0)
         r, k_norm = self._norm_estimate(x)
         r -= rhs
         r_norm = np.atleast_1d(np.linalg.norm(r, axis=0))
         x_norm = np.atleast_1d(np.linalg.norm(x, axis=0))
         denom = k_norm * x_norm + np.atleast_1d(np.linalg.norm(rhs, axis=0))
         # only b = 0 solved by x = 0 has no scale, and it is solved exactly
-        return np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=denom > 0.0)
+        err = np.divide(r_norm, denom, out=np.zeros_like(r_norm), where=denom > 0.0)
+        err[~finite] = np.inf
+        return err
 
     def _hessian_factor(self) -> tuple:
         p, pt = self.problem, self.point
@@ -167,7 +186,8 @@ class KktOperator:
         factor = self._hessian_factor()
         self.rhs_columns += rhs.size // self.dim
         b_u, b_z, b_l = self.split(rhs)
-        s = p.state_jacobian_solve(pt, b_l)
+        # b_l = 0 (the check of D^T) is solved by s = 0
+        s = p.state_jacobian_solve(pt, b_l) if b_l.any() else np.zeros(b_u.shape)
         red = matmul(self._w, b_u - p.l_uu(pt, s), trans_a=True)
         red += b_z
         red -= p.l_zu(pt, s)
@@ -186,6 +206,46 @@ class KktOperator:
         du = s + matmul(self._w, dz)
         dl = p.state_jacobian_adjoint_solve(pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz))
         return np.concatenate([du, dz, dl])
+
+    def stationary_point(self, theta: np.ndarray) -> EvalPoint:
+        """The stationary point at a theta near the base point's, by chord
+        (simplified Newton) steps x <- x - K^{-1} F(x; theta) from the base
+        point on the KKT residual F = (grad_u L, grad_z L, c), with this K
+        (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+        1995, ch. 5). A step is one elimination pass: one state and one
+        adjoint solve, and no W, H or factorization at theta.
+
+        F is evaluated exactly at theta, so the fixed point does not depend
+        on K: a wrong K makes the steps contract slowly or diverge, not land
+        on a wrong z. Contracting steps stay on the base point's branch of
+        stationary points; nothing here certifies the second-order condition
+        at theta. The steps stop by the rule stated at ``CHORD_TOL``; a
+        non-finite residual or step, or ``CHORD_MAX_STEPS`` steps without
+        stopping, raise OptimizerError.
+        """
+        p, z0, m_z = self.problem, self.point.z, self.problem.spaces.m_z
+        u, z, lam = self.point.u, z0, self.point.lam
+        last = np.inf
+        for step in range(1, CHORD_MAX_STEPS + 1):
+            q = EvalPoint(u, z, lam, theta)
+            f = np.concatenate(
+                [p.lagrangian_grad_u(q), p.lagrangian_grad_z(q), p.residual(u, z, theta)]
+            )
+            if not np.isfinite(f).all():
+                raise OptimizerError(f"chord re-solve: non-finite KKT residual at step {step}")
+            dx = self._backward(self.split(f)[0], *self.solve_z(f))
+            if not np.isfinite(dx).all():
+                raise OptimizerError(f"chord re-solve: non-finite step {step}")
+            du, dz, dl = self.split(dx)
+            u, z, lam = u - du, z - dz, lam - dl
+            dz_norm, moved = m_z.norm(dz), m_z.norm(z - z0)
+            if dz_norm <= CHORD_TOL * moved or last <= dz_norm <= CHORD_FLOOR * moved:
+                return EvalPoint(u, z, lam, theta)
+            last = dz_norm
+        raise OptimizerError(
+            f"chord re-solve did not converge in {CHORD_MAX_STEPS} steps: "
+            f"z-correction {dz_norm:.3e} after moving {moved:.3e}"
+        )
 
 
 class ParamJacobianOperator:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hdsa.operators as operators
+import hdsa.optimizer as optimizer
 from hdsa.analysis import (
     analyze_sample,
     global_analysis,
@@ -19,11 +21,12 @@ from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
     AdvDiffInversionProblem,
     DiffusionControlProblem,
+    build_advdiff_inversion_1d,
     build_diffusion_control_1d,
     build_logistic_toy,
 )
 from hdsa.randeig import RandEigConfig, dense_oracle, randomized_geneig, randomized_rhs
-from hdsa.sampling import Distribution, SamplingPlan
+from hdsa.sampling import Distribution, InitialIterate, SamplingPlan
 
 
 def logistic_plan(seed=0):
@@ -106,6 +109,75 @@ class TestPerturbationCheck:
         opt = solve_optimization(problem, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             perturbation_check(problem, opt, np.zeros(2), 1e-3)
+
+
+@pytest.fixture(scope="module")
+def sweep_points():
+    """Optimal points of the README quick start (sample 0), of the logistic
+    toy and of default advection-diffusion (sample 0), each with the
+    sensitivity operator that holds the optimizer's W and factor of H."""
+    out = {}
+    for name, problem in (
+        ("quick start", build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)),
+        ("logistic", build_logistic_toy()),
+        ("advdiff", build_advdiff_inversion_1d()),
+    ):
+        if name == "logistic":
+            theta = np.array([0.5, 0.5])
+        else:
+            dist = Distribution("uniform", -1.0, 1.0)
+            theta = SamplingPlan([dist] * problem.dims.n_theta).sample(0)
+        opt = solve_optimization(problem, theta)
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        out[name] = (problem, opt, sens)
+    return out
+
+
+class TestChordSweep:
+    """The sweep's re-solves are chord steps with the base point's KKT
+    operator, not optimizer runs."""
+
+    @pytest.mark.parametrize(
+        "name, axis",
+        [("quick start", 0), ("logistic", 0), ("logistic", 1), ("advdiff", 0)],
+    )
+    def test_ratios_match_a_tight_optimizer_resolve(self, sweep_points, name, axis):
+        problem, opt, sens = sweep_points[name]
+        phi = np.zeros(problem.dims.n_theta)
+        phi[axis] = 1.0
+        unit = phi / problem.spaces.m_theta.norm(phi)
+        tight = OptimizerConfig(stationarity_tol=1e-15, max_iter=200)
+        for delta in (1e-2, 1e-3, 1e-4):
+            pc = perturbation_check(problem, opt, phi, delta, sens=sens)
+            warm = InitialIterate(opt.u0.copy(), opt.z0.copy())
+            ref = solve_optimization(problem, opt.theta0 + delta * unit, warm, tight)
+            lhs = problem.spaces.m_z.norm(ref.z0 - opt.z0)
+            assert pc.ratio == pytest.approx(lhs / pc.linear_prediction, rel=1e-8, abs=0)
+
+    def test_forms_nothing_at_the_moved_theta(self, sweep_points, monkeypatch):
+        """No W, reduced Hessian, factorization or SOSC certificate."""
+        problem, opt, sens = sweep_points["quick start"]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep formed W, H or a factor")
+
+        for module in (optimizer, operators):
+            for name in (
+                "state_sensitivity",
+                "reduced_hessian_dense",
+                "factor_reduced_hessian",
+                "check_sosc",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        phi = np.eye(problem.dims.n_theta)[0]
+        ratios = [
+            perturbation_check(problem, opt, phi, d, sens=sens).ratio
+            for d in (1e-2, 1e-3, 1e-4)
+        ]
+        assert abs(ratios[-1] - 1.0) <= 1e-3
 
 
 class TestTraditionalComparison:

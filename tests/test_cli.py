@@ -2,13 +2,24 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hdsa.bundle import CSV_FILES, BundleError, read_bundle
-from hdsa.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _verify_checks, main
+from hdsa.cli import (
+    EXIT_COMPUTE,
+    EXIT_OK,
+    EXIT_USAGE,
+    _perturbation_sweep,
+    _verify_checks,
+    main,
+)
 from hdsa.config import ConfigError, load_config, parse_config
-from hdsa.operators import KKT_TOL, SensitivityOperator
+from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
+from hdsa.optimizer import solve_optimization
+from hdsa.problems import build_diffusion_control_1d
 from hdsa.problems.logistic import LogisticToyProblem
+from hdsa.sampling import Distribution, SamplingPlan
 
 
 def logistic_config(out_dir, n_samples=2, seed=42, **extra):
@@ -283,6 +294,45 @@ class TestVerifyCommand:
             rows = capsys.readouterr().out.splitlines()
             failed = {row.split("  ")[1] for row in rows if row.startswith("FAIL")}
             assert {"perturbation sweep", "adjoint consistency"} <= failed, scale
+
+    @pytest.mark.parametrize(
+        "scale, detail", [(1 + 1e-2, "ratios "), (0.4, "re-solve failed: chord")]
+    )
+    def test_wrong_factor_fails_the_sweep(self, scale, detail):
+        """A factor of scale * H, swapped in after the operator's check: at
+        1 + 1e-2 the chord steps still land on the true optimum and the
+        ratios miss 1 by the error of D; at 0.4 the steps do not contract,
+        and the row says the re-solve failed."""
+        problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)
+        plan = SamplingPlan([Distribution("uniform", -1.0, 1.0)] * 16)
+        opt = solve_optimization(problem, plan.sample(0))
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        assert _perturbation_sweep(problem, opt, sens)[1]
+        c, lower = opt.hessian_factor
+        sens.kkt._factor = (np.sqrt(scale) * c, lower)
+        name, ok, text = _perturbation_sweep(problem, opt, sens)
+        assert name == "perturbation sweep" and not ok
+        assert text.startswith(detail)
+
+    def test_non_contracting_resolve_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
+        """Through the command: steps that do not contract fail the sweep's
+        row, with exit 1 and no traceback."""
+        stationary_point = KktOperator.stationary_point
+
+        def non_contracting(self, theta):
+            c, lower = self._factor
+            self._factor = (np.sqrt(0.4) * c, lower)
+            return stationary_point(self, theta)
+
+        monkeypatch.setattr(KktOperator, "stationary_point", non_contracting)
+        path = write_config(tmp_path, logistic_config(tmp_path / "out"))
+        assert main(["verify", str(path)]) == EXIT_COMPUTE
+        rows = capsys.readouterr().out.splitlines()
+        failed = [row for row in rows if row.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].split("  ")[1] == "perturbation sweep"
+        assert "re-solve failed: chord re-solve did not converge" in failed[0]
 
     def test_gamma_zero_linearity_row_passes(self, tmp_path):
         # with gamma = 0 the optimum is affine in theta, so sigma must not

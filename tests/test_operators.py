@@ -188,6 +188,33 @@ class TestKktOperator:
         with pytest.raises(SolveError, match="backward error"):
             op.solve(np.zeros(op.dim))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_solution_fails_the_gate(self, diffusion_point, monkeypatch, bad):
+        """A non-finite x reads an infinite backward error, with no invalid
+        arithmetic (pytest makes a RuntimeWarning an error), and the gate
+        refuses it; the finite columns beside it keep their errors."""
+        problem, point = diffusion_point
+        op = KktOperator(problem, point)
+        rhs = np.random.default_rng(16).standard_normal((op.dim, 2))
+        x = op.solve(rhs)[0]
+        spoiled = x.copy()
+        spoiled[3, 1] = bad
+        err = op._backward_errors(spoiled, rhs)
+        assert err[0] == op._backward_errors(x, rhs)[0] <= KKT_TOL
+        assert err[1] == np.inf
+        backward = op._backward
+
+        def spoil(*a):
+            out = backward(*a)
+            out[3] = bad
+            return out
+
+        monkeypatch.setattr(op, "_backward", spoil)
+        with pytest.raises(SolveError, match="backward error"):
+            op.solve(rhs[:, 0])
+        with pytest.raises(SolveError, match="backward error"):
+            op.solve(rhs)
+
     def test_first_check_applies_k_once(self, diffusion_point, monkeypatch):
         """The first backward error takes the residual and the ||K|| probes
         from one block apply; later ones apply K to x alone."""
@@ -415,6 +442,29 @@ class TestOperatorCheck:
         sens.apply_transpose(np.eye(sens.n_z))
         assert sens.kkt.work() == (1, sens.n_theta + sens.n_z)
 
+    def test_transpose_check_makes_no_zero_state_solve(self, check_points, monkeypatch):
+        """The check of D^T solves K x = P^T w, whose b_l is 0: its forward
+        half takes s = 0 instead of solving for it, and the check still gates
+        those columns in one KKT solve."""
+        problem, _, opt = check_points["quick start"]
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        rhs_blocks = []
+        state_solve = problem.state_jacobian_solve
+
+        def counted(p, rhs):
+            rhs_blocks.append(rhs)
+            return state_solve(p, rhs)
+
+        monkeypatch.setattr(problem, "state_jacobian_solve", counted)
+        dt = sens.apply_transpose(np.eye(sens.n_z))
+        assert not any(not np.any(b, axis=0).all() for b in rhs_blocks)
+        assert [s.backward_error <= KKT_TOL for s in sens.kkt.solve_stats] == [True]
+        assert sens.kkt.work() == (1, sens.n_z)
+        ref = sens.b.apply_adjoint(sens.kkt.solve_from_z(np.eye(sens.n_z)))
+        assert np.linalg.norm(dt - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_wrong_factor_is_a_sample_failure(self, check_points, monkeypatch):
         problem, plan, _ = check_points["quick start"]
         built = []
@@ -528,3 +578,117 @@ class TestSensitivityOperator:
         w = rng.standard_normal(sens.n_z)
         back = proj.apply_transpose(w)
         np.testing.assert_allclose(back[2:], 0.0, atol=0.0)
+
+
+class TestChordResolve:
+    """``KktOperator.stationary_point``: chord steps with the base point's K
+    on the KKT residual at a nearby theta."""
+
+    @staticmethod
+    def _counting(problem, kkt, monkeypatch):
+        """Count chord steps (forward half passes) and PDE solve columns; a
+        solve made inside another (diffusion's adjoint solve is its state
+        solve) counts once."""
+        counts = {"steps": 0, "solves": 0}
+        depth = [0]
+        for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
+            solve = getattr(problem, name)
+
+            def counted(p, rhs, solve=solve):
+                counts["solves"] += 0 if depth[0] else rhs.size // rhs.shape[0]
+                depth[0] += 1
+                try:
+                    return solve(p, rhs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(problem, name, counted)
+        solve_z = kkt.solve_z
+
+        def step(rhs):
+            counts["steps"] += 1
+            return solve_z(rhs)
+
+        monkeypatch.setattr(kkt, "solve_z", step)
+        return counts
+
+    @staticmethod
+    def _sens(check_points, name, factor_scale=1.0):
+        problem, _, opt = check_points[name]
+        factor = _scaled_factor(opt.hessian_factor, factor_scale)
+        sens = SensitivityOperator(problem, opt.as_eval_point(), opt.state_sensitivity, factor)
+        phi = np.eye(sens.n_theta)[0]
+        return problem, opt, sens, phi / problem.spaces.m_theta.norm(phi)
+
+    @pytest.mark.parametrize(
+        "name, steps", [("quick start", [6, 4, 4]), ("advdiff", [5, 4, 3])]
+    )
+    def test_steps_and_solves_per_step(self, check_points, monkeypatch, name, steps):
+        """Each step is one state and one adjoint solve; the step counts pin
+        the CHORD_TOL stop at the sweep's deltas."""
+        problem, opt, sens, phi = self._sens(check_points, name)
+        counts = self._counting(problem, sens.kkt, monkeypatch)
+        seen = []
+        for delta in (1e-2, 1e-3, 1e-4):
+            counts.update(steps=0, solves=0)
+            sens.kkt.stationary_point(opt.theta0 + delta * phi)
+            assert counts["solves"] <= 2 * counts["steps"]
+            seen.append(counts["steps"])
+        assert seen == steps
+
+    def test_fixed_point_does_not_depend_on_k(self, check_points):
+        """A 1 % error in the factor of H slows the steps; they land on the
+        same z."""
+        problem, opt, sens, phi = self._sens(check_points, "quick start")
+        _, _, wrong, _ = self._sens(check_points, "quick start", 1 + 1e-2)
+        theta = opt.theta0 + 1e-2 * phi
+        z, z_wrong = sens.kkt.stationary_point(theta).z, wrong.kkt.stationary_point(theta).z
+        m_z = problem.spaces.m_z
+        assert m_z.norm(z_wrong - z) <= 1e-9 * m_z.norm(z - opt.z0)
+
+    def test_non_contracting_steps_raise(self, check_points):
+        """With 0.4 H the error of z grows by 1.5 per step."""
+        _, opt, wrong, phi = self._sens(check_points, "quick start", 0.4)
+        with pytest.raises(optimizer.OptimizerError, match="did not converge in 50 steps"):
+            wrong.kkt.stationary_point(opt.theta0 + 1e-2 * phi)
+
+    @pytest.mark.parametrize("floor, converges", [(4e-9, True), (1e-6, False)])
+    def test_rounding_floor(self, check_points, monkeypatch, floor, converges):
+        """A correction held up by noise of a fixed size stops the steps once
+        it no longer shrinks, if the noise is at most CHORD_FLOOR of the
+        distance moved; above that floor the steps run out."""
+        problem, opt, sens, phi = self._sens(check_points, "quick start")
+        kkt, m_z = sens.kkt, problem.spaces.m_z
+        theta = opt.theta0 + 1e-2 * phi
+        clean = kkt.stationary_point(theta).z
+        moved = m_z.norm(clean - opt.z0)
+        rng = np.random.default_rng(17)
+        backward = kkt._backward
+
+        def noisy(*a):
+            out = backward(*a)
+            v = rng.standard_normal(kkt.n_z)
+            kkt.split(out)[1][...] += floor * moved * v / m_z.norm(v)
+            return out
+
+        monkeypatch.setattr(kkt, "_backward", noisy)
+        if converges:
+            z = kkt.stationary_point(theta).z
+            assert m_z.norm(z - clean) <= 1e-8 * moved
+        else:
+            with pytest.raises(optimizer.OptimizerError, match="did not converge"):
+                kkt.stationary_point(theta)
+
+    def test_non_finite_residual_raises(self, check_points, monkeypatch):
+        """A non-finite KKT residual stops the steps before any solve sees it."""
+        problem, opt, sens, phi = self._sens(check_points, "quick start")
+        counts = self._counting(problem, sens.kkt, monkeypatch)
+        residual = problem.residual
+
+        def spoiled(u, z, theta):
+            return residual(u, z, theta) * (np.nan if counts["steps"] else 1.0)
+
+        monkeypatch.setattr(problem, "residual", spoiled)
+        with pytest.raises(optimizer.OptimizerError, match="non-finite KKT residual at step 2"):
+            sens.kkt.stationary_point(opt.theta0 + 1e-2 * phi)
+        assert counts == {"steps": 1, "solves": 2}
