@@ -56,7 +56,6 @@ class SampleResult:
 @dataclass
 class SampleFailure:
     sample_index: int
-    theta: np.ndarray
     message: str
 
 
@@ -74,8 +73,6 @@ class HdsaReport:
         return np.mean([s.local for s in self.samples], axis=0)
 
     def local_std(self) -> np.ndarray:
-        if len(self.samples) < 2:
-            return np.zeros_like(self.samples[0].local)
         return np.std([s.local for s in self.samples], axis=0, ddof=0)
 
     def set_mean(self) -> dict[str, float]:
@@ -86,8 +83,6 @@ class HdsaReport:
 
     def set_std(self) -> dict[str, float]:
         names = self.samples[0].sets.keys()
-        if len(self.samples) < 2:
-            return {n: 0.0 for n in names}
         return {
             n: float(np.std([s.sets[n] for s in self.samples], ddof=0))
             for n in names
@@ -153,7 +148,7 @@ def global_analysis(
         try:
             results.append(analyze_sample(problem, plan, cfg, j, opt_cfg))
         except COMPUTE_ERRORS as exc:
-            failures.append(SampleFailure(j, plan.sample(j), str(exc)))
+            failures.append(SampleFailure(j, str(exc)))
 
     if not results:
         raise AllSamplesFailedError(
@@ -176,7 +171,7 @@ def perturbation_check(
     point: OptimalPoint,
     phi: np.ndarray,
     delta: float,
-    sens: SensitivityOperator | None = None,
+    sens: SensitivityOperator,
 ) -> PerturbationCheck:
     """Empirical first-order check: the change of the optimal z from theta0
     to theta0 + delta*phi (phi scaled to unit M_Theta-norm) against the
@@ -192,17 +187,10 @@ def perturbation_check(
     nrm = spaces.m_theta.norm(phi)
     if nrm == 0.0:
         raise ValueError("perturbation direction must be nonzero")
-    phi = phi / nrm
-    if sens is None:
-        sens = SensitivityOperator(
-            problem,
-            point.as_eval_point(),
-            point.state_sensitivity,
-            point.hessian_factor,
-        )
-    prediction = delta * spaces.m_z.norm(sens.apply(phi))
     if delta == 0.0:
         return PerturbationCheck(0.0, 0.0, 0.0, 1.0)
+    phi = phi / nrm
+    prediction = delta * spaces.m_z.norm(sens.apply(phi))
     moved = sens.kkt.stationary_point(point.theta0 + delta * phi)
     lhs = spaces.m_z.norm(moved.z - point.z0)
     ratio = lhs / prediction if prediction > 0 else np.inf

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .linalg import LinalgError
-from .optimizer import OptimizerConfig, OptimizerError
+from .optimizer import OptimizerConfig
 from .problems.advdiff import AdvDiffInversionProblem
 from .problems.base import ProblemDefinition, ProblemError
 from .problems.diffusion import DiffusionControlProblem
@@ -36,7 +36,7 @@ PROBLEMS = {
 }
 
 # what the dataclasses' own range checks raise
-_RANGE_ERRORS = (LinalgError, OptimizerError, SamplingError)
+_RANGE_ERRORS = (LinalgError, SamplingError)
 
 
 def _require_keys(section: dict, allowed, where: str) -> None:
@@ -92,7 +92,7 @@ class RunConfig:
             raise ConfigError(f"problem construction failed: {exc}") from exc
 
     def build_plan(self, problem: ProblemDefinition) -> SamplingPlan:
-        return SamplingPlan([self.distribution] * problem.dims.n_theta, self.randeig.seed)
+        return SamplingPlan(self.distribution, problem.dims.n_theta, self.randeig.seed)
 
 
 _TOP_KEYS = {"problem", "optimizer", "hdsa", "sampling", "output_dir"}

@@ -24,14 +24,12 @@ def local_indices(triples: Triples, spaces: WeightedSpaces) -> np.ndarray:
     return np.sqrt(spaces.m_theta.apply(triples.theta) ** 2 @ triples.sigma**2)
 
 
-def _check_partition_orthogonal(
-    partition: SetPartition, spaces: WeightedSpaces, tol: float = 1e-12
-) -> None:
+def _check_partition_orthogonal(partition: SetPartition, spaces: WeightedSpaces) -> None:
     m = spaces.m_theta.dense()
     scale = max(float(np.abs(m).max()), 1e-30)
     for i, (_, s1, e1) in enumerate(partition.sets):
         for _, s2, e2 in partition.sets[i + 1 :]:
-            if float(np.abs(m[s1:e1, s2:e2]).max()) > tol * scale:
+            if float(np.abs(m[s1:e1, s2:e2]).max()) > 1e-12 * scale:
                 raise ProblemError(
                     "partition blocks are not mutually M_Theta-orthogonal"
                 )

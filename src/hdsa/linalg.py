@@ -148,16 +148,14 @@ class SpdOperator:
         return np.sqrt(np.maximum(np.einsum("ij,ij->j", v, self.apply(v)), 0.0))
 
 
-def b_orthonormalize(
-    vectors: np.ndarray, b: SpdOperator, drop_tol: float = 1e-10
-) -> tuple[np.ndarray, int]:
+def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, int]:
     """B-orthonormalize columns with two passes of modified Gram-Schmidt.
 
     Returns ``(Q, n_dropped)`` where Q has B-orthonormal columns spanning the
     numerically independent part of the input. Columns whose B-norm after
-    projection falls below ``drop_tol`` times their original B-norm are
-    dropped, so more vectors than the space has dimensions keep at most
-    ``b.dim`` of them.
+    projection falls below 1e-10 times their original B-norm are dropped,
+    so more vectors than the space has dimensions keep at most ``b.dim`` of
+    them.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[0] != b.dim:
@@ -176,7 +174,7 @@ def b_orthonormalize(
             for q, bq in zip(cols, bcols):
                 v = v - (bq @ v) * q
         norm = b.norm(v)
-        if norm < drop_tol * orig_norm:
+        if norm < 1e-10 * orig_norm:
             dropped += 1
             continue
         q = v / norm

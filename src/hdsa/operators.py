@@ -13,7 +13,6 @@ import scipy.linalg
 
 from .linalg import (
     DENSE_THRESHOLD,
-    LinalgError,
     SolveError,
     SolverStats,
     as_rows,
@@ -351,14 +350,6 @@ class SensitivityOperator:
             self._dense = self.apply(np.eye(self.n_theta))
             self._dense.setflags(write=False)
         return self._dense
-
-    def directional_sensitivity(self, phi: np.ndarray) -> float:
-        """||D (phi / ||phi||_Theta)||_Z with the weighted norms."""
-        m_theta, m_z = self.spaces.m_theta, self.spaces.m_z
-        nrm = m_theta.norm(phi)
-        if nrm == 0.0:
-            raise LinalgError("directional sensitivity of the zero direction")
-        return m_z.norm(self.apply(phi / nrm))
 
 
 class ProjectedSensitivityOperator:

@@ -34,10 +34,11 @@ class OptimizerError(Exception):
 # programming error and propagates.
 COMPUTE_ERRORS = (ProblemError, OptimizerError, SolveError, LinalgError)
 
-# Newton iterations of the forward solve, and the Armijo sufficient-decrease
-# constant (Nocedal & Wright, Numerical Optimization, sec. 3.1) and shortest
-# step of the outer line search
+# Newton iterations and normwise backward-error tolerance of the forward
+# solve, and the Armijo sufficient-decrease constant (Nocedal & Wright,
+# Numerical Optimization, sec. 3.1) and shortest step of the outer line search
 FORWARD_MAX_ITER = 50
+FORWARD_TOL = 1e-12
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-14
 
@@ -46,14 +47,7 @@ MIN_STEP = 1e-14
 class OptimizerConfig:
     stationarity_tol: float = 1e-9  # on the M^{-1}-norm of the reduced gradient
     max_iter: int = 100
-    forward_tol: float = 1e-12  # on ||c|| / ||residual_term_sizes|| (solve_forward)
     check_sosc: bool = True
-
-    # max_iter and stationarity_tol are not checked: a caller may force a
-    # failure with max_iter=0
-    def __post_init__(self):
-        if not self.forward_tol > 0:
-            raise OptimizerError("forward_tol must be positive")
 
 
 @dataclass
@@ -76,10 +70,8 @@ class OptimalPoint:
         return EvalPoint(self.u0, self.z0, self.lambda0, self.theta0)
 
 
-def _point(problem, u, z, theta, lam=None):
-    if lam is None:
-        lam = np.zeros(problem.dims.n_lambda)
-    return EvalPoint(u, z, lam, theta)
+def _point(problem, u, z, theta):
+    return EvalPoint(u, z, np.zeros(problem.dims.n_lambda), theta)
 
 
 def solve_forward(
@@ -87,16 +79,16 @@ def solve_forward(
     z: np.ndarray,
     theta: np.ndarray,
     u_guess: np.ndarray | None = None,
-    tol: float = OptimizerConfig.forward_tol,
 ) -> np.ndarray:
     """Newton with backtracking on c(u, z, theta) = 0, to the normwise
-    backward error ||c|| <= tol ||s||, with s the summed magnitudes of the
-    terms of c (``residual_term_sizes``); rounding meets it on any mesh."""
+    backward error ||c|| <= FORWARD_TOL ||s||, with s the summed magnitudes of
+    the terms of c (``residual_term_sizes``); rounding meets it on any mesh."""
     u = np.zeros(problem.dims.n_u) if u_guess is None else u_guess.copy()
     r = problem.residual(u, z, theta)
     for it in range(FORWARD_MAX_ITER + 1):
         rn = float(np.linalg.norm(r))
-        if rn <= tol * float(np.linalg.norm(problem.residual_term_sizes(u, z, theta))):
+        sizes = problem.residual_term_sizes(u, z, theta)
+        if rn <= FORWARD_TOL * float(np.linalg.norm(sizes)):
             return u
         if it == FORWARD_MAX_ITER:
             raise OptimizerError(f"forward solve did not converge: residual {rn:.3e}")
@@ -277,7 +269,7 @@ def solve_optimization(
     m_z = problem.spaces.m_z
 
     z = init.z_init.copy()
-    u = solve_forward(problem, z, theta0, init.u_init, tol=cfg.forward_tol)
+    u = solve_forward(problem, z, theta0, init.u_init)
 
     def grad_m_norm(g):
         return float(np.sqrt(max(g @ m_z.solve(g), 0.0)))
@@ -308,9 +300,7 @@ def solve_optimization(
         while step >= MIN_STEP:
             z_trial = z + step * d
             try:
-                u_trial = solve_forward(
-                    problem, z_trial, theta0, u + step * du, tol=cfg.forward_tol
-                )
+                u_trial = solve_forward(problem, z_trial, theta0, u + step * du)
             except COMPUTE_ERRORS:
                 step *= 0.5
                 continue

@@ -1,4 +1,5 @@
-"""1D linear finite element assembly on uniform grids."""
+"""1D linear finite element assembly on uniform grids over [0, 1]; the mass
+matrix also takes another length."""
 
 from __future__ import annotations
 
@@ -26,21 +27,21 @@ def mass_matrix(n_nodes: int, length: float = 1.0) -> np.ndarray:
     return _tridiagonal(off, main, off)
 
 
-def interior_mass_matrix(n_interior: int, length: float = 1.0) -> np.ndarray:
+def interior_mass_matrix(n_interior: int) -> np.ndarray:
     """Mass matrix restricted to the interior nodes of a Dirichlet grid."""
-    return mass_matrix(n_interior + 2, length)[1:-1, 1:-1].copy()
+    return mass_matrix(n_interior + 2)[1:-1, 1:-1].copy()
 
 
-def stiffness_matrix_neumann(n_nodes: int, length: float = 1.0) -> np.ndarray:
+def stiffness_matrix_neumann(n_nodes: int) -> np.ndarray:
     """Stiffness matrix for -u'' with zero-flux boundaries (unit coefficient)."""
-    h = length / (n_nodes - 1)
+    h = 1.0 / (n_nodes - 1)
     main = np.full(n_nodes, 2.0 / h)
     main[0] = main[-1] = 1.0 / h
     off = np.full(n_nodes - 1, -1.0 / h)
     return _tridiagonal(off, main, off)
 
 
-def advection_matrix_neumann(n_nodes: int, length: float = 1.0) -> np.ndarray:
+def advection_matrix_neumann(n_nodes: int) -> np.ndarray:
     """Advection matrix C_ij = integral(phi_i phi_j') for unit velocity."""
     # element contribution for nodes (a, b): [[-1/2, 1/2], [-1/2, 1/2]]
     main = np.zeros(n_nodes)
@@ -51,12 +52,12 @@ def advection_matrix_neumann(n_nodes: int, length: float = 1.0) -> np.ndarray:
     return _tridiagonal(lower, main, upper)
 
 
-def hat_interpolation(points: np.ndarray, n_nodes: int, length: float = 1.0) -> np.ndarray:
+def hat_interpolation(points: np.ndarray, n_nodes: int) -> np.ndarray:
     """Rows evaluate the linear FE interpolant at ``points`` on an n_nodes grid."""
     points = np.asarray(points, dtype=float)
-    if np.any(points < 0.0) or np.any(points > length):
+    if np.any(points < 0.0) or np.any(points > 1.0):
         raise ProblemError("evaluation points outside the domain")
-    h = length / (n_nodes - 1)
+    h = 1.0 / (n_nodes - 1)
     out = np.zeros((points.shape[0], n_nodes))
     for r, x in enumerate(points):
         e = min(int(x / h), n_nodes - 2)

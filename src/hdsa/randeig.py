@@ -312,7 +312,7 @@ def alternative_formulation(
     more block application of the sensitivity operator: z_k = D theta_k / sigma_k.
     """
     n_theta = d.n_theta
-    r = min(cfg.k_pairs + cfg.oversampling, n_theta)
+    r = min(cfg.n_probes, n_theta)
     m_theta, m_z = spaces.m_theta, spaces.m_z
     work_before = d.kkt.work()
 

@@ -49,26 +49,25 @@ class Distribution:
         if self.kind == "normal" and self.b < 0:
             raise SamplingError("normal distribution needs sigma b >= 0")
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` independent draws, one per coordinate."""
         if self.kind == "uniform":
-            if self.a == self.b:
-                return self.a
-            return float(rng.uniform(self.a, self.b))
-        return float(self.a + self.b * rng.standard_normal())
+            return rng.uniform(self.a, self.b, n)
+        return self.a + self.b * rng.standard_normal(n)
 
 
 @dataclass
 class SamplingPlan:
-    """Distributions for the theta coordinates."""
+    """The distribution of each of the n_theta coordinates, drawn independently."""
 
-    theta_dists: list[Distribution]
+    dist: Distribution
+    n_theta: int
     master_seed: int = 0
 
     def sample(self, j: int) -> np.ndarray:
         """Parameter sample j: a deterministic function of (master_seed, j),
         independent across j."""
-        rng = rng_for(self.master_seed, THETA_STREAM, j)
-        return np.array([d.draw(rng) for d in self.theta_dists])
+        return self.dist.draw(rng_for(self.master_seed, THETA_STREAM, j), self.n_theta)
 
 
 @dataclass

@@ -130,10 +130,7 @@ def test_criterion_3_formulation_equivalence():
 
 def test_criterion_4_linearity_of_optimal_solution():
     problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.0)
-    plan = SamplingPlan(
-        theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
-        master_seed=7,
-    )
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 16, master_seed=7)
     # gamma = 0 makes the reduced Hessian nearly singular; the optimizer has
     # to be run essentially to machine stationarity for the invariance of the
     # sensitivity operator to be visible at 1e-6
@@ -170,10 +167,13 @@ def test_criterion_4_linearity_of_optimal_solution():
 def test_criterion_5_perturbation_convergence_order():
     problem = build_logistic_toy()
     opt = solve_optimization(problem, np.array([0.5, 0.5]))
+    sens = SensitivityOperator(
+        problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+    )
     phi = np.array([1.0, 0.0])
     deltas = [1e-2, 1e-3, 1e-4]
     estimates = [
-        perturbation_check(problem, opt, phi, d).lhs / d for d in deltas
+        perturbation_check(problem, opt, phi, d, sens).lhs / d for d in deltas
     ]
     errors = [abs(e - 9.99) for e in estimates]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -266,12 +266,6 @@ def test_criterion_6_invariant_suite(build):
         prev = cur
     checks["truncation_monotone"] = mono
 
-    # scaling invariance of the directional sensitivity
-    phi = rng.standard_normal(sens.n_theta)
-    a = sens.directional_sensitivity(phi)
-    b = sens.directional_sensitivity(3.7e3 * phi)
-    checks["directional_scale_invariant"] = abs(a - b) <= 1e-12 * max(a, 1.0)
-
     ok = all(checks.values())
     failed = [name for name, good in checks.items() if not good]
     report(
@@ -321,8 +315,7 @@ def test_criterion_8_transient_inversion_analog():
     t0 = time.perf_counter()
     problem = build_advdiff_inversion_1d()
     plan = SamplingPlan(
-        theta_dists=[Distribution("uniform", -1.0, 1.0)] * problem.dims.n_theta,
-        master_seed=1234,
+        Distribution("uniform", -1.0, 1.0), problem.dims.n_theta, master_seed=1234
     )
     # the theta sample plan is held fixed; the two seeds drive the randomized
     # eigensolver's probe vectors, which is what reproducibility of the

@@ -26,14 +26,42 @@ from hdsa.problems import (
     build_logistic_toy,
 )
 from hdsa.randeig import RandEigConfig, dense_oracle, randomized_geneig, randomized_rhs
-from hdsa.sampling import Distribution, InitialIterate, SamplingPlan
+from hdsa.sampling import THETA_STREAM, Distribution, InitialIterate, SamplingPlan, rng_for
 
 
 def logistic_plan(seed=0):
-    return SamplingPlan(
-        theta_dists=[Distribution("uniform", 0.4, 0.6), Distribution("uniform", 0.4, 0.6)],
-        master_seed=seed,
+    return SamplingPlan(Distribution("uniform", 0.4, 0.6), 2, master_seed=seed)
+
+
+def optimum_and_operator(problem, theta):
+    """The optimal point at theta and the sensitivity operator on its W and
+    factor of H, as `hdsa verify` builds them."""
+    opt = solve_optimization(problem, theta)
+    return opt, SensitivityOperator(
+        problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
     )
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Distribution("uniform", -1.0, 1.0),
+        Distribution("uniform", 0.3, 0.3),
+        Distribution("normal", 0.1, 0.3),
+        Distribution("normal", 3.0, 0.0),
+    ],
+    ids=["uniform", "uniform-point", "normal", "normal-sigma-0"],
+)
+def test_sample_equals_one_scalar_draw_per_coordinate(dist):
+    """The vector draw reads the stream as a loop of scalar draws does."""
+    for seed, j, n in ((0, 0, 1), (1, 3, 16), (7, 2, 202)):
+        rng = rng_for(seed, THETA_STREAM, j)
+        if dist.kind == "uniform":
+            ref = [rng.uniform(dist.a, dist.b) for _ in range(n)]
+        else:
+            ref = [dist.a + dist.b * rng.standard_normal() for _ in range(n)]
+        got = SamplingPlan(dist, n, master_seed=seed).sample(j)
+        assert got.tobytes() == np.array(ref).tobytes()
 
 
 class TestGlobalAnalysis:
@@ -81,34 +109,42 @@ class TestGlobalAnalysis:
 
 
 class TestPerturbationCheck:
-    def test_zero_delta_is_exact(self):
+    def test_zero_delta_is_exact(self, monkeypatch):
+        """At delta = 0 the check returns before any PDE solve."""
         problem = build_logistic_toy()
-        opt = solve_optimization(problem, np.array([0.5, 0.5]))
-        pc = perturbation_check(problem, opt, np.array([1.0, 0.0]), 0.0)
-        assert pc.ratio == 1.0 and pc.lhs == 0.0
+        opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
+
+        def forbidden(*args):
+            raise AssertionError("a PDE solve at delta = 0")
+
+        for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
+            monkeypatch.setattr(problem, name, forbidden)
+        pc = perturbation_check(problem, opt, np.array([1.0, 0.0]), 0.0, sens)
+        assert (pc.delta, pc.lhs, pc.linear_prediction, pc.ratio) == (0.0, 0.0, 0.0, 1.0)
+        assert sens.kkt.work() == (0, 0)
 
     def test_ratio_approaches_one(self):
         problem = build_diffusion_control_1d(n_state=24, n_param=6)
-        opt = solve_optimization(problem, np.zeros(6))
+        opt, sens = optimum_and_operator(problem, np.zeros(6))
         phi = np.zeros(6)
         phi[0] = 1.0
-        pc_big = perturbation_check(problem, opt, phi, 1e-1)
-        pc_small = perturbation_check(problem, opt, phi, 1e-3)
+        pc_big = perturbation_check(problem, opt, phi, 1e-1, sens)
+        pc_small = perturbation_check(problem, opt, phi, 1e-3, sens)
         assert abs(pc_small.ratio - 1.0) <= 1e-2
         assert abs(pc_small.ratio - 1.0) <= abs(pc_big.ratio - 1.0) + 1e-10
 
     def test_direction_normalization(self):
         problem = build_logistic_toy()
-        opt = solve_optimization(problem, np.array([0.5, 0.5]))
-        a = perturbation_check(problem, opt, np.array([1.0, 0.0]), 1e-3)
-        b = perturbation_check(problem, opt, np.array([5.0, 0.0]), 1e-3)
+        opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
+        a = perturbation_check(problem, opt, np.array([1.0, 0.0]), 1e-3, sens)
+        b = perturbation_check(problem, opt, np.array([5.0, 0.0]), 1e-3, sens)
         assert a.lhs == pytest.approx(b.lhs, rel=1e-10)
 
     def test_zero_direction_rejected(self):
         problem = build_logistic_toy()
-        opt = solve_optimization(problem, np.array([0.5, 0.5]))
+        opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            perturbation_check(problem, opt, np.zeros(2), 1e-3)
+            perturbation_check(problem, opt, np.zeros(2), 1e-3, sens)
 
 
 @pytest.fixture(scope="module")
@@ -126,12 +162,8 @@ def sweep_points():
             theta = np.array([0.5, 0.5])
         else:
             dist = Distribution("uniform", -1.0, 1.0)
-            theta = SamplingPlan([dist] * problem.dims.n_theta).sample(0)
-        opt = solve_optimization(problem, theta)
-        sens = SensitivityOperator(
-            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
-        )
-        out[name] = (problem, opt, sens)
+            theta = SamplingPlan(dist, problem.dims.n_theta).sample(0)
+        out[name] = (problem, *optimum_and_operator(problem, theta))
     return out
 
 
@@ -288,10 +320,7 @@ def test_diffusion_sample_solve_count(tmp_path, monkeypatch, params, hdsa, solve
 
 def quick_start_sample(cfg):
     problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)
-    plan = SamplingPlan(
-        theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
-        master_seed=0,
-    )
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 16, master_seed=0)
     return analyze_sample(problem, plan, cfg, 0)
 
 

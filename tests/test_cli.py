@@ -304,7 +304,7 @@ class TestVerifyCommand:
         ratios miss 1 by the error of D; at 0.4 the steps do not contract,
         and the row says the re-solve failed."""
         problem = build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01)
-        plan = SamplingPlan([Distribution("uniform", -1.0, 1.0)] * 16)
+        plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 16)
         opt = solve_optimization(problem, plan.sample(0))
         sens = SensitivityOperator(
             problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor

@@ -11,7 +11,7 @@ import pytest
 from hdsa.config import ConfigError, parse_config
 
 E = ConfigError
-# out-of-range optimizer settings and seeds the parser once let through;
+# values that a class's own range check refuses (the seed);
 # test_config_errors.py pins their rejection
 RANGE = object()
 DELETE = object()
@@ -23,7 +23,6 @@ DEFAULTS = {
     "optimizer": {
         "stationarity_tol": 1e-9,
         "max_iter": 100,
-        "forward_tol": 1e-12,
         "check_sosc": True,
     },
     "hdsa": {
@@ -42,7 +41,6 @@ GRID = {
     "optimizer": {
         "stationarity_tol": (E, E, 1.0, 2.5, E, E, E, E),
         "max_iter": (E, E, 1, E, E, E, E, E),
-        "forward_tol": (RANGE, RANGE, 1.0, 2.5, E, E, E, E),
         "check_sosc": (E, E, E, E, True, E, E, E),
     },
     "hdsa": {
@@ -57,7 +55,7 @@ GRID = {
 
 # optimizer keys that are now constants of the optimizer: every value of
 # VALUES is an unknown key
-REMOVED = ("forward_max_iter", "armijo_c1", "min_step")
+REMOVED = ("forward_max_iter", "forward_tol", "armijo_c1", "min_step")
 
 
 def dist(**kw):

@@ -38,6 +38,8 @@ RANGE_CASES = [
 RETIRED_RANGE_CASES = [
     ("optimizer", "forward_max_iter", -1),
     ("optimizer", "forward_max_iter", 0),
+    ("optimizer", "forward_tol", -1),
+    ("optimizer", "forward_tol", 0),
     ("optimizer", "armijo_c1", -1),
     ("optimizer", "armijo_c1", 0),
     ("optimizer", "armijo_c1", 1),
@@ -59,9 +61,7 @@ def _run(tmp_path, patch):
 
 
 def test_range_cases_are_the_fixed_settings():
-    assert sorted((s, k) for s, k, _ in RANGE_CASES) == sorted(
-        [("optimizer", "forward_tol")] * 2 + [("hdsa", "seed")]
-    )
+    assert [(s, k) for s, k, _ in RANGE_CASES] == [("hdsa", "seed")]
 
 
 @pytest.mark.parametrize(
@@ -79,6 +79,7 @@ def test_out_of_range_setting_is_usage_error(tmp_path, capsys, section, key, val
 REMOVED_KEYS = [
     ({"sampling": {"init_mode": "zero"}}, "init_mode"),
     ({"optimizer": {"forward_max_iter": 50}}, "forward_max_iter"),
+    ({"optimizer": {"forward_tol": 1e-12}}, "forward_tol"),
     ({"optimizer": {"armijo_c1": 1e-4}}, "armijo_c1"),
     ({"optimizer": {"min_step": 1e-14}}, "min_step"),
     ({"perturbation_deltas": [1e-2, 1e-3, 1e-4]}, "perturbation_deltas"),

@@ -123,5 +123,5 @@ class TestSetIndices:
             sens_op=sens,
             cfg=cfg,
         )
-        for name in part.names:
+        for name, _, _ in part.sets:
             assert direct[name] == pytest.approx(truncated[name], rel=1e-6)

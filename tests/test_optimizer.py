@@ -48,10 +48,7 @@ class TestForward:
         # rounding floor, 2.3e-12, above an absolute 1e-12 but a backward
         # error of 5e-17 against the size of c's terms
         p = build_diffusion_control_1d(n_state=1024, n_param=16, gamma=0.01)
-        plan = SamplingPlan(
-            theta_dists=[Distribution("uniform", -1.0, 1.0)] * 16,
-            master_seed=0,
-        )
+        plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 16, master_seed=0)
         theta = plan.sample(0)
         z = np.zeros(1024)
         u = solve_forward(p, z, theta)

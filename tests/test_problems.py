@@ -78,7 +78,7 @@ class TestPartition:
 def test_derivative_blocks_consistent(build):
     problem = build()
     point = random_point(problem, seed=1)
-    report = check_derivatives(problem, point, h=1e-4)
+    report = check_derivatives(problem, point)
     assert report.passed, report.failures()
 
 
@@ -103,7 +103,7 @@ def test_residual_term_sizes_bound_the_residual(build):
 def test_corrupt_derivative_flag_caught():
     problem = build_logistic_toy(corrupt_derivative=True)
     point = random_point(problem, seed=2)
-    report = check_derivatives(problem, point, h=1e-4)
+    report = check_derivatives(problem, point)
     assert not report.passed
     assert "L_ztheta" in report.failures()
 
@@ -141,7 +141,7 @@ class TestDiffusion:
         amp = [0.3, 0.2, 0.1, 0.05]
         p = build_diffusion_control_1d(n_state=16, n_param=4, amplitude=amp)
         point = random_point(p, seed=4)
-        report = check_derivatives(p, point, h=1e-4)
+        report = check_derivatives(p, point)
         assert report.passed, report.failures()
 
     def test_bad_amplitude_length(self):

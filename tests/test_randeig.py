@@ -182,8 +182,7 @@ def sample_operator(problem, j=0):
     """The sensitivity operator at sample j of a uniform(-1, 1) plan, as
     ``analyze_sample`` builds it."""
     plan = SamplingPlan(
-        theta_dists=[Distribution("uniform", -1.0, 1.0)] * problem.dims.n_theta,
-        master_seed=0,
+        Distribution("uniform", -1.0, 1.0), problem.dims.n_theta, master_seed=0
     )
     opt = solve_optimization(problem, plan.sample(j))
     return SensitivityOperator(
