@@ -86,6 +86,11 @@ def _write_table(path: Path, header: str, table, report: HdsaReport) -> None:
             fh.writelines(f"{j},{idx},{v:.17g}\n" for idx, v in _rows(table(s)))
 
 
+def _nan_to_null(v: float) -> float | None:
+    """``v``, or None, written as null, for NaN: RFC 8259 JSON has no NaN."""
+    return None if np.isnan(v) else v
+
+
 def write_bundle(
     out_dir: Path,
     report: HdsaReport,
@@ -116,7 +121,7 @@ def write_bundle(
                 "spectral_decay": s.spectral_decay,
                 "optimizer_iterations": s.optimal.iterations,
                 "grad_norm": s.optimal.grad_norm,
-                "sosc_min_eig_est": s.optimal.sosc_min_eig_est,
+                "sosc_min_eig_est": _nan_to_null(s.optimal.sosc_min_eig_est),
                 "objective": s.optimal.objective,
                 "kkt_solves": s.diagnostics.kkt_solves,
                 "kkt_rhs": s.diagnostics.kkt_rhs,
@@ -129,7 +134,7 @@ def write_bundle(
         ],
     }
     (out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
     manifest = {
@@ -144,7 +149,7 @@ def write_bundle(
         "files": list(CSV_FILES) + ["report.json"],
     }
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,7 +56,10 @@ def _section(raw: dict, key: str, where: str = "config") -> dict:
 def _typed(value, kind: type, where: str):
     """``value`` as ``kind``: ints widen to float, bools are not numbers."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is an integer too large for a float") from None
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
     return value
@@ -159,8 +163,18 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    # plain json.loads reads NaN and +-Infinity, and 1e400 as inf; NaN would
+    # then pass every range check, as every comparison with it is false
+    def refuse(token: str):
+        raise ConfigError(f"config {path}: non-finite number {token} is not allowed")
+
+    def finite(token: str) -> float:
+        value = float(token)
+        return value if math.isfinite(value) else refuse(token)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
     return parse_config(raw, base_dir=path.resolve().parent)

@@ -149,40 +149,28 @@ class SpdOperator:
 
 
 def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, int]:
-    """B-orthonormalize columns with two passes of modified Gram-Schmidt.
+    """B-orthonormalize columns by one pivoted QR through B's Cholesky factor.
 
-    Returns ``(Q, n_dropped)`` where Q has B-orthonormal columns spanning the
-    numerically independent part of the input. Columns whose B-norm after
-    projection falls below 1e-10 times their original B-norm are dropped,
-    so more vectors than the space has dimensions keep at most ``b.dim`` of
-    them.
+    With R^T R = B, the pivoted QR R V P = Q_hat T gives the basis
+    Q = R^{-1} Q_hat[:, :rank], so Q^T B Q = I (Halko, Martinsson and Tropp
+    2011, Alg. 4.4 take the basis from a QR). Returns ``(Q, n_dropped)``:
+    the rank stops at the first pivot whose |T_kk| is at most 1e-10 times
+    the B-norm of the column pivoted there, so zero columns drop, and more
+    vectors than the space has dimensions keep at most ``b.dim`` of them.
     """
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape[0] != b.dim:
+    if vectors.ndim != 2 or vectors.shape[0] != b.dim:
         raise LinalgError("vector dimension does not match the weighting operator")
-
-    cols: list[np.ndarray] = []
-    bcols: list[np.ndarray] = []
-    dropped = 0
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j].copy()
-        orig_norm = b.norm(v)
-        if orig_norm == 0.0:
-            dropped += 1
-            continue
-        for _pass in range(2):
-            for q, bq in zip(cols, bcols):
-                v = v - (bq @ v) * q
-        norm = b.norm(v)
-        if norm < 1e-10 * orig_norm:
-            dropped += 1
-            continue
-        q = v / norm
-        cols.append(q)
-        bcols.append(b.apply(q))
-    if not cols:
-        return np.zeros((b.dim, 0)), dropped
-    return np.column_stack(cols), dropped
+    if vectors.shape[1] == 0:
+        return np.zeros((b.dim, 0)), 0
+    r = b.cholesky()
+    w = matmul(r, vectors)
+    q_hat, t, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(t))
+    small = pivots <= 1e-10 * np.linalg.norm(w[:, piv[: pivots.shape[0]]], axis=0)
+    rank = int(np.argmax(small)) if small.any() else pivots.shape[0]
+    q = scipy.linalg.solve_triangular(r, q_hat[:, :rank], lower=False)
+    return q, vectors.shape[1] - rank
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -194,24 +182,16 @@ def _frobenius(m: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->", m, m)))
 
 
-def dense_sym_eig(
-    t: np.ndarray, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def dense_sym_eig(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a small dense symmetric matrix.
 
     Eigenvalues are sorted descending, eigenvectors are the matching columns.
-    With ``vectors=False`` only the eigenvalues are computed and the second
-    element is None.
     """
     t = np.asarray(t, dtype=float)
     scale = max(_frobenius(t), 1.0)
     if _frobenius(t - t.T) > 1e-12 * scale:
         raise LinalgError("matrix is not symmetric within 1e-12")
-    sym = 0.5 * (t + t.T)
-    if not vectors:
-        # eigh returns the values ascending
-        return scipy.linalg.eigh(sym, eigvals_only=True)[::-1], None
-    evals, evecs = scipy.linalg.eigh(sym)
+    evals, evecs = scipy.linalg.eigh(0.5 * (t + t.T))
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
 

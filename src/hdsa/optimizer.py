@@ -120,11 +120,6 @@ def solve_adjoint(
     return problem.state_jacobian_adjoint_solve(p, rhs)
 
 
-def reduced_gradient(problem, u, z, theta, lam) -> np.ndarray:
-    p = EvalPoint(u, z, lam, theta)
-    return problem.obj_grad_z(u, z, theta) + problem.c_z_adj(p, lam)
-
-
 def reduced_hessian_matvec(problem: ProblemDefinition, p: EvalPoint, v: np.ndarray) -> np.ndarray:
     """Action of the reduced Hessian at a stationary-ish point on a vector or
     block: one state and one adjoint solve per column. The matrix-free
@@ -230,7 +225,7 @@ def check_sosc(h: np.ndarray, factor: tuple | None) -> float:
     factorization failed, with the exact smallest eigenvalue, or where the
     estimate is at or below ``eps ||H||_1``."""
     if factor is None:
-        evals, _ = dense_sym_eig(h, vectors=False)
+        evals, _ = dense_sym_eig(h)
         raise OptimizerError(
             f"not a verified local minimizer: reduced Hessian min eig {evals[-1]:.3e}"
         )
@@ -279,10 +274,10 @@ def solve_optimization(
     w = None
     while True:
         lam = solve_adjoint(problem, u, z, theta0)
-        g = reduced_gradient(problem, u, z, theta0, lam)
+        p = EvalPoint(u, z, lam, theta0)
+        g = problem.lagrangian_grad_z(p)
         gnorm = grad_m_norm(g)
         if w is None or not problem.constant_reduced_hessian:
-            p = EvalPoint(u, z, lam, theta0)
             w = state_sensitivity(problem, p)
             h = reduced_hessian_dense(problem, p, w)
             factor = factor_reduced_hessian(h)

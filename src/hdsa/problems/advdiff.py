@@ -177,23 +177,17 @@ class AdvDiffInversionProblem(ProblemDefinition):
     # Synthetic data ----------------------------------------------------------
 
     def _generate_data(self, refine: int) -> np.ndarray:
+        """Sensor readings of the true source at nominal theta, stepped by the
+        state solve's own stepper on a mesh ``refine`` times finer."""
         nx = refine * (self.n_space - 1) + 1
-        x = np.linspace(0.0, 1.0, nx)
         mass = mass_matrix(nx)
         stiff = stiffness_matrix_neumann(nx)
         adv = advection_matrix_neumann(nx)
         g = mass + self.dt * (self.eps0 * stiff + self.vel0 * adv)
-        lu = scipy.linalg.lu_factor(g)
-        z_true = evaluate_preset(self._true_source_spec, x)
-        s_obs = hat_interpolation(self.sensors, nx)
-        c = np.zeros(nx)
-        data = np.zeros((self.obs_steps.shape[0], self.n_sensors))
-        obs_set = {int(s): r for r, s in enumerate(self.obs_steps)}
-        for i in range(self.n_steps):
-            rhs = mass @ c + self.dt * self._chi[i] * (mass @ z_true)
-            c = scipy.linalg.lu_solve(lu, rhs)
-            if i in obs_set:
-                data[obs_set[i]] = s_obs @ c
+        source = mass @ evaluate_preset(self._true_source_spec, np.linspace(0.0, 1.0, nx))
+        b = (self.dt * self._chi)[:, None, None] * source[:, None]
+        c = _step_levels(g, mass, b, trans=0)
+        data = (hat_interpolation(self.sensors, nx) @ c[self.obs_steps])[..., 0]
         if self.noise_level > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(self.data_seed))
             data = data + self.noise_level * np.abs(data) * rng.standard_normal(data.shape)
@@ -209,24 +203,25 @@ class AdvDiffInversionProblem(ProblemDefinition):
     def spaces(self) -> WeightedSpaces:
         return self._spaces
 
+    # The evaluations below state the model on their own, not through the
+    # derivative actions, so ``check_derivatives`` differences an independent
+    # statement of it. Each product of a matrix with the (n_steps, n, 1)
+    # stack of states runs one matrix-vector product per step.
+
+    def _misfit(self, u) -> np.ndarray:
+        """S c_i - d_i on every observed step, one row per observation."""
+        c = self._blocks(u)[self.obs_steps, :, None]
+        return (self._s_obs @ c)[..., 0] - self.data
+
     def objective(self, u, z, theta) -> float:
-        c = self._blocks(u)
-        misfit = 0.0
-        for r, i in enumerate(self.obs_steps):
-            res = self._s_obs @ c[i] - self.data[r]
-            misfit += float(res @ res)
+        misfit = sum(float(res @ res) for res in self._misfit(u))
         return 0.5 * misfit + 0.5 * self.alpha * float(z @ (self._mass @ z))
 
     def residual(self, u, z, theta) -> np.ndarray:
-        c = self._blocks(u)
-        g = self._system_matrix(theta)
-        w = self._weights(theta)
-        mz = self._mass @ z
-        out = np.empty_like(c)
-        prev = np.zeros(self.n_space)
-        for i in range(self.n_steps):
-            out[i] = g @ c[i] - self._mass @ prev - self.dt * w[i] * mz
-            prev = c[i]
+        c = self._blocks(u)[..., None]
+        out = self._system_matrix(theta) @ c
+        out[1:] -= self._mass @ c[:-1]
+        out -= (self.dt * self._weights(theta))[:, None, None] * (self._mass @ z)[:, None]
         return out.ravel()
 
     def residual_term_sizes(self, u, z, theta) -> np.ndarray:
@@ -238,10 +233,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
         return out.ravel()
 
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
-        c = self._blocks(u)
-        out = np.zeros_like(c)
-        for r, i in enumerate(self.obs_steps):
-            out[i] = self._s_obs.T @ (self._s_obs @ c[i] - self.data[r])
+        out = np.zeros((self.n_steps, self.n_space))
+        out[self.obs_steps] = (self._s_obs.T @ self._misfit(u)[..., None])[..., 0]
         return out.ravel()
 
     def obj_grad_z(self, u, z, theta) -> np.ndarray:
@@ -353,42 +346,46 @@ class AdvDiffInversionProblem(ProblemDefinition):
         out[2:] = -self.dt * self.window_amplitude * (self._psi.T @ (lam @ mv))
         return out.reshape((self.dims.n_theta,) + w.shape[1:])
 
-    # One factorization of G(theta) per call; every column of the block is
-    # stepped through the time levels together by LAPACK getrs, called
-    # directly: scipy's lu_solve would add its batching, dtype dispatch and
-    # finiteness check on each of the n_steps levels. The adjoint runs
-    # backwards in time on the same factor, transposed.
-
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
-        return self._step_levels(p, rhs, trans=0)
+        g = self._system_matrix(p.theta)
+        return self._stacked(_step_levels(g, self._mass, self._columns(rhs), 0), rhs)
 
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
-        return self._step_levels(p, rhs, trans=1)
+        g = self._system_matrix(p.theta)
+        return self._stacked(_step_levels(g, self._mass, self._columns(rhs), 1), rhs)
 
-    def _step_levels(self, p, rhs, trans: int) -> np.ndarray:
-        _check_finite(rhs)
-        b = self._columns(rhs)
-        lu, piv = scipy.linalg.lu_factor(self._system_matrix(p.theta))
-        (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
-        def solve(v, overwrite_b):
-            x, info = getrs(lu, piv, v, trans=trans, overwrite_b=overwrite_b)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-            return x
+def _step_levels(g: np.ndarray, mass: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Backward Euler levels G c_i = b_i + M c_{i-1} from c_0 = 0 for every
+    column of the (n_steps, n, r) block ``b``; with ``trans`` the adjoint
+    G^T l_i = b_i + M l_{i+1}, backwards in time from l_{n_steps+1} = 0.
 
-        step = -1 if trans else 1
-        levels = range(self.n_steps)[::step]
-        out = np.empty_like(b)
-        # the first level's b is a view into the caller's rhs, so getrs works
-        # on a copy; every later level solves a temporary in place
-        out[levels[0]] = solve(b[levels[0]], overwrite_b=0)
-        for i in levels[1:]:
-            out[i] = solve(b[i] + self._mass @ out[i - step], overwrite_b=1)
-        # a non-finite intermediate carries through to the result, so this
-        # one check covers every level
-        _check_finite(out)
-        return self._stacked(out, rhs)
+    One factorization of G per call; every column is stepped through the
+    levels together by LAPACK getrs, called directly: scipy's lu_solve would
+    add its batching, dtype dispatch and finiteness check on each level.
+    """
+    _check_finite(b)
+    lu, piv = scipy.linalg.lu_factor(g)
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+
+    def solve(v, overwrite_b):
+        x, info = getrs(lu, piv, v, trans=trans, overwrite_b=overwrite_b)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        return x
+
+    step = -1 if trans else 1
+    levels = range(b.shape[0])[::step]
+    out = np.empty_like(b)
+    # the first level's b may be a view into the caller's array, so getrs
+    # works on a copy; every later level solves a temporary in place
+    out[levels[0]] = solve(b[levels[0]], overwrite_b=0)
+    for i in levels[1:]:
+        out[i] = solve(b[i] + mass @ out[i - step], overwrite_b=1)
+    # a non-finite intermediate carries through to the result, so this one
+    # check covers every level
+    _check_finite(out)
+    return out
 
 
 def _check_finite(a: np.ndarray) -> None:

@@ -189,10 +189,7 @@ class ProblemDefinition(ABC):
     def state_jacobian_adjoint_solve(self, p: EvalPoint, rhs: np.ndarray) -> np.ndarray:
         """Solve c_u(p)^T w = rhs."""
 
-    # Hooks with sensible defaults.
-    def default_theta(self) -> np.ndarray:
-        return np.zeros(self.dims.n_theta)
-
+    # Lagrangian gradients from the blocks above.
     def lagrangian_grad_u(self, p: EvalPoint) -> np.ndarray:
         return self.obj_grad_u(p.u, p.z, p.theta) + self.c_u_adj(p, p.lam)
 

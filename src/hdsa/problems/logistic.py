@@ -130,9 +130,6 @@ class LogisticToyProblem(ProblemDefinition):
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
         return np.array([rhs[0]])
 
-    def default_theta(self) -> np.ndarray:
-        return np.array([0.5, 0.5])
-
 
 def build_logistic_toy(corrupt_derivative: bool = False) -> LogisticToyProblem:
     return LogisticToyProblem(corrupt_derivative=corrupt_derivative)

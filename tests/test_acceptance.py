@@ -199,17 +199,16 @@ def test_criterion_5_perturbation_convergence_order():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, theta",
     [
-        build_logistic_toy,
-        lambda: build_diffusion_control_1d(n_state=32, n_param=8),
-        lambda: build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5),
+        (build_logistic_toy, np.array([0.5, 0.5])),
+        (lambda: build_diffusion_control_1d(n_state=32, n_param=8), np.zeros(8)),
+        (lambda: build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5), np.zeros(7)),
     ],
     ids=["logistic", "diffusion", "advdiff"],
 )
-def test_criterion_6_invariant_suite(build):
+def test_criterion_6_invariant_suite(build, theta):
     problem = build()
-    theta = problem.default_theta()
     opt = solve_optimization(problem, theta)
     point = opt.as_eval_point()
     sens = SensitivityOperator(problem, point)

@@ -329,13 +329,13 @@ def size_rule_operators():
     """The quick-start operator (n_theta 16), one with n_theta 32, and the
     rank-1 logistic toy's (n_theta 2)."""
     out = {}
-    for name, build in (
-        ("quick start", lambda: build_diffusion_control_1d(n_state=64, n_param=16)),
-        ("n_theta 32", lambda: build_diffusion_control_1d(n_state=64, n_param=32)),
-        ("logistic", build_logistic_toy),
+    for name, build, theta in (
+        ("quick start", lambda: build_diffusion_control_1d(n_state=64, n_param=16), np.zeros(16)),
+        ("n_theta 32", lambda: build_diffusion_control_1d(n_state=64, n_param=32), np.zeros(32)),
+        ("logistic", build_logistic_toy, np.array([0.5, 0.5])),
     ):
         problem = build()
-        opt = solve_optimization(problem, problem.default_theta())
+        opt = solve_optimization(problem, theta)
         out[name] = (problem, SensitivityOperator(problem, opt.as_eval_point()))
     return out
 

@@ -179,6 +179,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_report_without_sosc_is_strict_json(tmp_path, capsys):
+    # a disabled second-order check writes null, not NaN, which RFC 8259
+    # parsers reject; hdsa report still renders the bundle
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = tmp_path / "out"
+    cfg = logistic_config(out, optimizer={"check_sosc": False})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    report, _ = (
+        json.loads((out / name).read_text(), parse_constant=refuse)
+        for name in ("report.json", "manifest.json")
+    )
+    assert [s["sosc_min_eig_est"] for s in report["samples"]] == [None, None]
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_OK
+    assert "spectral decay" in capsys.readouterr().out
+
+
 def _no_compute(*args, **kwargs):
     raise AssertionError("the analysis ran before the output path was checked")
 

@@ -156,6 +156,34 @@ def test_constructor_error_is_usage_error(tmp_path, capsys, patch, key):
     assert main(["verify", str(path)]) == EXIT_USAGE
 
 
+# a number json.loads would read as NaN or +-inf, and an integer too large
+# for a float, each under a key whose range check it would pass or break
+NON_FINITE_CASES = [
+    ('"problem": {"name": "diffusion_control_1d", "params": {"gamma": NaN}}', "NaN"),
+    ('"problem": {"name": "advdiff_inversion_1d", "params": {"alpha": NaN}}', "NaN"),
+    ('"sampling": {"distribution": {"a": NaN}}', "NaN"),
+    ('"optimizer": {"stationarity_tol": Infinity}', "Infinity"),
+    ('"optimizer": {"stationarity_tol": -Infinity}', "-Infinity"),
+    ('"optimizer": {"stationarity_tol": 1e400}', "1e400"),
+    ('"problem": {"name": "diffusion_control_1d", "params": {"gamma": 1' + "0" * 400 + "}}",
+     "gamma"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, named", NON_FINITE_CASES, ids=[f"{i}-{n}" for i, (_, n) in enumerate(NON_FINITE_CASES)]
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_finite_number_is_usage_error(tmp_path, capsys, entry, named, command):
+    if not entry.startswith('"problem"'):
+        entry = '"problem": {"name": "logistic_toy"}, ' + entry
+    path = tmp_path / "config.json"
+    path.write_text("{" + entry + ', "output_dir": "out"}')
+    assert main([command, str(path)]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_constructor_bug_propagates(monkeypatch):
     """Only ProblemError is a usage error; anything else is a bug."""
 

@@ -89,7 +89,7 @@ def kkt_points(diffusion_point, logistic_point, coupled_point):
     advection-diffusion on a grid small enough for the dense KKT matrix
     (stacked dimension 336)."""
     problem = build_advdiff_inversion_1d(n_space=16, n_steps=10)
-    opt = solve_optimization(problem, problem.default_theta())
+    opt = solve_optimization(problem, np.zeros(problem.dims.n_theta))
     return {
         "diffusion": diffusion_point,
         "advdiff": (problem, opt.as_eval_point()),

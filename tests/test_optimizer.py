@@ -9,7 +9,6 @@ from hdsa.optimizer import (
     OptimizerConfig,
     OptimizerError,
     check_sosc,
-    reduced_gradient,
     reduced_hessian_dense,
     reduced_hessian_matvec,
     solve_adjoint,
@@ -54,7 +53,7 @@ class TestForward:
         u = solve_forward(p, z, theta)
         lam = solve_adjoint(p, u, z, theta)
         h = reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))
-        g = reduced_gradient(p, u, z, theta, lam)
+        g = p.lagrangian_grad_z(EvalPoint(u, z, lam, theta))
         z_newton = z - np.linalg.solve(h, g)
         solves = []
         jacobian_solve = p.state_jacobian_solve
@@ -129,25 +128,25 @@ class TestReducedHessian:
         np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h))
 
     @pytest.mark.parametrize(
-        "build",
+        "build, theta",
         [
-            lambda: build_diffusion_control_1d(n_state=24, n_param=6),
-            build_advdiff_inversion_1d,
-            build_logistic_toy,
+            (lambda: build_diffusion_control_1d(n_state=24, n_param=6), np.zeros(6)),
+            (build_advdiff_inversion_1d, np.zeros(16)),
+            (build_logistic_toy, np.array([0.5, 0.5])),
         ],
         ids=["diffusion", "advdiff", "logistic"],
     )
-    def test_null_space_form_matches_matvec_columns(self, build):
+    def test_null_space_form_matches_matvec_columns(self, build, theta):
         # H from W = -c_u^{-1} c_z against the state and adjoint solve per
         # column of reduced_hessian_matvec
         p = build()
         rng = np.random.default_rng(9)
         d = p.dims
         pt = EvalPoint(
-            solve_forward(p, np.zeros(d.n_z), p.default_theta()),
+            solve_forward(p, np.zeros(d.n_z), theta),
             rng.standard_normal(d.n_z),
             rng.standard_normal(d.n_lambda),
-            p.default_theta(),
+            theta,
         )
         ref = reduced_hessian_matvec(p, pt, np.eye(d.n_z))
         h = reduced_hessian_dense(p, pt)
@@ -197,7 +196,7 @@ class TestSolveOptimization:
         assert opt.z0[0] == pytest.approx(8.2156, abs=1e-3)
         assert opt.grad_norm <= 1e-9
         assert opt.sosc_min_eig_est > 0.0
-        g = reduced_gradient(p, opt.u0, opt.z0, opt.theta0, opt.lambda0)
+        g = p.lagrangian_grad_z(opt.as_eval_point())
         assert abs(g[0]) <= 1e-9
 
     def test_diffusion_stationarity(self):
@@ -284,6 +283,12 @@ BUILT_IN = {
     "advdiff": build_advdiff_inversion_1d,
     "logistic": build_logistic_toy,
 }
+# the nominal parameters of each: zero for the PDE problems
+THETA0 = {
+    "diffusion": np.zeros(16),
+    "advdiff": np.zeros(16),
+    "logistic": np.array([0.5, 0.5]),
+}
 
 
 class _NegatedLzz(DiffusionControlProblem):
@@ -301,7 +306,7 @@ class TestSecondOrderCheck:
         # the estimate is not a bound: 0.80 (advdiff) to 1.00 (logistic) of
         # the exact value, measured on these problems
         p = BUILT_IN[name]()
-        opt = solve_optimization(p, p.default_theta())
+        opt = solve_optimization(p, THETA0[name])
         h = reduced_hessian_dense(p, opt.as_eval_point())
         ratio = opt.sosc_min_eig_est / scipy.linalg.eigvalsh(h)[0]
         assert 0.5 <= ratio <= 2.0
@@ -318,14 +323,14 @@ class TestSecondOrderCheck:
 
         monkeypatch.setattr(optimizer, "dense_sym_eig", refuse)
         p = BUILT_IN[name]()
-        opt = solve_optimization(p, p.default_theta())
+        opt = solve_optimization(p, THETA0[name])
         assert opt.sosc_min_eig_est > 0.0
 
     def test_gamma_zero_fine_mesh_is_accepted(self):
         # the exact lambda_min sits below n eps ||H||_1, which would reject
         # this minimizer, and far above the floor eps ||H||_1
         p = build_diffusion_control_1d(n_state=1024, n_param=16, gamma=0.0)
-        opt = solve_optimization(p, p.default_theta())
+        opt = solve_optimization(p, np.zeros(16))
         h = reduced_hessian_dense(p, opt.as_eval_point(), opt.state_sensitivity)
         floor = np.finfo(float).eps * np.linalg.norm(h, 1)
         assert scipy.linalg.eigvalsh(h)[0] < 1024 * floor
@@ -403,7 +408,7 @@ class TestTrialState:
 
         monkeypatch.setattr(p, "state_jacobian_solve", counted_solve)
         monkeypatch.setattr(optimizer, "solve_forward", counted_forward)
-        opt = solve_optimization(p, p.default_theta())
+        opt = solve_optimization(p, THETA0[name])
         # after the first forward solve, one trial per Newton step, each
         # solved by its prediction
         assert opt.iterations >= 1

@@ -13,6 +13,7 @@ from hdsa.problems import (
 )
 from hdsa.problems.fem1d import (
     advection_matrix_neumann,
+    evaluate_preset,
     hat_interpolation,
     mass_matrix,
     stiffness_matrix_neumann,
@@ -267,6 +268,88 @@ class TestAdvDiffTimeStepping:
         problem, point = setup
         with pytest.raises(ValueError, match="infs or NaNs"):
             getattr(problem, method)(point, np.full(problem.dims.n_u, 1e308))
+
+
+# The evaluations of the advection-diffusion problem as per-step loops, each
+# time level through its own matrix-vector products: the stacked evaluations
+# must reproduce them bit for bit.
+
+
+def _residual_loop(problem, u, z, theta):
+    c = problem._blocks(u)
+    g = problem._system_matrix(theta)
+    w = problem._weights(theta)
+    mz = problem._mass @ z
+    out = np.empty_like(c)
+    prev = np.zeros(problem.n_space)
+    for i in range(problem.n_steps):
+        out[i] = g @ c[i] - problem._mass @ prev - problem.dt * w[i] * mz
+        prev = c[i]
+    return out.ravel()
+
+
+def _objective_loop(problem, u, z, theta):
+    c = problem._blocks(u)
+    misfit = 0.0
+    for r, i in enumerate(problem.obs_steps):
+        res = problem._s_obs @ c[i] - problem.data[r]
+        misfit += float(res @ res)
+    return 0.5 * misfit + 0.5 * problem.alpha * float(z @ (problem._mass @ z))
+
+
+def _obj_grad_u_loop(problem, u, z, theta):
+    c = problem._blocks(u)
+    out = np.zeros_like(c)
+    for r, i in enumerate(problem.obs_steps):
+        out[i] = problem._s_obs.T @ (problem._s_obs @ c[i] - problem.data[r])
+    return out.ravel()
+
+
+def _data_loop(problem, refine):
+    """The synthetic data from one scipy.linalg.lu_solve per time level."""
+    nx = refine * (problem.n_space - 1) + 1
+    x = np.linspace(0.0, 1.0, nx)
+    mass = mass_matrix(nx)
+    stiff = stiffness_matrix_neumann(nx)
+    adv = advection_matrix_neumann(nx)
+    g = mass + problem.dt * (problem.eps0 * stiff + problem.vel0 * adv)
+    lu = scipy.linalg.lu_factor(g)
+    z_true = evaluate_preset(problem._true_source_spec, x)
+    s_obs = hat_interpolation(problem.sensors, nx)
+    c = np.zeros(nx)
+    data = np.zeros((problem.obs_steps.shape[0], problem.n_sensors))
+    obs_set = {int(s): r for r, s in enumerate(problem.obs_steps)}
+    for i in range(problem.n_steps):
+        rhs = mass @ c + problem.dt * problem._chi[i] * (mass @ z_true)
+        c = scipy.linalg.lu_solve(lu, rhs)
+        if i in obs_set:
+            data[obs_set[i]] = s_obs @ c
+    if problem.noise_level > 0.0:
+        rng = np.random.default_rng(np.random.SeedSequence(problem.data_seed))
+        data = data + problem.noise_level * np.abs(data) * rng.standard_normal(data.shape)
+    return data
+
+
+ADVDIFF_GRIDS = {
+    "default": {},
+    "sparse observations": dict(n_steps=25, obs_every=3, data_refine=3, n_window=5),
+}
+
+
+@pytest.mark.parametrize("params", list(ADVDIFF_GRIDS.values()), ids=list(ADVDIFF_GRIDS))
+def test_advdiff_evaluations_equal_per_step_loops(params):
+    problem = build_advdiff_inversion_1d(**params)
+    np.testing.assert_array_equal(
+        problem.data, _data_loop(problem, params.get("data_refine", 2))
+    )
+    for seed in range(3):
+        pt = random_point(problem, seed=seed)
+        args = (pt.u, pt.z, pt.theta)
+        np.testing.assert_array_equal(problem.residual(*args), _residual_loop(problem, *args))
+        np.testing.assert_array_equal(
+            problem.obj_grad_u(*args), _obj_grad_u_loop(problem, *args)
+        )
+        assert problem.objective(*args) == _objective_loop(problem, *args)
 
 
 # (method, operand space) for every derivative action and both solves
