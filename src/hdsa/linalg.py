@@ -1,17 +1,18 @@
 """Dense linear algebra kernels.
 
-Mass-weighted SPD operators, weighted orthonormalization, and the small dense
+Mass-weighted SPD operators, weighted orthonormalization, the small dense
 factorizations used by the randomized SVD and the dense verification
-oracles.
+oracles, and the LAPACK kernels that every per-solve call goes through.
+This is the one module that imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 
 # Largest dimension formed as a dense matrix: the reduced Hessian's n_z, the
 # assembled sensitivity operator's n_z + n_theta, and KktOperator.dense().
@@ -29,6 +30,25 @@ BLOCK_BYTES = 331_776
 # no thread pool wakes, and ``@`` costs less per call than scipy's wrapper
 # (the 16- and 64-node weighting matrices of the small problems).
 SERIAL_GEMV_MAX = 9216
+
+
+# LAPACK and BLAS routines for float64, bound once at import. scipy.linalg's
+# wrappers around them (cho_solve, solve_triangular, solve_banded, cho_factor,
+# lu_factor) spent 13-30 us a call on a 2-core machine on batching, dtype
+# dispatch and argument checks, and checked a cached factor for infs and
+# NaNs on every solve. The
+# kernels below pass each routine the arguments those wrappers pass, so their
+# results are the wrappers' bit for bit. Each checks the matrix it factors and
+# each right-hand side once, and trusts a factor it is handed: that factor was
+# checked where it was made, and the caches keep it read-only.
+_dgemm = scipy.linalg.blas.dgemm
+dtrsv = scipy.linalg.blas.dtrsv
+_dpotrf = scipy.linalg.lapack.dpotrf
+_dpotrs = scipy.linalg.lapack.dpotrs
+_dtrtrs = scipy.linalg.lapack.dtrtrs
+_dgtsv = scipy.linalg.lapack.dgtsv
+_dgetrf = scipy.linalg.lapack.dgetrf
+_dgetrs = scipy.linalg.lapack.dgetrs
 
 
 def block_width(n_rows: int) -> int:
@@ -66,7 +86,7 @@ def matmul(a: np.ndarray, b: np.ndarray, trans_a: bool = False) -> np.ndarray:
         return a.T @ b if trans_a else a @ b
     if a.flags.c_contiguous and not a.flags.f_contiguous:
         a, trans_a = a.T, not trans_a
-    out = scipy.linalg.blas.dgemm(1.0, a, b.reshape(b.shape[0], -1), trans_a=trans_a)
+    out = _dgemm(1.0, a, b.reshape(b.shape[0], -1), trans_a=trans_a)
     return out.reshape(-1) if b.ndim == 1 else out
 
 
@@ -95,6 +115,93 @@ def check_operand(v: np.ndarray, dim: int, what: str = "operand") -> None:
     """Accept a vector (dim,) or a block of columns (dim, r)."""
     if v.ndim not in (1, 2) or v.shape[0] != dim:
         raise LinalgError(f"{what} expects shape ({dim},) or ({dim}, r), got {v.shape}")
+
+
+def check_finite(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float array; the ValueError of scipy's ``check_finite``
+    where it holds an inf or a NaN."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
+
+
+def dense_cholesky(m: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^T R = M, zero below the diagonal, by one
+    ``potrf``; LinalgError on a non-positive pivot."""
+    r, info = _dpotrf(check_finite(m), lower=0, clean=1)
+    _check_info(info, "potrf")
+    if info > 0:
+        raise LinalgError(
+            f"matrix is not positive definite: {info}-th leading minor of the array "
+            f"is not positive definite"
+        )
+    return r
+
+
+def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """A^-1 b for a vector or a block, from ``(c, lower)``, the Cholesky
+    factor of A in the upper (or lower) triangle of c, by one ``potrs``."""
+    c, lower = factor
+    x, info = _dpotrs(c, check_finite(b), lower=lower)
+    _check_info(info, "potrs")
+    return x
+
+
+def solve_triangular(
+    a: np.ndarray, b: np.ndarray, trans: int = 0, lower: bool = False
+) -> np.ndarray:
+    """a^-1 b, or a^-T b with ``trans`` 1, for a triangular ``a``, by one
+    ``trtrs``. As in scipy's wrapper, a C-ordered ``a`` goes to LAPACK as the
+    Fortran-ordered a.T, with the triangle and the transpose flag flipped."""
+    b = check_finite(b)
+    if a.flags.f_contiguous:
+        x, info = _dtrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = _dtrtrs(a.T, b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    _check_info(info, "trtrs")
+    return x
+
+
+def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for a tridiagonal A, given as ``scipy.linalg.solve_banded``
+    takes it with one diagonal above and one below (ab[1 + i - j, j] =
+    A[i, j]), by one ``gtsv``."""
+    ab, b = check_finite(ab), check_finite(b)
+    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    _check_info(info, "gtsv")
+    return x
+
+
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of a square ``a`` by one ``getrf``, warning as
+    scipy's ``lu_factor`` does where a pivot is exactly zero."""
+    lu, piv, info = _dgetrf(check_finite(a))
+    _check_info(info, "getrf")
+    if info > 0:
+        warnings.warn(
+            f"Diagonal number {info} is exactly zero. Singular matrix.",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=2,
+        )
+    return lu, piv
+
+
+def lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """a^-1 b, or a^-T b with ``trans`` 1, from ``lu_factor(a)``, by one ``getrs``."""
+    lu, piv = lu_piv
+    x, info = _dgetrs(lu, piv, check_finite(b), trans=trans)
+    _check_info(info, "getrs")
+    return x
 
 
 class SpdOperator:
@@ -126,12 +233,14 @@ class SpdOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         check_operand(rhs, self.dim)
-        return scipy.linalg.cho_solve((self.cholesky(), False), rhs)
+        return cho_solve((self.cholesky(), False), rhs)
 
     def cholesky(self) -> np.ndarray:
-        """Upper-triangular R with R^T R = M, factored once."""
+        """Upper-triangular R with R^T R = M, factored once and read-only."""
         if self._r is None:
-            self._r = dense_cholesky(self._matrix)
+            r = dense_cholesky(self._matrix)
+            r.flags.writeable = False
+            self._r = r
         return self._r
 
     def dense(self) -> np.ndarray:
@@ -155,8 +264,10 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
     Q = R^{-1} Q_hat[:, :rank], so Q^T B Q = I (Halko, Martinsson and Tropp
     2011, Alg. 4.4 take the basis from a QR). Returns ``(Q, n_dropped)``:
     the rank stops at the first pivot whose |T_kk| is at most 1e-10 times
-    the B-norm of the column pivoted there, so zero columns drop, and more
-    vectors than the space has dimensions keep at most ``b.dim`` of them.
+    the block's largest B-norm, |T_00|, as the adaptive range finder cuts
+    against the largest column it has seen (Alg. 4.2). So zero columns drop,
+    so does a small column that larger ones already span to rounding, and
+    more vectors than the space has dimensions keep at most ``b.dim`` of them.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != b.dim:
@@ -165,11 +276,11 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
         return np.zeros((b.dim, 0)), 0
     r = b.cholesky()
     w = matmul(r, vectors)
-    q_hat, t, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+    q_hat, t, _ = scipy.linalg.qr(w, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(t))
-    small = pivots <= 1e-10 * np.linalg.norm(w[:, piv[: pivots.shape[0]]], axis=0)
+    small = pivots <= 1e-10 * pivots[0]
     rank = int(np.argmax(small)) if small.any() else pivots.shape[0]
-    q = scipy.linalg.solve_triangular(r, q_hat[:, :rank], lower=False)
+    q = solve_triangular(r, q_hat[:, :rank])
     return q, vectors.shape[1] - rank
 
 
@@ -202,12 +313,3 @@ def dense_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vt = scipy.linalg.svd(m, full_matrices=False)
     return s, u, vt.T
 
-
-def dense_cholesky(m: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with R^T R = M; hard error on non-positive pivot."""
-    m = np.asarray(m, dtype=float)
-    try:
-        return scipy.linalg.cholesky(m, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        # scipy reports the 1-based order of the failing leading minor
-        raise LinalgError(f"matrix is not positive definite: {exc}") from exc

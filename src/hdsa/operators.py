@@ -9,7 +9,6 @@ the block elimination alone; its transpose takes the backward half.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DENSE_THRESHOLD,
@@ -18,6 +17,7 @@ from .linalg import (
     as_rows,
     block_width,
     check_operand,
+    cho_solve,
     identity_columns,
     matmul,
 )
@@ -190,13 +190,13 @@ class KktOperator:
         red = matmul(self._w, b_u - p.l_uu(pt, s), trans_a=True)
         red += b_z
         red -= p.l_zu(pt, s)
-        return s, scipy.linalg.cho_solve(factor, red)
+        return s, cho_solve(factor, red)
 
     def solve_from_z(self, w: np.ndarray) -> np.ndarray:
         """K^{-1} P^T w for w in z-space: s = 0, dz = H^{-1} w and the
         backward half, one adjoint solve per column."""
         self.rhs_columns += w.size // self.n_z
-        return self._backward(0.0, 0.0, scipy.linalg.cho_solve(self._hessian_factor(), w))
+        return self._backward(0.0, 0.0, cho_solve(self._hessian_factor(), w))
 
     def _backward(self, b_u, s, dz: np.ndarray) -> np.ndarray:
         """Backward half: the stacked (du, dz, dl) with du = s + W dz and

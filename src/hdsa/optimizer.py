@@ -10,14 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DENSE_THRESHOLD,
     LinalgError,
     SolveError,
     block_width,
+    cho_solve,
+    dense_cholesky,
     dense_sym_eig,
+    dtrsv,
     identity_columns,
     matmul,
 )
@@ -169,11 +171,14 @@ def reduced_hessian_dense(
 
 
 def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
-    """``scipy.linalg.cho_factor`` of H, or None where H is not positive definite."""
+    """``(R, False)`` with R^T R = H and R read-only, the ``(c, lower)`` form
+    that ``cho_solve`` takes, or None where H is not positive definite."""
     try:
-        return scipy.linalg.cho_factor(h)
-    except np.linalg.LinAlgError:
+        r = dense_cholesky(h)
+    except LinalgError:
         return None
+    r.flags.writeable = False
+    return r, False
 
 
 def _cho_solve_vector(factor: tuple, v: np.ndarray) -> np.ndarray:
@@ -182,8 +187,8 @@ def _cho_solve_vector(factor: tuple, v: np.ndarray) -> np.ndarray:
     against 0.2 to 0.3 ms for LAPACK ``dpotrs``."""
     c, lower = factor
     first, second = (0, 1) if lower else (1, 0)
-    y = scipy.linalg.blas.dtrsv(c, v, lower=lower, trans=first)
-    return scipy.linalg.blas.dtrsv(c, y, lower=lower, trans=second)
+    y = dtrsv(c, v, lower=lower, trans=first)
+    return dtrsv(c, y, lower=lower, trans=second)
 
 
 def _inverse_norm_estimate(factor: tuple) -> float:
@@ -284,7 +289,7 @@ def solve_optimization(
         if gnorm <= cfg.stationarity_tol or it >= cfg.max_iter:
             break
         # steepest descent where H is not positive definite
-        d = -g if factor is None else -scipy.linalg.cho_solve(factor, g)
+        d = -g if factor is None else -cho_solve(factor, g)
         if float(d @ g) >= 0.0:
             d = -g
         # the linearized state, u + step W d, solves a linear state equation

@@ -15,9 +15,8 @@ the source window.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from ..linalg import SpdOperator
+from ..linalg import SpdOperator, check_finite, lu_factor, lu_solve
 from .base import ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import (
     advection_matrix_neumann,
@@ -113,9 +112,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
         self.obs_steps = np.arange(0, n_steps, obs_every)  # 0-based step indices
         self.n_sensors = self.sensors.shape[0]
 
-        m_theta = scipy.linalg.block_diag(
-            np.eye(2), mass_matrix(n_window, length=window[1] - window[0])
-        )
+        m_theta = np.eye(n_theta)
+        m_theta[2:, 2:] = mass_matrix(n_window, length=window[1] - window[0])
         partition = SetPartition(
             (
                 ("diffusion", 0, 1),
@@ -137,6 +135,9 @@ class AdvDiffInversionProblem(ProblemDefinition):
         }
         self.true_source = evaluate_preset(true_source, self.x_nodes, "true_source")
         self._true_source_spec = dict(true_source)
+        # (key, propagators) of the last G(theta) stepped with, one attribute
+        # so that a reader never pairs one theta's key with another's matrices
+        self._stepper = (None, None)
         self.data = self._generate_data(data_refine)
 
     # Coefficients -----------------------------------------------------------
@@ -154,6 +155,18 @@ class AdvDiffInversionProblem(ProblemDefinition):
     def _system_matrix(self, theta: np.ndarray) -> np.ndarray:
         eps, vel = self._coeffs(theta)
         return self._mass + self.dt * (eps * self._stiff + vel * self._adv)
+
+    def _propagators_at(self, theta: np.ndarray):
+        """The forward and the adjoint ``_propagators`` of G(theta), from one
+        LU, kept for the last theta. G reads only theta's diffusion and
+        velocity entries, so their bytes are the key."""
+        key = np.asarray(theta, dtype=float)[:2].tobytes()
+        cached_key, props = self._stepper
+        if key != cached_key:
+            lu = lu_factor(self._system_matrix(theta))
+            props = tuple(_propagators(lu, self._mass, trans) for trans in (0, 1))
+            self._stepper = (key, props)
+        return props
 
     def _blocks(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(self.n_steps, self.n_space)
@@ -186,7 +199,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
         g = mass + self.dt * (self.eps0 * stiff + self.vel0 * adv)
         source = mass @ evaluate_preset(self._true_source_spec, np.linspace(0.0, 1.0, nx))
         b = (self.dt * self._chi)[:, None, None] * source[:, None]
-        c = _step_levels(g, mass, b, trans=0)
+        c = _step_levels(_propagators(lu_factor(g), mass, 0), b, trans=0)
         data = (hat_interpolation(self.sensors, nx) @ c[self.obs_steps])[..., 0]
         if self.noise_level > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(self.data_seed))
@@ -347,50 +360,45 @@ class AdvDiffInversionProblem(ProblemDefinition):
         return out.reshape((self.dims.n_theta,) + w.shape[1:])
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
-        g = self._system_matrix(p.theta)
-        return self._stacked(_step_levels(g, self._mass, self._columns(rhs), 0), rhs)
+        props = self._propagators_at(p.theta)[0]
+        return self._stacked(_step_levels(props, self._columns(rhs), 0), rhs)
 
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
-        g = self._system_matrix(p.theta)
-        return self._stacked(_step_levels(g, self._mass, self._columns(rhs), 1), rhs)
+        props = self._propagators_at(p.theta)[1]
+        return self._stacked(_step_levels(props, self._columns(rhs), 1), rhs)
 
 
-def _step_levels(g: np.ndarray, mass: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """Backward Euler levels G c_i = b_i + M c_{i-1} from c_0 = 0 for every
-    column of the (n_steps, n, r) block ``b``; with ``trans`` the adjoint
-    G^T l_i = b_i + M l_{i+1}, backwards in time from l_{n_steps+1} = 0.
+def _propagators(lu, mass: np.ndarray, trans: int):
+    """(G^-1, G^-1 M), the backward Euler step as products, or with ``trans``
+    the adjoint step's (G^-T, G^-T M): one getrs on [I | M] with ``lu``, the
+    ``lu_factor`` of G. Read-only."""
+    n = mass.shape[0]
+    x = lu_solve(lu, np.hstack([np.eye(n), mass]), trans)
+    x.flags.writeable = False
+    return x[:, :n], x[:, n:]
 
-    One factorization of G per call; every column is stepped through the
-    levels together by LAPACK getrs, called directly: scipy's lu_solve would
-    add its batching, dtype dispatch and finiteness check on each level.
+
+def _step_levels(props, b: np.ndarray, trans: int) -> np.ndarray:
+    """Backward Euler levels c_i = G^-1 b_i + P c_{i-1} from c_0 = 0, with
+    ``props`` = (G^-1, P = G^-1 M), for every column of the (n_steps, n, r)
+    block ``b``; with ``trans`` and (G^-T, G^-T M) the adjoint levels
+    l_i = G^-T b_i + G^-T M l_{i+1}, backwards in time from l_{n_steps+1} = 0.
+
+    G^-1 b goes over all levels in one stacked product, then each level adds
+    one product with P. A product that overflows leaves an inf or a NaN where
+    getrs would have, without numpy's warning; the check at the end covers
+    every level, since a non-finite intermediate carries through to it.
     """
-    _check_finite(b)
-    lu, piv = scipy.linalg.lu_factor(g)
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-
-    def solve(v, overwrite_b):
-        x, info = getrs(lu, piv, v, trans=trans, overwrite_b=overwrite_b)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        return x
-
+    g_inv, prop = props
+    check_finite(b)
     step = -1 if trans else 1
     levels = range(b.shape[0])[::step]
-    out = np.empty_like(b)
-    # the first level's b may be a view into the caller's array, so getrs
-    # works on a copy; every later level solves a temporary in place
-    out[levels[0]] = solve(b[levels[0]], overwrite_b=0)
-    for i in levels[1:]:
-        out[i] = solve(b[i] + mass @ out[i - step], overwrite_b=1)
-    # a non-finite intermediate carries through to the result, so this one
-    # check covers every level
-    _check_finite(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = g_inv @ b
+        for i in levels[1:]:
+            out[i] += prop @ out[i - step]
+    check_finite(out)
     return out
-
-
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
 
 
 def build_advdiff_inversion_1d(**kwargs) -> AdvDiffInversionProblem:

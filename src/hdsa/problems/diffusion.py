@@ -13,9 +13,8 @@ the spectral decay of the sensitivity operator configurable.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from ..linalg import SpdOperator, as_rows
+from ..linalg import SpdOperator, as_rows, solve_tridiagonal
 from .base import ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
 from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mass_matrix
 
@@ -218,7 +217,7 @@ class DiffusionControlProblem(ProblemDefinition):
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
         ab = self._banded_stiffness(p.theta)
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        return solve_tridiagonal(ab, rhs)
 
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
         return self.state_jacobian_solve(p, rhs)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DENSE_THRESHOLD,
@@ -27,6 +26,7 @@ from .linalg import (
     dense_svd,
     dense_sym_eig,
     matmul,
+    solve_triangular,
 )
 from .operators import SensitivityOperator
 from .problems.base import WeightedSpaces
@@ -146,14 +146,14 @@ def _normalized(
 def _over_r_theta(bt: np.ndarray, spaces: WeightedSpaces) -> np.ndarray:
     """B R_Theta^{-1} from B^T, with R_Theta^T R_Theta = M_Theta."""
     r_theta = spaces.m_theta.cholesky()
-    return scipy.linalg.solve_triangular(r_theta, bt, lower=False, trans="T").T
+    return solve_triangular(r_theta, bt, trans=1).T
 
 
 def _weighted_svd(core: np.ndarray, spaces: WeightedSpaces):
     """sigma, U and the theta vectors R_Theta^{-1} V of the SVD
     U diag(sigma) V^T of ``core``, a matrix times R_Theta^{-1}."""
     sig, u, v = dense_svd(core)
-    return sig, u, scipy.linalg.solve_triangular(spaces.m_theta.cholesky(), v, lower=False)
+    return sig, u, solve_triangular(spaces.m_theta.cholesky(), v)
 
 
 def _leading(every: Triples, k_pairs: int) -> Triples:
@@ -258,7 +258,7 @@ def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> Triples:
     R_Z D R_Theta^{-1} with R^T R = M."""
     r_z = spaces.m_z.cholesky()
     sig, u, theta = _weighted_svd(matmul(r_z, _over_r_theta(dmat.T, spaces)), spaces)
-    z = scipy.linalg.solve_triangular(r_z, u, lower=False)
+    z = solve_triangular(r_z, u)
     return _normalized(sig, theta, z, spaces)
 
 

@@ -1,6 +1,6 @@
-"""Every module-level import in ``hdsa`` is used by its module, the CLI
-loads no module it does not need, and every name the benchmark's tracer
-wraps exists.
+"""Every module-level import in ``hdsa`` is used by its module, only
+``hdsa/linalg.py`` reaches ``scipy.linalg``, the CLI loads no module it does
+not need, and every name the benchmark's tracer wraps exists.
 
 Neither pyflakes nor ruff is a dependency, so this AST scan is the check.
 ``__init__.py`` files re-export names and ``__future__`` imports are
@@ -55,6 +55,48 @@ def test_scan_finds_an_unused_import():
 )
 def test_module_uses_its_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def scipy_linalg_uses(source: str) -> list[int]:
+    """Lines that import ``scipy.linalg`` or a name from it, or read it as an
+    attribute of ``scipy``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_scan_finds_scipy_linalg():
+    source = (
+        "import scipy\n"
+        "import scipy.linalg.blas\n"
+        "from scipy.linalg import lu_solve\n"
+        "from scipy import linalg\n"
+        "x = scipy.linalg\n"
+        "import numpy.linalg\n"
+        "from numpy import linalg\n"
+    )
+    assert scipy_linalg_uses(source) == [2, 3, 4, 5]
+
+
+def test_only_linalg_reaches_scipy_linalg():
+    # the solve path goes through the LAPACK kernels of hdsa.linalg; a
+    # scipy.linalg wrapper elsewhere would bring back its per-call overhead
+    found = {
+        str(path.relative_to(PACKAGE)): scipy_linalg_uses(path.read_text())
+        for path in PACKAGE.rglob("*.py")
+        if path != PACKAGE / "linalg.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_cli_does_not_import_scipy_sparse():

@@ -3,17 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
+import scipy.linalg
 
 import hdsa.linalg
 from hdsa.linalg import (
     LinalgError,
     SpdOperator,
     b_orthonormalize,
+    cho_solve,
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
+    lu_factor,
+    lu_solve,
     matmul,
+    solve_triangular,
+    solve_tridiagonal,
 )
 
 
@@ -75,10 +80,120 @@ class TestBOrthonormalize:
         rest = cols - basis @ (basis.T @ cols)
         assert np.all(np.linalg.norm(rest, axis=0) <= 1e-12 * m.norms(base))
 
+    def test_small_column_spanned_by_larger_ones_drops(self):
+        # six unit-norm combinations of six columns with B-norms 1 down to
+        # 1e-8 come first and span them all; what is left of the 1e-8 column
+        # after them is rounding, about 1e-16, which is large against its own
+        # norm and nothing against the block's largest
+        kept = []
+        for seed in range(100):
+            m = SpdOperator(random_spd(30, seed=seed))
+            rng = np.random.default_rng(seed)
+            base = rng.standard_normal((30, 6))
+            base = base / m.norms(base) * np.logspace(0, -8, 6)
+            combos = base @ rng.standard_normal((6, 6))
+            q, dropped = b_orthonormalize(np.column_stack([combos / m.norms(combos), base]), m)
+            kept.append(q.shape[1])
+            assert dropped == 12 - q.shape[1]
+        assert kept == [6] * 100
+
     def test_no_columns_give_an_empty_basis(self):
         q, dropped = b_orthonormalize(np.zeros((5, 0)), SpdOperator(random_spd(5)))
         assert q.shape == (5, 0)
         assert dropped == 0
+
+
+def _layouts(a):
+    """``a`` as a C-ordered and as a Fortran-ordered array."""
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a)}
+
+
+def _operands(n, seed):
+    """Right-hand sides: a vector and a (n, 3) block in both orders."""
+    rng = np.random.default_rng(seed)
+    return {"vector": rng.standard_normal(n), **_layouts(rng.standard_normal((n, 3)))}
+
+
+class TestKernels:
+    """Each kernel returns the bits of the scipy.linalg wrapper it replaces."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_cholesky_is_scipys(self, order):
+        m = _layouts(random_spd(20, seed=30))[order]
+        assert np.array_equal(dense_cholesky(m), scipy.linalg.cholesky(m))
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_cho_solve_is_scipys(self, lower):
+        factor = scipy.linalg.cho_factor(random_spd(20, seed=31), lower=lower)
+        for name, b in _operands(20, 32).items():
+            assert np.array_equal(cho_solve(factor, b), scipy.linalg.cho_solve(factor, b)), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_solve_triangular_is_scipys(self, order, lower, trans):
+        r = dense_cholesky(random_spd(20, seed=33))
+        a = _layouts(r.T if lower else r)[order]
+        for name, b in _operands(20, 34).items():
+            ref = scipy.linalg.solve_triangular(a, b, trans=trans, lower=lower)
+            assert np.array_equal(solve_triangular(a, b, trans=trans, lower=lower), ref), name
+
+    def test_solve_tridiagonal_is_scipys(self):
+        rng = np.random.default_rng(35)
+        ab = rng.standard_normal((3, 20))
+        ab[1] += 4.0
+        for name, b in _operands(20, 36).items():
+            ref = scipy.linalg.solve_banded((1, 1), ab, b)
+            assert np.array_equal(solve_tridiagonal(ab, b), ref), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_lu_is_scipys(self, order, trans):
+        a = _layouts(np.random.default_rng(37).standard_normal((20, 20)))[order]
+        lu, piv = lu_factor(a)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        for name, b in _operands(20, 38).items():
+            ref = scipy.linalg.lu_solve((ref_lu, ref_piv), b, trans=trans)
+            assert np.array_equal(lu_solve((lu, piv), b, trans), ref), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operands_rejected(self, bad):
+        m = random_spd(6, seed=39)
+        r = dense_cholesky(m)
+        ab = np.vstack([np.ones(6), np.full(6, 4.0), np.ones(6)])
+        b, m_bad, ab_bad = np.ones((6, 2)), m.copy(), ab.copy()
+        for a in (b, m_bad, ab_bad):
+            a[1, 1] = bad
+        calls = [
+            lambda: cho_solve((r, False), b),
+            lambda: solve_triangular(r, b),
+            lambda: solve_tridiagonal(ab, b),
+            lambda: lu_solve(lu_factor(m), b),
+            lambda: SpdOperator(m).solve(b),
+            lambda: dense_cholesky(m_bad),
+            lambda: solve_tridiagonal(ab_bad, np.ones(6)),
+            lambda: lu_factor(m_bad),
+            lambda: SpdOperator(m_bad).solve(np.ones(6)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call()
+
+    def test_singular_matrices_raise_scipys_errors(self):
+        r = np.triu(np.ones((4, 4)))
+        r[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 2"):
+            solve_triangular(np.asfortranarray(r), np.ones(4))
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            solve_tridiagonal(np.zeros((3, 4)), np.ones(4))
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+            lu_factor(np.zeros((3, 3)))
+
+    def test_cached_factor_is_read_only(self):
+        op = SpdOperator(random_spd(6, seed=40))
+        with pytest.raises(ValueError, match="read-only"):
+            op.cholesky()[0, 0] = 1.0
 
 
 class TestDense:
@@ -132,13 +247,13 @@ class TestDense:
         self, monkeypatch, n, cols, dgemm_calls
     ):
         calls = []
-        dgemm = scipy.linalg.blas.dgemm
+        dgemm = hdsa.linalg._dgemm
 
         def spy(*args, **kwargs):
             calls.append(args[1].shape)
             return dgemm(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.blas, "dgemm", spy)
+        monkeypatch.setattr(hdsa.linalg, "_dgemm", spy)
         a = random_spd(n, seed=19)
         b = np.ones(n if cols is None else (n, cols))
         np.testing.assert_allclose(matmul(a, b), a @ b, rtol=1e-13, atol=1e-13)

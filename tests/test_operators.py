@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 import hdsa.analysis as analysis
 import hdsa.linalg as linalg
@@ -146,10 +145,29 @@ class TestKktOperator:
         u = solve_forward(problem, z, theta)
         point = EvalPoint(u, z, solve_adjoint(problem, u, z, theta), theta)
         assert reduced_hessian_dense(problem, point)[0, 0] < 0.0
+        assert optimizer.factor_reduced_hessian(reduced_hessian_dense(problem, point)) is None
         op = KktOperator(problem, point)
         with pytest.raises(SolveError, match="not positive definite"):
             op.solve(np.ones(op.dim))
         assert isinstance(SolveError("x"), COMPUTE_ERRORS)
+
+    @pytest.mark.parametrize("name", ["diffusion", "advdiff"])
+    @pytest.mark.parametrize("block", [0, 1, 2], ids=["u", "z", "lambda"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, kkt_points, name, block, bad):
+        problem, point = kkt_points[name]
+        op = KktOperator(problem, point)
+        rhs = np.ones((op.dim, 2))
+        op.split(rhs)[block][0, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            op.solve(rhs)
+
+    def test_optimizers_factor_is_read_only(self, diffusion_point):
+        problem, point = diffusion_point
+        c, lower = optimizer.factor_reduced_hessian(reduced_hessian_dense(problem, point))
+        assert not lower
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 1.0
 
     def test_stalled_solve_raises(self, diffusion_point, monkeypatch):
         """A backward error just above KKT_TOL is an error."""
@@ -342,9 +360,9 @@ class TestSchurPath:
 
     def test_reduced_hessian_assembled_once(self, schur_sample, monkeypatch):
         factors = []
-        cho_factor = scipy.linalg.cho_factor
+        cholesky = optimizer.dense_cholesky
         monkeypatch.setattr(
-            scipy.linalg, "cho_factor", lambda *a, **k: factors.append(1) or cho_factor(*a, **k)
+            optimizer, "dense_cholesky", lambda *a, **k: factors.append(1) or cholesky(*a, **k)
         )
         res, calls = schur_sample(OptimizerConfig())
         assert calls == ["reduced_hessian_dense", "state_sensitivity"]

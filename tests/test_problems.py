@@ -149,6 +149,15 @@ class TestDiffusion:
         with pytest.raises(ProblemError):
             build_diffusion_control_1d(n_state=16, n_param=4, amplitude=[0.1, 0.2])
 
+    @pytest.mark.parametrize("method", ["state_jacobian_solve", "state_jacobian_adjoint_solve"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, method, bad):
+        p = build_diffusion_control_1d(n_state=24, n_param=6)
+        rhs = np.ones((24, 2))
+        rhs[5, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            getattr(p, method)(random_point(p, seed=7), rhs)
+
     @pytest.mark.parametrize("n_state", [2, 3, 64])
     def test_mass_stencil_matches_dense_mass(self, n_state):
         """Every use of the mass stencil equals its expression on mass_dense()."""
@@ -216,9 +225,33 @@ class TestAdvDiff:
         np.testing.assert_array_equal(p1.data, p2.data)
 
 
+def _propagators(g, mass):
+    """(G^-1, G^-1 M) and (G^-T, G^-T M) from scipy's LU of G and its solve
+    of [I | M]."""
+    lu = scipy.linalg.lu_factor(g)
+    identity_and_mass = np.hstack([np.eye(g.shape[0]), mass])
+    return [
+        np.hsplit(scipy.linalg.lu_solve(lu, identity_and_mass, trans=trans), 2)
+        for trans in (0, 1)
+    ]
+
+
+def _propagator_levels(problem, point, rhs, trans):
+    """One product with G^-1 and one with the propagator per time level: the
+    arithmetic that the advection-diffusion solves must reproduce bit for bit."""
+    b = rhs.reshape(problem.n_steps, problem.n_space, -1)
+    g_inv, prop = _propagators(problem._system_matrix(point.theta), problem._mass)[trans]
+    levels = range(problem.n_steps)[:: -1 if trans else 1]
+    out = np.empty_like(b)
+    out[levels[0]] = g_inv @ b[levels[0]]
+    for prev, i in zip(levels, levels[1:]):
+        out[i] = g_inv @ b[i] + prop @ out[prev]
+    return out.reshape(rhs.shape)
+
+
 def _lu_solve_levels(problem, point, rhs, trans):
-    """One scipy.linalg.lu_solve per time level: the arithmetic that the
-    advection-diffusion solves must reproduce bit for bit."""
+    """One scipy.linalg.lu_solve per time level, the stepping before the
+    propagators: the solves must match it to rounding."""
     b = rhs.reshape(problem.n_steps, problem.n_space, -1)
     lu = scipy.linalg.lu_factor(problem._system_matrix(point.theta))
     out = np.empty_like(b)
@@ -250,7 +283,9 @@ class TestAdvDiffTimeStepping:
         before = rhs.copy()
         out = getattr(problem, method)(point, rhs)
         np.testing.assert_array_equal(rhs, before)  # the caller's rhs is untouched
-        np.testing.assert_array_equal(out, _lu_solve_levels(problem, point, rhs, trans))
+        np.testing.assert_array_equal(out, _propagator_levels(problem, point, rhs, trans))
+        ref = _lu_solve_levels(problem, point, rhs, trans)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("method", [m for m, _ in ADVDIFF_SOLVES])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -260,6 +295,38 @@ class TestAdvDiffTimeStepping:
         rhs[problem.n_space * (problem.n_steps // 2) + 3, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             getattr(problem, method)(point, rhs)
+
+    def test_propagators_kept_for_the_last_theta(self, setup):
+        """Solves at theta_1, at theta_2 and at theta_1 again are a fresh
+        problem's at theta_1, bit for bit."""
+        problem, point = setup
+        rhs = np.random.default_rng(8).standard_normal((problem.dims.n_u, 3))
+        theta_2 = point.theta + 0.1
+
+        def solves(prob, theta):
+            pt = EvalPoint(point.u, point.z, point.lam, theta)
+            return [getattr(prob, m)(pt, rhs) for m, _ in ADVDIFF_SOLVES]
+
+        first = solves(problem, point.theta)
+        solves(problem, theta_2)
+        again = solves(problem, point.theta)
+        fresh = solves(build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5), point.theta)
+        for a, b, c in zip(first, again, fresh):
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
+
+    def test_propagators_shared_while_g_holds_and_read_only(self, setup):
+        # G(theta) reads only the diffusion and velocity entries of theta
+        problem, point = setup
+        props = problem._propagators_at(point.theta)
+        moved = point.theta.copy()
+        moved[2:] += 1.0
+        assert problem._propagators_at(moved) is props
+        moved[1] += 1.0
+        assert problem._propagators_at(moved) is not props
+        for matrix in (m for pair in props for m in pair):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("method", [m for m, _ in ADVDIFF_SOLVES])
     def test_overflowing_solution_rejected(self, setup, method):
@@ -305,8 +372,10 @@ def _obj_grad_u_loop(problem, u, z, theta):
     return out.ravel()
 
 
-def _data_loop(problem, refine):
-    """The synthetic data from one scipy.linalg.lu_solve per time level."""
+def _data_loop(problem, refine, stepping):
+    """The synthetic data, stepped level by level on the fine mesh: by the
+    propagators (``stepping`` "propagators"), one product with each per
+    level, or by one scipy.linalg.lu_solve per level ("lu")."""
     nx = refine * (problem.n_space - 1) + 1
     x = np.linspace(0.0, 1.0, nx)
     mass = mass_matrix(nx)
@@ -314,16 +383,20 @@ def _data_loop(problem, refine):
     adv = advection_matrix_neumann(nx)
     g = mass + problem.dt * (problem.eps0 * stiff + problem.vel0 * adv)
     lu = scipy.linalg.lu_factor(g)
-    z_true = evaluate_preset(problem._true_source_spec, x)
+    g_inv, prop = _propagators(g, mass)[0]
+    source = (mass @ evaluate_preset(problem._true_source_spec, x))[:, None]
     s_obs = hat_interpolation(problem.sensors, nx)
-    c = np.zeros(nx)
+    c = np.zeros((nx, 1))
     data = np.zeros((problem.obs_steps.shape[0], problem.n_sensors))
     obs_set = {int(s): r for r, s in enumerate(problem.obs_steps)}
     for i in range(problem.n_steps):
-        rhs = mass @ c + problem.dt * problem._chi[i] * (mass @ z_true)
-        c = scipy.linalg.lu_solve(lu, rhs)
+        b = (problem.dt * problem._chi[i]) * source
+        if stepping == "lu":
+            c = scipy.linalg.lu_solve(lu, mass @ c + b)
+        else:
+            c = g_inv @ b if i == 0 else g_inv @ b + prop @ c
         if i in obs_set:
-            data[obs_set[i]] = s_obs @ c
+            data[obs_set[i]] = (s_obs @ c)[:, 0]
     if problem.noise_level > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence(problem.data_seed))
         data = data + problem.noise_level * np.abs(data) * rng.standard_normal(data.shape)
@@ -339,9 +412,10 @@ ADVDIFF_GRIDS = {
 @pytest.mark.parametrize("params", list(ADVDIFF_GRIDS.values()), ids=list(ADVDIFF_GRIDS))
 def test_advdiff_evaluations_equal_per_step_loops(params):
     problem = build_advdiff_inversion_1d(**params)
-    np.testing.assert_array_equal(
-        problem.data, _data_loop(problem, params.get("data_refine", 2))
-    )
+    refine = params.get("data_refine", 2)
+    np.testing.assert_array_equal(problem.data, _data_loop(problem, refine, "propagators"))
+    ref = _data_loop(problem, refine, "lu")
+    assert np.abs(problem.data - ref).max() <= 1e-13 * np.abs(ref).max()
     for seed in range(3):
         pt = random_point(problem, seed=seed)
         args = (pt.u, pt.z, pt.theta)
