@@ -3,16 +3,23 @@
 Mass-weighted SPD operators, weighted orthonormalization, the small dense
 factorizations used by the randomized SVD and the dense verification
 oracles, and the LAPACK kernels that every per-solve call goes through.
-This is the one module that imports ``scipy.linalg``.
+This is the one module that reaches scipy's LAPACK and BLAS, and it binds
+them without importing ``scipy.linalg`` (see ``_f2py_modules``).
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 # Largest dimension formed as a dense matrix: the reduced Hessian's n_z, the
 # assembled sensitivity operator's n_z + n_theta, and KktOperator.dense().
@@ -32,23 +39,64 @@ BLOCK_BYTES = 331_776
 SERIAL_GEMV_MAX = 9216
 
 
+def _f2py_modules() -> tuple[ModuleType, ModuleType]:
+    """scipy's LAPACK and BLAS extension modules ``scipy.linalg._flapack``
+    and ``_fblas``, loaded without running ``scipy/linalg/__init__.py``.
+
+    On a 2-core machine ``import scipy.linalg`` took 0.35-0.37 s after numpy
+    and added about 28 MB of resident memory, about 0.23 s of it in scipy's
+    array-API layer cloning the numpy namespace (``numpy.f2py``,
+    ``numpy.ma``, ``numpy.testing``, ``numpy.polynomial``). The two
+    extension modules load in about 8 ms. Their ``sys.modules`` entries go
+    again once loaded, so a later ``import scipy.linalg`` imports as usual;
+    an extension module initializes once per process, so its routines are
+    the objects bound here. Where ``scipy.linalg`` is already imported, or
+    where no spec is found, the modules come from the usual import: the
+    same routines, only slower to reach.
+    """
+    names = ("scipy.linalg._flapack", "scipy.linalg._fblas")
+    path = [os.path.join(scipy.__path__[0], "linalg")]
+    imported = "scipy.linalg" in sys.modules
+    specs = [] if imported else [importlib.machinery.PathFinder.find_spec(n, path) for n in names]
+    if imported or None in specs:
+        flapack, fblas = (importlib.import_module(name) for name in names)
+        return flapack, fblas
+    modules = []
+    for spec in specs:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            # the extension's initialization registered it under its name
+            sys.modules.pop(spec.name, None)
+        modules.append(module)
+    return modules[0], modules[1]
+
+
 # LAPACK and BLAS routines for float64, bound once at import. scipy.linalg's
 # wrappers around them (cho_solve, solve_triangular, solve_banded, cho_factor,
-# lu_factor) spent 13-30 us a call on a 2-core machine on batching, dtype
-# dispatch and argument checks, and checked a cached factor for infs and
-# NaNs on every solve. The
-# kernels below pass each routine the arguments those wrappers pass, so their
-# results are the wrappers' bit for bit. Each checks the matrix it factors and
-# each right-hand side once, and trusts a factor it is handed: that factor was
+# lu_factor, qr, eigh, svd) spent 13-30 us a call on a 2-core machine on
+# batching, dtype dispatch and argument checks, and checked a cached factor
+# for infs and NaNs on every solve. The kernels below pass each routine the
+# arguments and workspace sizes those wrappers pass, so their results are the
+# wrappers' bit for bit. Each checks the matrix it factors and each
+# right-hand side once, and trusts a factor it is handed: that factor was
 # checked where it was made, and the caches keep it read-only.
-_dgemm = scipy.linalg.blas.dgemm
-dtrsv = scipy.linalg.blas.dtrsv
-_dpotrf = scipy.linalg.lapack.dpotrf
-_dpotrs = scipy.linalg.lapack.dpotrs
-_dtrtrs = scipy.linalg.lapack.dtrtrs
-_dgtsv = scipy.linalg.lapack.dgtsv
-_dgetrf = scipy.linalg.lapack.dgetrf
-_dgetrs = scipy.linalg.lapack.dgetrs
+_flapack, _fblas = _f2py_modules()
+_dgemm = _fblas.dgemm
+dtrsv = _fblas.dtrsv
+_dpotrf = _flapack.dpotrf
+_dpotrs = _flapack.dpotrs
+_dtrtrs = _flapack.dtrtrs
+_dgtsv = _flapack.dgtsv
+_dgetrf = _flapack.dgetrf
+_dgetrs = _flapack.dgetrs
+_dgeqp3 = _flapack.dgeqp3
+_dorgqr = _flapack.dorgqr
+_dsyevr = _flapack.dsyevr
+_dsyevr_lwork = _flapack.dsyevr_lwork
+_dgesdd = _flapack.dgesdd
+_dgesdd_lwork = _flapack.dgesdd_lwork
 
 
 def block_width(n_rows: int) -> int:
@@ -99,6 +147,10 @@ class LinalgError(Exception):
     """Hard failure in a linear algebra kernel (dimension, definiteness)."""
 
 
+class LinAlgWarning(RuntimeWarning):
+    """An ill-conditioned or singular factor, as scipy's ``LinAlgWarning``."""
+
+
 class SolveError(Exception):
     """KKT solve that did not reach the backward-error tolerance."""
 
@@ -129,6 +181,16 @@ def check_finite(a: np.ndarray) -> np.ndarray:
 def _check_info(info: int, routine: str) -> None:
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
+
+
+def _with_lwork(routine, name: str, *args, **kwargs) -> tuple:
+    """``routine(*args, **kwargs)`` less its trailing ``work`` and ``info``,
+    run with the workspace that its own ``lwork=-1`` query asks for, as
+    scipy's ``qr`` runs ``geqp3`` and ``orgqr``."""
+    *_, work, _ = routine(*args, lwork=-1, **kwargs)
+    *out, _, info = routine(*args, lwork=int(work[0]), **kwargs)
+    _check_info(info, name)
+    return tuple(out)
 
 
 def dense_cholesky(m: np.ndarray) -> np.ndarray:
@@ -190,7 +252,7 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info > 0:
         warnings.warn(
             f"Diagonal number {info} is exactly zero. Singular matrix.",
-            scipy.linalg.LinAlgWarning,
+            LinAlgWarning,
             stacklevel=2,
         )
     return lu, piv
@@ -275,9 +337,12 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
     if vectors.shape[1] == 0:
         return np.zeros((b.dim, 0)), 0
     r = b.cholesky()
-    w = matmul(r, vectors)
-    q_hat, t, _ = scipy.linalg.qr(w, mode="economic", pivoting=True)
-    pivots = np.abs(np.diag(t))
+    w = check_finite(matmul(r, vectors))
+    # scipy.linalg.qr(w, mode="economic", pivoting=True): geqp3, then Q_hat
+    # from the first min(w.shape) reflectors by orgqr, in place
+    qr, _, tau = _with_lwork(_dgeqp3, "geqp3", w)
+    pivots = np.abs(np.diag(qr))
+    (q_hat,) = _with_lwork(_dorgqr, "orgqr", qr[:, : min(w.shape)], tau, overwrite_a=1)
     small = pivots <= 1e-10 * pivots[0]
     rank = int(np.argmax(small)) if small.any() else pivots.shape[0]
     q = solve_triangular(r, q_hat[:, :rank])
@@ -298,18 +363,37 @@ def dense_sym_eig(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues are sorted descending, eigenvectors are the matching columns.
     """
-    t = np.asarray(t, dtype=float)
+    t = check_finite(t)
     scale = max(_frobenius(t), 1.0)
     if _frobenius(t - t.T) > 1e-12 * scale:
         raise LinalgError("matrix is not symmetric within 1e-12")
-    evals, evecs = scipy.linalg.eigh(0.5 * (t + t.T))
+    t = 0.5 * (t + t.T)
+    n = t.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    # scipy.linalg.eigh(t): dsyevr on the lower triangle, every eigenpair
+    lwork, liwork, _ = _dsyevr_lwork(n, lower=1)
+    evals, evecs, _, _, info = _dsyevr(
+        t, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork)
+    )
+    _check_info(info, "syevr")
+    if info > 0:
+        raise np.linalg.LinAlgError("Internal Error.")
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
 
 
 def dense_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD of a small dense matrix: returns (sigma, U, V) with M = U diag(sigma) V^T."""
-    m = np.asarray(m, dtype=float)
-    u, s, vt = scipy.linalg.svd(m, full_matrices=False)
+    m = check_finite(m)
+    rows, cols = m.shape
+    if m.size == 0:
+        return np.zeros(0), np.zeros((rows, 0)), np.zeros((cols, 0))
+    # scipy.linalg.svd(m, full_matrices=False): gesdd, thin U and V^T
+    lwork, _ = _dgesdd_lwork(rows, cols, compute_uv=1, full_matrices=0)
+    u, s, vt, info = _dgesdd(m, compute_uv=1, full_matrices=0, lwork=int(lwork))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    _check_info(info, "gesdd")
     return s, u, vt.T
 

@@ -7,6 +7,7 @@ import scipy.linalg
 
 import hdsa.linalg
 from hdsa.linalg import (
+    LinAlgWarning,
     LinalgError,
     SpdOperator,
     b_orthonormalize,
@@ -114,6 +115,13 @@ def _operands(n, seed):
     return {"vector": rng.standard_normal(n), **_layouts(rng.standard_normal((n, 3)))}
 
 
+def _value_error(call):
+    """The message of the ValueError that ``call()`` raises."""
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
 class TestKernels:
     """Each kernel returns the bits of the scipy.linalg wrapper it replaces."""
 
@@ -187,8 +195,72 @@ class TestKernels:
             solve_triangular(np.asfortranarray(r), np.ones(4))
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             solve_tridiagonal(np.zeros((3, 4)), np.ones(4))
-        with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+        with pytest.warns(LinAlgWarning, match="exactly zero"):
             lu_factor(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "shape, drop",
+        # tall, square and wide blocks; the last ``drop`` columns repeat the first
+        [((30, 6), 0), ((30, 6), 2), ((20, 20), 0), ((20, 20), 3), ((3, 5), 0)],
+    )
+    def test_b_orthonormalize_qr_is_scipys(self, order, shape, drop):
+        m = SpdOperator(random_spd(shape[0], seed=41))
+        v = np.random.default_rng(42).standard_normal(shape)
+        v[:, shape[1] - drop :] = v[:, :drop]
+        v = _layouts(v)[order]
+        w = matmul(m.cholesky(), v)
+        q_hat, t, _ = scipy.linalg.qr(w, mode="economic", pivoting=True)
+        pivots = np.abs(np.diag(t))
+        rank = int(np.sum(pivots > 1e-10 * pivots[0]))
+        q, dropped = b_orthonormalize(v, m)
+        assert np.array_equal(q, solve_triangular(m.cholesky(), q_hat[:, :rank]))
+        assert dropped == shape[1] - rank == max(drop, shape[1] - shape[0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 600])
+    def test_dense_sym_eig_is_scipys(self, order, n):
+        b = np.random.default_rng(43).standard_normal((n, n))
+        t = _layouts(b + b.T)[order]
+        evals, evecs = dense_sym_eig(t)
+        ref_evals, ref_evecs = scipy.linalg.eigh(0.5 * (t + t.T))
+        desc = np.argsort(ref_evals)[::-1]
+        assert np.array_equal(evals, ref_evals[desc])
+        assert np.array_equal(evecs, ref_evecs[:, desc])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(64, 20), (20, 64), (600, 16), (16, 600), (30, 30), (1, 5)])
+    def test_dense_svd_is_scipys(self, order, shape):
+        m = _layouts(np.random.default_rng(44).standard_normal(shape))[order]
+        s, u, v = dense_svd(m)
+        ref_u, ref_s, ref_vt = scipy.linalg.svd(m, full_matrices=False)
+        assert np.array_equal(s, ref_s)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(v, ref_vt.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dense_kernels_reject_non_finite_input_as_scipy_did(self, bad):
+        m = SpdOperator(random_spd(6, seed=45))
+        a = random_spd(6, seed=46)
+        a[2, 3] = a[3, 2] = bad
+        calls = {
+            "qr": (lambda: b_orthonormalize(a, m), lambda: scipy.linalg.qr(a)),
+            "eigh": (lambda: dense_sym_eig(a), lambda: scipy.linalg.eigh(a)),
+            "svd": (lambda: dense_svd(a), lambda: scipy.linalg.svd(a)),
+        }
+        for name, (call, ref) in calls.items():
+            assert _value_error(call) == _value_error(ref), name
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_svd_is_scipys(self, shape):
+        s, u, v = dense_svd(np.zeros(shape))
+        ref_u, ref_s, ref_vt = scipy.linalg.svd(np.zeros(shape), full_matrices=False)
+        assert (s.shape, u.shape, v.shape) == (ref_s.shape, ref_u.shape, ref_vt.T.shape)
+
+    def test_empty_sym_eig_is_scipys(self):
+        evals, evecs = dense_sym_eig(np.zeros((0, 0)))
+        ref_evals, ref_evecs = scipy.linalg.eigh(np.zeros((0, 0)))
+        assert (evals.shape, evecs.shape) == (ref_evals.shape, ref_evecs.shape)
 
     def test_cached_factor_is_read_only(self):
         op = SpdOperator(random_spd(6, seed=40))
