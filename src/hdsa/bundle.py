@@ -64,26 +64,35 @@ SAMPLE_KEYS = {
 OPTIONAL_KEYS = {"set_indices_mean", "set_indices_std", "kkt_backward_error"}
 
 
-def _rows(table):
-    """(index columns, value) pairs of one sample's table, in index order."""
-    if isinstance(table, dict):
-        return table.items()
-    a = np.asarray(table, dtype=float)
-    if a.ndim == 1:
-        return enumerate(a.tolist())
-    return (
-        (f"{k},{i}", v) for k, row in enumerate(a.tolist()) for i, v in enumerate(row)
-    )
+def _template(shape: tuple[int, ...]) -> str:
+    """The rows "{j},i,%.17g" of a 1-D table or "{j},k,i,%.17g" of a K x n
+    table, in index order, with the sample index still to fill in."""
+    if len(shape) == 1:
+        return "".join(f"{{j}},{i},%.17g\n" for i in range(shape[0]))
+    k, n = shape
+    return "".join(f"{{j}},{a},{i},%.17g\n" for a in range(k) for i in range(n))
 
 
 def _write_table(path: Path, header: str, table, report: HdsaReport) -> None:
     """One line per value; 17 significant digits round-trip any double
-    (0.1 reads 0.10000000000000001)."""
+    (0.1 reads 0.10000000000000001).
+
+    An array table is formatted by one ``%`` over its values, into the row
+    template of its shape, made once per table; ``%.17g`` writes what an
+    f-string's ``.17g`` writes. Each sample's text is written as it is made.
+    """
+    templates: dict[tuple[int, ...], str] = {}
     with path.open("w", newline="") as fh:
         fh.write(header + "\n")
         for s in report.samples:
-            j = s.sample_index
-            fh.writelines(f"{j},{idx},{v:.17g}\n" for idx, v in _rows(table(s)))
+            j, t = s.sample_index, table(s)
+            if isinstance(t, dict):
+                fh.write("".join(f"{j},{name},{v:.17g}\n" for name, v in t.items()))
+                continue
+            a = np.asarray(t, dtype=float)
+            if a.shape not in templates:
+                templates[a.shape] = _template(a.shape)
+            fh.write(templates[a.shape].replace("{j}", str(j)) % tuple(a.ravel().tolist()))
 
 
 def _nan_to_null(v: float) -> float | None:

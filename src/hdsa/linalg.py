@@ -144,7 +144,8 @@ def as_rows(v: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 class LinalgError(Exception):
-    """Hard failure in a linear algebra kernel (dimension, definiteness)."""
+    """Numerical failure in a linear algebra kernel (definiteness, symmetry).
+    An operand of the wrong shape is a programming error: ValueError."""
 
 
 class LinAlgWarning(RuntimeWarning):
@@ -166,7 +167,7 @@ class SolverStats:
 def check_operand(v: np.ndarray, dim: int, what: str = "operand") -> None:
     """Accept a vector (dim,) or a block of columns (dim, r)."""
     if v.ndim not in (1, 2) or v.shape[0] != dim:
-        raise LinalgError(f"{what} expects shape ({dim},) or ({dim}, r), got {v.shape}")
+        raise ValueError(f"{what} expects shape ({dim},) or ({dim}, r), got {v.shape}")
 
 
 def check_finite(a: np.ndarray) -> np.ndarray:
@@ -278,7 +279,7 @@ class SpdOperator:
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise LinalgError("SpdOperator requires a square matrix")
+            raise ValueError("SpdOperator requires a square matrix")
         self.dim = matrix.shape[0]
         self._matrix = matrix
         self._r = None
@@ -333,7 +334,7 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != b.dim:
-        raise LinalgError("vector dimension does not match the weighting operator")
+        raise ValueError("vector dimension does not match the weighting operator")
     if vectors.shape[1] == 0:
         return np.zeros((b.dim, 0)), 0
     r = b.cholesky()

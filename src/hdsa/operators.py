@@ -8,6 +8,8 @@ the block elimination alone; its transpose takes the backward half.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .linalg import (
@@ -112,11 +114,16 @@ class KktOperator:
             k[:, start:stop] = self.apply(identity_columns(self.dim, start, stop))
         return k
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolverStats]:
+    def solve(
+        self, rhs: np.ndarray, x: np.ndarray | None = None
+    ) -> tuple[np.ndarray, SolverStats]:
         """Solve K x = rhs, a vector or every column of a block, in one
-        elimination pass whose worst backward error must be ``KKT_TOL``."""
+        elimination pass whose worst backward error must be ``KKT_TOL``.
+        A caller that has run that pass on rhs already hands in its ``x``,
+        which is then gated alone."""
         check_operand(rhs, self.dim, "KKT solve")
-        x = self._backward(self.split(rhs)[0], *self.solve_z(rhs))
+        if x is None:
+            x = self._backward(self.split(rhs)[0], *self.solve_z(rhs))
         err = float(self._backward_errors(x, rhs).max())
         if not err <= KKT_TOL:
             raise SolveError(f"KKT solve did not reach backward error {KKT_TOL:g}: {err:.3e}")
@@ -139,7 +146,7 @@ class KktOperator:
         """
         if self._norm_est is not None:
             return self.apply(x), self._norm_est
-        probes = rng_for(0, KKT_NORM_STREAM).standard_normal((self.dim, NORM_PROBES))
+        probes = _norm_probes(self.dim)
         applied = self.apply(np.column_stack([x, probes]))
         k_probes = applied[:, -NORM_PROBES:]
         ratios = np.linalg.norm(k_probes, axis=0) / np.linalg.norm(probes, axis=0)
@@ -247,6 +254,16 @@ class KktOperator:
         )
 
 
+@cache
+def _norm_probes(dim: int) -> np.ndarray:
+    """The probe block Psi of ``KktOperator._norm_estimate``: it depends on
+    the stacked dimension alone, so it is drawn once per dimension and kept
+    read-only for every operator of that dimension."""
+    probes = rng_for(0, KKT_NORM_STREAM).standard_normal((dim, NORM_PROBES))
+    probes.flags.writeable = False
+    return probes
+
+
 class ParamJacobianOperator:
     """Negated Lagrangian cross-derivative block: theta-direction to stacked space."""
 
@@ -296,52 +313,64 @@ class SensitivityOperator:
         self.n_z = d.n_z
         self._dense = None
 
-    def _by_chunks(self, v: np.ndarray, n_out: int, half, check) -> np.ndarray:
-        """``half`` on a vector, or on a block in capped column chunks.
+    def _by_chunks(self, v: np.ndarray, n_out: int, half) -> np.ndarray:
+        """``half(columns, gate)`` on a vector, or on a block in capped
+        column chunks.
 
-        The operator's first block checks it: its first
-        ``min(NORM_PROBES, r)`` columns go through one ``KktOperator.solve``,
-        the full elimination and its ``KKT_TOL`` gate, and ``check`` reads
-        their result from that solve. The check costs no right-hand side
-        beyond the operator's own, only the other half pass on those columns.
+        The operator's first pass checks it: with ``gate`` set, ``half``
+        hands the full KKT solution of the pass's first
+        ``min(NORM_PROBES, r)`` columns to one ``KktOperator.solve``, which
+        gates it against ``KKT_TOL`` and records its ``SolverStats``. The
+        check costs no right-hand side beyond the operator's own, only the
+        other half pass on those columns. A block that fits in one chunk
+        takes one pass. A wider block takes its check columns as a pass of
+        their own, then chunks from there: a BLAS product can round a column
+        differently at another pass width (advection-diffusion's L_ztheta
+        and W^T products do), and this layout keeps each column's bits.
         """
+        gate = not self.kkt.solve_stats
         if v.ndim == 1:
-            return half(v) if self.kkt.solve_stats else check(v)
-        out = np.empty((n_out, v.shape[1]))
-        first = 0 if self.kkt.solve_stats else min(NORM_PROBES, v.shape[1])
-        if first:
-            out[:, :first] = check(v[:, :first])
+            return half(v, gate)
+        r = v.shape[1]
         width = block_width(self.kkt.dim)
-        for start in range(first, v.shape[1], width):
-            out[:, start : start + width] = half(v[:, start : start + width])
+        out = np.empty((n_out, r))
+        start, stop = 0, min(NORM_PROBES, r) if gate and r > width else width
+        while start < r:
+            out[:, start:stop] = half(v[:, start:stop], gate and start == 0)
+            start, stop = stop, stop + width
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """D phi = P K^{-1} B phi: the forward half, one state solve per column."""
         check_operand(phi, self.n_theta, "sensitivity operator")
-        return self._by_chunks(
-            phi,
-            self.n_z,
-            lambda c: self.kkt.solve_z(self.b.apply(c))[1],
-            lambda c: self.kkt.split(self.kkt.solve(self.b.apply(c))[0])[1],
-        )
+        kkt = self.kkt
+
+        def half(c, gate):
+            rhs = self.b.apply(c)
+            s, dz = kkt.solve_z(rhs)
+            if gate:
+                i = _checked(c)
+                kkt.solve(rhs[i], kkt._backward(kkt.split(rhs[i])[0], s[i], dz[i]))
+            return dz
+
+        return self._by_chunks(phi, self.n_z, half)
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
         """Euclidean transpose D^T w = B^T K^{-1} P^T w: the backward half, one
         adjoint solve per column."""
         check_operand(w, self.n_z, "sensitivity transpose")
+        kkt = self.kkt
 
-        def check(c):
-            rhs = np.zeros((self.kkt.dim,) + c.shape[1:])
-            self.kkt.split(rhs)[1][...] = c
-            return self.b.apply_adjoint(self.kkt.solve(rhs)[0])
+        def half(c, gate):
+            x = kkt.solve_from_z(c)
+            if gate:
+                i = _checked(c)
+                rhs = np.zeros((kkt.dim,) + c[i].shape[1:])
+                kkt.split(rhs)[1][...] = c[i]
+                kkt.solve(rhs, x[i])
+            return self.b.apply_adjoint(x)
 
-        return self._by_chunks(
-            w,
-            self.n_theta,
-            lambda c: self.b.apply_adjoint(self.kkt.solve_from_z(c)),
-            check,
-        )
+        return self._by_chunks(w, self.n_theta, half)
 
     def dense(self) -> np.ndarray:
         """Coordinate matrix of D: the operator applied to the identity block,
@@ -350,6 +379,12 @@ class SensitivityOperator:
             self._dense = self.apply(np.eye(self.n_theta))
             self._dense.setflags(write=False)
         return self._dense
+
+
+def _checked(c: np.ndarray):
+    """Index of the columns of a pass that check its operator: all of a
+    vector, the first ``NORM_PROBES`` of a block."""
+    return np.s_[:, :NORM_PROBES] if c.ndim == 2 else np.s_[:]
 
 
 class ProjectedSensitivityOperator:

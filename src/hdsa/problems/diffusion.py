@@ -66,6 +66,9 @@ class DiffusionControlProblem(ProblemDefinition):
         self.target = evaluate_preset(target, self.x_interior, "target")
 
         partition = SetPartition((("kappa", 0, n_param),))
+        # (theta's bytes, (kappa, band of A)) of the last theta, one attribute
+        # so that a reader never pairs one theta's key with another's values
+        self._at_theta = (None, None)
         self._spaces = WeightedSpaces(
             m_theta=SpdOperator(mass_matrix(n_param)),
             m_z=SpdOperator(self._mass),
@@ -82,13 +85,29 @@ class DiffusionControlProblem(ProblemDefinition):
 
     # Coefficient handling -------------------------------------------------
 
-    def _kappa_mid(self, theta: np.ndarray) -> np.ndarray:
+    def _coefficients(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """kappa(theta) at the element midpoints and the band of A(theta) as
+        ``solve_tridiagonal`` takes it, read-only and kept for the last
+        theta: a sample's solves, residuals and c_u applies all read them at
+        one theta. A theta where kappa is not positive raises ProblemError
+        on every call and is never kept."""
+        key = np.asarray(theta, dtype=float).tobytes()
+        cached_key, coeffs = self._at_theta
+        if key == cached_key:
+            return coeffs
         kappa = self.kappa0 * (1.0 + self._phi_mid @ (self.amplitude * theta))
         if np.min(kappa) <= 0.0:
             raise ProblemError(
                 "diffusion coefficient is non-positive on the grid (ellipticity lost)"
             )
-        return kappa
+        ab = np.zeros((3, self.n_state))
+        ab[1] = (kappa[:-1] + kappa[1:]) / self.h
+        ab[0, 1:] = -kappa[1:-1] / self.h
+        ab[2, :-1] = -kappa[1:-1] / self.h
+        kappa.flags.writeable = False
+        ab.flags.writeable = False
+        self._at_theta = (key, (kappa, ab))
+        return kappa, ab
 
     @staticmethod
     def _jumps(u: np.ndarray) -> np.ndarray:
@@ -124,22 +143,12 @@ class DiffusionControlProblem(ProblemDefinition):
         out[1:] += off * v[:-1]
         return out
 
-    def _banded_stiffness(self, theta: np.ndarray) -> np.ndarray:
-        kappa = self._kappa_mid(theta)
-        ab = np.zeros((3, self.n_state))
-        ab[1] = (kappa[:-1] + kappa[1:]) / self.h
-        ab[0, 1:] = -kappa[1:-1] / self.h
-        ab[2, :-1] = -kappa[1:-1] / self.h
-        return ab
-
     def stiffness_dense(self, theta: np.ndarray) -> np.ndarray:
-        kappa = self._kappa_mid(theta)
-        n = self.n_state
-        a = np.zeros((n, n))
-        idx = np.arange(n)
-        a[idx, idx] = (kappa[:-1] + kappa[1:]) / self.h
-        a[idx[:-1], idx[:-1] + 1] = -kappa[1:-1] / self.h
-        a[idx[:-1] + 1, idx[:-1]] = -kappa[1:-1] / self.h
+        ab = self._coefficients(theta)[1]
+        idx = np.arange(self.n_state - 1)
+        a = np.diag(ab[1])
+        a[idx, idx + 1] = ab[0, 1:]
+        a[idx + 1, idx] = ab[2, :-1]
         return a
 
     def mass_dense(self) -> np.ndarray:
@@ -154,13 +163,13 @@ class DiffusionControlProblem(ProblemDefinition):
         )
 
     def residual(self, u, z, theta) -> np.ndarray:
-        return self._apply_stiffness(self._kappa_mid(theta), u) - self._apply_mass(z)
+        return self._apply_stiffness(self._coefficients(theta)[0], u) - self._apply_mass(z)
 
     def residual_term_sizes(self, u, z, theta) -> np.ndarray:
         # element e couples its two nodes with weight kappa_e / h in A(theta)
         nodes = np.zeros(self.n_state + 2)
         nodes[1:-1] = np.abs(u)
-        elem = self._kappa_mid(theta) * (nodes[:-1] + nodes[1:]) / self.h
+        elem = self._coefficients(theta)[0] * (nodes[:-1] + nodes[1:]) / self.h
         return elem[:-1] + elem[1:] + self._apply_mass(np.abs(z))
 
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
@@ -173,7 +182,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return np.zeros(self.n_param)
 
     def c_u(self, p, v) -> np.ndarray:
-        return self._apply_stiffness(self._kappa_mid(p.theta), v)
+        return self._apply_stiffness(self._coefficients(p.theta)[0], v)
 
     def c_u_adj(self, p, w) -> np.ndarray:
         return self.c_u(p, w)  # stiffness is symmetric
@@ -216,8 +225,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return np.zeros((self.n_param,) + w.shape[1:])
 
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
-        ab = self._banded_stiffness(p.theta)
-        return solve_tridiagonal(ab, rhs)
+        return solve_tridiagonal(self._coefficients(p.theta)[1], rhs)
 
     def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
         return self.state_jacobian_solve(p, rhs)

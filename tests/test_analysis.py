@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hdsa.analysis import (
 )
 from hdsa.cli import EXIT_OK, main
 from hdsa.config import load_config, parse_config
+from hdsa.linalg import SpdOperator
 from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
@@ -97,6 +99,15 @@ class TestGlobalAnalysis:
         cfg = RandEigConfig(k_pairs=1, oversampling=2, seed=0, n_samples=n_samples)
         with pytest.raises(TypeError, match="broken residual"):
             global_analysis(problem, logistic_plan(), cfg)
+
+    def test_shape_error_propagates(self):
+        # an M_Z of the wrong size is a bug in the problem, not a failed sample
+        problem = build_diffusion_control_1d(n_state=16, n_param=4)
+        problem._spaces = replace(problem.spaces, m_z=SpdOperator(np.eye(15)))
+        plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 4)
+        cfg = RandEigConfig(k_pairs=2, oversampling=2, seed=0, n_samples=2)
+        with pytest.raises(ValueError, match=r"expects shape \(15,\)"):
+            global_analysis(problem, plan, cfg)
 
     def test_analyze_sample_fields(self):
         problem = build_logistic_toy()

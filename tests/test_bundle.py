@@ -3,11 +3,13 @@
 import csv
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hdsa.analysis import global_analysis
-from hdsa.bundle import CSV_FILES, read_bundle, write_bundle
+from hdsa.bundle import CSV_FILES, _write_table, read_bundle, write_bundle
 from hdsa.config import parse_config
 
 
@@ -91,3 +93,46 @@ def test_manifest_lists_every_file(bundle):
     out, _ = bundle
     manifest, _ = read_bundle(out)
     assert manifest["files"] == list(CSV_FILES + ("report.json",))
+
+
+def _reference_text(header: str, tables: list[tuple[int, object]]) -> str:
+    """The table as one f-string ``.17g`` per value, in index order."""
+    lines = [header]
+    for j, table in tables:
+        if isinstance(table, dict):
+            rows = table.items()
+        else:
+            a = np.asarray(table, dtype=float)
+            if a.ndim == 1:
+                rows = enumerate(a.tolist())
+            else:
+                rows = (
+                    (f"{k},{i}", v) for k, row in enumerate(a.tolist()) for i, v in enumerate(row)
+                )
+        lines += [f"{j},{idx},{v:.17g}" for idx, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0**53 + 2, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        [],
+        [(0, np.array(EDGE_VALUES)), (7, np.array(EDGE_VALUES[::-1]))],
+        [(0, np.arange(6.0).reshape(2, 3).T), (1, -np.arange(6.0).reshape(3, 2) / 7.0)],
+        # a K x n table whose K differs by sample, and an empty one
+        [(0, np.array(EDGE_VALUES).reshape(2, 5)), (1, np.ones((1, 5))), (2, np.zeros((0, 5)))],
+        [(3, np.zeros(0)), (4, np.array([-0.0]))],
+        [(0, {"kappa": 0.25, "rest": -0.0}), (2, {"kappa": 5e-324, "rest": 1e308})],
+    ],
+    ids=["no samples", "1-D", "K x n", "K by sample", "empty", "dict"],
+)
+def test_writer_matches_per_value_formatting(tmp_path, tables):
+    report = SimpleNamespace(
+        samples=[SimpleNamespace(sample_index=j, table=t) for j, t in tables]
+    )
+    path = tmp_path / "table.csv"
+    _write_table(path, "j,k,i,value", lambda s: s.table, report)
+    assert path.read_bytes() == _reference_text("j,k,i,value", tables).encode()

@@ -362,6 +362,19 @@ class TestDense:
         with pytest.raises(LinalgError):
             dense_cholesky(np.diag([1.0, -1.0]))
 
+    def test_shape_errors_are_value_errors(self):
+        # a wrong shape is a programming error; LinalgError, which the
+        # sweep records as a failed sample, is for numerical failures
+        m = SpdOperator(random_spd(6, seed=19))
+        for call in (
+            lambda: SpdOperator(np.ones((6, 5))),
+            lambda: m.apply(np.ones(5)),
+            lambda: m.solve(np.ones((6, 2, 1))),
+            lambda: b_orthonormalize(np.ones((5, 2)), m),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
     def test_spd_operator_apply_runs_through_matmul(self, monkeypatch):
         m = random_spd(30, seed=17)
         calls = []

@@ -246,6 +246,27 @@ class TestKktOperator:
         op.solve(rhs[:, 0])
         assert shapes == [(op.dim, 3 + NORM_PROBES), (op.dim,)]
 
+    def test_norm_probes_drawn_once_per_dimension(self, kkt_points, monkeypatch):
+        """Psi is the KKT_NORM_STREAM draw, read-only, and one array for
+        every operator of a stacked dimension."""
+        draws = []
+        rng_for = operators.rng_for
+        monkeypatch.setattr(
+            operators, "rng_for", lambda *key: draws.append(key) or rng_for(*key)
+        )
+        operators._norm_probes.cache_clear()
+        ops = [KktOperator(*kkt_points[name]) for name in ("diffusion", "diffusion", "advdiff")]
+        for op in ops:
+            op.solve(np.ones(op.dim))
+        assert draws == [(0, operators.KKT_NORM_STREAM)] * 2
+        psi = operators._norm_probes(ops[0].dim)
+        assert operators._norm_probes(ops[1].dim) is psi
+        np.testing.assert_array_equal(
+            psi, rng_for(0, operators.KKT_NORM_STREAM).standard_normal((ops[0].dim, NORM_PROBES))
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0, 0] = 1.0
+
     def test_solve_residual_small(self, diffusion_point):
         problem, point = diffusion_point
         op = KktOperator(problem, point)
@@ -447,6 +468,58 @@ class TestOperatorCheck:
         for got, ref in ((d[:, :NORM_PROBES], d_half), (dt[:, :NORM_PROBES], dt_half)):
             ref = ref[:, :NORM_PROBES]
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_first_block_in_one_pass(self, check_points, monkeypatch):
+        """D of the quick start fits in one pass: one B apply and one forward
+        half over all 16 columns, its first columns gated by one solve, and
+        the result equal, bit for bit, to a full solve of the check columns
+        plus a half pass of the others."""
+        problem, _, opt = check_points["quick start"]
+
+        def sensitivity(factor=opt.hessian_factor):
+            return SensitivityOperator(
+                problem, opt.as_eval_point(), opt.state_sensitivity, factor
+            )
+
+        ref = sensitivity()
+        e = np.eye(ref.n_theta)
+        checked = ref.kkt.solve(ref.b.apply(e[:, :NORM_PROBES]))[0]
+        two_pass = np.column_stack(
+            [ref.kkt.split(checked)[1], ref.kkt.solve_z(ref.b.apply(e[:, NORM_PROBES:]))[1]]
+        )
+        sens = sensitivity()
+        widths = []
+        solve_z = sens.kkt.solve_z
+        monkeypatch.setattr(
+            sens.kkt, "solve_z", lambda rhs: widths.append(rhs.shape[1]) or solve_z(rhs)
+        )
+        d = sens.dense()
+        assert widths == [sens.n_theta]
+        np.testing.assert_array_equal(d, two_pass)
+        assert len(sens.kkt.solve_stats) == 1
+        assert sens.kkt.solve_stats[0].backward_error == ref.kkt.solve_stats[0].backward_error
+        assert sens.kkt.work() == ref.kkt.work() == (1, sens.n_theta)
+        with pytest.raises(SolveError, match="backward error"):
+            sensitivity(_scaled_factor(opt.hessian_factor, 2.0)).dense()
+
+    def test_wide_first_block_checks_its_own_pass(self, check_points, monkeypatch):
+        """A first block wider than one pass takes its check columns as a
+        pass of their own and chunks from there; later blocks chunk from 0."""
+        problem, _, opt = check_points["quick start"]
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 6 * 8 * sens.kkt.dim)
+        widths = []
+        solve_z = sens.kkt.solve_z
+        monkeypatch.setattr(
+            sens.kkt, "solve_z", lambda rhs: widths.append(rhs.shape[1]) or solve_z(rhs)
+        )
+        e = np.eye(sens.n_theta)
+        sens.apply(e)
+        sens.apply(e)
+        assert widths == [4, 6, 6, 6, 6, 4]
+        assert sens.kkt.work() == (1, 2 * sens.n_theta)
 
     def test_check_runs_once(self, check_points):
         problem, _, opt = check_points["quick start"]

@@ -138,6 +138,50 @@ class TestDiffusion:
         with pytest.raises(ProblemError):
             p.residual(np.zeros(24), np.zeros(24), -3.0 * np.ones(6))
 
+    def test_coefficients_kept_for_the_last_theta(self):
+        """Solves, residuals and c_u applies at theta_1, at theta_2 and at
+        theta_1 again are a fresh problem's at theta_1, bit for bit."""
+        p = build_diffusion_control_1d(n_state=24, n_param=6)
+        point = random_point(p, seed=9)
+        rhs = np.random.default_rng(10).standard_normal((24, 3))
+
+        def evaluations(prob, theta):
+            pt = EvalPoint(point.u, point.z, point.lam, theta)
+            return [
+                prob.state_jacobian_solve(pt, rhs),
+                prob.state_jacobian_adjoint_solve(pt, rhs[:, 0]),
+                prob.c_u(pt, rhs),
+                prob.residual(point.u, point.z, theta),
+                prob.residual_term_sizes(point.u, point.z, theta),
+                prob.stiffness_dense(theta),
+            ]
+
+        first = evaluations(p, point.theta)
+        evaluations(p, point.theta + 0.1)
+        again = evaluations(p, point.theta)
+        fresh = evaluations(build_diffusion_control_1d(n_state=24, n_param=6), point.theta)
+        for a, b, c in zip(first, again, fresh):
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
+        kappa, band = p._coefficients(point.theta)
+        assert p._coefficients(point.theta.copy())[1] is band
+        for values in (kappa, band):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+    def test_ellipticity_guard_holds_on_every_call(self):
+        p = build_diffusion_control_1d(n_state=24, n_param=6, amplitude=0.5)
+        bad = -3.0 * np.ones(6)
+        pt = EvalPoint(np.zeros(24), np.zeros(24), np.zeros(24), bad)
+        for _ in range(2):
+            with pytest.raises(ProblemError, match="non-positive"):
+                p.state_jacobian_solve(pt, np.ones(24))
+            with pytest.raises(ProblemError, match="non-positive"):
+                p.residual(pt.u, pt.z, bad)
+        p.residual(pt.u, pt.z, np.zeros(6))
+        with pytest.raises(ProblemError, match="non-positive"):
+            p.c_u(pt, np.ones(24))
+
     def test_per_parameter_amplitude(self):
         amp = [0.3, 0.2, 0.1, 0.05]
         p = build_diffusion_control_1d(n_state=16, n_param=4, amplitude=amp)
