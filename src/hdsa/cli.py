@@ -136,12 +136,18 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         checks.append(("alternative formulation", False, "no eigenpairs"))
     else:
         ref = oracle.sigma[:ka] ** 2
-        rel = float(np.max(np.abs(alt.sigma[:ka] ** 2 - ref) / np.maximum(ref, 1e-30)))
+        err = np.abs(alt.sigma[:ka] ** 2 - ref)
+        rel = float(np.max(err / np.maximum(ref, 1e-30)))
+        # by Weyl's bound a Gram eigenvalue carries an absolute error of
+        # about eps alpha_1, which pairs below sigma_k / sigma_1 ~ 1e-5
+        # cannot meet at 1e-6 relative
+        floor = problem.dims.n_theta * np.finfo(float).eps * float(ref[0])
         checks.append(
             (
                 "alternative formulation",
-                rel <= 1e-6,
-                f"max relative eigenvalue error {rel:.3e} over {ka} pairs",
+                bool(np.all(err <= 1e-6 * ref + floor)),
+                f"max relative eigenvalue error {rel:.3e} over {ka} pairs "
+                f"(gate 1e-6 alpha_k + n_theta eps alpha_1 = {floor:.3e})",
             )
         )
 
@@ -159,7 +165,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         )
     )
 
-    checks.append(_perturbation_sweep(problem, optimal, sens))
+    checks.append(_perturbation_sweep(problem, optimal, sens, oracle.theta[:, 0]))
 
     gamma = cfg.problem_params.get("gamma")
     if cfg.problem_name == "diffusion_control_1d" and gamma == 0.0:
@@ -194,13 +200,17 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
 
 def _perturbation_sweep(
-    problem: ProblemDefinition, optimal: OptimalPoint, sens: SensitivityOperator
+    problem: ProblemDefinition,
+    optimal: OptimalPoint,
+    sens: SensitivityOperator,
+    phi: np.ndarray,
 ) -> tuple[str, bool, str]:
-    """The perturbation-sweep row: ratios along the first coordinate
-    direction at each of PERTURBATION_DELTAS, each moved optimum re-solved by
-    chord steps with the KKT operator of ``sens``."""
-    phi = np.zeros(problem.dims.n_theta)
-    phi[0] = 1.0
+    """The perturbation-sweep row: ratios along ``phi`` at each of
+    PERTURBATION_DELTAS, each moved optimum re-solved by chord steps with the
+    KKT operator of ``sens``. Verify passes the leading right singular vector
+    theta_1, the direction that moves the optimum most (||D theta_1|| =
+    sigma_1); along a direction D maps to zero the chord steps cannot meet a
+    stop relative to a zero move."""
     try:
         ratios = [
             perturbation_check(problem, optimal, phi, delta, sens=sens).ratio

@@ -44,7 +44,9 @@ class RandEigConfig:
     seed: int = 0
     n_samples: int = 1
     # extra passes through D* D to sharpen the sampled range; each pass costs
-    # two more KKT right-hand sides per probe
+    # two more KKT right-hand sides per probe. Taken only where the r = min(K
+    # + p, n_theta) probes sample fewer directions than n_theta: at r =
+    # n_theta the sketch already spans range(D) and a pass cannot change it
     power_iterations: int = 2
     set_index_mode: str = "truncated"  # "truncated" | "direct"
 
@@ -172,11 +174,22 @@ def _residuals(
     return np.maximum(r_z, r_theta) / t.sigma
 
 
+def _power_passes(cfg: RandEigConfig, n_theta: int) -> int:
+    """``cfg.power_iterations`` where the r = min(K + p, n_theta) probes
+    sample fewer directions than n_theta, 0 where they span the parameter
+    space (Halko, Martinsson and Tropp 2011 iterate only for r below the
+    rank, Alg. 4.3-4.4)."""
+    return cfg.power_iterations if cfg.n_probes < n_theta else 0
+
+
 def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
     """KKT right-hand sides of ``randomized_geneig`` when K triples come out
     and no probe drops: D or D^T applied 2 + 2q times to r = min(K + p,
-    n_theta) columns, and D once more to the K triples for their residuals."""
-    return (2 + 2 * cfg.power_iterations) * min(cfg.n_probes, n_theta) + cfg.k_pairs
+    n_theta) columns, and D once more to the K triples for their residuals.
+    q is ``cfg.power_iterations`` where r < n_theta and 0 where r = n_theta,
+    so a complete sketch costs 2 n_theta + K."""
+    q = _power_passes(cfg, n_theta)
+    return (2 + 2 * q) * min(cfg.n_probes, n_theta) + cfg.k_pairs
 
 
 def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
@@ -199,9 +212,11 @@ def randomized_geneig(
 
     Samples Y = D Omega with r = min(K + p, n_theta) standard-normal probes
     keyed by (seed, *key, probe index), ``key = (PROBE_STREAM, sample_index)``
-    unless given, so results do not depend on scheduling. Each of q power
-    passes M_Z-orthonormalizes Y, applies D*, M_Theta-orthonormalizes and
-    applies D. With Q = M_Z-orth(Y) and B^T = D^T M_Z Q, the SVD of
+    unless given, so results do not depend on scheduling. Where r < n_theta,
+    each of q power passes M_Z-orthonormalizes Y, applies D*,
+    M_Theta-orthonormalizes and applies D. Where r = n_theta the probes span
+    the parameter space, Y spans range(D) already, and no pass is taken.
+    With Q = M_Z-orth(Y) and B^T = D^T M_Z Q, the SVD of
     B R_Theta^{-1} gives z_k = Q u_k and theta_k = R_Theta^{-1} v_k (Halko,
     Martinsson and Tropp 2011, Alg. 4.4 + 5.1; Saibaba, Hart and van Bloemen
     Waanders 2021). Columns that drop for rank cost no further solve. Fewer
@@ -215,7 +230,7 @@ def randomized_geneig(
     omega = [probe_vector(cfg.seed, key, i, d.n_theta) for i in range(r)]
     y = d.apply(np.column_stack(omega))
     dropped = 0
-    for _ in range(cfg.power_iterations):
+    for _ in range(_power_passes(cfg, d.n_theta)):
         q, ndrop_z = b_orthonormalize(y, m_z)
         w, ndrop_th = b_orthonormalize(
             m_theta.solve(d.apply_transpose(m_z.apply(q))), m_theta
@@ -307,9 +322,16 @@ def alternative_formulation(
 ) -> tuple[Triples, GenEigDiagnostics]:
     """Randomized solve of D^T M_Z D theta = alpha M_Theta theta.
 
-    The returned eigenvalues are the squares of the primary formulation's
-    singular values; sigma = sqrt(alpha). Left vectors are recovered with one
-    more block application of the sensitivity operator: z_k = D theta_k / sigma_k.
+    Where r = min(K + p, n_theta) < n_theta, the basis is the
+    M_Theta-orthonormalized sketch M_Theta^{-1} D^T M_Z D Omega after q power
+    passes. Where r = n_theta, it is the M_Theta-orthonormalized probes
+    Omega themselves, which span the parameter space: no sketch and no pass,
+    and Rayleigh-Ritz on the whole space. The returned eigenvalues are the
+    squares of the primary formulation's singular values; sigma =
+    sqrt(alpha). Left vectors are recovered with one more block application
+    of the sensitivity operator: z_k = D theta_k / sigma_k. Without drops it
+    costs (4 + 2q) r + K KKT right-hand sides where r < n_theta, and
+    2 n_theta + K where r = n_theta.
     """
     n_theta = d.n_theta
     r = min(cfg.n_probes, n_theta)
@@ -321,12 +343,13 @@ def alternative_formulation(
 
     key = (SQUARED_PROBE_STREAM, sample_index)
     y = np.column_stack([probe_vector(cfg.seed, key, i, n_theta) for i in range(r)])
-    y = m_theta.solve(apply_a2(y))
     dropped = 0
-    for _ in range(cfg.power_iterations):
-        y, ndrop = b_orthonormalize(y, m_theta)
-        dropped += ndrop
+    if r < n_theta:
         y = m_theta.solve(apply_a2(y))
+        for _ in range(cfg.power_iterations):
+            y, ndrop = b_orthonormalize(y, m_theta)
+            dropped += ndrop
+            y = m_theta.solve(apply_a2(y))
     q, ndrop = b_orthonormalize(y, m_theta)
     dropped += ndrop
 

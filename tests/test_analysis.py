@@ -27,7 +27,13 @@ from hdsa.problems import (
     build_diffusion_control_1d,
     build_logistic_toy,
 )
-from hdsa.randeig import RandEigConfig, dense_oracle, randomized_geneig, randomized_rhs
+from hdsa.randeig import (
+    RandEigConfig,
+    alternative_formulation,
+    dense_oracle,
+    randomized_geneig,
+    randomized_rhs,
+)
 from hdsa.sampling import THETA_STREAM, Distribution, InitialIterate, SamplingPlan, rng_for
 
 
@@ -353,7 +359,8 @@ def size_rule_operators():
 
 class TestSvdPath:
     """D is assembled where its n_theta columns cost no more KKT right-hand
-    sides than the randomized solve's (2 + 2q) min(K + p, n_theta) + K."""
+    sides than the randomized solve's (2 + 2q) r + K, r = min(K + p,
+    n_theta), with q = 0 where r = n_theta."""
 
     def test_quick_start_defaults_assemble_d(self):
         # 16 columns of D against 6 * 12 + 4 = 76 for the randomized solve;
@@ -393,7 +400,7 @@ class TestSvdPath:
             ("quick start", 4, 8, 0),
             ("quick start", 3, 2, 3),
             ("quick start", 1, 0, 0),
-            ("quick start", 12, 8, 1),  # n_theta < K + p: 16 probes
+            ("quick start", 12, 8, 1),  # n_theta < K + p: 16 probes, no pass
             ("quick start", 4, 20, 2),
             ("n_theta 32", 4, 8, 0),  # 28 sampled columns: the randomized path
             ("n_theta 32", 4, 8, 2),
@@ -408,6 +415,14 @@ class TestSvdPath:
         assert len(triples) == k and diag.n_dropped == 0
         # the operator's check runs on its own first columns, so it adds none
         assert diag.kkt_rhs == randomized_rhs(cfg, sens.n_theta)
+        # power passes only where the probes sample part of the parameter
+        # space; there the squared formulation's sketch D* D Omega costs 2r more
+        r = min(k + p, sens.n_theta)
+        sketch = r < sens.n_theta
+        assert diag.kkt_rhs == (2 + 2 * (q if sketch else 0)) * r + k
+        alt, alt_diag = alternative_formulation(sens, problem.spaces, cfg)
+        assert len(alt) == k and alt_diag.n_dropped == 0
+        assert alt_diag.kkt_rhs == diag.kkt_rhs + (2 * r if sketch else 0)
         path = "exact" if sens.n_theta <= diag.kkt_rhs else "randomized"
         assert svd_path(cfg, sens.n_z, sens.n_theta) == path
 

@@ -19,6 +19,7 @@ from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import build_diffusion_control_1d
 from hdsa.problems.logistic import LogisticToyProblem
+from hdsa.randeig import dense_oracle
 from hdsa.sampling import Distribution, SamplingPlan
 
 
@@ -328,10 +329,11 @@ class TestVerifyCommand:
         sens = SensitivityOperator(
             problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
         )
-        assert _perturbation_sweep(problem, opt, sens)[1]
+        phi = dense_oracle(sens, problem.spaces).theta[:, 0]
+        assert _perturbation_sweep(problem, opt, sens, phi)[1]
         c, lower = opt.hessian_factor
         sens.kkt._factor = (np.sqrt(scale) * c, lower)
-        name, ok, text = _perturbation_sweep(problem, opt, sens)
+        name, ok, text = _perturbation_sweep(problem, opt, sens, phi)
         assert name == "perturbation sweep" and not ok
         assert text.startswith(detail)
 
@@ -352,6 +354,56 @@ class TestVerifyCommand:
         failed = [row for row in rows if row.startswith("FAIL")]
         assert len(failed) == 1 and failed[0].split("  ")[1] == "perturbation sweep"
         assert "re-solve failed: chord re-solve did not converge" in failed[0]
+
+    @staticmethod
+    def rows(tmp_path, problem, hdsa=None):
+        cfg = parse_config({
+            "problem": problem, "hdsa": hdsa or {}, "output_dir": str(tmp_path / "out")
+        })
+        return {name: (ok, detail) for name, ok, detail in _verify_checks(cfg)}
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"name": "diffusion_control_1d",
+             "params": {"n_state": 64, "n_param": 16, "amplitude": [0.0] + [0.2] * 15}},
+            {"name": "advdiff_inversion_1d", "params": {"diff_amplitude": 0.0}},
+        ],
+        ids=["diffusion", "advdiff"],
+    )
+    def test_sweep_moves_along_a_direction_that_moves_the_optimum(
+        self, tmp_path, problem
+    ):
+        """theta_0 moves no optimum here: along e_0 the chord steps met no
+        stop relative to a zero move. The sweep follows theta_1."""
+        ok, detail = self.rows(tmp_path, problem)["perturbation sweep"]
+        assert ok and detail.startswith("ratios "), detail
+
+    def test_alternative_row_gates_against_the_gram_floor(self, tmp_path):
+        """16 pairs down to sigma_16 / sigma_1 = 10^-7.5: the smallest Gram
+        eigenvalues miss 1e-6 relative by rounding alone, inside the floor."""
+        problem = {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 64, "n_param": 16, "gamma": 0.01,
+                       "amplitude": [10 ** (-k / 2) for k in range(16)]},
+        }
+        rows = self.rows(tmp_path, problem, {"k_pairs": 16, "seed": 0})
+        ok, detail = rows["alternative formulation"]
+        assert ok and "(gate 1e-6 alpha_k + n_theta eps alpha_1 = " in detail, detail
+        assert float(detail.split("error ")[1].split()[0]) > 1e-6
+
+    def test_alternative_row_rejects_a_scaled_operator(self, tmp_path, monkeypatch):
+        """D off by 1e-5 moves every eigenvalue by 1e-5 relative, far above
+        the floor on the leading pairs."""
+        apply = SensitivityOperator.apply
+        monkeypatch.setattr(
+            SensitivityOperator, "apply", lambda self, phi: (1 + 1e-5) * apply(self, phi)
+        )
+        problem = {"name": "diffusion_control_1d",
+                   "params": {"n_state": 64, "n_param": 16, "gamma": 0.01}}
+        for k_pairs in (4, 12):  # r < n_theta, and the complete sketch
+            rows = self.rows(tmp_path, problem, {"k_pairs": k_pairs})
+            assert not rows["alternative formulation"][0], k_pairs
 
     def test_gamma_zero_linearity_row_passes(self, tmp_path):
         # with gamma = 0 the optimum is affine in theta, so sigma must not

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -250,6 +252,51 @@ def exact_case(request):
     _, build, k = request.param
     problem = build()
     return problem, sample_operator(problem), RandEigConfig(k_pairs=k, seed=0)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("quick start", lambda: build_diffusion_control_1d(
+            n_state=64, n_param=16, gamma=0.01)),
+        ("advdiff", build_advdiff_inversion_1d),
+    ],
+    ids=lambda p: p[0],
+)
+def complete_case(request):
+    """K + p = 20 probes on n_theta = 16 parameters."""
+    _, build = request.param
+    problem = build()
+    return problem, sample_operator(problem), RandEigConfig(k_pairs=12, seed=0)
+
+
+@pytest.mark.parametrize("solver", [randomized_geneig, alternative_formulation])
+class TestCompleteSketch:
+    """Where r = min(K + p, n_theta) = n_theta the probes span the parameter
+    space: both solvers take no power pass."""
+
+    def test_power_passes_change_nothing(self, complete_case, solver):
+        # a fresh operator for each solve: the first pass through an operator
+        # checks its first columns in a narrower block, which can move the
+        # last bits of a column on advection-diffusion
+        problem, _, cfg = complete_case
+        t0, _ = solver(
+            sample_operator(problem), problem.spaces, replace(cfg, power_iterations=0)
+        )
+        t3, _ = solver(
+            sample_operator(problem), problem.spaces, replace(cfg, power_iterations=3)
+        )
+        assert np.array_equal(t0.sigma, t3.sigma)
+        assert np.array_equal(t0.theta, t3.theta)
+        assert np.array_equal(t0.z, t3.z)
+
+    def test_two_passes_of_the_probes_and_the_residuals(self, complete_case, solver):
+        problem, sens, cfg = complete_case
+        triples, diag = solver(sens, problem.spaces, cfg)
+        assert len(triples) == 12 and diag.n_dropped == 0
+        assert diag.kkt_rhs == 2 * sens.n_theta + cfg.k_pairs == 44
+        oracle = dense_oracle(sens, problem.spaces)
+        np.testing.assert_allclose(triples.sigma, oracle.sigma[:12], rtol=1e-10)
 
 
 class TestExactTriples:
