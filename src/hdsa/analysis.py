@@ -7,6 +7,7 @@ perturbation-ratio and fixed-z comparison diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,16 +171,17 @@ def perturbation_check(
     problem: ProblemDefinition,
     point: OptimalPoint,
     phi: np.ndarray,
-    delta: float,
+    deltas: Sequence[float],
     sens: SensitivityOperator,
-) -> PerturbationCheck:
-    """Empirical first-order check: the change of the optimal z from theta0
-    to theta0 + delta*phi (phi scaled to unit M_Theta-norm) against the
-    linear prediction delta * ||D phi||_Z.
+) -> list[PerturbationCheck]:
+    """Empirical first-order check at each of ``deltas``: the change of the
+    optimal z from theta0 to theta0 + delta*phi (phi scaled to unit
+    M_Theta-norm) against the linear prediction delta * ||D phi||_Z.
 
-    The moved optimum comes from chord steps on the first-order conditions
+    D phi is formed once, and not at all when every delta is 0. The moved
+    optima come from one block of chord steps on the first-order conditions
     with the KKT operator of ``sens`` (``KktOperator.stationary_point``), so
-    it costs no W, reduced Hessian or factorization at the moved theta. The
+    they cost no W, reduced Hessian or factorization at a moved theta. The
     second-order condition is certified at the base point only. A re-solve
     that does not converge raises OptimizerError.
     """
@@ -187,14 +189,23 @@ def perturbation_check(
     nrm = spaces.m_theta.norm(phi)
     if nrm == 0.0:
         raise ValueError("perturbation direction must be nonzero")
-    if delta == 0.0:
-        return PerturbationCheck(0.0, 0.0, 0.0, 1.0)
-    phi = phi / nrm
-    prediction = delta * spaces.m_z.norm(sens.apply(phi))
-    moved = sens.kkt.stationary_point(point.theta0 + delta * phi)
-    lhs = spaces.m_z.norm(moved.z - point.z0)
-    ratio = lhs / prediction if prediction > 0 else np.inf
-    return PerturbationCheck(delta, lhs, prediction, ratio)
+    moving = [d for d in deltas if d != 0.0]
+    if moving:
+        phi = phi / nrm
+        d_phi = spaces.m_z.norm(sens.apply(phi))
+        thetas = point.theta0[:, None] + np.multiply.outer(phi, moving)
+        moved = sens.kkt.stationary_point(thetas)
+        z = np.column_stack([q.z for q in moved])
+        changes = iter(spaces.m_z.norms(z - point.z0[:, None]))
+    checks = []
+    for delta in deltas:
+        if delta == 0.0:
+            checks.append(PerturbationCheck(0.0, 0.0, 0.0, 1.0))
+            continue
+        lhs, prediction = float(next(changes)), delta * d_phi
+        ratio = lhs / prediction if prediction > 0 else np.inf
+        checks.append(PerturbationCheck(delta, lhs, prediction, ratio))
+    return checks
 
 
 def traditional_comparison(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-# Verification gates: |ratio - 1| of the perturbation sweep at its smallest
-# delta, and the relative mismatch of <D phi, w> and <phi, D^T w>.
+# Verification gates: |r - 1| for the perturbation sweep's ratio r
+# extrapolated to delta = 0 from its two smallest deltas, and the relative
+# mismatch of <D phi, w> and <phi, D^T w>.
 PERTURBATION_TOL = 1e-3
 # |ratio - 1| at or below this counts as converged even where it grows as delta
 # shrinks: on a map affine in theta the re-solve's rounding gap is constant,
@@ -206,26 +208,28 @@ def _perturbation_sweep(
     phi: np.ndarray,
 ) -> tuple[str, bool, str]:
     """The perturbation-sweep row: ratios along ``phi`` at each of
-    PERTURBATION_DELTAS, each moved optimum re-solved by chord steps with the
-    KKT operator of ``sens``. Verify passes the leading right singular vector
-    theta_1, the direction that moves the optimum most (||D theta_1|| =
-    sigma_1); along a direction D maps to zero the chord steps cannot meet a
-    stop relative to a zero move."""
+    PERTURBATION_DELTAS, the moved optima re-solved as one block of chord
+    steps with the KKT operator of ``sens``. Verify passes the leading right
+    singular vector theta_1, the direction that moves the optimum most
+    (||D theta_1|| = sigma_1); along a direction D maps to zero the chord
+    steps cannot meet a stop relative to a zero move."""
     try:
-        ratios = [
-            perturbation_check(problem, optimal, phi, delta, sens=sens).ratio
-            for delta in PERTURBATION_DELTAS
-        ]
+        checks = perturbation_check(problem, optimal, phi, PERTURBATION_DELTAS, sens)
     except OptimizerError as exc:
         return "perturbation sweep", False, f"re-solve failed: {exc}"
+    ratios = [c.ratio for c in checks]
     errs = [abs(r - 1.0) for r in ratios]
-    # the ratio must approach 1 as delta shrinks and be there at the end;
-    # a wrong D gives a ratio that converges, but not to 1
+    # the ratio must approach 1 as delta shrinks, and its first-order limit
+    # from the last two deltas must be there; a wrong D gives a ratio that
+    # converges, but not to 1
+    (d2, d3), (r2, r3) = PERTURBATION_DELTAS[-2:], ratios[-2:]
+    limit = r3 + (r3 - r2) * d3 / (d2 - d3)
     ok = (
         all(e2 <= e1 + 1e-12 or e2 <= PERTURBATION_FLOOR for e1, e2 in zip(errs, errs[1:]))
-        and errs[-1] <= PERTURBATION_TOL
+        and abs(limit - 1.0) <= PERTURBATION_TOL
     )
-    return "perturbation sweep", ok, "ratios " + ", ".join(f"{r:.6f}" for r in ratios)
+    detail = "ratios " + ", ".join(f"{r:.6f}" for r in ratios)
+    return "perturbation sweep", ok, f"{detail}; limit {limit:.6f}"
 
 
 def cmd_verify(config_path: str) -> int:
@@ -266,7 +270,9 @@ def cmd_report(bundle_dir: str) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hdsa",
         description="Hyper-differential sensitivity analysis of optimization solutions",

@@ -213,7 +213,7 @@ class KktOperator:
         dl = p.state_jacobian_adjoint_solve(pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz))
         return np.concatenate([du, dz, dl])
 
-    def stationary_point(self, theta: np.ndarray) -> EvalPoint:
+    def stationary_point(self, theta: np.ndarray) -> EvalPoint | list[EvalPoint]:
         """The stationary point at a theta near the base point's, by chord
         (simplified Newton) steps x <- x - K^{-1} F(x; theta) from the base
         point on the KKT residual F = (grad_u L, grad_z L, c), with this K
@@ -221,36 +221,55 @@ class KktOperator:
         1995, ch. 5). A step is one elimination pass: one state and one
         adjoint solve, and no W, H or factorization at theta.
 
+        theta is a vector, which returns one point, or a block (n_theta, m),
+        which returns the point of each column. The columns still iterating
+        share each step's pass; a column leaves the block once the rule
+        stated at ``CHORD_TOL`` stops it, so the block takes as many passes
+        as its slowest column.
+
         F is evaluated exactly at theta, so the fixed point does not depend
         on K: a wrong K makes the steps contract slowly or diverge, not land
         on a wrong z. Contracting steps stay on the base point's branch of
         stationary points; nothing here certifies the second-order condition
-        at theta. The steps stop by the rule stated at ``CHORD_TOL``; a
-        non-finite residual or step, or ``CHORD_MAX_STEPS`` steps without
-        stopping, raise OptimizerError.
+        at theta. A non-finite residual or step in any column, or
+        ``CHORD_MAX_STEPS`` steps without every column stopping, raise
+        OptimizerError.
         """
-        p, z0, m_z = self.problem, self.point.z, self.problem.spaces.m_z
-        u, z, lam = self.point.u, z0, self.point.lam
-        last = np.inf
+        pt, m_z = self.point, self.problem.spaces.m_z
+        thetas = theta.reshape(theta.shape[0], -1)
+        m = thetas.shape[1]
+        # one column per theta, each contiguous for the evaluation of F
+        x = np.asfortranarray(np.repeat(np.concatenate([pt.u, pt.z, pt.lam])[:, None], m, 1))
+        live, last = np.arange(m), np.full(m, np.inf)
         for step in range(1, CHORD_MAX_STEPS + 1):
-            q = EvalPoint(u, z, lam, theta)
-            f = np.concatenate(
-                [p.lagrangian_grad_u(q), p.lagrangian_grad_z(q), p.residual(u, z, theta)]
-            )
+            f = np.column_stack([self._kkt_residual(x[:, j], thetas[:, j]) for j in live])
             if not np.isfinite(f).all():
                 raise OptimizerError(f"chord re-solve: non-finite KKT residual at step {step}")
             dx = self._backward(self.split(f)[0], *self.solve_z(f))
             if not np.isfinite(dx).all():
                 raise OptimizerError(f"chord re-solve: non-finite step {step}")
-            du, dz, dl = self.split(dx)
-            u, z, lam = u - du, z - dz, lam - dl
-            dz_norm, moved = m_z.norm(dz), m_z.norm(z - z0)
-            if dz_norm <= CHORD_TOL * moved or last <= dz_norm <= CHORD_FLOOR * moved:
-                return EvalPoint(u, z, lam, theta)
-            last = dz_norm
+            x[:, live] -= dx
+            dz_norm = m_z.norms(self.split(dx)[1])
+            moved = m_z.norms(self.split(x[:, live])[1] - pt.z[:, None])
+            stop = (dz_norm <= CHORD_TOL * moved) | (
+                (last <= dz_norm) & (dz_norm <= CHORD_FLOOR * moved)
+            )
+            live, last, moved = live[~stop], dz_norm[~stop], moved[~stop]
+            if not live.size:
+                points = [EvalPoint(*self.split(x[:, j]), thetas[:, j]) for j in range(m)]
+                return points if theta.ndim == 2 else points[0]
         raise OptimizerError(
             f"chord re-solve did not converge in {CHORD_MAX_STEPS} steps: "
-            f"z-correction {dz_norm:.3e} after moving {moved:.3e}"
+            f"z-correction {last[0]:.3e} after moving {moved[0]:.3e}"
+        )
+
+    def _kkt_residual(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """F(x; theta) = (grad_u L, grad_z L, c) at the stacked x."""
+        p = self.problem
+        u, z, lam = self.split(x)
+        q = EvalPoint(u, z, lam, theta)
+        return np.concatenate(
+            [p.lagrangian_grad_u(q), p.lagrangian_grad_z(q), p.residual(u, z, theta)]
         )
 
 

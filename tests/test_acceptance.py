@@ -173,7 +173,7 @@ def test_criterion_5_perturbation_convergence_order():
     phi = np.array([1.0, 0.0])
     deltas = [1e-2, 1e-3, 1e-4]
     estimates = [
-        perturbation_check(problem, opt, phi, d, sens).lhs / d for d in deltas
+        pc.lhs / pc.delta for pc in perturbation_check(problem, opt, phi, deltas, sens)
     ]
     errors = [abs(e - 9.99) for e in estimates]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

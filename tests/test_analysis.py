@@ -136,7 +136,7 @@ class TestPerturbationCheck:
 
         for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
             monkeypatch.setattr(problem, name, forbidden)
-        pc = perturbation_check(problem, opt, np.array([1.0, 0.0]), 0.0, sens)
+        (pc,) = perturbation_check(problem, opt, np.array([1.0, 0.0]), [0.0], sens)
         assert (pc.delta, pc.lhs, pc.linear_prediction, pc.ratio) == (0.0, 0.0, 0.0, 1.0)
         assert sens.kkt.work() == (0, 0)
 
@@ -145,23 +145,22 @@ class TestPerturbationCheck:
         opt, sens = optimum_and_operator(problem, np.zeros(6))
         phi = np.zeros(6)
         phi[0] = 1.0
-        pc_big = perturbation_check(problem, opt, phi, 1e-1, sens)
-        pc_small = perturbation_check(problem, opt, phi, 1e-3, sens)
+        pc_big, pc_small = perturbation_check(problem, opt, phi, [1e-1, 1e-3], sens)
         assert abs(pc_small.ratio - 1.0) <= 1e-2
         assert abs(pc_small.ratio - 1.0) <= abs(pc_big.ratio - 1.0) + 1e-10
 
     def test_direction_normalization(self):
         problem = build_logistic_toy()
         opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
-        a = perturbation_check(problem, opt, np.array([1.0, 0.0]), 1e-3, sens)
-        b = perturbation_check(problem, opt, np.array([5.0, 0.0]), 1e-3, sens)
+        (a,) = perturbation_check(problem, opt, np.array([1.0, 0.0]), [1e-3], sens)
+        (b,) = perturbation_check(problem, opt, np.array([5.0, 0.0]), [1e-3], sens)
         assert a.lhs == pytest.approx(b.lhs, rel=1e-10)
 
     def test_zero_direction_rejected(self):
         problem = build_logistic_toy()
         opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            perturbation_check(problem, opt, np.zeros(2), 1e-3, sens)
+            perturbation_check(problem, opt, np.zeros(2), [1e-3], sens)
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +197,8 @@ class TestChordSweep:
         phi[axis] = 1.0
         unit = phi / problem.spaces.m_theta.norm(phi)
         tight = OptimizerConfig(stationarity_tol=1e-15, max_iter=200)
-        for delta in (1e-2, 1e-3, 1e-4):
-            pc = perturbation_check(problem, opt, phi, delta, sens=sens)
+        deltas = (1e-2, 1e-3, 1e-4)
+        for delta, pc in zip(deltas, perturbation_check(problem, opt, phi, deltas, sens)):
             warm = InitialIterate(opt.u0.copy(), opt.z0.copy())
             ref = solve_optimization(problem, opt.theta0 + delta * unit, warm, tight)
             lhs = problem.spaces.m_z.norm(ref.z0 - opt.z0)
@@ -223,8 +222,7 @@ class TestChordSweep:
                     monkeypatch.setattr(module, name, forbidden)
         phi = np.eye(problem.dims.n_theta)[0]
         ratios = [
-            perturbation_check(problem, opt, phi, d, sens=sens).ratio
-            for d in (1e-2, 1e-3, 1e-4)
+            pc.ratio for pc in perturbation_check(problem, opt, phi, (1e-2, 1e-3, 1e-4), sens)
         ]
         assert abs(ratios[-1] - 1.0) <= 1e-3
 

@@ -12,6 +12,7 @@ from hdsa.cli import (
     EXIT_USAGE,
     _perturbation_sweep,
     _verify_checks,
+    build_parser,
     main,
 )
 from hdsa.config import ConfigError, load_config, parse_config
@@ -337,6 +338,58 @@ class TestVerifyCommand:
         assert name == "perturbation sweep" and not ok
         assert text.startswith(detail)
 
+    def test_sweep_gates_on_the_extrapolated_ratio(self, tmp_path):
+        """The optimum curves in theta along theta_1: the ratio at 1e-4 still
+        misses 1 by more than 1e-3, and its first-order limit from the last
+        two deltas is within it."""
+        problem = {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 64, "n_param": 16, "gamma": 0.01,
+                       "amplitude": [10 ** (-k / 2) for k in range(16)]},
+        }
+        ok, detail = self.rows(tmp_path, problem, {"k_pairs": 16, "seed": 1})[
+            "perturbation sweep"
+        ]
+        ratios, limit = detail.removeprefix("ratios ").split("; limit ")
+        assert ok and abs(float(ratios.split(", ")[-1]) - 1.0) > 1e-3, detail
+        assert abs(float(limit) - 1.0) <= 1e-3, detail
+
+    @pytest.mark.parametrize(
+        "problem, seed, steps",
+        [
+            ({"name": "advdiff_inversion_1d"}, 1, [6, 4, 4]),
+            ({"name": "diffusion_control_1d",
+              "params": {"n_state": 600, "n_param": 16, "gamma": 0.01,
+                         "amplitude": [0.2] * 4 + [0.005] * 12}}, 1, [6, 4, 4]),
+            ({"name": "diffusion_control_1d",
+              "params": {"n_state": 64, "n_param": 16, "gamma": 0.01}}, 0, [5, 4, 3]),
+        ],
+        ids=["advdiff-transient", "diffusion-dense", "diffusion-many"],
+    )
+    def test_sweep_passes(self, tmp_path, monkeypatch, problem, seed, steps):
+        """On the benchmark's verify configs the sweep forms D phi in one
+        pass of one column and re-solves its three moved optima in one block
+        of max(steps) passes, where one optimum at a time took sum(steps)."""
+        cfg = parse_config({"problem": problem, "hdsa": {"seed": seed},
+                            "output_dir": str(tmp_path / "out")})
+        problem = cfg.build_problem()
+        opt = solve_optimization(problem, cfg.build_plan(problem).sample(0))
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        phi = dense_oracle(sens, problem.spaces).theta[:, 0]
+        widths = []
+        solve_z = sens.kkt.solve_z
+
+        def counted(rhs):
+            widths.append(rhs.size // sens.kkt.dim)
+            return solve_z(rhs)
+
+        monkeypatch.setattr(sens.kkt, "solve_z", counted)
+        assert _perturbation_sweep(problem, opt, sens, phi)[1]
+        assert widths[0] == 1 and len(widths[1:]) == max(steps)
+        assert sum(widths) == 1 + sum(steps)
+
     def test_non_contracting_resolve_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
         """Through the command: steps that do not contract fail the sweep's
         row, with exit 1 and no traceback."""
@@ -426,6 +479,15 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_usage_error_after_a_good_call(self, tmp_path):
+        """The parser is built once per process; a good call leaves nothing
+        in it that lets a later usage error through."""
+        path = write_config(tmp_path, logistic_config(tmp_path / "out"))
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert main(["verify"]) == EXIT_USAGE
+        assert main(["verify", str(path), "--force"]) == EXIT_USAGE
+        assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -664,10 +664,10 @@ class TestChordResolve:
     on the KKT residual at a nearby theta."""
 
     @staticmethod
-    def _counting(problem, kkt, monkeypatch):
+    def _counting(problem, kkt, monkeypatch, widths=None):
         """Count chord steps (forward half passes) and PDE solve columns; a
         solve made inside another (diffusion's adjoint solve is its state
-        solve) counts once."""
+        solve) counts once. ``widths`` collects each pass's column count."""
         counts = {"steps": 0, "solves": 0}
         depth = [0]
         for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
@@ -686,6 +686,8 @@ class TestChordResolve:
 
         def step(rhs):
             counts["steps"] += 1
+            if widths is not None:
+                widths.append(rhs.size // kkt.dim)
             return solve_z(rhs)
 
         monkeypatch.setattr(kkt, "solve_z", step)
@@ -746,8 +748,8 @@ class TestChordResolve:
 
         def noisy(*a):
             out = backward(*a)
-            v = rng.standard_normal(kkt.n_z)
-            kkt.split(out)[1][...] += floor * moved * v / m_z.norm(v)
+            v = rng.standard_normal((kkt.n_z, 1))  # a chord step's pass is a block
+            kkt.split(out)[1][...] += floor * moved * v / m_z.norms(v)
             return out
 
         monkeypatch.setattr(kkt, "_backward", noisy)
@@ -757,6 +759,55 @@ class TestChordResolve:
         else:
             with pytest.raises(optimizer.OptimizerError, match="did not converge"):
                 kkt.stationary_point(theta)
+
+    @pytest.mark.parametrize(
+        "name, steps", [("quick start", [6, 4, 4]), ("advdiff", [5, 4, 3])]
+    )
+    def test_block_takes_the_slowest_columns_passes(
+        self, check_points, monkeypatch, name, steps
+    ):
+        """The sweep's three deltas as one block land each z within 1e-10 of
+        its move from the single-theta re-solve: a block pass rounds
+        advection-diffusion's products differently, by a few eps of ||z||,
+        which at delta = 1e-4 is 2.5e-11 of the move. The block takes as many
+        passes as its slowest column, not the sum, on the same solve columns:
+        a column that stops leaves the later passes."""
+        problem, opt, sens, phi = self._sens(check_points, name)
+        m_z, deltas = problem.spaces.m_z, (1e-2, 1e-3, 1e-4)
+        widths = []
+        counts = self._counting(problem, sens.kkt, monkeypatch, widths)
+        single, single_solves = [], 0
+        for delta in deltas:
+            single.append(sens.kkt.stationary_point(opt.theta0 + delta * phi).z)
+            single_solves += counts["solves"]
+            counts.update(steps=0, solves=0)
+        assert widths == [1] * sum(steps)
+        widths.clear()
+        thetas = opt.theta0[:, None] + np.multiply.outer(phi, deltas)
+        block = sens.kkt.stationary_point(thetas)
+        assert counts["steps"] == max(steps)
+        assert widths == [sum(n >= k for n in steps) for k in range(1, max(steps) + 1)]
+        assert counts["solves"] == single_solves
+        for q, z, theta in zip(block, single, thetas.T):
+            np.testing.assert_array_equal(q.theta, theta)
+            assert m_z.norm(q.z - z) <= 1e-10 * m_z.norm(z - opt.z0)
+
+    def test_non_finite_residual_in_one_column_raises(self, check_points, monkeypatch):
+        """A residual that turns non-finite in one column of a block stops
+        every column, naming its step."""
+        problem, opt, sens, phi = self._sens(check_points, "quick start")
+        counts = self._counting(problem, sens.kkt, monkeypatch)
+        thetas = opt.theta0[:, None] + np.multiply.outer(phi, (1e-2, 1e-3, 1e-4))
+        residual = problem.residual
+
+        def spoiled(u, z, theta):
+            last = counts["steps"] and np.array_equal(theta, thetas[:, 2])
+            return residual(u, z, theta) * (np.nan if last else 1.0)
+
+        monkeypatch.setattr(problem, "residual", spoiled)
+        with pytest.raises(optimizer.OptimizerError, match="non-finite KKT residual at step 2"):
+            sens.kkt.stationary_point(thetas)
+        assert counts == {"steps": 1, "solves": 6}
 
     def test_non_finite_residual_raises(self, check_points, monkeypatch):
         """A non-finite KKT residual stops the steps before any solve sees it."""
