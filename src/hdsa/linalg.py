@@ -207,6 +207,18 @@ def dense_cholesky(m: np.ndarray) -> np.ndarray:
     return r
 
 
+def cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite the upper triangle of a Fortran-ordered ``a`` with R,
+    R^T R = A, by one ``potrf`` that reads and writes that triangle only: the
+    strict lower triangle keeps A's entries. False on a non-positive pivot,
+    with the upper triangle then partly overwritten."""
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("cholesky_in_place needs a writeable Fortran-ordered float64 array")
+    _, info = _dpotrf(check_finite(a), lower=0, overwrite_a=1, clean=0)
+    _check_info(info, "potrf")
+    return info == 0
+
+
 def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """A^-1 b for a vector or a block, from ``(c, lower)``, the Cholesky
     factor of A in the upper (or lower) triangle of c, by one ``potrs``."""

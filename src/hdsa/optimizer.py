@@ -17,7 +17,7 @@ from .linalg import (
     SolveError,
     block_width,
     cho_solve,
-    dense_cholesky,
+    cholesky_in_place,
     dense_sym_eig,
     dtrsv,
     identity_columns,
@@ -64,7 +64,9 @@ class OptimalPoint:
     objective: float = 0.0
     # W = -c_u^{-1} c_z and the Cholesky factor of the reduced Hessian at this
     # point (None where it is not positive definite), reused by the KKT
-    # elimination
+    # elimination. The factor is ``factor_reduced_hessian``'s one n_z x n_z
+    # array: R in its upper triangle, which every solve reads, and H's own
+    # entries in its strict lower triangle, which none reads
     state_sensitivity: np.ndarray | None = field(default=None, repr=False)
     hessian_factor: tuple | None = field(default=None, repr=False)
 
@@ -154,11 +156,15 @@ def reduced_hessian_dense(
 ) -> np.ndarray:
     """H = L_zz + L_zu W + W^T (L_uu W + L_uz), the null-space form
     Z^T (grad^2 L) Z with Z = [W; I], symmetrized. Costs no PDE solve beyond
-    the n_z of W, which is formed here unless given."""
+    the n_z of W, which is formed here unless given.
+
+    H is one Fortran-ordered n_z x n_z array, written a column block at a
+    time and symmetrized in place (``_symmetrize``), so that
+    ``factor_reduced_hessian`` can factor it in its own storage."""
     if w is None:
         w = state_sensitivity(problem, p)
     n_z = problem.dims.n_z
-    h = np.empty((n_z, n_z))
+    h = np.empty((n_z, n_z), order="F")
     width = block_width(problem.dims.n_u)
     for start in range(0, n_z, width):
         stop = min(start + width, n_z)
@@ -167,18 +173,58 @@ def reduced_hessian_dense(
         h_c[...] = matmul(w, problem.l_uu(p, w_c) + problem.l_uz(p, e), trans_a=True)
         h_c += problem.l_zu(p, w_c)
         h_c += problem.l_zz(p, e)
-    return 0.5 * (h + h.T)
+    _symmetrize(h)
+    return h
+
+
+def _symmetrize(h: np.ndarray) -> None:
+    """h <- 0.5 (h + h^T) in place, entry for entry the same arithmetic as
+    ``0.5 * (h + h.T)``, one diagonal block or one pair of off-diagonal
+    blocks at a time. A block is ``block_width(n)`` square, so no temporary
+    is larger than ``BLOCK_BYTES``, and below about 200 rows H is one block."""
+    n = h.shape[0]
+    width = block_width(n)
+    for i in range(0, n, width):
+        rows = slice(i, min(i + width, n))
+        for j in range(i, n, width):
+            cols = slice(j, min(j + width, n))
+            upper, lower = h[rows, cols], h[cols, rows]
+            t = upper + lower.T
+            t *= 0.5
+            upper[...] = t
+            lower[...] = t.T
+
+
+def _norm_1(h: np.ndarray) -> float:
+    """||h||_1, the largest absolute column sum, taken by column blocks so
+    that no temporary is larger than ``BLOCK_BYTES``."""
+    width = block_width(h.shape[0])
+    return max(
+        float(np.abs(h[:, j : j + width]).sum(axis=0).max())
+        for j in range(0, h.shape[1], width)
+    )
 
 
 def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
-    """``(R, False)`` with R^T R = H and R read-only, the ``(c, lower)`` form
-    that ``cho_solve`` takes, or None where H is not positive definite."""
-    try:
-        r = dense_cholesky(h)
-    except LinalgError:
+    """``(R, False)`` with R^T R = H, the ``(c, lower)`` form that
+    ``cho_solve`` takes, or None where H is not positive definite.
+
+    H (from ``reduced_hessian_dense``) is factored in its own storage by one
+    upper ``potrf``, which reads and writes only the upper triangle. So the
+    returned array is ``h`` itself, made read-only: R in its upper
+    triangle, bit for bit the factor of ``dense_cholesky(h)``, and H's own
+    entries in its strict lower triangle, which no solve reads. Where the
+    factorization fails, H is rebuilt in place from that strict lower
+    triangle and its saved diagonal, so that ``check_sosc`` reports H's
+    exact smallest eigenvalue."""
+    diagonal = h.diagonal().copy()
+    if not cholesky_in_place(h):
+        upper = np.triu_indices_from(h, 1)
+        h[upper] = h.T[upper]
+        np.fill_diagonal(h, diagonal)
         return None
-    r.flags.writeable = False
-    return r, False
+    h.flags.writeable = False
+    return h, False
 
 
 def _cho_solve_vector(factor: tuple, v: np.ndarray) -> np.ndarray:
@@ -221,21 +267,24 @@ def _inverse_norm_estimate(factor: tuple) -> float:
     return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * n)))
 
 
-def check_sosc(h: np.ndarray, factor: tuple | None) -> float:
+def check_sosc(h: np.ndarray, factor: tuple | None, h_norm: float) -> float:
     """Certify the second-order sufficient condition from the Cholesky factor
     of the reduced Hessian H, which proves H positive definite up to a small
     backward error (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 2002, ch. 10), and return ``1 / est||H^-1||_1``, an estimate of
     H's smallest eigenvalue (not a bound). Raises OptimizerError where the
-    factorization failed, with the exact smallest eigenvalue, or where the
-    estimate is at or below ``eps ||H||_1``."""
+    factorization failed, with the exact smallest eigenvalue of ``h``, or
+    where the estimate is at or below ``eps h_norm``, with ``h_norm`` =
+    ||H||_1. Where ``factor`` is not None only its upper triangle is read,
+    and ``h`` not at all: ``factor_reduced_hessian`` factors H in H's own
+    array, so its 1-norm is taken before."""
     if factor is None:
         evals, _ = dense_sym_eig(h)
         raise OptimizerError(
             f"not a verified local minimizer: reduced Hessian min eig {evals[-1]:.3e}"
         )
     est = 1.0 / _inverse_norm_estimate(factor)
-    floor = np.finfo(float).eps * float(np.linalg.norm(h, 1))
+    floor = np.finfo(float).eps * h_norm
     if not est > floor:
         raise OptimizerError(
             f"not a verified local minimizer: reduced Hessian min eig estimate "
@@ -253,12 +302,13 @@ def solve_optimization(
     """Reduced-space Newton with Armijo backtracking.
 
     Each step solves H d = -g with the Cholesky factor of the dense reduced
-    Hessian H, factored once per assembly, and takes steepest descent where
-    H is not positive definite. A problem whose H does not depend on the
-    iterate forms W and H once. Returns an OptimalPoint whose adjoint, W and
-    factor are the ones the last iteration computed at the final iterate;
-    the factor certifies H positive definite (``check_sosc``, unless
-    disabled), and W and the factor are handed on for the KKT elimination.
+    Hessian H, factored once per assembly in H's own array after its 1-norm
+    is taken, and takes steepest descent where H is not positive definite.
+    A problem whose H does not depend on the iterate forms W and H once.
+    Returns an OptimalPoint whose adjoint, W and factor are the ones the
+    last iteration computed at the final iterate; the factor certifies H
+    positive definite (``check_sosc``, unless disabled), and W and the
+    factor are handed on for the KKT elimination.
     """
     cfg = cfg or OptimizerConfig()
     dims = problem.dims
@@ -285,6 +335,7 @@ def solve_optimization(
         if w is None or not problem.constant_reduced_hessian:
             w = state_sensitivity(problem, p)
             h = reduced_hessian_dense(problem, p, w)
+            h_norm = _norm_1(h)
             factor = factor_reduced_hessian(h)
         if gnorm <= cfg.stationarity_tol or it >= cfg.max_iter:
             break
@@ -327,7 +378,7 @@ def solve_optimization(
         lambda0=lam,
         theta0=np.asarray(theta0, dtype=float).copy(),
         grad_norm=gnorm,
-        sosc_min_eig_est=check_sosc(h, factor) if cfg.check_sosc else np.nan,
+        sosc_min_eig_est=check_sosc(h, factor, h_norm) if cfg.check_sosc else np.nan,
         iterations=it,
         objective=f,
         state_sensitivity=w,

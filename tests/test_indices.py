@@ -10,9 +10,11 @@ from hdsa.problems import (
     SetPartition,
     WeightedSpaces,
     build_advdiff_inversion_1d,
+    build_diffusion_control_1d,
 )
 from hdsa.problems.fem1d import mass_matrix
 from hdsa.randeig import RandEigConfig, Triples, dense_oracle
+from hdsa.sampling import Distribution, SamplingPlan
 
 
 def identity_spaces(n_theta, n_z, partition=None):
@@ -31,6 +33,25 @@ def unit(n, i):
 
 def rank_one(sigma, theta, z):
     return Triples(np.array([sigma]), theta[:, None], z[:, None])
+
+
+def random_spd(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def weighted_svd(d, m_theta, m_z):
+    """Every triple of D in the M_Theta and M_Z inner products, from the SVD
+    of R_Z D R_Theta^-1 with R^T R = M: D theta_k = sigma_k z_k, with
+    theta_k M_Theta-orthonormal and z_k M_Z-orthonormal."""
+    r_th, r_z = np.linalg.cholesky(m_theta).T, np.linalg.cholesky(m_z).T
+    u, sigma, vt = np.linalg.svd(r_z @ d @ np.linalg.inv(r_th), full_matrices=False)
+    return Triples(sigma, np.linalg.solve(r_th, vt.T), np.linalg.solve(r_z, u))
+
+
+def z_norms(d, m_z):
+    """||D e_i||_{M_Z} for every coordinate i."""
+    return np.sqrt(np.einsum("ij,ij->j", d, m_z @ d))
 
 
 class TestLocalIndices:
@@ -62,6 +83,19 @@ class TestLocalIndices:
             assert np.all(cur >= prev - 1e-14)
             prev = cur
 
+    def test_weighted_full_rank_is_the_column_norm(self):
+        """With every triple, S_i = ||D e_i||_Z under a non-identity M_Theta:
+        e_i = sum_k theta_k (M_Theta theta_k)_i, so D e_i = sum_k sigma_k z_k
+        (M_Theta theta_k)_i. Without M_Theta the indices miss."""
+        d = np.random.default_rng(3).standard_normal((5, 6))
+        m_theta, m_z = random_spd(6, seed=4), random_spd(5, seed=5)
+        spaces = WeightedSpaces(m_theta=SpdOperator(m_theta), m_z=SpdOperator(m_z))
+        triples = weighted_svd(d, m_theta, m_z)
+        ref = z_norms(d, m_z)
+        np.testing.assert_allclose(local_indices(triples, spaces), ref, rtol=1e-12)
+        unweighted = np.sqrt(triples.theta**2 @ triples.sigma**2)
+        assert np.max(np.abs(unweighted - ref) / ref) > 1e-2
+
     def test_empty_triples_rejected(self):
         with pytest.raises(ProblemError):
             local_indices(
@@ -88,6 +122,24 @@ class TestSetIndices:
         out = set_indices(triples, spaces, part)
         assert out["left"] == pytest.approx(2.0 * np.sqrt(0.5))
         assert out["right"] == pytest.approx(2.0 * np.sqrt(0.5))
+
+    def test_weighted_sets_are_sigma1_of_the_restriction(self):
+        """Under an M_Theta that is SPD and block-diagonal over the sets, and
+        a non-identity M_Z, each set index is the largest weighted singular
+        value of D restricted to the set's columns."""
+        part = SetPartition((("a", 0, 2), ("b", 2, 6)))
+        m_theta = np.zeros((6, 6))
+        m_theta[:2, :2], m_theta[2:, 2:] = random_spd(2, seed=6), random_spd(4, seed=7)
+        m_z = random_spd(5, seed=8)
+        spaces = WeightedSpaces(
+            m_theta=SpdOperator(m_theta), m_z=SpdOperator(m_z), partition=part
+        )
+        d = np.random.default_rng(9).standard_normal((5, 6))
+        out = set_indices(weighted_svd(d, m_theta, m_z), spaces, part)
+        for name, start, stop in part.sets:
+            block = m_theta[start:stop, start:stop]
+            ref = weighted_svd(d[:, start:stop], block, m_z).sigma[0]
+            assert out[name] == pytest.approx(ref, rel=1e-12)
 
     def test_non_orthogonal_partition_rejected(self):
         part = SetPartition((("a", 0, 2), ("b", 2, 4)))
@@ -125,3 +177,29 @@ class TestSetIndices:
         )
         for name, _, _ in part.sets:
             assert direct[name] == pytest.approx(truncated[name], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01),
+        build_advdiff_inversion_1d,
+    ],
+    ids=["quick start", "advdiff"],
+)
+def test_local_indices_of_the_oracle_are_the_weighted_column_norms(build):
+    """On the README quick start and default advection-diffusion, whose
+    M_Theta are not the identity, the local indices of the full set of
+    dense-oracle triples are ||D e_i||_{M_Z} at sample 0."""
+    problem = build()
+    spaces = problem.spaces
+    n_theta = problem.dims.n_theta
+    assert not np.array_equal(spaces.m_theta.dense(), np.eye(n_theta))
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), n_theta)
+    opt = solve_optimization(problem, plan.sample(0))
+    sens = SensitivityOperator(
+        problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+    )
+    ref = z_norms(sens.dense(), spaces.m_z.dense())
+    s = local_indices(dense_oracle(sens, spaces), spaces)
+    np.testing.assert_allclose(s, ref, rtol=1e-10, atol=1e-12 * ref.max())

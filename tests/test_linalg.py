@@ -12,6 +12,7 @@ from hdsa.linalg import (
     SpdOperator,
     b_orthonormalize,
     cho_solve,
+    cholesky_in_place,
     dense_cholesky,
     dense_svd,
     dense_sym_eig,
@@ -129,6 +130,26 @@ class TestKernels:
     def test_dense_cholesky_is_scipys(self, order):
         m = _layouts(random_spd(20, seed=30))[order]
         assert np.array_equal(dense_cholesky(m), scipy.linalg.cholesky(m))
+
+    def test_cholesky_in_place_is_scipys_cho_factor(self):
+        """R over the diagonal and M's own entries below it, in M's array."""
+        m = random_spd(20, seed=40)
+        a = np.asfortranarray(m)
+        assert cholesky_in_place(a)
+        assert np.array_equal(a, scipy.linalg.cho_factor(m)[0])
+        assert np.array_equal(np.tril(a, -1), np.tril(m, -1))
+        a = np.asfortranarray(m - 2.0 * np.diag(np.diag(m)))
+        assert not cholesky_in_place(a)
+
+    def test_cholesky_in_place_refuses_a_copy(self):
+        m = random_spd(6, seed=41)
+        read_only = np.asfortranarray(m)
+        read_only.flags.writeable = False
+        non_finite = np.asfortranarray(m)
+        non_finite[1, 1] = np.nan
+        for a, match in ((m, "Fortran"), (read_only, "writeable"), (non_finite, "infs")):
+            with pytest.raises(ValueError, match=match):
+                cholesky_in_place(a)
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_cho_solve_is_scipys(self, lower):

@@ -381,9 +381,9 @@ class TestSchurPath:
 
     def test_reduced_hessian_assembled_once(self, schur_sample, monkeypatch):
         factors = []
-        cholesky = optimizer.dense_cholesky
+        cholesky = optimizer.cholesky_in_place
         monkeypatch.setattr(
-            optimizer, "dense_cholesky", lambda *a, **k: factors.append(1) or cholesky(*a, **k)
+            optimizer, "cholesky_in_place", lambda *a, **k: factors.append(1) or cholesky(*a, **k)
         )
         res, calls = schur_sample(OptimizerConfig())
         assert calls == ["reduced_hessian_dense", "state_sensitivity"]

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hdsa import optimizer
+from hdsa.linalg import BLOCK_BYTES, block_width, cholesky_in_place, dense_cholesky
 from hdsa.optimizer import (
     OptimizerConfig,
     OptimizerError,
@@ -118,7 +120,8 @@ class TestReducedHessian:
         h = reduced_hessian_dense(p, opt.as_eval_point())
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         # the estimate comes from the factor the optimizer kept
-        assert check_sosc(h, opt.hessian_factor) == opt.sosc_min_eig_est > 0.0
+        est = check_sosc(h, opt.hessian_factor, np.linalg.norm(h, 1))
+        assert est == opt.sosc_min_eig_est > 0.0
         # the optimizer hands on W and the factor of the matrix it certified
         np.testing.assert_array_equal(
             opt.state_sensitivity, state_sensitivity(p, opt.as_eval_point())
@@ -154,6 +157,75 @@ class TestReducedHessian:
         w = state_sensitivity(p, pt)
         assert w.flags.f_contiguous
         np.testing.assert_array_equal(reduced_hessian_dense(p, pt, w), h)
+
+
+@pytest.fixture(scope="module")
+def dense_point():
+    """Diffusion at 600 nodes, where H is assembled and symmetrized in 9
+    column blocks."""
+    p = build_diffusion_control_1d(n_state=600, n_param=16, gamma=0.01)
+    theta = np.linspace(-0.5, 0.5, 16)
+    z = np.random.default_rng(11).standard_normal(600)
+    u = solve_forward(p, z, theta)
+    pt = EvalPoint(u, z, solve_adjoint(p, u, z, theta), theta)
+    return p, pt, state_sensitivity(p, pt)
+
+
+class TestHessianStorage:
+    """H, its 1-norm and its Cholesky factor share one n_z x n_z array."""
+
+    def test_symmetrized_in_place_as_the_formula(self, dense_point, monkeypatch):
+        p, pt, w = dense_point
+        assert p.dims.n_z > 8 * block_width(p.dims.n_z)
+        h = reduced_hessian_dense(p, pt, w)
+        monkeypatch.setattr(optimizer, "_symmetrize", lambda h: None)
+        raw = reduced_hessian_dense(p, pt, w)
+        # the assembly is not symmetric to the last bit, so this pins the
+        # averaging, not a copy of one triangle
+        assert not np.array_equal(raw, raw.T)
+        assert h.flags.f_contiguous
+        np.testing.assert_array_equal(h, 0.5 * (raw + raw.T))
+
+    def test_factor_shares_the_array(self, dense_point):
+        p, pt, w = dense_point
+        h = reduced_hessian_dense(p, pt, w)
+        ref = h.copy()
+        c, lower = optimizer.factor_reduced_hessian(h)
+        assert c is h and not lower and not c.flags.writeable
+        # R above the diagonal, bit for bit the separate factor, and H below
+        np.testing.assert_array_equal(np.triu(c), dense_cholesky(ref))
+        np.testing.assert_array_equal(np.tril(c, -1), np.tril(ref, -1))
+        assert optimizer._norm_1(ref) == pytest.approx(np.linalg.norm(ref, 1), rel=1e-14)
+
+    def test_failed_factorization_restores_h(self, dense_point):
+        p, pt, w = dense_point
+        h = reduced_hessian_dense(p, pt, w)
+        # shifted by its middle eigenvalue, H fails well into the factorization
+        h -= np.diag(np.full(h.shape[0], np.median(scipy.linalg.eigvalsh(h))))
+        ref = h.copy()
+        overwritten = h.copy(order="F")
+        assert not cholesky_in_place(overwritten)
+        assert not np.array_equal(overwritten, ref)
+        assert optimizer.factor_reduced_hessian(h) is None
+        np.testing.assert_array_equal(h, ref)
+
+    def test_optimizer_peak_memory(self):
+        """Above its entry, solve_optimization holds W and H/R and no other
+        n_z x n_z array; at the separate factor it held about 4 n_z^2."""
+        p = build_diffusion_control_1d(n_state=600, n_param=16, gamma=0.01)
+        p.spaces.m_z.cholesky()
+        theta = np.linspace(-0.5, 0.5, 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt = solve_optimization(p, theta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_z = p.dims.n_z
+        assert opt.sosc_min_eig_est > 0.0
+        assert peak <= 2 * 8 * n_z**2 + 8 * BLOCK_BYTES
 
 
 class TestConstantReducedHessian:
@@ -353,9 +425,10 @@ class TestSecondOrderCheck:
         h = np.diag([1.0, 1e-20])
         factor = scipy.linalg.cho_factor(h)
         with pytest.raises(OptimizerError, match="floor eps"):
-            check_sosc(h, factor)
+            check_sosc(h, factor, np.linalg.norm(h, 1))
         h = np.diag([1.0, 1e-3])
-        assert check_sosc(h, scipy.linalg.cho_factor(h)) == pytest.approx(1e-3)
+        factor = scipy.linalg.cho_factor(h)
+        assert check_sosc(h, factor, np.linalg.norm(h, 1)) == pytest.approx(1e-3)
 
 
 class TestInverseNormEstimate:
