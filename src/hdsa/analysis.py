@@ -111,13 +111,17 @@ def analyze_sample(
     optimal = replace(optimal, state_sensitivity=None, hessian_factor=None)
     svd = svd_path(cfg, sens.n_z, sens.n_theta)
     if svd == "exact":
-        triples, diag = exact_triples(sens, problem.spaces, cfg)
+        triples, diag, every = exact_triples(sens, problem.spaces, cfg)
     else:
         triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=j)
     local = local_indices(triples, problem.spaces)
     sets: dict[str, float] = {}
     partition = problem.spaces.partition
-    if partition is not None:
+    if partition is not None and svd == "exact" and cfg.set_index_mode == "direct":
+        # every triple of the one SVD spans D, so their set Gram is the
+        # direct index sigma_1(D Pi_S)
+        sets = set_indices(every, problem.spaces, partition)
+    elif partition is not None:
         sets = set_indices(
             triples,
             problem.spaces,

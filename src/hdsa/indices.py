@@ -7,13 +7,7 @@ import numpy as np
 from .linalg import dense_sym_eig
 from .operators import ProjectedSensitivityOperator, SensitivityOperator
 from .problems.base import ProblemError, SetPartition, WeightedSpaces
-from .randeig import (
-    RandEigConfig,
-    Triples,
-    _all_triples,
-    randomized_geneig,
-    svd_path,
-)
+from .randeig import RandEigConfig, Triples, randomized_geneig
 from .sampling import SET_PROBE_STREAM
 
 
@@ -48,10 +42,11 @@ def set_indices(
 
     "truncated" uses the rank-K representation: the index for a set is
     sqrt(lambda_max(S)) with S_kl = sigma_k sigma_l (Pi theta_k)^T M_Theta
-    (Pi theta_l). "direct" takes sigma_1 of D o Pi (needs ``sens_op`` and
-    ``cfg``): from the assembled D with the other columns zeroed where
-    ``svd_path`` assembles D, at no further KKT solve, and from the
-    randomized solver on the projected operator otherwise.
+    (Pi theta_l); over every triple of D's weighted SVD it is
+    sigma_1(D o Pi), which is how ``analyze_sample`` takes the direct index
+    where it assembles D. "direct" takes sigma_1 of D o Pi from the
+    randomized solver on the projected operator (needs ``sens_op`` and
+    ``cfg``).
     """
     partition.validate_cover(triples.theta.shape[0])
     _check_partition_orthogonal(partition, spaces)
@@ -72,15 +67,7 @@ def set_indices(
     if mode == "direct":
         if sens_op is None or cfg is None:
             raise ProblemError("direct set-index mode needs the operator and config")
-        dmat = None
-        if svd_path(cfg, sens_op.n_z, sens_op.n_theta) == "exact":
-            dmat = sens_op.dense()
         for set_i, (name, start, stop) in enumerate(partition.sets):
-            if dmat is not None:
-                masked = np.zeros_like(dmat)
-                masked[:, start:stop] = dmat[:, start:stop]
-                out[name] = float(_all_triples(masked, spaces).sigma[0])
-                continue
             proj_op = ProjectedSensitivityOperator(sens_op, np.arange(start, stop))
             sub_cfg = RandEigConfig(
                 k_pairs=1,

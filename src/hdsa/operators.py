@@ -330,22 +330,18 @@ class SensitivityOperator:
         d = problem.dims
         self.n_theta = d.n_theta
         self.n_z = d.n_z
-        self._dense = None
 
     def _by_chunks(self, v: np.ndarray, n_out: int, half) -> np.ndarray:
-        """``half(columns, gate)`` on a vector, or on a block in capped
-        column chunks.
+        """``half(columns, gate)`` on a vector, or on a block in chunks of
+        ``block_width(n_stacked)`` columns from column 0.
 
         The operator's first pass checks it: with ``gate`` set, ``half``
-        hands the full KKT solution of the pass's first
+        hands the full KKT solution of the chunk's first
         ``min(NORM_PROBES, r)`` columns to one ``KktOperator.solve``, which
         gates it against ``KKT_TOL`` and records its ``SolverStats``. The
         check costs no right-hand side beyond the operator's own, only the
-        other half pass on those columns. A block that fits in one chunk
-        takes one pass. A wider block takes its check columns as a pass of
-        their own, then chunks from there: a BLAS product can round a column
-        differently at another pass width (advection-diffusion's L_ztheta
-        and W^T products do), and this layout keeps each column's bits.
+        other half pass on those columns. Every block is chunked alike, so
+        the bits of a column do not depend on the blocks applied before it.
         """
         gate = not self.kkt.solve_stats
         if v.ndim == 1:
@@ -353,10 +349,9 @@ class SensitivityOperator:
         r = v.shape[1]
         width = block_width(self.kkt.dim)
         out = np.empty((n_out, r))
-        start, stop = 0, min(NORM_PROBES, r) if gate and r > width else width
-        while start < r:
+        for start in range(0, r, width):
+            stop = start + width
             out[:, start:stop] = half(v[:, start:stop], gate and start == 0)
-            start, stop = stop, stop + width
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -393,11 +388,8 @@ class SensitivityOperator:
 
     def dense(self) -> np.ndarray:
         """Coordinate matrix of D: the operator applied to the identity block,
-        assembled on the first call and kept, read-only, for every caller."""
-        if self._dense is None:
-            self._dense = self.apply(np.eye(self.n_theta))
-            self._dense.setflags(write=False)
-        return self._dense
+        n_theta KKT right-hand sides on every call."""
+        return self.apply(np.eye(self.n_theta))
 
 
 def _checked(c: np.ndarray):

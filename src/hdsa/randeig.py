@@ -279,13 +279,16 @@ def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> Triples:
 
 def exact_triples(
     d: SensitivityOperator, spaces: WeightedSpaces, cfg: RandEigConfig
-) -> tuple[Triples, GenEigDiagnostics]:
-    """The first K singular triples of D, from its weighted SVD.
+) -> tuple[Triples, GenEigDiagnostics, Triples]:
+    """The first K singular triples of D, its diagnostics, and every triple
+    of the same weighted SVD.
 
     Assembles D from one KKT right-hand side per parameter, so it pays where
     n_theta is at most ``randomized_rhs``. Triples at or below ``RANK_TOL``
-    times sigma_1 are dropped, with the rank flag set when fewer than K
-    remain. Residuals use the assembled matrix and cost no further KKT solve.
+    times sigma_1 are dropped from the first K, with the rank flag set when
+    fewer than K remain. Residuals use the assembled matrix and cost no
+    further KKT solve. Every triple spans D, so the set Gram of
+    ``set_indices`` over them is sigma_1(D Pi_S).
     """
     work_before = d.kkt.work()
     dmat = _assembled(d)
@@ -302,7 +305,7 @@ def exact_triples(
         triple_residuals=residuals,
         **_kkt_work(d, work_before),
     )
-    return triples, diag
+    return triples, diag, every
 
 
 def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> Triples:

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import hdsa.operators as operators
 import hdsa.optimizer as optimizer
+import hdsa.randeig as randeig
 from hdsa.analysis import (
     analyze_sample,
     global_analysis,
@@ -450,6 +451,30 @@ def test_direct_set_indices_match_sigma_1(tmp_path):
     assert sorted(sets) == sorted(sigma_1) == list(range(5))
     for j, value in sets.items():
         assert value == pytest.approx(sigma_1[j], rel=1e-12)
+
+
+def test_direct_set_indices_take_the_samples_one_svd(monkeypatch):
+    """On default advection-diffusion, with three sets, the direct set
+    indices come from the sample's one weighted SVD: one dense SVD, and no
+    KKT column beyond the n_theta of D."""
+    svds, columns = [], []
+    dense_svd = randeig.dense_svd
+    monkeypatch.setattr(randeig, "dense_svd", lambda a: svds.append(a.shape) or dense_svd(a))
+    for name in ("solve_z", "solve_from_z"):
+        half = getattr(KktOperator, name)
+
+        def counted(self, rhs, half=half):
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return half(self, rhs)
+
+        monkeypatch.setattr(KktOperator, name, counted)
+    problem = build_advdiff_inversion_1d()
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), problem.dims.n_theta)
+    cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=0, set_index_mode="direct")
+    res = analyze_sample(problem, plan, cfg, 0)
+    assert res.svd == "exact" and len(res.sets) == len(problem.spaces.partition.sets) == 3
+    assert len(svds) == 1
+    assert sum(columns) == problem.dims.n_theta
 
 
 def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):

@@ -1,6 +1,11 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from hdsa.cli import EXIT_OK, main
+from hdsa.config import load_config
 from hdsa.indices import local_indices, set_indices
 from hdsa.linalg import SpdOperator
 from hdsa.operators import SensitivityOperator
@@ -203,3 +208,56 @@ def test_local_indices_of_the_oracle_are_the_weighted_column_norms(build):
     ref = z_norms(sens.dense(), spaces.m_z.dense())
     s = local_indices(dense_oracle(sens, spaces), spaces)
     np.testing.assert_allclose(s, ref, rtol=1e-10, atol=1e-12 * ref.max())
+
+
+@pytest.mark.parametrize("mode", ["direct", "truncated"])
+def test_run_set_indices_match_a_numpy_reference(tmp_path, mode):
+    """The set indices that `hdsa run` writes for default advection-diffusion,
+    whose M_Theta is not the identity, parsed from set_indices.csv. "direct":
+    sigma_1 of R_Z D[:, S] R_{Theta,SS}^{-1}, with D one column at a time and
+    the R from numpy Cholesky factors. "truncated": the largest eigenvalue of
+    the set Gram of the triples in the CSV files."""
+    out = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {"name": "advdiff_inversion_1d"},
+        "hdsa": {"n_samples": 2, "set_index_mode": mode},
+        "output_dir": str(out),
+    }))
+    assert main(["run", str(path)]) == EXIT_OK
+
+    def table(name):
+        with (out / name).open() as fh:
+            return list(csv.DictReader(fh))
+
+    sets = {(int(r["j"]), r["set"]): float(r["value"]) for r in table("set_indices.csv")}
+    cfg = load_config(path)
+    problem = cfg.build_problem()
+    n_theta = problem.dims.n_theta
+    m_theta = problem.spaces.m_theta.dense()
+    assert not np.allclose(m_theta, np.eye(n_theta))
+    partition = problem.spaces.partition.sets
+    assert sorted(sets) == sorted((j, name) for j in range(2) for name, _, _ in partition)
+    sigma = table("singular_values.csv")
+    theta = table("singular_vectors_theta.csv")
+    l_z = np.linalg.cholesky(problem.spaces.m_z.dense())
+    for j in range(2):
+        if mode == "truncated":
+            s = np.array([float(r["sigma"]) for r in sigma if int(r["j"]) == j])
+            # rows in (k, i) order
+            vecs = np.array([float(r["value"]) for r in theta if int(r["j"]) == j])
+            vecs = vecs.reshape(s.size, n_theta).T
+        else:
+            opt = solve_optimization(problem, cfg.build_plan(problem).sample(j))
+            sens = SensitivityOperator(problem, opt.as_eval_point())
+            d = np.column_stack([sens.apply(e) for e in np.eye(n_theta)])
+        for name, start, stop in partition:
+            m_s = m_theta[start:stop, start:stop]
+            if mode == "truncated":
+                v = vecs[start:stop]
+                gram = np.outer(s, s) * (v.T @ m_s @ v)
+                ref = np.sqrt(np.linalg.eigvalsh(gram)[-1])
+            else:
+                core = l_z.T @ np.linalg.solve(np.linalg.cholesky(m_s), d[:, start:stop].T).T
+                ref = np.linalg.svd(core, compute_uv=False)[0]
+            assert sets[j, name] == pytest.approx(ref, rel=1e-12)

@@ -502,9 +502,10 @@ class TestOperatorCheck:
         with pytest.raises(SolveError, match="backward error"):
             sensitivity(_scaled_factor(opt.hessian_factor, 2.0)).dense()
 
-    def test_wide_first_block_checks_its_own_pass(self, check_points, monkeypatch):
-        """A first block wider than one pass takes its check columns as a
-        pass of their own and chunks from there; later blocks chunk from 0."""
+    def test_every_block_chunks_from_column_0(self, check_points, monkeypatch):
+        """A block wider than one pass chunks from column 0 whether or not it
+        is the operator's first: the first chunk of the first block carries
+        the check, and the second block takes no further solve call."""
         problem, _, opt = check_points["quick start"]
         sens = SensitivityOperator(
             problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
@@ -518,7 +519,21 @@ class TestOperatorCheck:
         e = np.eye(sens.n_theta)
         sens.apply(e)
         sens.apply(e)
-        assert widths == [4, 6, 6, 6, 6, 4]
+        assert widths == [6, 6, 4, 6, 6, 4]
+        assert sens.kkt.work() == (1, 2 * sens.n_theta)
+
+    def test_second_assembly_is_bit_identical(self, check_points):
+        """D of default advection-diffusion takes two passes, and a second
+        assembly lays them out as the first did: the same bits, and no
+        further solve call."""
+        problem, _, opt = check_points["advdiff"]
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        assert sens.n_theta > linalg.block_width(sens.kkt.dim)
+        e = np.eye(sens.n_theta)
+        first = sens.apply(e)
+        assert sens.apply(e).tobytes() == first.tobytes()
         assert sens.kkt.work() == (1, 2 * sens.n_theta)
 
     def test_check_runs_once(self, check_points):

@@ -306,7 +306,7 @@ class TestExactTriples:
         problem, sens, cfg = exact_case
         k = cfg.k_pairs
         oracle = dense_oracle(sens, problem.spaces)
-        triples, diag = exact_triples(sens, problem.spaces, cfg)
+        triples, diag, _ = exact_triples(sens, problem.spaces, cfg)
         assert len(triples) == k and not diag.rank_deficient
         np.testing.assert_allclose(triples.sigma, oracle.sigma[:k], rtol=1e-12)
         np.testing.assert_allclose(triples.theta, oracle.theta[:, :k], atol=1e-10)
@@ -318,7 +318,7 @@ class TestExactTriples:
         # a reference that shares no code with the Cholesky-based SVD: the
         # eigenvalues of D^T M_Z D theta = alpha M_Theta theta are sigma^2
         problem, sens, cfg = exact_case
-        triples, _ = exact_triples(sens, problem.spaces, cfg)
+        triples, _, _ = exact_triples(sens, problem.spaces, cfg)
         dmat = sens.dense()
         alpha = scipy.linalg.eigh(
             dmat.T @ problem.spaces.m_z.apply(dmat),
@@ -334,9 +334,9 @@ class TestExactTriples:
 
     def test_diagnostics(self, exact_case):
         problem, _, cfg = exact_case
-        # a fresh operator: D, once assembled, is kept and costs no solve
+        # a fresh operator, whose first pass checks it
         sens = sample_operator(problem)
-        triples, diag = exact_triples(sens, problem.spaces, cfg)
+        triples, diag, every = exact_triples(sens, problem.spaces, cfg)
         # one column of D per parameter, the first ones the operator's check
         assert diag.kkt_solves == 1
         assert diag.kkt_rhs == sens.n_theta
@@ -346,11 +346,14 @@ class TestExactTriples:
         np.testing.assert_array_equal(
             diag.ritz_values[: cfg.k_pairs], triples.sigma
         )
+        # and every triple comes out of the same SVD
+        np.testing.assert_array_equal(every.sigma, diag.ritz_values)
+        np.testing.assert_array_equal(every.theta[:, : cfg.k_pairs], triples.theta)
 
     def test_rank_flag(self, logistic_sens):
         problem, sens = logistic_sens
         # n_z = 1, so D has rank 1
-        triples, diag = exact_triples(sens, problem.spaces, RandEigConfig(k_pairs=2))
+        triples, diag, _ = exact_triples(sens, problem.spaces, RandEigConfig(k_pairs=2))
         assert len(triples) == 1
         assert diag.rank_deficient
 
