@@ -1,7 +1,7 @@
-"""Dense linear algebra kernels.
+"""Dense and banded linear algebra kernels.
 
-Mass-weighted SPD operators, weighted orthonormalization, the small dense
-factorizations used by the randomized SVD and the dense verification
+Banded mass-weighted SPD operators, weighted orthonormalization, the small
+dense factorizations used by the randomized SVD and the dense verification
 oracles, and the LAPACK kernels that every per-solve call goes through.
 This is the one module that reaches scipy's LAPACK and BLAS, and it binds
 them without importing ``scipy.linalg`` (see ``_f2py_modules``).
@@ -35,7 +35,7 @@ BLOCK_BYTES = 331_776
 # Matrix entries below which ``matmul`` hands a matrix-vector product to
 # numpy's ``@``: OpenBLAS runs it on one thread below 2304 x 4 entries, so
 # no thread pool wakes, and ``@`` costs less per call than scipy's wrapper
-# (the 16- and 64-node weighting matrices of the small problems).
+# (the 64 x 64 W of the README quick start).
 SERIAL_GEMV_MAX = 9216
 
 
@@ -79,15 +79,19 @@ def _f2py_modules() -> tuple[ModuleType, ModuleType]:
 # batching, dtype dispatch and argument checks, and checked a cached factor
 # for infs and NaNs on every solve. The kernels below pass each routine the
 # arguments and workspace sizes those wrappers pass, so their results are the
-# wrappers' bit for bit. Each checks the matrix it factors and each
-# right-hand side once, and trusts a factor it is handed: that factor was
-# checked where it was made, and the caches keep it read-only.
+# wrappers' bit for bit; pbtrf and pbtrs are cholesky_banded and
+# cho_solve_banded, and tbtrs has no wrapper. Each checks the matrix it
+# factors and each right-hand side once, and trusts a factor it is handed:
+# that factor was checked where it was made, and the caches keep it
+# read-only.
 _flapack, _fblas = _f2py_modules()
 _dgemm = _fblas.dgemm
 dtrsv = _fblas.dtrsv
 _dpotrf = _flapack.dpotrf
 _dpotrs = _flapack.dpotrs
-_dtrtrs = _flapack.dtrtrs
+_dpbtrf = _flapack.dpbtrf
+_dpbtrs = _flapack.dpbtrs
+_dtbtrs = _flapack.dtbtrs
 _dgtsv = _flapack.dgtsv
 _dgetrf = _flapack.dgetrf
 _dgetrs = _flapack.dgetrs
@@ -116,16 +120,17 @@ def matmul(a: np.ndarray, b: np.ndarray, trans_a: bool = False) -> np.ndarray:
 
     numpy and scipy each ship their own OpenBLAS runtime, and each runtime
     keeps its own thread pool. A product large enough to wake numpy's
-    threads, such as ``@`` of the 600 x 600 M_Z with a block, leaves them
-    competing for the cores with the threads of scipy's ``eigh``, Cholesky
-    and ``dgemm``. So products run through scipy's BLAS ``dgemm``; only a
-    matrix-vector product with fewer than ``SERIAL_GEMV_MAX`` matrix
-    entries takes ``@``. The callers are ``SpdOperator.apply`` (M_Z and
-    M_Theta), the R_Z product of the exact weighted SVD, and the W products
-    of the reduced Hessian and the KKT elimination. On a 2-core machine this
-    halved ``hdsa verify`` at 600 diffusion nodes (0.32 to 0.17 s). There,
-    ``@`` took 8.0 ms for a (2560 x 64)^T (2560 x 16) product and 7.9 ms
-    for a 700 x 700 matrix-vector product, ``dgemm`` 0.20 and 0.12 ms.
+    threads, such as ``@`` of the 600 x 600 state sensitivity W with a block,
+    leaves them competing for the cores with the threads of scipy's
+    ``eigh``, Cholesky and ``dgemm``. So products run through scipy's BLAS
+    ``dgemm``; only a matrix-vector product with fewer than
+    ``SERIAL_GEMV_MAX`` matrix entries takes ``@``. The callers are the W
+    products of the reduced Hessian, the Newton step and the KKT
+    elimination, and the products with the assembled D of
+    ``exact_triples``. On a 2-core machine this halved ``hdsa verify`` at
+    600 diffusion nodes (0.32 to 0.17 s). There, ``@`` took 8.0 ms for a
+    (2560 x 64)^T (2560 x 16) product and 7.9 ms for a 700 x 700
+    matrix-vector product, ``dgemm`` 0.20 and 0.12 ms.
 
     ``dgemm`` reads a C-ordered ``a`` without a copy, as the Fortran-ordered
     view ``a.T`` with the transpose flag flipped.
@@ -194,19 +199,6 @@ def _with_lwork(routine, name: str, *args, **kwargs) -> tuple:
     return tuple(out)
 
 
-def dense_cholesky(m: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with R^T R = M, zero below the diagonal, by one
-    ``potrf``; LinalgError on a non-positive pivot."""
-    r, info = _dpotrf(check_finite(m), lower=0, clean=1)
-    _check_info(info, "potrf")
-    if info > 0:
-        raise LinalgError(
-            f"matrix is not positive definite: {info}-th leading minor of the array "
-            f"is not positive definite"
-        )
-    return r
-
-
 def cholesky_in_place(a: np.ndarray) -> bool:
     """Overwrite the upper triangle of a Fortran-ordered ``a`` with R,
     R^T R = A, by one ``potrf`` that reads and writes that triangle only: the
@@ -225,23 +217,6 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     c, lower = factor
     x, info = _dpotrs(c, check_finite(b), lower=lower)
     _check_info(info, "potrs")
-    return x
-
-
-def solve_triangular(
-    a: np.ndarray, b: np.ndarray, trans: int = 0, lower: bool = False
-) -> np.ndarray:
-    """a^-1 b, or a^-T b with ``trans`` 1, for a triangular ``a``, by one
-    ``trtrs``. As in scipy's wrapper, a C-ordered ``a`` goes to LAPACK as the
-    Fortran-ordered a.T, with the triangle and the transpose flag flipped."""
-    b = check_finite(b)
-    if a.flags.f_contiguous:
-        x, info = _dtrtrs(a, b, lower=lower, trans=trans)
-    else:
-        x, info = _dtrtrs(a.T, b, lower=not lower, trans=not trans)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    _check_info(info, "trtrs")
     return x
 
 
@@ -280,46 +255,90 @@ def lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 
 
 
 class SpdOperator:
-    """Symmetric positive definite operator with an exact solve.
-
-    Dense-backed: the upper Cholesky factor is computed lazily and cached. All
-    weighting/mass matrices at desk scale fit comfortably below
-    ``DENSE_THRESHOLD``. ``apply`` and ``solve`` take a vector (dim,) or a
-    block (dim, r).
+    """Symmetric positive definite operator with an exact solve, held by its
+    band in LAPACK's upper band storage, ``band[kd + i - j, j] = M[i, j]``
+    for ``j - kd <= i <= j``, with its upper Cholesky factor R, R^T R = M,
+    factored once by ``pbtrf`` in the same layout. Both are read-only.
+    ``apply`` and ``apply_factor`` loop over the kd + 1 diagonals, ``solve``
+    runs ``pbtrs`` and ``solve_factor`` ``tbtrs`` (Golub and Van Loan,
+    *Matrix Computations*, 4.3). Every built-in weighting matrix is
+    tridiagonal; a dense matrix takes the same path at kd = n - 1. Each
+    method takes a vector (dim,) or a block (dim, r).
     """
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("SpdOperator requires a square matrix")
-        self.dim = matrix.shape[0]
-        self._matrix = matrix
-        self._r = None
+    def __init__(self, matrix: np.ndarray | None = None, band: np.ndarray | None = None):
+        """The operator of a dense ``matrix``, kd read from it, or of its
+        upper band storage ``band``, (kd + 1, n), whose unused corner
+        band[:kd - d, :d] is read as zero. ValueError where the matrix is
+        not square, finite and symmetric within 1e-12 of its norm."""
+        if band is None:
+            matrix = check_finite(matrix)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("SpdOperator requires a square matrix")
+            if _frobenius(matrix - matrix.T) > 1e-12 * _frobenius(matrix):
+                raise ValueError("SpdOperator requires a symmetric matrix")
+            kd = max((d for d in range(len(matrix)) if np.diagonal(matrix, d).any()), default=0)
+            band = [np.pad(np.diagonal(matrix, d), (d, 0)) for d in range(kd, -1, -1)]
+        band = np.array(check_finite(band))
+        if band.ndim != 2 or band.shape[0] < 1:
+            raise ValueError("SpdOperator requires a band of shape (kd + 1, n)")
+        self.kd, self.dim = band.shape[0] - 1, band.shape[1]
+        for d in range(1, self.kd + 1):
+            band[self.kd - d, :d] = 0.0
+        factor, info = _dpbtrf(band, lower=0)
+        _check_info(info, "pbtrf")
+        if info > 0:
+            raise LinalgError(f"matrix is not positive definite: {info}-th leading minor")
+        band.flags.writeable = factor.flags.writeable = False
+        self.band, self._factor = band, factor
 
     @classmethod
     def identity(cls, dim: int) -> "SpdOperator":
-        return cls(np.eye(dim))
+        return cls(band=np.ones((1, dim)))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _band_product(self, band: np.ndarray, v: np.ndarray, symmetric: bool) -> np.ndarray:
+        """The upper triangular matrix held by ``band`` times v, or the
+        symmetric one whose upper triangle it holds."""
         v = np.asarray(v, dtype=float)
         check_operand(v, self.dim)
-        return matmul(self._matrix, v)
+        out = as_rows(band[self.kd], v) * v
+        for d in range(1, self.kd + 1):
+            off = as_rows(band[self.kd - d, d:], v)
+            out[:-d] += off * v[d:]
+            if symmetric:
+                out[d:] += off * v[:-d]
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self._band_product(self.band, v, symmetric=True)
+
+    def apply_factor(self, v: np.ndarray) -> np.ndarray:
+        """R v, R^T R = M."""
+        return self._band_product(self._factor, v, symmetric=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
+        rhs = check_finite(rhs)
         check_operand(rhs, self.dim)
-        return cho_solve((self.cholesky(), False), rhs)
+        x, info = _dpbtrs(self._factor, rhs, lower=0)
+        _check_info(info, "pbtrs")
+        return x
 
-    def cholesky(self) -> np.ndarray:
-        """Upper-triangular R with R^T R = M, factored once and read-only."""
-        if self._r is None:
-            r = dense_cholesky(self._matrix)
-            r.flags.writeable = False
-            self._r = r
-        return self._r
+    def solve_factor(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+        """R^-1 rhs, or R^-T rhs with ``trans``."""
+        rhs = check_finite(rhs)
+        check_operand(rhs, self.dim)
+        x, info = _dtbtrs(self._factor, rhs, trans="T" if trans else "N")
+        _check_info(info, "tbtrs")
+        return x
 
     def dense(self) -> np.ndarray:
-        return self._matrix
+        """M as a new read-only n x n array."""
+        out = np.diag(self.band[self.kd])
+        for d in range(1, self.kd + 1):
+            idx = np.arange(self.dim - d)
+            out[idx, idx + d] = out[idx + d, idx] = self.band[self.kd - d, d:]
+        out.flags.writeable = False
+        return out
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(v @ self.apply(w))
@@ -349,8 +368,7 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
         raise ValueError("vector dimension does not match the weighting operator")
     if vectors.shape[1] == 0:
         return np.zeros((b.dim, 0)), 0
-    r = b.cholesky()
-    w = check_finite(matmul(r, vectors))
+    w = check_finite(b.apply_factor(vectors))
     # scipy.linalg.qr(w, mode="economic", pivoting=True): geqp3, then Q_hat
     # from the first min(w.shape) reflectors by orgqr, in place
     qr, _, tau = _with_lwork(_dgeqp3, "geqp3", w)
@@ -358,7 +376,7 @@ def b_orthonormalize(vectors: np.ndarray, b: SpdOperator) -> tuple[np.ndarray, i
     (q_hat,) = _with_lwork(_dorgqr, "orgqr", qr[:, : min(w.shape)], tau, overwrite_a=1)
     small = pivots <= 1e-10 * pivots[0]
     rank = int(np.argmax(small)) if small.any() else pivots.shape[0]
-    q = solve_triangular(r, q_hat[:, :rank])
+    q = b.solve_factor(q_hat[:, :rank])
     return q, vectors.shape[1] - rank
 
 

@@ -212,7 +212,7 @@ def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
     H (from ``reduced_hessian_dense``) is factored in its own storage by one
     upper ``potrf``, which reads and writes only the upper triangle. So the
     returned array is ``h`` itself, made read-only: R in its upper
-    triangle, bit for bit the factor of ``dense_cholesky(h)``, and H's own
+    triangle, bit for bit the factor of ``scipy.linalg.cholesky(h)``, and H's own
     entries in its strict lower triangle, which no solve reads. Where the
     factorization fails, H is rebuilt in place from that strict lower
     triangle and its saved diagonal, so that ``check_sosc`` reports H's

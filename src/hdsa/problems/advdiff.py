@@ -22,6 +22,7 @@ from .fem1d import (
     advection_matrix_neumann,
     evaluate_preset,
     hat_interpolation,
+    mass_band,
     mass_matrix,
     stiffness_matrix_neumann,
 )
@@ -112,8 +113,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
         self.obs_steps = np.arange(0, n_steps, obs_every)  # 0-based step indices
         self.n_sensors = self.sensors.shape[0]
 
-        m_theta = np.eye(n_theta)
-        m_theta[2:, 2:] = mass_matrix(n_window, length=window[1] - window[0])
+        # I_2 (+) the window's mass matrix, in upper band storage
+        m_theta = np.hstack([[[0.0, 0.0], [1.0, 1.0]], mass_band(n_window, window[1] - window[0])])
         partition = SetPartition(
             (
                 ("diffusion", 0, 1),
@@ -122,8 +123,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
             )
         )
         self._spaces = WeightedSpaces(
-            m_theta=SpdOperator(m_theta),
-            m_z=SpdOperator(self._mass),
+            m_theta=SpdOperator(band=m_theta),
+            m_z=SpdOperator(band=mass_band(n_space)),
             partition=partition,
         )
 

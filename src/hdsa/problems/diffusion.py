@@ -16,7 +16,7 @@ import numpy as np
 
 from ..linalg import SpdOperator, as_rows, solve_tridiagonal
 from .base import ProblemDefinition, ProblemDims, ProblemError, SetPartition, WeightedSpaces, number_array
-from .fem1d import evaluate_preset, hat_interpolation, interior_mass_matrix, mass_matrix
+from .fem1d import evaluate_preset, hat_interpolation, mass_band
 
 
 class DiffusionControlProblem(ProblemDefinition):
@@ -57,11 +57,6 @@ class DiffusionControlProblem(ProblemDefinition):
         # hat-basis values of the parameter expansion at element midpoints
         self._phi_mid = hat_interpolation(midpoints, n_param)
 
-        self._mass = interior_mass_matrix(n_state)
-        # the stencil of _apply_mass; the dense matrix serves only
-        # mass_dense() and the Z-space weighting
-        self._mass_diag = np.diag(self._mass).copy()
-        self._mass_off = np.diag(self._mass, 1).copy()
         target = target if target is not None else {"preset": "sine"}
         self.target = evaluate_preset(target, self.x_interior, "target")
 
@@ -70,8 +65,9 @@ class DiffusionControlProblem(ProblemDefinition):
         # so that a reader never pairs one theta's key with another's values
         self._at_theta = (None, None)
         self._spaces = WeightedSpaces(
-            m_theta=SpdOperator(mass_matrix(n_param)),
-            m_z=SpdOperator(self._mass),
+            m_theta=SpdOperator(band=mass_band(n_param)),
+            # the mass matrix of the interior nodes of a Dirichlet grid
+            m_z=SpdOperator(band=mass_band(n_state + 2)[:, 1:-1]),
             partition=partition,
         )
 
@@ -135,14 +131,6 @@ class DiffusionControlProblem(ProblemDefinition):
         """Adjoint of ``_coeff_direction`` applied to per-element values."""
         return self.kappa0 * as_rows(self.amplitude, g) * (self._phi_mid.T @ g)
 
-    def _apply_mass(self, v: np.ndarray) -> np.ndarray:
-        """The tridiagonal mass matrix times a vector or an (n, r) block."""
-        off = as_rows(self._mass_off, v)
-        out = as_rows(self._mass_diag, v) * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
     def stiffness_dense(self, theta: np.ndarray) -> np.ndarray:
         ab = self._coefficients(theta)[1]
         idx = np.arange(self.n_state - 1)
@@ -152,31 +140,29 @@ class DiffusionControlProblem(ProblemDefinition):
         return a
 
     def mass_dense(self) -> np.ndarray:
-        return self._mass
+        return self.spaces.m_z.dense()
 
     # Problem surface -------------------------------------------------------
 
     def objective(self, u, z, theta) -> float:
-        du = u - self.target
-        return float(
-            0.5 * du @ self._apply_mass(du) + 0.5 * self.gamma * z @ self._apply_mass(z)
-        )
+        du, m_z = u - self.target, self.spaces.m_z
+        return float(0.5 * du @ m_z.apply(du) + 0.5 * self.gamma * z @ m_z.apply(z))
 
     def residual(self, u, z, theta) -> np.ndarray:
-        return self._apply_stiffness(self._coefficients(theta)[0], u) - self._apply_mass(z)
+        return self._apply_stiffness(self._coefficients(theta)[0], u) - self.spaces.m_z.apply(z)
 
     def residual_term_sizes(self, u, z, theta) -> np.ndarray:
         # element e couples its two nodes with weight kappa_e / h in A(theta)
         nodes = np.zeros(self.n_state + 2)
         nodes[1:-1] = np.abs(u)
         elem = self._coefficients(theta)[0] * (nodes[:-1] + nodes[1:]) / self.h
-        return elem[:-1] + elem[1:] + self._apply_mass(np.abs(z))
+        return elem[:-1] + elem[1:] + self.spaces.m_z.apply(np.abs(z))
 
     def obj_grad_u(self, u, z, theta) -> np.ndarray:
-        return self._apply_mass(u - self.target)
+        return self.spaces.m_z.apply(u - self.target)
 
     def obj_grad_z(self, u, z, theta) -> np.ndarray:
-        return self.gamma * self._apply_mass(z)
+        return self.gamma * self.spaces.m_z.apply(z)
 
     def obj_grad_theta(self, u, z, theta) -> np.ndarray:
         return np.zeros(self.n_param)
@@ -188,10 +174,10 @@ class DiffusionControlProblem(ProblemDefinition):
         return self.c_u(p, w)  # stiffness is symmetric
 
     def c_z(self, p, v) -> np.ndarray:
-        return -self._apply_mass(v)
+        return -self.spaces.m_z.apply(v)
 
     def c_z_adj(self, p, w) -> np.ndarray:
-        return -self._apply_mass(w)
+        return -self.spaces.m_z.apply(w)
 
     def c_theta(self, p, v) -> np.ndarray:
         return self._apply_stiffness(self._coeff_direction(v), p.u)
@@ -200,7 +186,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return self._coeff_adjoint(self._element_bilinear(p.u, w))
 
     def l_uu(self, p, v) -> np.ndarray:
-        return self._apply_mass(v)
+        return self.spaces.m_z.apply(v)
 
     def l_uz(self, p, v) -> np.ndarray:
         return np.zeros_like(v)
@@ -209,7 +195,7 @@ class DiffusionControlProblem(ProblemDefinition):
         return np.zeros_like(v)
 
     def l_zz(self, p, v) -> np.ndarray:
-        return self.gamma * self._apply_mass(v)
+        return self.gamma * self.spaces.m_z.apply(v)
 
     def l_utheta(self, p, v) -> np.ndarray:
         # d/dtheta (A(theta)^T lam) . v, with A affine in theta

@@ -16,20 +16,21 @@ def _tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> np.n
     return out
 
 
-def mass_matrix(n_nodes: int, length: float = 1.0) -> np.ndarray:
-    """Consistent mass matrix for linear elements on n_nodes equally spaced nodes."""
+def mass_band(n_nodes: int, length: float = 1.0) -> np.ndarray:
+    """Consistent mass matrix for linear elements on n_nodes equally spaced nodes,
+    in upper band storage: superdiagonal in row 0 from column 1, diagonal in row 1."""
     if n_nodes < 2:
         raise ProblemError("mass_matrix needs at least 2 nodes")
     h = length / (n_nodes - 1)
-    main = np.full(n_nodes, 2.0 * h / 3.0)
-    main[0] = main[-1] = h / 3.0
-    off = np.full(n_nodes - 1, h / 6.0)
-    return _tridiagonal(off, main, off)
+    band = np.array([np.full(n_nodes, h / 6.0), np.full(n_nodes, 2.0 * h / 3.0)])
+    band[0, 0], band[1, [0, -1]] = 0.0, h / 3.0
+    return band
 
 
-def interior_mass_matrix(n_interior: int) -> np.ndarray:
-    """Mass matrix restricted to the interior nodes of a Dirichlet grid."""
-    return mass_matrix(n_interior + 2)[1:-1, 1:-1].copy()
+def mass_matrix(n_nodes: int, length: float = 1.0) -> np.ndarray:
+    """The mass matrix of ``mass_band`` as a dense array."""
+    off, main = mass_band(n_nodes, length)
+    return _tridiagonal(off[1:], main, off[1:])
 
 
 def stiffness_matrix_neumann(n_nodes: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from .linalg import (
     dense_svd,
     dense_sym_eig,
     matmul,
-    solve_triangular,
 )
 from .operators import SensitivityOperator
 from .problems.base import WeightedSpaces
@@ -145,17 +144,11 @@ def _normalized(
     return Triples(sigma[live], theta * sign, z * sign)
 
 
-def _over_r_theta(bt: np.ndarray, spaces: WeightedSpaces) -> np.ndarray:
-    """B R_Theta^{-1} from B^T, with R_Theta^T R_Theta = M_Theta."""
-    r_theta = spaces.m_theta.cholesky()
-    return solve_triangular(r_theta, bt, trans=1).T
-
-
 def _weighted_svd(core: np.ndarray, spaces: WeightedSpaces):
     """sigma, U and the theta vectors R_Theta^{-1} V of the SVD
     U diag(sigma) V^T of ``core``, a matrix times R_Theta^{-1}."""
     sig, u, v = dense_svd(core)
-    return sig, u, solve_triangular(spaces.m_theta.cholesky(), v)
+    return sig, u, spaces.m_theta.solve_factor(v)
 
 
 def _leading(every: Triples, k_pairs: int) -> Triples:
@@ -241,7 +234,8 @@ def randomized_geneig(
     dropped += ndrop
 
     bt = d.apply_transpose(m_z.apply(q))
-    sig, u, theta = _weighted_svd(_over_r_theta(bt, spaces), spaces)
+    # B R_Theta^{-1} = (R_Theta^-T B^T)^T
+    sig, u, theta = _weighted_svd(m_theta.solve_factor(bt, trans=True).T, spaces)
     triples = _leading(_normalized(sig, theta, q @ u, spaces), cfg.k_pairs)
     residuals = np.zeros(0)
     if triples:
@@ -271,10 +265,10 @@ def _assembled(d: SensitivityOperator) -> np.ndarray:
 def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> Triples:
     """Every weighted singular triple of an assembled D, from the SVD of
     R_Z D R_Theta^{-1} with R^T R = M."""
-    r_z = spaces.m_z.cholesky()
-    sig, u, theta = _weighted_svd(matmul(r_z, _over_r_theta(dmat.T, spaces)), spaces)
-    z = solve_triangular(r_z, u)
-    return _normalized(sig, theta, z, spaces)
+    m_z = spaces.m_z
+    core = m_z.apply_factor(spaces.m_theta.solve_factor(dmat.T, trans=True).T)
+    sig, u, theta = _weighted_svd(core, spaces)
+    return _normalized(sig, theta, m_z.solve_factor(u), spaces)
 
 
 def exact_triples(

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdsa.analysis import global_analysis, perturbation_check, traditional_comparison
 from hdsa.bundle import CSV_FILES
 from hdsa.cli import EXIT_OK, main
 from hdsa.indices import local_indices, set_indices
-from hdsa.linalg import dense_cholesky
 from hdsa.operators import KktOperator, SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_optimization
 from hdsa.problems import (
@@ -239,8 +239,8 @@ def test_criterion_6_invariant_suite(build, theta):
     # Parseval at full rank: the squared sigmas sum to the squared weighted
     # Frobenius norm of the sensitivity map
     oracle = dense_oracle(sens, spaces)
-    r_z = dense_cholesky(spaces.m_z.dense())
-    r_th = dense_cholesky(spaces.m_theta.dense())
+    r_z = scipy.linalg.cholesky(spaces.m_z.dense())
+    r_th = scipy.linalg.cholesky(spaces.m_theta.dense())
     core = r_z @ np.linalg.solve(r_th.T, sens.dense().T).T
     frob2 = float(np.sum(core**2))
     total = float(oracle.sigma @ oracle.sigma)

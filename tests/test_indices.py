@@ -261,3 +261,43 @@ def test_run_set_indices_match_a_numpy_reference(tmp_path, mode):
                 core = l_z.T @ np.linalg.solve(np.linalg.cholesky(m_s), d[:, start:stop].T).T
                 ref = np.linalg.svd(core, compute_uv=False)[0]
             assert sets[j, name] == pytest.approx(ref, rel=1e-12)
+
+
+def test_run_sigma_and_local_indices_match_a_numpy_reference(tmp_path):
+    """singular_values.csv and local_indices.csv that `hdsa run` writes for
+    diffusion control, whose M_Z and M_Theta are both P1 mass matrices,
+    against the SVD of R_Z D R_Theta^{-1} with D one column at a time and
+    the R from numpy Cholesky factors: the first K sigma_k, and
+    S_i = sqrt(sum_k sigma_k^2 ((R_Theta^T v_k)_i)^2), M_Theta theta_k being
+    R_Theta^T v_k."""
+    out = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {"name": "diffusion_control_1d",
+                    "params": {"n_state": 64, "n_param": 16, "gamma": 0.01}},
+        "hdsa": {"n_samples": 2, "k_pairs": 4},
+        "output_dir": str(out),
+    }))
+    assert main(["run", str(path)]) == EXIT_OK
+
+    def table(name, column):
+        with (out / name).open() as fh:
+            rows = list(csv.DictReader(fh))
+        return {j: np.array([float(r[column]) for r in rows if int(r["j"]) == j]) for j in range(2)}
+
+    sigma, local = table("singular_values.csv", "sigma"), table("local_indices.csv", "S_hat")
+    cfg = load_config(path)
+    problem = cfg.build_problem()
+    n_theta, k = problem.dims.n_theta, cfg.randeig.k_pairs
+    weights = [problem.spaces.m_z.dense(), problem.spaces.m_theta.dense()]
+    for m in weights:
+        assert not np.allclose(m, np.diag(np.diag(m)))
+    r_z, r_theta = (np.linalg.cholesky(m).T for m in weights)
+    for j in range(2):
+        opt = solve_optimization(problem, cfg.build_plan(problem).sample(j))
+        sens = SensitivityOperator(problem, opt.as_eval_point())
+        d = np.column_stack([sens.apply(e) for e in np.eye(n_theta)])
+        _, s, vt = np.linalg.svd(r_z @ np.linalg.solve(r_theta.T, d.T).T)
+        np.testing.assert_allclose(sigma[j], s[:k], rtol=1e-12)
+        ref = np.sqrt((r_theta.T @ vt[:k].T) ** 2 @ s[:k] ** 2)
+        np.testing.assert_allclose(local[j], ref, rtol=1e-12, atol=1e-12 * ref.max())

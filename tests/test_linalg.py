@@ -13,13 +13,11 @@ from hdsa.linalg import (
     b_orthonormalize,
     cho_solve,
     cholesky_in_place,
-    dense_cholesky,
     dense_svd,
     dense_sym_eig,
     lu_factor,
     lu_solve,
     matmul,
-    solve_triangular,
     solve_tridiagonal,
 )
 
@@ -29,6 +27,17 @@ def random_spd(n, seed=0, cond=1e3):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.logspace(0, -np.log10(cond), n)
     return q @ np.diag(d) @ q.T
+
+
+def banded_spd(n, kd, seed=0):
+    """An exactly symmetric, diagonally dominant n x n matrix with kd
+    random diagonals on each side of the main one."""
+    rng = np.random.default_rng(seed)
+    m = np.diag(2.0 * kd + rng.uniform(0.5, 1.5, n))
+    for d in range(1, kd + 1):
+        idx = np.arange(n - d)
+        m[idx, idx + d] = m[idx + d, idx] = rng.uniform(-1.0, 1.0, n - d)
+    return m
 
 
 class TestBOrthonormalize:
@@ -77,7 +86,7 @@ class TestBOrthonormalize:
         # each independent column lies in the span of Q, to its own B-norm;
         # measured in the coordinates R x, R^T R = B, where the rounding of
         # the check itself does not grow with the condition number of B
-        r = m.cholesky()
+        r = scipy.linalg.cholesky(m.dense())
         basis, cols = r @ q, r @ base
         rest = cols - basis @ (basis.T @ cols)
         assert np.all(np.linalg.norm(rest, axis=0) <= 1e-12 * m.norms(base))
@@ -126,11 +135,6 @@ def _value_error(call):
 class TestKernels:
     """Each kernel returns the bits of the scipy.linalg wrapper it replaces."""
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_dense_cholesky_is_scipys(self, order):
-        m = _layouts(random_spd(20, seed=30))[order]
-        assert np.array_equal(dense_cholesky(m), scipy.linalg.cholesky(m))
-
     def test_cholesky_in_place_is_scipys_cho_factor(self):
         """R over the diagonal and M's own entries below it, in M's array."""
         m = random_spd(20, seed=40)
@@ -157,16 +161,6 @@ class TestKernels:
         for name, b in _operands(20, 32).items():
             assert np.array_equal(cho_solve(factor, b), scipy.linalg.cho_solve(factor, b)), name
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("lower", [False, True])
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_solve_triangular_is_scipys(self, order, lower, trans):
-        r = dense_cholesky(random_spd(20, seed=33))
-        a = _layouts(r.T if lower else r)[order]
-        for name, b in _operands(20, 34).items():
-            ref = scipy.linalg.solve_triangular(a, b, trans=trans, lower=lower)
-            assert np.array_equal(solve_triangular(a, b, trans=trans, lower=lower), ref), name
-
     def test_solve_tridiagonal_is_scipys(self):
         rng = np.random.default_rng(35)
         ab = rng.standard_normal((3, 20))
@@ -189,18 +183,17 @@ class TestKernels:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operands_rejected(self, bad):
         m = random_spd(6, seed=39)
-        r = dense_cholesky(m)
         ab = np.vstack([np.ones(6), np.full(6, 4.0), np.ones(6)])
         b, m_bad, ab_bad = np.ones((6, 2)), m.copy(), ab.copy()
         for a in (b, m_bad, ab_bad):
             a[1, 1] = bad
         calls = [
-            lambda: cho_solve((r, False), b),
-            lambda: solve_triangular(r, b),
+            lambda: cho_solve((scipy.linalg.cholesky(m), False), b),
+            lambda: SpdOperator(m).solve_factor(b),
             lambda: solve_tridiagonal(ab, b),
             lambda: lu_solve(lu_factor(m), b),
             lambda: SpdOperator(m).solve(b),
-            lambda: dense_cholesky(m_bad),
+            lambda: SpdOperator(band=ab_bad),
             lambda: solve_tridiagonal(ab_bad, np.ones(6)),
             lambda: lu_factor(m_bad),
             lambda: SpdOperator(m_bad).solve(np.ones(6)),
@@ -210,10 +203,6 @@ class TestKernels:
                 call()
 
     def test_singular_matrices_raise_scipys_errors(self):
-        r = np.triu(np.ones((4, 4)))
-        r[2, 2] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 2"):
-            solve_triangular(np.asfortranarray(r), np.ones(4))
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             solve_tridiagonal(np.zeros((3, 4)), np.ones(4))
         with pytest.warns(LinAlgWarning, match="exactly zero"):
@@ -230,12 +219,12 @@ class TestKernels:
         v = np.random.default_rng(42).standard_normal(shape)
         v[:, shape[1] - drop :] = v[:, :drop]
         v = _layouts(v)[order]
-        w = matmul(m.cholesky(), v)
+        w = m.apply_factor(v)
         q_hat, t, _ = scipy.linalg.qr(w, mode="economic", pivoting=True)
         pivots = np.abs(np.diag(t))
         rank = int(np.sum(pivots > 1e-10 * pivots[0]))
         q, dropped = b_orthonormalize(v, m)
-        assert np.array_equal(q, solve_triangular(m.cholesky(), q_hat[:, :rank]))
+        assert np.array_equal(q, m.solve_factor(q_hat[:, :rank]))
         assert dropped == shape[1] - rank == max(drop, shape[1] - shape[0])
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -285,8 +274,85 @@ class TestKernels:
 
     def test_cached_factor_is_read_only(self):
         op = SpdOperator(random_spd(6, seed=40))
-        with pytest.raises(ValueError, match="read-only"):
-            op.cholesky()[0, 0] = 1.0
+        for array in (op.band, op._factor, op.dense()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kd", [0, 1, 2, 19])
+    def test_band_cholesky_is_scipys(self, kd):
+        """pbtrf and pbtrs return the bits of scipy's cholesky_banded and
+        cho_solve_banded."""
+        m = banded_spd(20, kd, seed=47)
+        op = SpdOperator(m)
+        factor = scipy.linalg.cholesky_banded(op.band)
+        assert np.array_equal(op._factor, factor)
+        for name, b in _operands(20, 48).items():
+            ref = scipy.linalg.cho_solve_banded((factor, False), b)
+            assert np.array_equal(op.solve(b), ref), name
+
+
+class TestBand:
+    """SpdOperator's band kernels against a numpy dense reference."""
+
+    @pytest.mark.parametrize("kd", [0, 1, 29])
+    def test_kernels_match_dense_numpy(self, kd):
+        m = banded_spd(30, kd, seed=50 + kd)
+        op = SpdOperator(m)
+        assert (op.kd, op.dim, op.band.shape) == (kd, 30, (kd + 1, 30))
+        np.testing.assert_array_equal(op.dense(), m)
+        r = op.apply_factor(np.eye(30))
+        np.testing.assert_array_equal(r, np.triu(r))
+        np.testing.assert_allclose(r.T @ r, m, rtol=0, atol=1e-13 * np.abs(m).max())
+        rng = np.random.default_rng(51)
+        for v in (rng.standard_normal(30), rng.standard_normal((30, 4))):
+            scale = np.abs(v).max() * np.abs(m).max()
+            np.testing.assert_allclose(op.apply(v), m @ v, rtol=0, atol=1e-14 * kd * scale)
+            np.testing.assert_allclose(op.apply_factor(v), r @ v, rtol=0, atol=1e-13 * scale)
+            for got, ref in (
+                (op.solve(v), np.linalg.solve(m, v)),
+                (op.solve_factor(v), np.linalg.solve(r, v)),
+                (op.solve_factor(v, trans=True), np.linalg.solve(r.T, v)),
+            ):
+                assert got.shape == v.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            block = v.reshape(30, -1)
+            norms = np.sqrt(np.einsum("ij,ij->j", block, m @ block))
+            np.testing.assert_allclose(op.norms(block), norms, rtol=1e-13)
+            assert op.norm(block[:, 0]) == pytest.approx(norms[0], rel=1e-13)
+
+    def test_band_of_a_matrix_is_its_upper_band(self):
+        m = banded_spd(8, 2, seed=52)
+        op = SpdOperator(m)
+        band = np.zeros((3, 8))
+        for d in range(3):
+            band[2 - d, d:] = np.diagonal(m, d)
+        np.testing.assert_array_equal(op.band, band)
+        # the corner that upper band storage leaves unused reads as zero
+        junk = band.copy()
+        junk[0, :2] = junk[1, :1] = 7.0
+        from_band = SpdOperator(band=junk)
+        np.testing.assert_array_equal(from_band.band, band)
+        np.testing.assert_array_equal(from_band.dense(), m)
+
+    def test_identity_is_exact(self):
+        op = SpdOperator.identity(5)
+        v = np.random.default_rng(53).standard_normal((5, 2))
+        assert op.kd == 0
+        for call in (op.apply, op.solve, op.apply_factor, op.solve_factor):
+            np.testing.assert_array_equal(call(v), v)
+
+    def test_non_symmetric_matrix_rejected(self):
+        # the upper triangle alone was factored, the whole matrix applied:
+        # solve(apply([1, 2])) read [1.33, 1.33]
+        with pytest.raises(ValueError, match="symmetric"):
+            SpdOperator(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        m = np.eye(3)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            SpdOperator(m)
 
 
 class TestDense:
@@ -375,13 +441,13 @@ class TestDense:
 
     def test_cholesky_factorization(self):
         m = random_spd(12, seed=11, cond=10)
-        r = dense_cholesky(m)
+        r = SpdOperator(m).apply_factor(np.eye(12))
         assert np.allclose(r, np.triu(r))
         np.testing.assert_allclose(r.T @ r, m, atol=1e-12)
 
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(LinalgError):
-            dense_cholesky(np.diag([1.0, -1.0]))
+            SpdOperator(np.diag([1.0, -1.0]))
 
     def test_shape_errors_are_value_errors(self):
         # a wrong shape is a programming error; LinalgError, which the
@@ -396,30 +462,33 @@ class TestDense:
             with pytest.raises(ValueError):
                 call()
 
-    def test_spd_operator_apply_runs_through_matmul(self, monkeypatch):
+    def test_spd_operator_apply_loops_over_the_band(self, monkeypatch):
+        # a product with M_Z or M_Theta costs O(n kd), no dgemm
+        monkeypatch.setattr(hdsa.linalg, "matmul", None)
         m = random_spd(30, seed=17)
-        calls = []
-
-        def spy(a, b, trans_a=False):
-            calls.append(b.shape)
-            return matmul(a, b, trans_a=trans_a)
-
-        monkeypatch.setattr(hdsa.linalg, "matmul", spy)
         rng = np.random.default_rng(18)
         for v in (rng.standard_normal(30), rng.standard_normal((30, 4))):
             np.testing.assert_allclose(
                 SpdOperator(m).apply(v), m @ v, rtol=1e-13, atol=1e-13
             )
-        assert calls == [(30,), (30, 4)]
 
-    def test_spd_operator_factors_once(self):
+    def test_spd_operator_factors_once(self, monkeypatch):
         m = random_spd(12, seed=12, cond=10)
+        calls = []
+        pbtrf = hdsa.linalg._dpbtrf
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return pbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(hdsa.linalg, "_dpbtrf", spy)
         op = SpdOperator(m)
-        r = op.cholesky()
         # solve and every later caller share the one factor
         x = op.solve(np.ones(12))
-        assert op.cholesky() is r
-        np.testing.assert_array_equal(r, dense_cholesky(m))
+        op.apply_factor(np.ones(12))
+        op.solve_factor(np.ones((12, 2)), trans=True)
+        assert calls == [(12, 12)]
+        np.testing.assert_array_equal(op._factor, scipy.linalg.cholesky_banded(op.band))
         np.testing.assert_allclose(m @ x, np.ones(12), atol=1e-12)
         with pytest.raises(LinalgError):
             SpdOperator(np.diag([1.0, -1.0])).solve(np.ones(2))

@@ -60,19 +60,19 @@ class CoupledDiffusion(DiffusionControlProblem):
     beta = 0.05
 
     def objective(self, u, z, theta):
-        return super().objective(u, z, theta) + self.beta * u @ self._apply_mass(z)
+        return super().objective(u, z, theta) + self.beta * u @ self.spaces.m_z.apply(z)
 
     def obj_grad_u(self, u, z, theta):
-        return super().obj_grad_u(u, z, theta) + self.beta * self._apply_mass(z)
+        return super().obj_grad_u(u, z, theta) + self.beta * self.spaces.m_z.apply(z)
 
     def obj_grad_z(self, u, z, theta):
-        return super().obj_grad_z(u, z, theta) + self.beta * self._apply_mass(u)
+        return super().obj_grad_z(u, z, theta) + self.beta * self.spaces.m_z.apply(u)
 
     def l_uz(self, p, v):
-        return self.beta * self._apply_mass(v)
+        return self.beta * self.spaces.m_z.apply(v)
 
     def l_zu(self, p, v):
-        return self.beta * self._apply_mass(v)
+        return self.beta * self.spaces.m_z.apply(v)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from hdsa import optimizer
-from hdsa.linalg import BLOCK_BYTES, block_width, cholesky_in_place, dense_cholesky
+from hdsa.linalg import BLOCK_BYTES, block_width, cholesky_in_place
 from hdsa.optimizer import (
     OptimizerConfig,
     OptimizerError,
@@ -193,7 +193,7 @@ class TestHessianStorage:
         c, lower = optimizer.factor_reduced_hessian(h)
         assert c is h and not lower and not c.flags.writeable
         # R above the diagonal, bit for bit the separate factor, and H below
-        np.testing.assert_array_equal(np.triu(c), dense_cholesky(ref))
+        np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(ref))
         np.testing.assert_array_equal(np.tril(c, -1), np.tril(ref, -1))
         assert optimizer._norm_1(ref) == pytest.approx(np.linalg.norm(ref, 1), rel=1e-14)
 
@@ -213,7 +213,6 @@ class TestHessianStorage:
         """Above its entry, solve_optimization holds W and H/R and no other
         n_z x n_z array; at the separate factor it held about 4 n_z^2."""
         p = build_diffusion_control_1d(n_state=600, n_param=16, gamma=0.01)
-        p.spaces.m_z.cholesky()
         theta = np.linspace(-0.5, 0.5, 16)
         tracemalloc.start()
         try:
@@ -221,6 +220,23 @@ class TestHessianStorage:
             tracemalloc.reset_peak()
             opt = solve_optimization(p, theta)
             peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_z = p.dims.n_z
+        assert opt.sosc_min_eig_est > 0.0
+        assert peak <= 2 * 8 * n_z**2 + 8 * BLOCK_BYTES
+
+
+    def test_build_and_solve_peak_memory(self):
+        """Building the problem and solving it hold W and H/R and no other
+        n_z x n_z array: M_Z and its factor are kept by their band. With a
+        dense M_Z and R_Z the peak was about 4 n_z^2 doubles."""
+        theta = np.linspace(-0.5, 0.5, 16)
+        tracemalloc.start()
+        try:
+            p = build_diffusion_control_1d(n_state=600, n_param=16, gamma=0.01)
+            opt = solve_optimization(p, theta)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n_z = p.dims.n_z
