@@ -109,7 +109,7 @@ def analyze_sample(
     # the operator holds W and the factor for its elimination; the sample
     # result keeps neither
     optimal = replace(optimal, state_sensitivity=None, hessian_factor=None)
-    svd = svd_path(cfg, sens.n_z, sens.n_theta)
+    svd = svd_path(cfg, sens.n_theta)
     if svd == "exact":
         triples, diag, every = exact_triples(sens, problem.spaces, cfg)
     else:

@@ -19,14 +19,18 @@ def local_indices(triples: Triples, spaces: WeightedSpaces) -> np.ndarray:
 
 
 def _check_partition_orthogonal(partition: SetPartition, spaces: WeightedSpaces) -> None:
-    m = spaces.m_theta.dense()
-    scale = max(float(np.abs(m).max()), 1e-30)
-    for i, (_, s1, e1) in enumerate(partition.sets):
-        for _, s2, e2 in partition.sets[i + 1 :]:
-            if float(np.abs(m[s1:e1, s2:e2]).max()) > 1e-12 * scale:
-                raise ProblemError(
-                    "partition blocks are not mutually M_Theta-orthogonal"
-                )
+    """ProblemError where an entry of M_Theta that couples two sets exceeds
+    1e-12 of its largest entry, read from M_Theta's band: its d-th
+    superdiagonal couples i and i + d."""
+    m = spaces.m_theta
+    scale = max(float(np.abs(m.band).max()), 1e-30)
+    label = np.empty(m.dim, dtype=int)
+    for k, (_, start, stop) in enumerate(partition.sets):
+        label[start:stop] = k
+    for d in range(1, m.kd + 1):
+        across = label[:-d] != label[d:]
+        if across.any() and float(np.abs(m.band[m.kd - d, d:][across]).max()) > 1e-12 * scale:
+            raise ProblemError("partition blocks are not mutually M_Theta-orthogonal")
 
 
 def set_indices(

@@ -19,7 +19,6 @@ from .linalg import (
     cho_solve,
     cholesky_in_place,
     dense_sym_eig,
-    dtrsv,
     identity_columns,
     matmul,
 )
@@ -65,8 +64,9 @@ class OptimalPoint:
     # W = -c_u^{-1} c_z and the Cholesky factor of the reduced Hessian at this
     # point (None where it is not positive definite), reused by the KKT
     # elimination. The factor is ``factor_reduced_hessian``'s one n_z x n_z
-    # array: R in its upper triangle, which every solve reads, and H's own
-    # entries in its strict lower triangle, which none reads
+    # array: R in its upper triangle, which every solve reads, and in its
+    # strict lower triangle the mirror of H's upper block triangle, which
+    # none reads
     state_sensitivity: np.ndarray | None = field(default=None, repr=False)
     hessian_factor: tuple | None = field(default=None, repr=False)
 
@@ -146,7 +146,7 @@ def state_sensitivity(problem: ProblemDefinition, p: EvalPoint) -> np.ndarray:
     for start in range(0, d.n_z, width):
         stop = min(start + width, d.n_z)
         w[:, start:stop] = problem.state_jacobian_solve(
-            p, -problem.c_z(p, identity_columns(d.n_z, start, stop))
+            p, problem.c_z(p, -identity_columns(d.n_z, start, stop))
         )
     return w
 
@@ -155,12 +155,14 @@ def reduced_hessian_dense(
     problem: ProblemDefinition, p: EvalPoint, w: np.ndarray | None = None
 ) -> np.ndarray:
     """H = L_zz + L_zu W + W^T (L_uu W + L_uz), the null-space form
-    Z^T (grad^2 L) Z with Z = [W; I], symmetrized. Costs no PDE solve beyond
-    the n_z of W, which is formed here unless given.
+    Z^T (grad^2 L) Z with Z = [W; I]. Costs no PDE solve beyond the n_z of
+    W, which is formed here unless given.
 
-    H is one Fortran-ordered n_z x n_z array, written a column block at a
-    time and symmetrized in place (``_symmetrize``), so that
-    ``factor_reduced_hessian`` can factor it in its own storage."""
+    H is one Fortran-ordered n_z x n_z array, so that
+    ``factor_reduced_hessian`` can factor it in its own storage. It is
+    formed as its upper block triangle: column block [start, stop) takes
+    rows [:stop] of the formula, by one product with W[:, :stop], and its
+    transpose is copied into the rows below, so H is exactly symmetric."""
     if w is None:
         w = state_sensitivity(problem, p)
     n_z = problem.dims.n_z
@@ -169,30 +171,16 @@ def reduced_hessian_dense(
     for start in range(0, n_z, width):
         stop = min(start + width, n_z)
         e, w_c = identity_columns(n_z, start, stop), w[:, start:stop]
-        h_c = h[:, start:stop]
-        h_c[...] = matmul(w, problem.l_uu(p, w_c) + problem.l_uz(p, e), trans_a=True)
-        h_c += problem.l_zu(p, w_c)
-        h_c += problem.l_zz(p, e)
-    _symmetrize(h)
+        h_c = h[:stop, start:stop]
+        h_c[...] = matmul(w[:, :stop], problem.l_uu(p, w_c) + problem.l_uz(p, e), trans_a=True)
+        h_c += problem.l_zu(p, w_c)[:stop]
+        h_c += problem.l_zz(p, e)[:stop]
+        # the diagonal block's upper triangle and the block column above it,
+        # transposed, fill the rows below
+        i, j = np.tril_indices(stop - start, -1)
+        h[start + i, start + j] = h[start + j, start + i]
+        h[start:stop, :start] = h[:start, start:stop].T
     return h
-
-
-def _symmetrize(h: np.ndarray) -> None:
-    """h <- 0.5 (h + h^T) in place, entry for entry the same arithmetic as
-    ``0.5 * (h + h.T)``, one diagonal block or one pair of off-diagonal
-    blocks at a time. A block is ``block_width(n)`` square, so no temporary
-    is larger than ``BLOCK_BYTES``, and below about 200 rows H is one block."""
-    n = h.shape[0]
-    width = block_width(n)
-    for i in range(0, n, width):
-        rows = slice(i, min(i + width, n))
-        for j in range(i, n, width):
-            cols = slice(j, min(j + width, n))
-            upper, lower = h[rows, cols], h[cols, rows]
-            t = upper + lower.T
-            t *= 0.5
-            upper[...] = t
-            lower[...] = t.T
 
 
 def _norm_1(h: np.ndarray) -> float:
@@ -227,44 +215,30 @@ def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
     return h, False
 
 
-def _cho_solve_vector(factor: tuple, v: np.ndarray) -> np.ndarray:
-    """H^-1 v for one vector, by two triangular BLAS ``dtrsv`` solves with
-    the ``cho_factor`` factor of H, H = L L^T or U^T U: 0.07 ms at n = 600,
-    against 0.2 to 0.3 ms for LAPACK ``dpotrs``."""
-    c, lower = factor
-    first, second = (0, 1) if lower else (1, 0)
-    y = dtrsv(c, v, lower=lower, trans=first)
-    return dtrsv(c, y, lower=lower, trans=second)
-
-
 def _inverse_norm_estimate(factor: tuple) -> float:
     """Hager-Higham lower estimate of ||H^-1||_1 from the Cholesky factor of
     a symmetric H (Higham, ACM TOMS 14, 1988, Alg. 4.1), as in LAPACK dpocon,
     at up to 11 solves. dpocon itself returned different last bits from run
     to run under two OpenBLAS threads; these solves do not."""
     n = factor[0].shape[0]
-
-    def solve(v):
-        return _cho_solve_vector(factor, v)
-
-    y = solve(np.full(n, 1.0 / n))
+    y = cho_solve(factor, np.full(n, 1.0 / n))
     est, sign = np.abs(y).sum(), np.copysign(1.0, y)
-    z = np.abs(solve(sign))
+    z = np.abs(cho_solve(factor, sign))
     j = int(np.argmax(z))
     for _ in range(4):
-        y = solve(np.eye(1, n, j)[0])  # column j of H^-1
+        y = cho_solve(factor, np.eye(1, n, j)[0])  # column j of H^-1
         est_old, est = est, max(est, np.abs(y).sum())
         # a repeated sign vector has converged; no growth is cycling
         if np.array_equal(np.copysign(1.0, y), sign) or est <= est_old:
             break
         sign = np.copysign(1.0, y)
-        z = np.abs(solve(sign))
+        z = np.abs(cho_solve(factor, sign))
         j_last, j = j, int(np.argmax(z))
         if z[j_last] == z[j]:
             break
     # an alternating-sign vector guards against an unlucky start
     alt = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
-    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * n)))
+    return float(max(est, 2.0 * np.abs(cho_solve(factor, alt)).sum() / (3.0 * n)))
 
 
 def check_sosc(h: np.ndarray, factor: tuple | None, h_norm: float) -> float:

@@ -185,11 +185,12 @@ def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
     return (2 + 2 * q) * min(cfg.n_probes, n_theta) + cfg.k_pairs
 
 
-def svd_path(cfg: RandEigConfig, n_z: int, n_theta: int) -> str:
+def svd_path(cfg: RandEigConfig, n_theta: int) -> str:
     """"exact" where assembling D, one KKT right-hand side per parameter,
-    takes no more than the ``randomized_rhs`` of the randomized solve and D
-    fits the dense threshold; "randomized" otherwise."""
-    if n_theta <= randomized_rhs(cfg, n_theta) and n_z + n_theta <= DENSE_THRESHOLD:
+    takes no more than the ``randomized_rhs`` of the randomized solve and
+    n_theta is at most ``DENSE_THRESHOLD``; "randomized" otherwise. n_z
+    does not enter: the optimizer bounds it already."""
+    if n_theta <= min(randomized_rhs(cfg, n_theta), DENSE_THRESHOLD):
         return "exact"
     return "randomized"
 
@@ -254,8 +255,10 @@ def randomized_geneig(
 
 
 def _assembled(d: SensitivityOperator) -> np.ndarray:
-    """D as a matrix, from one block of KKT solves over the parameter basis."""
-    if d.n_z + d.n_theta > DENSE_THRESHOLD:
+    """D as a matrix, from one block of KKT solves over the parameter basis.
+    n_z is at most ``DENSE_THRESHOLD`` wherever an optimal point was found,
+    so only n_theta is checked."""
+    if d.n_theta > DENSE_THRESHOLD:
         raise LinalgError(
             "problem too large to assemble D densely; use the randomized path"
         )

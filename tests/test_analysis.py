@@ -18,7 +18,7 @@ from hdsa.analysis import (
 )
 from hdsa.cli import EXIT_OK, main
 from hdsa.config import load_config, parse_config
-from hdsa.linalg import SpdOperator
+from hdsa.linalg import DENSE_THRESHOLD, SpdOperator
 from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
 from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
@@ -382,15 +382,20 @@ class TestSvdPath:
 
     def test_rule_reads_sizes_only(self):
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
-        assert svd_path(cfg, 64, 3) == "exact"  # 3 <= 3
-        assert svd_path(cfg, 64, 4) == "randomized"
+        assert svd_path(cfg, 3) == "exact"  # 3 <= 3
+        assert svd_path(cfg, 4) == "randomized"
         # no more probes than parameters, so n_theta <= K + p always assembles
         cfg = RandEigConfig(k_pairs=4, oversampling=8, power_iterations=0)
-        assert svd_path(cfg, 1, 2) == "exact"
-        # D must also fit the dense threshold, whatever it costs
+        assert svd_path(cfg, 2) == "exact"
+        # n_z does not enter: the 2,000-node diffusion problem's 16
+        # parameters assemble D at 16 right-hand sides against 76
         cfg = RandEigConfig(k_pairs=4, oversampling=8)
-        assert svd_path(cfg, 1984, 16) == "exact"
-        assert svd_path(cfg, 1985, 16) == "randomized"
+        assert svd_path(cfg, 16) == "exact"
+        # D's n_theta columns must fit the dense threshold, whatever they cost
+        cfg = RandEigConfig(k_pairs=1000, oversampling=8, power_iterations=0)
+        assert randomized_rhs(cfg, DENSE_THRESHOLD + 1) > DENSE_THRESHOLD + 1
+        assert svd_path(cfg, DENSE_THRESHOLD) == "exact"
+        assert svd_path(cfg, DENSE_THRESHOLD + 1) == "randomized"
 
     @pytest.mark.parametrize(
         "name, k, p, q",
@@ -423,7 +428,7 @@ class TestSvdPath:
         assert len(alt) == k and alt_diag.n_dropped == 0
         assert alt_diag.kkt_rhs == diag.kkt_rhs + (2 * r if sketch else 0)
         path = "exact" if sens.n_theta <= diag.kkt_rhs else "randomized"
-        assert svd_path(cfg, sens.n_z, sens.n_theta) == path
+        assert svd_path(cfg, sens.n_theta) == path
 
 
 def test_direct_set_indices_match_sigma_1(tmp_path):

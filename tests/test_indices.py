@@ -157,6 +157,32 @@ class TestSetIndices:
         with pytest.raises(ProblemError):
             set_indices(triples, spaces, part)
 
+    def test_coupling_read_from_the_band(self, monkeypatch):
+        """M_Theta's second superdiagonal alone couples set a to set b;
+        the check reads the band and never forms the dense matrix."""
+
+        def no_dense(self):
+            raise AssertionError("SpdOperator.dense called")
+
+        part = SetPartition((("a", 0, 3), ("b", 3, 6)))
+        m = 4.0 * np.eye(6)
+        m[0, 1] = m[1, 0] = m[4, 5] = m[5, 4] = 0.5
+        m[0, 2] = m[2, 0] = 0.3  # within set a
+        coupled = m.copy()
+        coupled[1, 3] = coupled[3, 1] = 0.3
+        triples = rank_one(1.0, unit(6, 0), unit(6, 0))
+        monkeypatch.setattr(SpdOperator, "dense", no_dense)
+        for matrix in (m, coupled):
+            spaces = WeightedSpaces(
+                m_theta=SpdOperator(matrix), m_z=SpdOperator.identity(6), partition=part
+            )
+            assert spaces.m_theta.kd == 2
+            if matrix is m:
+                assert set(set_indices(triples, spaces, part)) == {"a", "b"}
+            else:
+                with pytest.raises(ProblemError, match="M_Theta-orthogonal"):
+                    set_indices(triples, spaces, part)
+
     def test_partition_must_cover(self):
         part = SetPartition((("a", 0, 2),))
         spaces = identity_spaces(4, 4, part)
@@ -263,15 +289,36 @@ def test_run_set_indices_match_a_numpy_reference(tmp_path, mode):
             assert sets[j, name] == pytest.approx(ref, rel=1e-12)
 
 
-def test_run_sigma_and_local_indices_match_a_numpy_reference(tmp_path):
-    """singular_values.csv and local_indices.csv that `hdsa run` writes for
-    diffusion control, whose M_Z and M_Theta are both P1 mass matrices,
-    against the SVD of R_Z D R_Theta^{-1} with D one column at a time and
-    the R from numpy Cholesky factors: the first K sigma_k, and
-    S_i = sqrt(sum_k sigma_k^2 ((R_Theta^T v_k)_i)^2), M_Theta theta_k being
-    R_Theta^T v_k."""
-    out = tmp_path / "results"
-    path = tmp_path / "config.json"
+def _diffusion_reference(problem, theta):
+    """The optimal z and the coordinate matrix D of diffusion control at
+    theta, from numpy and scipy alone, sharing no code with
+    ``hdsa.optimizer`` or ``hdsa.operators``. With A = A(theta) and M the
+    mass matrix, the optimum solves N z = M d, N = M A^-1 M + gamma A, and
+    since A is affine in theta, D e_k = N^-1 (M A^-1 A_k A^-1 M - gamma A_k) z
+    with A_k = A(e_k) - A(0)."""
+    m, gamma = problem.mass_dense(), problem.gamma
+    n_theta = problem.dims.n_theta
+    a = problem.stiffness_dense(theta)
+    a_inv_m = np.linalg.solve(a, m)
+    n = m @ a_inv_m + gamma * a
+    z = np.linalg.solve(n, m @ problem.target)
+    a_0 = problem.stiffness_dense(np.zeros(n_theta))
+    cols = []
+    for e in np.eye(n_theta):
+        a_k = problem.stiffness_dense(e) - a_0
+        cols.append(a_inv_m.T @ (a_k @ (a_inv_m @ z)) - gamma * (a_k @ z))
+    return z, np.linalg.solve(n, np.column_stack(cols))
+
+
+@pytest.fixture(scope="module")
+def diffusion_bundle(tmp_path_factory):
+    """A two-sample `hdsa run` bundle of diffusion control, whose M_Z and
+    M_Theta are both P1 mass matrices, as {file: {j: values}}, with K, the
+    problem, the Cholesky factors R_Z and R_Theta from numpy, and for each
+    sample ``_diffusion_reference``'s z and the SVD U, sigma, V^T of
+    R_Z D R_Theta^{-1}."""
+    out = tmp_path_factory.mktemp("diffusion") / "results"
+    path = out.parent / "config.json"
     path.write_text(json.dumps({
         "problem": {"name": "diffusion_control_1d",
                     "params": {"n_state": 64, "n_param": 16, "gamma": 0.01}},
@@ -279,25 +326,63 @@ def test_run_sigma_and_local_indices_match_a_numpy_reference(tmp_path):
         "output_dir": str(out),
     }))
     assert main(["run", str(path)]) == EXIT_OK
-
-    def table(name, column):
+    tables = {}
+    for name, column in (
+        ("singular_values.csv", "sigma"),
+        ("local_indices.csv", "S_hat"),
+        ("optimal_z.csv", "value"),
+        ("singular_vectors_theta.csv", "value"),
+        ("singular_vectors_z.csv", "value"),
+    ):
         with (out / name).open() as fh:
             rows = list(csv.DictReader(fh))
-        return {j: np.array([float(r[column]) for r in rows if int(r["j"]) == j]) for j in range(2)}
-
-    sigma, local = table("singular_values.csv", "sigma"), table("local_indices.csv", "S_hat")
+        tables[name] = {
+            j: np.array([float(r[column]) for r in rows if int(r["j"]) == j]) for j in range(2)
+        }
     cfg = load_config(path)
     problem = cfg.build_problem()
-    n_theta, k = problem.dims.n_theta, cfg.randeig.k_pairs
     weights = [problem.spaces.m_z.dense(), problem.spaces.m_theta.dense()]
     for m in weights:
         assert not np.allclose(m, np.diag(np.diag(m)))
     r_z, r_theta = (np.linalg.cholesky(m).T for m in weights)
+    refs = []
     for j in range(2):
-        opt = solve_optimization(problem, cfg.build_plan(problem).sample(j))
-        sens = SensitivityOperator(problem, opt.as_eval_point())
-        d = np.column_stack([sens.apply(e) for e in np.eye(n_theta)])
-        _, s, vt = np.linalg.svd(r_z @ np.linalg.solve(r_theta.T, d.T).T)
-        np.testing.assert_allclose(sigma[j], s[:k], rtol=1e-12)
+        z, d = _diffusion_reference(problem, cfg.build_plan(problem).sample(j))
+        refs.append((z, *np.linalg.svd(r_z @ np.linalg.solve(r_theta.T, d.T).T)))
+    return tables, cfg.randeig.k_pairs, problem, r_z, r_theta, refs
+
+
+def test_run_sigma_and_local_indices_match_a_numpy_reference(diffusion_bundle):
+    """singular_values.csv and local_indices.csv against the first K sigma_k
+    of the reference SVD and S_i = sqrt(sum_k sigma_k^2 ((R_Theta^T v_k)_i)^2),
+    M_Theta theta_k being R_Theta^T v_k."""
+    tables, k, _, _, r_theta, refs = diffusion_bundle
+    for j, (_, _, s, vt) in enumerate(refs):
+        np.testing.assert_allclose(tables["singular_values.csv"][j], s[:k], rtol=1e-12)
         ref = np.sqrt((r_theta.T @ vt[:k].T) ** 2 @ s[:k] ** 2)
-        np.testing.assert_allclose(local[j], ref, rtol=1e-12, atol=1e-12 * ref.max())
+        np.testing.assert_allclose(
+            tables["local_indices.csv"][j], ref, rtol=1e-12, atol=1e-12 * ref.max()
+        )
+
+
+def test_run_optimal_z_and_singular_vectors_match_a_numpy_reference(diffusion_bundle):
+    """optimal_z.csv against the reference z, and singular_vectors_*.csv
+    against theta_k = R_Theta^{-1} v_k and z_k = R_Z^{-1} u_k of the
+    reference SVD under the sign rule: the entry of theta_k largest in
+    magnitude is positive, and z_k flips with it."""
+    tables, k, problem, r_z, r_theta, refs = diffusion_bundle
+    dims = problem.dims
+    for j, (z, u, _, vt) in enumerate(refs):
+        np.testing.assert_allclose(
+            tables["optimal_z.csv"][j], z, rtol=0, atol=1e-13 * np.abs(z).max()
+        )
+        theta_k = np.linalg.solve(r_theta, vt[:k].T)
+        peak = theta_k[np.argmax(np.abs(theta_k), axis=0), np.arange(k)]
+        sign = np.where(peak >= 0.0, 1.0, -1.0)
+        for name, ref, dim in (
+            ("theta", theta_k * sign, dims.n_theta),
+            ("z", np.linalg.solve(r_z, u[:, :k]) * sign, dims.n_z),
+        ):
+            # rows in (k, i) order
+            got = tables[f"singular_vectors_{name}.csv"][j].reshape(k, dim).T
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11 * np.abs(ref).max())

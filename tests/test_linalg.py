@@ -157,9 +157,17 @@ class TestKernels:
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_cho_solve_is_scipys(self, lower):
-        factor = scipy.linalg.cho_factor(random_spd(20, seed=31), lower=lower)
+        """A block takes ``potrs``, a vector two triangular ``dtrsv``, first
+        with R^T (or L) and then with R (or L^T); test_optimizer's
+        TestInverseNormEstimate checks the vector against ``dpotrs``."""
+        c, _ = factor = scipy.linalg.cho_factor(random_spd(20, seed=31), lower=lower)
         for name, b in _operands(20, 32).items():
-            assert np.array_equal(cho_solve(factor, b), scipy.linalg.cho_solve(factor, b)), name
+            if b.ndim == 1:
+                y = scipy.linalg.blas.dtrsv(c, b, lower=lower, trans=0 if lower else 1)
+                ref = scipy.linalg.blas.dtrsv(c, y, lower=lower, trans=1 if lower else 0)
+            else:
+                ref = scipy.linalg.cho_solve(factor, b)
+            assert np.array_equal(cho_solve(factor, b), ref), name
 
     def test_solve_tridiagonal_is_scipys(self):
         rng = np.random.default_rng(35)
@@ -319,6 +327,30 @@ class TestBand:
             norms = np.sqrt(np.einsum("ij,ij->j", block, m @ block))
             np.testing.assert_allclose(op.norms(block), norms, rtol=1e-13)
             assert op.norm(block[:, 0]) == pytest.approx(norms[0], rel=1e-13)
+
+    @pytest.mark.parametrize("kd", [0, 1, 2, 29])
+    def test_products_are_the_term_by_term_formula(self, kd):
+        """apply and apply_factor keep each off-diagonal product in one
+        reused temporary, and return the bits of the diagonal term plus,
+        diagonal by diagonal, the term above and the term below it: at
+        kd = 1 the three-term stencil."""
+        op = SpdOperator(banded_spd(30, kd, seed=60 + kd))
+        rng = np.random.default_rng(61)
+        for v in (rng.standard_normal(30), rng.standard_normal((30, 5))):
+
+            def rows(x):
+                return x.reshape(x.shape + (1,) * (v.ndim - 1))
+
+            for band, symmetric, got in (
+                (op.band, True, op.apply(v)),
+                (op._factor, False, op.apply_factor(v)),
+            ):
+                ref = rows(band[kd]) * v
+                for d in range(1, kd + 1):
+                    ref[:-d] = ref[:-d] + rows(band[kd - d, d:]) * v[d:]
+                    if symmetric:
+                        ref[d:] = ref[d:] + rows(band[kd - d, d:]) * v[:-d]
+                assert np.array_equal(got, ref), (v.shape, symmetric)
 
     def test_band_of_a_matrix_is_its_upper_band(self):
         m = banded_spd(8, 2, seed=52)

@@ -6,7 +6,14 @@ import pytest
 import scipy.linalg
 
 from hdsa import optimizer
-from hdsa.linalg import BLOCK_BYTES, block_width, cholesky_in_place
+from hdsa.linalg import (
+    BLOCK_BYTES,
+    block_width,
+    cho_solve,
+    cholesky_in_place,
+    identity_columns,
+    matmul,
+)
 from hdsa.optimizer import (
     OptimizerConfig,
     OptimizerError,
@@ -161,8 +168,7 @@ class TestReducedHessian:
 
 @pytest.fixture(scope="module")
 def dense_point():
-    """Diffusion at 600 nodes, where H is assembled and symmetrized in 9
-    column blocks."""
+    """Diffusion at 600 nodes, where H is assembled in 9 column blocks."""
     p = build_diffusion_control_1d(n_state=600, n_param=16, gamma=0.01)
     theta = np.linspace(-0.5, 0.5, 16)
     z = np.random.default_rng(11).standard_normal(600)
@@ -174,17 +180,52 @@ def dense_point():
 class TestHessianStorage:
     """H, its 1-norm and its Cholesky factor share one n_z x n_z array."""
 
-    def test_symmetrized_in_place_as_the_formula(self, dense_point, monkeypatch):
+    def test_upper_block_triangle_mirrored(self, dense_point, monkeypatch):
+        """Column block [start, stop) is rows [:stop] of the formula, from
+        one product with W[:, :stop]; the rows below take its transpose."""
         p, pt, w = dense_point
-        assert p.dims.n_z > 8 * block_width(p.dims.n_z)
+        n_u, n_z = p.dims.n_u, p.dims.n_z
+        width = block_width(n_u)
+        assert n_z > 8 * width
+        read = []
+
+        def spy(a, b, trans_a=False):
+            read.append(a)
+            return matmul(a, b, trans_a)
+
+        monkeypatch.setattr(optimizer, "matmul", spy)
         h = reduced_hessian_dense(p, pt, w)
-        monkeypatch.setattr(optimizer, "_symmetrize", lambda h: None)
-        raw = reduced_hessian_dense(p, pt, w)
-        # the assembly is not symmetric to the last bit, so this pins the
-        # averaging, not a copy of one triangle
-        assert not np.array_equal(raw, raw.T)
         assert h.flags.f_contiguous
-        np.testing.assert_array_equal(h, 0.5 * (raw + raw.T))
+        np.testing.assert_array_equal(h, h.T)
+        starts = range(0, n_z, width)
+        stops = [min(start + width, n_z) for start in starts]
+        assert [a.shape for a in read] == [(n_u, stop) for stop in stops]
+        for a, stop in zip(read, stops):
+            assert np.shares_memory(a, w) and np.array_equal(a, w[:, :stop])
+        for start, stop in zip(starts, stops):
+            e, w_c = identity_columns(n_z, start, stop), w[:, start:stop]
+            ref = matmul(w[:, :stop], p.l_uu(pt, w_c) + p.l_uz(pt, e), trans_a=True)
+            ref += p.l_zu(pt, w_c)[:stop]
+            ref += p.l_zz(pt, e)[:stop]
+            upper = np.triu(np.ones_like(ref, dtype=bool), start)
+            np.testing.assert_array_equal(h[:stop, start:stop][upper], ref[upper])
+
+    @pytest.mark.parametrize("name", ["dense", "advdiff", "logistic"])
+    def test_state_sensitivity_is_the_solved_negated_c_z(self, dense_point, name):
+        """W negates the identity block before c_z, and keeps the bits of
+        solving with -c_z(I) block by block."""
+        if name == "dense":
+            p, pt, w = dense_point
+        else:
+            p = BUILT_IN[name]()
+            opt = solve_optimization(p, THETA0[name])
+            pt, w = opt.as_eval_point(), opt.state_sensitivity
+        n_z, width = p.dims.n_z, block_width(p.dims.n_u)
+        ref = np.column_stack([
+            p.state_jacobian_solve(pt, -p.c_z(pt, identity_columns(n_z, s, min(s + width, n_z))))
+            for s in range(0, n_z, width)
+        ])
+        assert np.array_equal(w, ref)
 
     def test_factor_shares_the_array(self, dense_point):
         p, pt, w = dense_point
@@ -448,7 +489,8 @@ class TestSecondOrderCheck:
 
 
 class TestInverseNormEstimate:
-    """The SOSC estimate solves with H by two triangular ``dtrsv`` each."""
+    """The SOSC estimate solves with H by ``linalg.cho_solve``, which takes
+    a vector by two triangular ``dtrsv``."""
 
     @staticmethod
     def _dpotrs(factor, v):
@@ -464,12 +506,12 @@ class TestInverseNormEstimate:
         factor = scipy.linalg.cho_factor(h, lower=lower)
         v = rng.standard_normal(n)
         ref = self._dpotrs(factor, v)
-        got = optimizer._cho_solve_vector(factor, v)
+        got = cho_solve(factor, v)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
         est = optimizer._inverse_norm_estimate(factor)
         for _ in range(3):
             assert optimizer._inverse_norm_estimate(factor) == est
-        monkeypatch.setattr(optimizer, "_cho_solve_vector", self._dpotrs)
+        monkeypatch.setattr(optimizer, "cho_solve", self._dpotrs)
         assert est == pytest.approx(optimizer._inverse_norm_estimate(factor), rel=1e-14)
 
 
