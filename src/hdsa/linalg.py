@@ -298,31 +298,40 @@ class SpdOperator:
             raise LinalgError(f"matrix is not positive definite: {info}-th leading minor")
         band.flags.writeable = factor.flags.writeable = False
         self.band, self._factor = band, factor
+        self._band_terms, self._factor_terms = self._terms(band), self._terms(factor)
+
+    def _terms(self, band: np.ndarray) -> tuple:
+        """The diagonals of ``band``, the main one first, as views made once:
+        1-D for a vector operand and (n, 1) columns for a block."""
+        diagonals = [band[self.kd]] + [band[self.kd - d, d:] for d in range(1, self.kd + 1)]
+        return diagonals, [x[:, None] for x in diagonals]
 
     @classmethod
     def identity(cls, dim: int) -> "SpdOperator":
         return cls(band=np.ones((1, dim)))
 
-    def _band_product(self, band: np.ndarray, v: np.ndarray, symmetric: bool) -> np.ndarray:
-        """The upper triangular matrix held by ``band`` times v, or the
-        symmetric one whose upper triangle it holds."""
+    def _band_product(self, terms: tuple, v: np.ndarray, symmetric: bool) -> np.ndarray:
+        """The upper triangular matrix whose diagonals are ``terms`` times v,
+        or the symmetric one whose upper triangle they hold. Each
+        off-diagonal product goes to one reused temporary."""
         v = np.asarray(v, dtype=float)
         check_operand(v, self.dim)
-        out = as_rows(band[self.kd], v) * v
-        tmp = np.empty((self.dim - 1,) + v.shape[1:]) if self.kd else None
-        for d in range(1, self.kd + 1):
-            off, t = as_rows(band[self.kd - d, d:], v), tmp[: self.dim - d]
+        main, *upper = terms[v.ndim - 1]
+        out = main * v
+        tmp = np.empty((self.dim - 1,) + v.shape[1:]) if upper else None
+        for d, off in enumerate(upper, 1):
+            t = tmp[: self.dim - d]
             out[:-d] += np.multiply(off, v[d:], out=t)
             if symmetric:
                 out[d:] += np.multiply(off, v[:-d], out=t)
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._band_product(self.band, v, symmetric=True)
+        return self._band_product(self._band_terms, v, symmetric=True)
 
     def apply_factor(self, v: np.ndarray) -> np.ndarray:
         """R v, R^T R = M."""
-        return self._band_product(self._factor, v, symmetric=False)
+        return self._band_product(self._factor_terms, v, symmetric=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = check_finite(rhs)

@@ -53,6 +53,11 @@ class OptimizerConfig:
 
 @dataclass
 class OptimalPoint:
+    """The accepted KKT point of ``solve_optimization``. ``lambda0`` is the
+    adjoint solved at (u0, z0), the last adjoint solve of the run, so
+    (u0, z0, lambda0) is the stationary triple that the sensitivity
+    operator and the derivative checks read."""
+
     u0: np.ndarray
     z0: np.ndarray
     lambda0: np.ndarray
@@ -278,11 +283,20 @@ def solve_optimization(
     Each step solves H d = -g with the Cholesky factor of the dense reduced
     Hessian H, factored once per assembly in H's own array after its 1-norm
     is taken, and takes steepest descent where H is not positive definite.
-    A problem whose H does not depend on the iterate forms W and H once.
-    Returns an OptimalPoint whose adjoint, W and factor are the ones the
-    last iteration computed at the final iterate; the factor certifies H
-    positive definite (``check_sosc``, unless disabled), and W and the
-    factor are handed on for the KKT elimination.
+    The reduced gradient is g = J_z + W^T J_u, one product with the state
+    sensitivity W the loop holds: the sensitivity form of J_z + c_z^T lambda
+    for lambda = -c_u^{-T} J_u (Hinze, Pinnau, Ulbrich and Ulbrich,
+    *Optimization with PDE Constraints*, 2009, sec. 1.6), which solves no
+    adjoint. So lambda is solved only where it is read. Where H reads it,
+    it is solved at every iterate before W and H are formed there. A problem
+    whose H does not depend on the iterate (``constant_reduced_hessian``)
+    forms W and H once, at lambda = 0, which its second-derivative blocks
+    do not read, and solves lambda once, at the accepted point; a run that
+    stops short of stationarity raises before that solve.
+    Returns an OptimalPoint whose W and factor are the ones the last
+    assembly computed; the factor certifies H positive definite
+    (``check_sosc``, unless disabled), and W and the factor are handed on
+    for the KKT elimination.
     """
     cfg = cfg or OptimizerConfig()
     dims = problem.dims
@@ -300,17 +314,22 @@ def solve_optimization(
 
     it = 0
     f = problem.objective(u, z, theta0)
+    constant = problem.constant_reduced_hessian
     w = None
     while True:
-        lam = solve_adjoint(problem, u, z, theta0)
-        p = EvalPoint(u, z, lam, theta0)
-        g = problem.lagrangian_grad_z(p)
-        gnorm = grad_m_norm(g)
-        if w is None or not problem.constant_reduced_hessian:
+        if w is None or not constant:
+            # a constant H reads no lambda: it is formed at lambda = 0
+            lam = np.zeros(dims.n_lambda) if constant else solve_adjoint(problem, u, z, theta0)
+            p = EvalPoint(u, z, lam, theta0)
             w = state_sensitivity(problem, p)
             h = reduced_hessian_dense(problem, p, w)
             h_norm = _norm_1(h)
             factor = factor_reduced_hessian(h)
+        # J_z + c_z^T lambda in its sensitivity form, with no adjoint solve
+        g = problem.obj_grad_z(u, z, theta0) + matmul(
+            w, problem.obj_grad_u(u, z, theta0), trans_a=True
+        )
+        gnorm = grad_m_norm(g)
         if gnorm <= cfg.stationarity_tol or it >= cfg.max_iter:
             break
         # steepest descent where H is not positive definite
@@ -346,6 +365,8 @@ def solve_optimization(
             f"optimizer did not reach stationarity: |g|_M = {gnorm:.3e} "
             f"after {it} iterations"
         )
+    if constant:
+        lam = solve_adjoint(problem, u, z, theta0)
     return OptimalPoint(
         u0=u,
         z0=z,

@@ -295,42 +295,50 @@ def run_sample(tmp_path, problem, params, hdsa):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
-    """One default advection-diffusion sample solves 86 state and adjoint
-    right-hand sides at every seed: the n_z = 64 state solves of W, from
-    which the optimizer builds the reduced Hessian once, so the count does
-    not depend on theta; one state solve for each of the 16 columns of D,
-    the forward half of the elimination; one adjoint solve for each of the
-    4 columns of D that check the operator through the full elimination;
-    and 2 for the optimizer, whose line search predicts the state after
-    its one Newton step without a solve."""
+    """One default advection-diffusion sample solves 85 state and adjoint
+    right-hand sides at every seed, n_z + n_theta + min(NORM_PROBES,
+    n_theta) + 1: the n_z = 64 state solves of W, from which the optimizer
+    builds the reduced Hessian once and takes every reduced gradient, so
+    the count does not depend on theta; one state solve for each of the 16
+    columns of D, the forward half of the elimination; one adjoint solve
+    for each of the 4 columns of D that check the operator through the full
+    elimination; and 1 for the optimizer, at the accepted point. Its line
+    search predicts the state after its one Newton step without a solve."""
     columns = counted_solve_columns(monkeypatch, AdvDiffInversionProblem)
     res = run_sample(tmp_path, "advdiff_inversion_1d", {}, {
         "k_pairs": 12, "oversampling": 8, "power_iterations": 2, "seed": seed
     })
     assert res.svd == "exact"
     assert res.diagnostics.kkt_rhs == 16
-    assert sum(columns) == 86
+    assert res.optimal.iterations == 1
+    assert sum(columns) == 85
 
 
 @pytest.mark.parametrize(
     "params, hdsa, solves",
     [
-        # the README quick start: 64 for W, 2 for the optimizer, 16 for D
-        # and 4 for the adjoint half of its checked columns
+        # the README quick start: 64 for W, 1 for the optimizer, at the
+        # accepted point, 16 for D and 4 for the adjoint half of its checked
+        # columns
         ({"n_state": 64, "n_param": 16, "gamma": 0.01},
-         {"k_pairs": 4, "oversampling": 8, "seed": 0}, 86),
+         {"k_pairs": 4, "oversampling": 8, "seed": 0}, 85),
         # 600 nodes, with a tapered amplitude that gives a spectral gap
         ({"n_state": 600, "n_param": 16, "gamma": 0.01,
           "amplitude": [0.2] * 4 + [0.005] * 12},
-         {"k_pairs": 4, "oversampling": 8, "seed": 1}, 622),
+         {"k_pairs": 4, "oversampling": 8, "seed": 1}, 621),
     ],
     ids=["quick start", "n_state 600"],
 )
 def test_diffusion_sample_solve_count(tmp_path, monkeypatch, params, hdsa, solves):
+    """n_z + n_theta + min(NORM_PROBES, n_theta) + 1 state and adjoint
+    right-hand sides: n_z for W, n_theta + 4 for D, and 1 for the
+    optimizer, at the accepted point, which it reaches in one Newton
+    step."""
     columns = counted_solve_columns(monkeypatch, DiffusionControlProblem)
     res = run_sample(tmp_path, "diffusion_control_1d", params, hdsa)
     assert res.svd == "exact"
     assert res.diagnostics.kkt_rhs == 16
+    assert res.optimal.iterations == 1
     assert sum(columns) == solves
 
 

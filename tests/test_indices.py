@@ -11,6 +11,7 @@ from hdsa.linalg import SpdOperator
 from hdsa.operators import SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import (
+    EvalPoint,
     ProblemError,
     SetPartition,
     WeightedSpaces,
@@ -310,6 +311,66 @@ def _diffusion_reference(problem, theta):
     return z, np.linalg.solve(n, np.column_stack(cols))
 
 
+def _bundle_tables(out, n_samples):
+    """The numbers of a bundle's tables as {file: {j: values}}, rows in file
+    order: (k, i) for the singular vectors, partition order for the sets."""
+    tables = {}
+    for name, column in (
+        ("singular_values.csv", "sigma"),
+        ("local_indices.csv", "S_hat"),
+        ("set_indices.csv", "value"),
+        ("optimal_z.csv", "value"),
+        ("singular_vectors_theta.csv", "value"),
+        ("singular_vectors_z.csv", "value"),
+    ):
+        with (out / name).open() as fh:
+            rows = list(csv.DictReader(fh))
+        tables[name] = {
+            j: np.array([float(r[column]) for r in rows if int(r["j"]) == j])
+            for j in range(n_samples)
+        }
+    with (out / "set_indices.csv").open() as fh:
+        tables["set names"] = [r["set"] for r in csv.DictReader(fh) if r["j"] == "0"]
+    return tables
+
+
+def _reference_indices(sigma, vt, k, r_theta, partition, mode, r_z=None, d=None):
+    """The first k sigma_k, the local indices and the set indices of the
+    weighted SVD U diag(sigma) V^T = R_Z D R_Theta^{-1}, by numpy alone.
+    S_i = sqrt(sum_k sigma_k^2 ((R_Theta^T v_k)_i)^2). A "truncated" set
+    index is sqrt(lambda_max) of the set Gram sigma_k sigma_l theta_k[S]^T
+    M_SS theta_l[S] of the first k triples, theta_k = R_Theta^{-1} v_k; a
+    "direct" one is sigma_1(R_Z D[:, S] R_SS^{-1}), R_SS^T R_SS = M_SS."""
+    s, v = sigma[:k], vt[:k].T
+    local = np.sqrt((r_theta.T @ v) ** 2 @ s**2)
+    m_theta, theta = r_theta.T @ r_theta, np.linalg.solve(r_theta, v)
+    sets = []
+    for _, start, stop in partition:
+        m_s = m_theta[start:stop, start:stop]
+        if mode == "truncated":
+            gram = np.outer(s, s) * (theta[start:stop].T @ m_s @ theta[start:stop])
+            sets.append(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+        else:
+            r_s = np.linalg.cholesky(m_s).T
+            core = r_z @ np.linalg.solve(r_s.T, d[:, start:stop].T).T
+            sets.append(np.linalg.svd(core, compute_uv=False)[0])
+    return s, local, np.array(sets)
+
+
+INDEX_FILES = ("singular_values.csv", "local_indices.csv", "set_indices.csv")
+
+
+def _assert_indices_match(tables, refs, files=INDEX_FILES):
+    """Each table against its reference, sample by sample, to 1e-12 of the
+    table's largest entry."""
+    for name, ref in zip(files, refs):
+        got = tables[name]
+        scale = max(np.abs(v).max() for v in got.values())
+        for j, r in enumerate(ref):
+            assert got[j].shape == r.shape, (name, j)
+            np.testing.assert_allclose(got[j], r, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
 @pytest.fixture(scope="module")
 def diffusion_bundle(tmp_path_factory):
     """A two-sample `hdsa run` bundle of diffusion control, whose M_Z and
@@ -326,19 +387,7 @@ def diffusion_bundle(tmp_path_factory):
         "output_dir": str(out),
     }))
     assert main(["run", str(path)]) == EXIT_OK
-    tables = {}
-    for name, column in (
-        ("singular_values.csv", "sigma"),
-        ("local_indices.csv", "S_hat"),
-        ("optimal_z.csv", "value"),
-        ("singular_vectors_theta.csv", "value"),
-        ("singular_vectors_z.csv", "value"),
-    ):
-        with (out / name).open() as fh:
-            rows = list(csv.DictReader(fh))
-        tables[name] = {
-            j: np.array([float(r[column]) for r in rows if int(r["j"]) == j]) for j in range(2)
-        }
+    tables = _bundle_tables(out, 2)
     cfg = load_config(path)
     problem = cfg.build_problem()
     weights = [problem.spaces.m_z.dense(), problem.spaces.m_theta.dense()]
@@ -386,3 +435,95 @@ def test_run_optimal_z_and_singular_vectors_match_a_numpy_reference(diffusion_bu
             # rows in (k, i) order
             got = tables[f"singular_vectors_{name}.csv"][j].reshape(k, dim).T
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11 * np.abs(ref).max())
+
+
+def test_run_set_indices_match_the_diffusion_reference(diffusion_bundle):
+    """set_indices.csv (truncated mode, K 4) against the set Gram of the
+    first K triples of ``_diffusion_reference``'s SVD, at 1e-12 of the
+    file's largest entry (measured 2.7e-14)."""
+    tables, k, problem, _, r_theta, refs = diffusion_bundle
+    partition = problem.spaces.partition.sets
+    assert tables["set names"] == [name for name, _, _ in partition]
+    sets = [
+        _reference_indices(s, vt, k, r_theta, partition, "truncated")[2]
+        for _, _, s, vt in refs
+    ]
+    _assert_indices_match(tables, [sets], files=["set_indices.csv"])
+
+
+def _kkt_reference(problem, theta, z):
+    """D at the optimal z of a bundle, sharing no code with
+    ``hdsa.operators`` or ``hdsa.randeig``. Every block is assembled densely
+    by numpy from the problem's block actions on identity columns. u solves
+    c(u, z, theta) = 0 by one Newton step from 0, exact since c is affine in
+    u on both problems, so c_u does not depend on u; lambda solves
+    c_u^T lambda = -J_u; and
+    D = -P_z K^{-1} [L_utheta; L_ztheta; c_theta], K the KKT matrix
+    (L_uu, L_uz, c_u^T; L_zu, L_zz, c_z^T; c_u, c_z, 0), by
+    ``numpy.linalg.solve``."""
+    d = problem.dims
+    e_u, e_z, e_l, e_t = (np.eye(n) for n in (d.n_u, d.n_z, d.n_lambda, d.n_theta))
+    zero_u, zero_l = np.zeros(d.n_u), np.zeros(d.n_lambda)
+    c_u = problem.c_u(EvalPoint(zero_u, z, zero_l, theta), e_u)
+    u = -np.linalg.solve(c_u, problem.residual(zero_u, z, theta))
+    c = problem.residual(u, z, theta)
+    assert np.linalg.norm(c) <= 1e-13 * np.linalg.norm(problem.residual_term_sizes(u, z, theta))
+    lam = np.linalg.solve(c_u.T, -problem.obj_grad_u(u, z, theta))
+    p = EvalPoint(u, z, lam, theta)
+    k = np.block([
+        [problem.l_uu(p, e_u), problem.l_uz(p, e_z), problem.c_u_adj(p, e_l)],
+        [problem.l_zu(p, e_u), problem.l_zz(p, e_z), problem.c_z_adj(p, e_l)],
+        [problem.c_u(p, e_u), problem.c_z(p, e_z), np.zeros((d.n_lambda, d.n_lambda))],
+    ])
+    b = np.vstack([problem.l_utheta(p, e_t), problem.l_ztheta(p, e_t), problem.c_theta(p, e_t)])
+    return -np.linalg.solve(k, b)[d.n_u : d.n_u + d.n_z]
+
+
+# advection-diffusion small enough for a dense K: n_stacked 336. alpha 0.01
+# (default 5e-4) brings cond K from 7.7e4 to 5.3e3, so the run's own
+# rounding in D sits far below the 1e-12 gate
+SMALL_ADVDIFF = {"name": "advdiff_inversion_1d",
+                 "params": {"n_space": 16, "n_steps": 10, "n_window": 6, "alpha": 0.01}}
+
+
+@pytest.mark.parametrize(
+    "problem, mode",
+    [
+        (SMALL_ADVDIFF, "truncated"),
+        (SMALL_ADVDIFF, "direct"),
+        ({"name": "logistic_toy"}, "truncated"),
+    ],
+    ids=["advdiff-truncated", "advdiff-direct", "logistic"],
+)
+def test_run_indices_match_a_dense_kkt_reference(tmp_path, problem, mode):
+    """singular_values.csv, local_indices.csv and set_indices.csv of a
+    two-sample `hdsa run` against ``_kkt_reference``'s D at each sample's
+    optimal z (advection-diffusion with K of dimension 336 and non-identity
+    M_Z and M_Theta; the logistic toy, whose D has rank 1), at 1e-12 of each
+    file's largest entry. Measured on advection-diffusion (cond K 5.3e3)
+    in both modes: sigma 5.3e-15, local 6.5e-15, sets 6.3e-15. At the
+    default alpha (cond K 7.7e4) the same comparison reads up to 4.9e-13,
+    nearly all of it the run's own rounding in D, so that config is not
+    used. On the logistic toy at most 2.9e-16."""
+    out = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": problem,
+        "hdsa": {"n_samples": 2, "set_index_mode": mode},
+        "output_dir": str(out),
+    }))
+    assert main(["run", str(path)]) == EXIT_OK
+    tables = _bundle_tables(out, 2)
+    cfg = load_config(path)
+    problem = cfg.build_problem()
+    dims, spaces = problem.dims, problem.spaces
+    partition = spaces.partition.sets
+    assert tables["set names"] == [name for name, _, _ in partition]
+    r_z, r_theta = (np.linalg.cholesky(m.dense()).T for m in (spaces.m_z, spaces.m_theta))
+    k = min(cfg.randeig.k_pairs, dims.n_z, dims.n_theta)
+    refs = []
+    for j in range(2):
+        d = _kkt_reference(problem, cfg.build_plan(problem).sample(j), tables["optimal_z.csv"][j])
+        _, sigma, vt = np.linalg.svd(r_z @ np.linalg.solve(r_theta.T, d.T).T)
+        refs.append(_reference_indices(sigma, vt, k, r_theta, partition, mode, r_z, d))
+    _assert_indices_match(tables, list(zip(*refs)))

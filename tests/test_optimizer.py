@@ -385,26 +385,47 @@ class TestSolveOptimization:
             solve_optimization(p, np.zeros(8), cfg=cfg)
 
     def test_adjoint_solved_once_per_iterate(self, monkeypatch):
-        # the loop's last adjoint is at the final iterate; solving it again
-        # there costs one more PDE solve for the same lambda
-        vectors = []
-        original = DiffusionControlProblem.state_jacobian_adjoint_solve
+        """The reduced gradient solves no adjoint, so lambda is solved only
+        where it is read: once per solve_optimization where H is constant
+        (diffusion), at the accepted point, and at each of the iterations + 1
+        iterates where H reads it (the logistic toy), as before. lambda0 is
+        the last solve, bit for bit the adjoint at (u0, z0)."""
+        for build, theta, constant in (
+            (lambda: build_diffusion_control_1d(n_state=24, n_param=6), np.zeros(6), True),
+            (build_logistic_toy, np.array([0.5, 0.5]), False),
+        ):
+            p = build()
+            assert p.constant_reduced_hessian is constant
+            columns = []
+            solve = p.state_jacobian_adjoint_solve
+            monkeypatch.setattr(
+                p,
+                "state_jacobian_adjoint_solve",
+                lambda pt, rhs: columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+                or solve(pt, rhs),
+            )
+            opt = solve_optimization(p, theta)
+            # a constant H takes one Newton step; the logistic toy takes several
+            if constant:
+                assert opt.iterations == 1
+            else:
+                assert opt.iterations >= 1
+            assert sum(columns) == (1 if constant else opt.iterations + 1)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(
+                opt.lambda0, solve_adjoint(p, opt.u0, opt.z0, opt.theta0)
+            )
 
-        def counted(self, p, rhs):
-            if rhs.ndim == 1:
-                vectors.append(rhs)
-            return original(self, p, rhs)
-
-        monkeypatch.setattr(
-            DiffusionControlProblem, "state_jacobian_adjoint_solve", counted
-        )
+    def test_short_run_solves_no_adjoint(self, monkeypatch):
+        """A constant-H run that stops short of stationarity raises before
+        it pays for lambda."""
         p = build_diffusion_control_1d(n_state=24, n_param=6)
-        opt = solve_optimization(p, np.zeros(6))
-        assert opt.iterations == 1
-        assert len(vectors) == 2
-        np.testing.assert_array_equal(
-            opt.lambda0, solve_adjoint(p, opt.u0, opt.z0, opt.theta0)
+        monkeypatch.setattr(
+            p, "state_jacobian_adjoint_solve", lambda pt, rhs: pytest.fail("adjoint solve")
         )
+        cfg = OptimizerConfig(max_iter=0)
+        with pytest.raises(OptimizerError, match="did not reach stationarity"):
+            solve_optimization(p, np.full(6, 0.3), cfg=cfg)
 
 
 BUILT_IN = {
@@ -418,6 +439,56 @@ THETA0 = {
     "advdiff": np.zeros(16),
     "logistic": np.array([0.5, 0.5]),
 }
+
+
+class TestSensitivityGradient:
+    """The optimizer's reduced gradient is J_z + W^T J_u, from the W it
+    holds, with no adjoint solve."""
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN))
+    def test_equals_the_adjoint_form(self, name):
+        """At a feasible point that is not stationary, J_z + W^T J_u equals
+        J_z + c_z^T lambda, lambda from ``solve_adjoint``, to 1e-12 of the
+        larger term; and the optimizer's |g|_M there is the M^-1-norm of the
+        sensitivity form, bit for bit."""
+        p = BUILT_IN[name]()
+        d, theta = p.dims, THETA0[name]
+        z = np.random.default_rng(12).standard_normal(d.n_z)
+        u = solve_forward(p, z, theta)
+        w = state_sensitivity(p, EvalPoint(u, z, np.zeros(d.n_lambda), theta))
+        j_z, w_j_u = p.obj_grad_z(u, z, theta), matmul(w, p.obj_grad_u(u, z, theta), trans_a=True)
+        g = j_z + w_j_u
+        lam = solve_adjoint(p, u, z, theta)
+        ref = p.lagrangian_grad_z(EvalPoint(u, z, lam, theta))
+        m_z = p.spaces.m_z
+        assert np.sqrt(ref @ m_z.solve(ref)) > 1e-3
+        scale = max(np.linalg.norm(j_z), np.linalg.norm(w_j_u))
+        assert np.linalg.norm(g - ref) <= 1e-12 * scale
+        cfg = OptimizerConfig(stationarity_tol=np.inf, check_sosc=False)
+        opt = solve_optimization(p, theta, InitialIterate(u, z), cfg)
+        assert opt.iterations == 0
+        np.testing.assert_array_equal(opt.u0, u)
+        assert opt.grad_norm == float(np.sqrt(max(g @ m_z.solve(g), 0.0)))
+
+    @pytest.mark.parametrize("name", ["advdiff", "diffusion"])
+    def test_constant_hessian_formed_at_zero_lambda(self, name):
+        """A constant H is formed at lambda = 0: bit for bit H at lambda0,
+        and the optimizer's factor is its Cholesky factor with H's own
+        entries below the diagonal."""
+        p = BUILT_IN[name]()
+        assert p.constant_reduced_hessian
+        opt = solve_optimization(p, THETA0[name])
+        assert opt.iterations == 1
+        w = opt.state_sensitivity
+        zero = EvalPoint(opt.u0, opt.z0, np.zeros(p.dims.n_lambda), opt.theta0)
+        h_zero = reduced_hessian_dense(p, zero, w)
+        h_opt = reduced_hessian_dense(p, opt.as_eval_point(), w)
+        assert np.abs(opt.lambda0).max() > 0.0
+        np.testing.assert_array_equal(h_zero, h_opt)
+        c, lower = opt.hessian_factor
+        assert not lower
+        np.testing.assert_array_equal(np.tril(c, -1), np.tril(h_opt, -1))
+        np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h_opt))
 
 
 class _NegatedLzz(DiffusionControlProblem):
