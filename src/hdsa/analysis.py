@@ -21,7 +21,7 @@ from .optimizer import (
     solve_forward,
     solve_optimization,
 )
-from .problems.base import ProblemDefinition
+from .problems.base import EvalPoint, ProblemDefinition
 from .randeig import (
     GenEigDiagnostics,
     RandEigConfig,
@@ -224,8 +224,6 @@ def traditional_comparison(
     lam = problem.state_jacobian_adjoint_solve(
         point.as_eval_point(), -problem.obj_grad_u(u, point.z0, point.theta0)
     )
-    from .problems.base import EvalPoint
-
     p = EvalPoint(u, point.z0, lam, point.theta0)
     g = problem.obj_grad_theta(u, point.z0, point.theta0) + problem.c_theta_adj(p, lam)
     return np.abs(g)

@@ -38,30 +38,62 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# what render_report reads of report.json, at its top level and per sample:
-# key -> (test of its value, what the test asks for); OPTIONAL_KEYS may be absent
+# what read_bundle asks of a value: (its test, what the test asks for)
 _INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBER = (_is_number, "a number")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
 _SETS = (
     lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
     "an object of numbers",
 )
-REPORT_KEYS = {
-    **dict.fromkeys(("n_samples_requested", "n_samples_completed", "n_failures"), _INT),
-    **dict.fromkeys(("local_indices_mean", "local_indices_std"), _NUMBERS),
-    **dict.fromkeys(("set_indices_mean", "set_indices_std"), _SETS),
-    "samples": (
-        lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
-        "a list of objects",
+_OBJECTS = (
+    lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+    "a list of objects",
+)
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
+def _nan_to_null(v: float) -> float | None:
+    """``v``, or None, written as null, for NaN: RFC 8259 JSON has no NaN."""
+    return None if np.isnan(v) else v
+
+
+# report.json, one row per key, per sample and at the top level: key -> (its
+# value, from one SampleResult or from the HdsaReport; the check read_bundle
+# applies, None where nothing reads the key; whether the key may be absent)
+SAMPLE_FIELDS = {
+    "j": (lambda s: s.sample_index, _INT, False),
+    "theta": (lambda s: [float(v) for v in s.theta], None, False),
+    "sigmas": (lambda s: s.triples.sigma.tolist(), _NUMBERS, False),
+    "spectral_decay": (lambda s: s.spectral_decay, _NUMBER, False),
+    "optimizer_iterations": (lambda s: s.optimal.iterations, None, False),
+    "grad_norm": (lambda s: s.optimal.grad_norm, None, False),
+    "sosc_min_eig_est": (lambda s: _nan_to_null(s.optimal.sosc_min_eig_est), None, False),
+    "objective": (lambda s: s.optimal.objective, None, False),
+    "kkt_solves": (lambda s: s.diagnostics.kkt_solves, None, False),
+    "kkt_rhs": (lambda s: s.diagnostics.kkt_rhs, None, False),
+    "kkt_backward_error": (lambda s: s.diagnostics.kkt_backward_error, _NUMBER, True),
+    "triple_residuals": (lambda s: s.diagnostics.triple_residuals.tolist(), _NUMBERS, False),
+    "rank_deficient": (lambda s: s.diagnostics.rank_deficient, None, False),
+    "svd": (lambda s: s.svd, _STRING, False),
+}
+REPORT_FIELDS = {
+    "n_samples_requested": (lambda r: r.n_requested, _INT, False),
+    "n_samples_completed": (lambda r: len(r.samples), _INT, False),
+    "n_failures": (lambda r: len(r.failures), _INT, False),
+    "failures": (
+        lambda r: [{"j": f.sample_index, "message": f.message} for f in r.failures], None, False
     ),
+    "local_indices_mean": (lambda r: [float(v) for v in r.local_mean()], _NUMBERS, False),
+    "local_indices_std": (lambda r: [float(v) for v in r.local_std()], _NUMBERS, False),
+    "set_indices_mean": (lambda r: r.set_mean(), _SETS, True),
+    "set_indices_std": (lambda r: r.set_std(), _SETS, True),
+    "samples": (lambda r: [_document(s, SAMPLE_FIELDS) for s in r.samples], _OBJECTS, False),
 }
-SAMPLE_KEYS = {
-    "j": _INT,
-    **dict.fromkeys(("sigmas", "triple_residuals"), _NUMBERS),
-    **dict.fromkeys(("spectral_decay", "kkt_backward_error"), (_is_number, "a number")),
-    "svd": (lambda v: isinstance(v, str), "a string"),
-}
-OPTIONAL_KEYS = {"set_indices_mean", "set_indices_std", "kkt_backward_error"}
+
+
+def _document(source, fields: dict) -> dict:
+    return {key: value(source) for key, (value, _, _) in fields.items()}
 
 
 def _template(shape: tuple[int, ...]) -> str:
@@ -95,9 +127,9 @@ def _write_table(path: Path, header: str, table, report: HdsaReport) -> None:
             fh.write(templates[a.shape].replace("{j}", str(j)) % tuple(a.ravel().tolist()))
 
 
-def _nan_to_null(v: float) -> float | None:
-    """``v``, or None, written as null, for NaN: RFC 8259 JSON has no NaN."""
-    return None if np.isnan(v) else v
+def _write_json(path: Path, doc: dict) -> None:
+    """Strict RFC 8259 JSON, keys sorted, so reruns write the same bytes."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_bundle(
@@ -111,42 +143,9 @@ def write_bundle(
     for name, (header, table) in _TABLES.items():
         _write_table(out_dir / name, header, table, report)
 
-    doc = {
-        "n_samples_requested": report.n_requested,
-        "n_samples_completed": len(report.samples),
-        "n_failures": len(report.failures),
-        "failures": [
-            {"j": f.sample_index, "message": f.message} for f in report.failures
-        ],
-        "local_indices_mean": [float(v) for v in report.local_mean()],
-        "local_indices_std": [float(v) for v in report.local_std()],
-        "set_indices_mean": report.set_mean(),
-        "set_indices_std": report.set_std(),
-        "samples": [
-            {
-                "j": s.sample_index,
-                "theta": [float(v) for v in s.theta],
-                "sigmas": s.triples.sigma.tolist(),
-                "spectral_decay": s.spectral_decay,
-                "optimizer_iterations": s.optimal.iterations,
-                "grad_norm": s.optimal.grad_norm,
-                "sosc_min_eig_est": _nan_to_null(s.optimal.sosc_min_eig_est),
-                "objective": s.optimal.objective,
-                "kkt_solves": s.diagnostics.kkt_solves,
-                "kkt_rhs": s.diagnostics.kkt_rhs,
-                "kkt_backward_error": s.diagnostics.kkt_backward_error,
-                "triple_residuals": s.diagnostics.triple_residuals.tolist(),
-                "rank_deficient": s.diagnostics.rank_deficient,
-                "svd": s.svd,
-            }
-            for s in report.samples
-        ],
-    }
-    (out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    _write_json(out_dir / "report.json", _document(report, REPORT_FIELDS))
 
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "config": config_echo,
         "seed": seed,
         "wall_clock_seconds": wall_clock,
@@ -156,10 +155,7 @@ def write_bundle(
             "scipy": scipy.__version__,
         },
         "files": list(CSV_FILES) + ["report.json"],
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    })
 
 
 def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
@@ -187,46 +183,59 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
         raise BundleError(f"corrupt report: {exc}") from exc
     if not isinstance(report, dict):
         raise BundleError("corrupt report: not a JSON object")
-    _check(report, REPORT_KEYS, "report")
+    _check(report, REPORT_FIELDS, "report")
+    if report["n_samples_completed"] != len(report["samples"]):
+        raise BundleError("corrupt report: n_samples_completed is not the number of samples")
     if len(report["local_indices_mean"]) != len(report["local_indices_std"]):
         raise BundleError("corrupt report: local_indices_mean and _std differ in length")
+    if report.get("set_indices_mean", {}).keys() != report.get("set_indices_std", {}).keys():
+        raise BundleError("corrupt report: set_indices_mean and _std name different sets")
     for s in report["samples"]:
-        _check(s, SAMPLE_KEYS, "report sample")
+        _check(s, SAMPLE_FIELDS, "report sample")
         if s["sigmas"] and not s["triple_residuals"]:
             raise BundleError(f"corrupt report sample {s['j']}: no triple_residuals")
     return manifest, report
 
 
-def _check(doc: dict, keys: dict, what: str) -> None:
-    missing = [k for k in keys if k not in doc and k not in OPTIONAL_KEYS]
+def _check(doc: dict, fields: dict, what: str) -> None:
+    checked = [(key, check, optional) for key, (_, check, optional) in fields.items() if check]
+    missing = [key for key, _, optional in checked if not optional and key not in doc]
     if missing:
         raise BundleError(f"corrupt {what}: missing {', '.join(missing)}")
-    for k, (test, kind) in keys.items():
-        if k in doc and not test(doc[k]):
-            raise BundleError(f"corrupt {what}: {k} must be {kind}")
+    for key, (test, kind), _ in checked:
+        if key in doc and not test(doc[key]):
+            raise BundleError(f"corrupt {what}: {key} must be {kind}")
+
+
+# render_report's per-sample table, one column each: (header, its alignment
+# and width, the column's text for one report sample)
+_SAMPLE_COLUMNS = (
+    ("j", "<8", lambda s: str(s["j"])),
+    ("sigma_1", ">16", lambda s: f"{s['sigmas'][0]:.6e}"),
+    ("sigma_K", ">16", lambda s: f"{s['sigmas'][-1]:.6e}"),
+    ("ratio", ">16", lambda s: f"{s['spectral_decay']:.6e}"),
+    ("svd", ">12", lambda s: s["svd"]),
+    ("worst_resid", ">16", lambda s: f"{max(s['triple_residuals']):.6e}"),
+    ("kkt_bwd_err", ">16", lambda s: f"{s.get('kkt_backward_error', float('nan')):.6e}"),
+)
 
 
 def render_report(manifest: dict, report: dict) -> str:
     """Plain-text tables: set indices, top parameter indices, spectral decay
     with each sample's SVD path, worst triple residual and KKT check."""
-    lines: list[str] = []
-    n_done = report["n_samples_completed"]
-    lines.append(
-        f"samples: {n_done} completed, {report['n_failures']} failed "
-        f"(of {report['n_samples_requested']} requested), "
-        f"seed {manifest.get('seed')}"
-    )
-    lines.append("")
+    lines = [
+        f"samples: {report['n_samples_completed']} completed, {report['n_failures']} failed "
+        f"(of {report['n_samples_requested']} requested), seed {manifest.get('seed')}",
+        "",
+    ]
 
     set_mean = report.get("set_indices_mean", {})
     if set_mean:
-        set_std = report.get("set_indices_std", {})
+        set_std = report["set_indices_std"]
         lines.append("set sensitivity indices (mean +/- std over samples)")
         lines.append(f"{'set':<20}{'index':>16}{'std':>16}")
         for name in sorted(set_mean, key=lambda n: -set_mean[n]):
-            lines.append(
-                f"{name:<20}{set_mean[name]:>16.6e}{set_std.get(name, 0.0):>16.6e}"
-            )
+            lines.append(f"{name:<20}{set_mean[name]:>16.6e}{set_std[name]:>16.6e}")
         lines.append("")
 
     mean = report["local_indices_mean"]
@@ -242,17 +251,8 @@ def render_report(manifest: dict, report: dict) -> str:
         "spectral decay sigma_K / sigma_1, SVD path, worst triple residual and "
         "KKT backward error per sample"
     )
-    lines.append(
-        f"{'j':<8}{'sigma_1':>16}{'sigma_K':>16}{'ratio':>16}{'svd':>12}"
-        f"{'worst_resid':>16}{'kkt_bwd_err':>16}"
-    )
+    lines.append("".join(format(head, width) for head, width, _ in _SAMPLE_COLUMNS))
     for s in report["samples"]:
-        sig = s["sigmas"]
-        if sig:
-            lines.append(
-                f"{s['j']:<8}{sig[0]:>16.6e}{sig[-1]:>16.6e}"
-                f"{s['spectral_decay']:>16.6e}{s['svd']:>12}"
-                f"{max(s['triple_residuals']):>16.6e}"
-                f"{s.get('kkt_backward_error', float('nan')):>16.6e}"
-            )
+        if s["sigmas"]:
+            lines.append("".join(format(text(s), width) for _, width, text in _SAMPLE_COLUMNS))
     return "\n".join(lines) + "\n"

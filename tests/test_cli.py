@@ -1,11 +1,12 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdsa.bundle import CSV_FILES, BundleError, read_bundle
+from hdsa.bundle import CSV_FILES, REPORT_FIELDS, SAMPLE_FIELDS, BundleError, read_bundle
 from hdsa.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -204,6 +205,18 @@ def _no_compute(*args, **kwargs):
     raise AssertionError("the analysis ran before the output path was checked")
 
 
+# a value of another JSON type than the one written
+OTHER_TYPE = {int: 1.5, float: "1.5", str: 0, list: ["x"], dict: {"x": "y"}}
+
+
+@pytest.fixture(scope="module")
+def logistic_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("logistic") / "out"
+    path = write_config(out.parent, logistic_config(out))
+    assert main(["run", str(path)]) == EXIT_OK
+    return out
+
+
 class TestReportCommand:
     def test_round_trip(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -265,11 +278,14 @@ class TestReportCommand:
             ]}),
             ("report.json", lambda doc: {**doc, "set_indices_mean": {"kappa": "big"}}),
             ("report.json", lambda doc: {**doc, "local_indices_std": []}),
+            ("report.json", lambda doc: {**doc, "set_indices_std": {}}),
+            ("report.json", lambda doc: {**doc, "n_samples_completed": 7}),
         ],
         ids=["manifest list", "files not a list", "empty report", "no n_failures",
              "samples not a list", "sample without sigmas", "mean not a list",
              "sigmas without residuals", "set index not a number",
-             "mean and std differ in length"],
+             "mean and std differ in length", "set std lacks a set",
+             "completed count is not the sample count"],
     )
     def test_malformed_document_is_usage_error(self, tmp_path, capsys, name, edit):
         out = tmp_path / "out"
@@ -278,6 +294,34 @@ class TestReportCommand:
         doc = json.loads((out / name).read_text())
         (out / name).write_text(json.dumps(edit(doc)))
         with pytest.raises(BundleError):
+            read_bundle(out)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("fields, key, edit", [
+        pytest.param(fields, key, edit, id=f"{key} {edit}")
+        for fields in (REPORT_FIELDS, SAMPLE_FIELDS)
+        for key, (_, check, optional) in fields.items()
+        if check
+        for edit in ("wrong type",) + (() if optional else ("absent",))
+    ])
+    def test_every_checked_key_is_enforced(
+        self, logistic_bundle, tmp_path, capsys, fields, key, edit
+    ):
+        """Each report.json key that read_bundle checks, dropped where it may
+        not be absent and given a value of another JSON type, at the top
+        level or in the first sample."""
+        out = tmp_path / "out"
+        shutil.copytree(logistic_bundle, out)
+        report = json.loads((out / "report.json").read_text())
+        doc = report if fields is REPORT_FIELDS else report["samples"][0]
+        if edit == "absent":
+            del doc[key]
+        else:
+            doc[key] = OTHER_TYPE[type(doc[key])]
+        (out / "report.json").write_text(json.dumps(report))
+        with pytest.raises(BundleError, match=key):
             read_bundle(out)
         capsys.readouterr()
         assert main(["report", str(out)]) == EXIT_USAGE

@@ -1,5 +1,6 @@
 """The README's library example runs and agrees with its own dense check,
-and the README documents every name the package exports."""
+and the README documents every name the package exports and every key
+report.json holds."""
 
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hdsa
+from hdsa.bundle import REPORT_FIELDS, SAMPLE_FIELDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,9 @@ def test_every_export_is_documented():
     missing = [n for n in hdsa.__all__ if not re.search(rf"\b{n}\b", readme)]
     assert missing == []
     assert all(hasattr(hdsa, n) for n in hdsa.__all__)
+
+
+def test_report_row_names_every_report_key():
+    (row,) = re.findall(r"^\| `report\.json` \|.*$", README.read_text(), re.M)
+    named = set(re.findall(r"`(\w+)`", row))
+    assert [key for key in (*REPORT_FIELDS, *SAMPLE_FIELDS) if key not in named] == []
