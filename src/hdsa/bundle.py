@@ -82,7 +82,9 @@ REPORT_FIELDS = {
     "n_samples_completed": (lambda r: len(r.samples), _INT, False),
     "n_failures": (lambda r: len(r.failures), _INT, False),
     "failures": (
-        lambda r: [{"j": f.sample_index, "message": f.message} for f in r.failures], None, False
+        lambda r: [{"j": f.sample_index, "message": f.message} for f in r.failures],
+        _OBJECTS,
+        False,
     ),
     "local_indices_mean": (lambda r: [float(v) for v in r.local_mean()], _NUMBERS, False),
     "local_indices_std": (lambda r: [float(v) for v in r.local_std()], _NUMBERS, False),
@@ -186,6 +188,10 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
     _check(report, REPORT_FIELDS, "report")
     if report["n_samples_completed"] != len(report["samples"]):
         raise BundleError("corrupt report: n_samples_completed is not the number of samples")
+    if report["n_failures"] != len(report["failures"]):
+        raise BundleError("corrupt report: n_failures is not the number of failures")
+    if report["n_samples_completed"] + report["n_failures"] != report["n_samples_requested"]:
+        raise BundleError("corrupt report: completed and failed samples are not those requested")
     if len(report["local_indices_mean"]) != len(report["local_indices_std"]):
         raise BundleError("corrupt report: local_indices_mean and _std differ in length")
     if report.get("set_indices_mean", {}).keys() != report.get("set_indices_std", {}).keys():

@@ -220,101 +220,55 @@ def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
 
 def check_derivatives(problem: ProblemDefinition, point: EvalPoint) -> DerivativeCheckReport:
     """Central finite-difference check of every derivative block at step
-    h = 1e-4.
+    h = 1e-4, along random directions du, dz and dtheta.
 
-    Passes iff every relative error is at most max(50 h^2, 1e-6). Adjoint
-    consistency of the Jacobian blocks is checked with random vectors.
+    Passes iff every relative error is at most max(50 h^2, 1e-6). Each
+    adjoint action, and L_zu as the adjoint of L_uz, is paired with its
+    forward action on the same random vectors.
     """
     h = 1e-4
     rng = np.random.default_rng(0)
     dims = problem.dims
     report = DerivativeCheckReport(h=h, threshold=max(50.0 * h * h, 1e-6))
-    u, z, lam, theta = point.u, point.z, point.lam, point.theta
+    x = {"u": point.u, "z": point.z, "theta": point.theta}
+    d = {s: rng.standard_normal(n) for s, n in zip(x, (dims.n_u, dims.n_z, dims.n_theta))}
+    w_lam = rng.standard_normal(dims.n_lambda)
 
-    du = rng.standard_normal(dims.n_u)
-    dz = rng.standard_normal(dims.n_z)
-    dth = rng.standard_normal(dims.n_theta)
+    def central(f, s):
+        plus, minus = {**x, s: x[s] + h * d[s]}, {**x, s: x[s] - h * d[s]}
+        return (f(*plus.values()) - f(*minus.values())) / (2.0 * h)
 
-    def central(f, x, dx):
-        return (f(x + h * dx) - f(x - h * dx)) / (2.0 * h)
+    def at_lam(grad):
+        return lambda u, z, theta: grad(EvalPoint(u, z, point.lam, theta))
 
-    # First derivatives of J.
-    report.errors["J_u"] = _rel_err(
-        np.atleast_1d(central(lambda v: problem.objective(v, z, theta), u, du)),
-        np.atleast_1d(problem.obj_grad_u(u, z, theta) @ du),
-    )
-    report.errors["J_z"] = _rel_err(
-        np.atleast_1d(central(lambda v: problem.objective(u, v, theta), z, dz)),
-        np.atleast_1d(problem.obj_grad_z(u, z, theta) @ dz),
-    )
-    report.errors["J_theta"] = _rel_err(
-        np.atleast_1d(central(lambda v: problem.objective(u, z, v), theta, dth)),
-        np.atleast_1d(problem.obj_grad_theta(u, z, theta) @ dth),
-    )
+    def block(prefix):
+        return lambda s: getattr(problem, prefix + s)(point, d[s])
 
-    # Constraint Jacobian blocks.
-    report.errors["c_u"] = _rel_err(
-        central(lambda v: problem.residual(v, z, theta), u, du),
-        problem.c_u(point, du),
+    # (row prefix, a function of (u, z, theta), its derivative along slot s
+    # applied to d[s]): row prefix + s differences the function along d[s]
+    differenced = (
+        ("J_", problem.objective, lambda s: getattr(problem, "obj_grad_" + s)(*x.values()) @ d[s]),
+        ("c_", problem.residual, block("c_")),
+        ("L_u", at_lam(problem.lagrangian_grad_u), block("l_u")),
+        ("L_z", at_lam(problem.lagrangian_grad_z), block("l_z")),
     )
-    report.errors["c_z"] = _rel_err(
-        central(lambda v: problem.residual(u, v, theta), z, dz),
-        problem.c_z(point, dz),
-    )
-    report.errors["c_theta"] = _rel_err(
-        central(lambda v: problem.residual(u, z, v), theta, dth),
-        problem.c_theta(point, dth),
-    )
+    for prefix, f, derivative in differenced:
+        for s in x:
+            report.errors[prefix + s] = _rel_err(
+                np.atleast_1d(central(f, s)), np.atleast_1d(derivative(s))
+            )
 
-    # Adjoint consistency <Av, w> = <v, A^T w> on random pairs.
-    wu = rng.standard_normal(dims.n_lambda)
-    report.errors["c_u_adjoint"] = abs(
-        problem.c_u(point, du) @ wu - du @ problem.c_u_adj(point, wu)
-    ) / max(abs(problem.c_u(point, du) @ wu), 1e-14)
-    report.errors["c_z_adjoint"] = abs(
-        problem.c_z(point, dz) @ wu - dz @ problem.c_z_adj(point, wu)
-    ) / max(abs(problem.c_z(point, dz) @ wu), 1e-14)
-    report.errors["c_theta_adjoint"] = abs(
-        problem.c_theta(point, dth) @ wu - dth @ problem.c_theta_adj(point, wu)
-    ) / max(abs(problem.c_theta(point, dth) @ wu), 1e-14)
-
-    # Second derivative blocks against differences of the Lagrangian gradients.
-    def l_u(uu, zz, tt):
-        p = EvalPoint(uu, zz, lam, tt)
-        return problem.lagrangian_grad_u(p)
-
-    def l_z(uu, zz, tt):
-        p = EvalPoint(uu, zz, lam, tt)
-        return problem.lagrangian_grad_z(p)
-
-    report.errors["L_uu"] = _rel_err(
-        central(lambda v: l_u(v, z, theta), u, du), problem.l_uu(point, du)
+    # (row, A, its adjoint, v, w): <A v, w> against <v, A^T w>, where L_zu is
+    # the adjoint of L_uz
+    paired = (
+        ("c_u_adjoint", problem.c_u, problem.c_u_adj, d["u"], w_lam),
+        ("c_z_adjoint", problem.c_z, problem.c_z_adj, d["z"], w_lam),
+        ("c_theta_adjoint", problem.c_theta, problem.c_theta_adj, d["theta"], w_lam),
+        ("L_uz_symmetry", problem.l_uz, problem.l_zu, d["z"], d["u"]),
+        ("L_utheta_adjoint", problem.l_utheta, problem.l_utheta_adj, d["theta"], d["u"]),
+        ("L_ztheta_adjoint", problem.l_ztheta, problem.l_ztheta_adj, d["theta"], d["z"]),
     )
-    report.errors["L_uz"] = _rel_err(
-        central(lambda v: l_u(u, v, theta), z, dz), problem.l_uz(point, dz)
-    )
-    report.errors["L_utheta"] = _rel_err(
-        central(lambda v: l_u(u, z, v), theta, dth), problem.l_utheta(point, dth)
-    )
-    report.errors["L_zu"] = _rel_err(
-        central(lambda v: l_z(v, z, theta), u, du), problem.l_zu(point, du)
-    )
-    report.errors["L_zz"] = _rel_err(
-        central(lambda v: l_z(u, v, theta), z, dz), problem.l_zz(point, dz)
-    )
-    report.errors["L_ztheta"] = _rel_err(
-        central(lambda v: l_z(u, z, v), theta, dth), problem.l_ztheta(point, dth)
-    )
-
-    # Block symmetry L_uz vs L_zu and cross-adjoints.
-    report.errors["L_uz_symmetry"] = abs(
-        problem.l_uz(point, dz) @ du - dz @ problem.l_zu(point, du)
-    ) / max(abs(problem.l_uz(point, dz) @ du), 1e-14)
-    report.errors["L_utheta_adjoint"] = abs(
-        problem.l_utheta(point, dth) @ du - dth @ problem.l_utheta_adj(point, du)
-    ) / max(abs(problem.l_utheta(point, dth) @ du), 1e-14)
-    report.errors["L_ztheta_adjoint"] = abs(
-        problem.l_ztheta(point, dth) @ dz - dth @ problem.l_ztheta_adj(point, dz)
-    ) / max(abs(problem.l_ztheta(point, dth) @ dz), 1e-14)
-
+    for name, a, a_adj, v, w in paired:
+        avw = a(point, v) @ w
+        report.errors[name] = abs(avw - v @ a_adj(point, w)) / max(abs(avw), 1e-14)
     return report

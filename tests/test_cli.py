@@ -280,12 +280,17 @@ class TestReportCommand:
             ("report.json", lambda doc: {**doc, "local_indices_std": []}),
             ("report.json", lambda doc: {**doc, "set_indices_std": {}}),
             ("report.json", lambda doc: {**doc, "n_samples_completed": 7}),
+            ("report.json", lambda doc: {**doc, "n_failures": 5}),
+            ("report.json", lambda doc: {**doc, "failures": "garbage"}),
+            ("report.json", lambda doc: {**doc, "n_samples_requested": 7}),
         ],
         ids=["manifest list", "files not a list", "empty report", "no n_failures",
              "samples not a list", "sample without sigmas", "mean not a list",
              "sigmas without residuals", "set index not a number",
              "mean and std differ in length", "set std lacks a set",
-             "completed count is not the sample count"],
+             "completed count is not the sample count",
+             "failed count is not the failure count", "failures not a list",
+             "completed and failed are not those requested"],
     )
     def test_malformed_document_is_usage_error(self, tmp_path, capsys, name, edit):
         out = tmp_path / "out"

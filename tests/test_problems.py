@@ -109,6 +109,45 @@ def test_corrupt_derivative_flag_caught():
     assert "L_ztheta" in report.failures()
 
 
+# each row of check_derivatives and the one action it checks; a pairing row
+# checks the adjoint, and L_uz_symmetry checks l_zu against l_uz
+DERIVATIVE_ROWS = {
+    "J_u": "obj_grad_u", "J_z": "obj_grad_z", "J_theta": "obj_grad_theta",
+    "c_u": "c_u", "c_z": "c_z", "c_theta": "c_theta",
+    "L_uu": "l_uu", "L_uz": "l_uz", "L_utheta": "l_utheta",
+    "L_zu": "l_zu", "L_zz": "l_zz", "L_ztheta": "l_ztheta",
+    "c_u_adjoint": "c_u_adj", "c_z_adjoint": "c_z_adj", "c_theta_adjoint": "c_theta_adj",
+    "L_uz_symmetry": "l_zu", "L_utheta_adjoint": "l_utheta_adj",
+    "L_ztheta_adjoint": "l_ztheta_adj",
+}
+
+
+@pytest.mark.parametrize("row, action", DERIVATIVE_ROWS.items())
+def test_every_derivative_row_fails_on_its_own_action(row, action):
+    """A fixed linear term of 1e-3 the size of the block (absolute where the
+    block is zero) added to the action a row checks fails that row."""
+    problem = build_diffusion_control_1d(n_state=24, n_param=6)
+    point = random_point(problem, seed=1)
+    report = check_derivatives(problem, point)
+    assert report.passed and report.errors.keys() == DERIVATIVE_ROWS.keys()
+
+    exact = getattr(problem, action)
+    rng = np.random.default_rng(5)
+    if action.startswith("obj_grad_"):
+        g = exact(point.u, point.z, point.theta)
+        term = rng.standard_normal(g.shape)
+        term *= 1e-3 * (np.linalg.norm(g) or 1.0) / np.linalg.norm(term)
+        setattr(problem, action, lambda u, z, theta: exact(u, z, theta) + term)
+    else:
+        # u, z and lambda all have n_state entries on diffusion
+        d = problem.dims
+        dense = exact(point, np.eye(d.n_theta if action.endswith("theta") else d.n_u))
+        e = rng.standard_normal(dense.shape)
+        e *= 1e-3 * (np.linalg.norm(dense, 2) or 1.0) / np.linalg.norm(e, 2)
+        setattr(problem, action, lambda p, v: exact(p, v) + e @ v)
+    assert row in check_derivatives(problem, point).failures()
+
+
 class TestDiffusion:
     def test_forward_matches_dense_assembly(self):
         p = build_diffusion_control_1d(n_state=24, n_param=6)
