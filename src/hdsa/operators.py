@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     DENSE_THRESHOLD,
+    LinalgError,
     SolveError,
     SolverStats,
     as_rows,
@@ -23,12 +24,7 @@ from .linalg import (
     identity_columns,
     matmul,
 )
-from .optimizer import (
-    OptimizerError,
-    factor_reduced_hessian,
-    reduced_hessian_dense,
-    state_sensitivity,
-)
+from .optimizer import OptimizerError, factor_reduced_hessian, reduced_hessian_dense
 from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
 from .sampling import KKT_NORM_STREAM, rng_for
 
@@ -55,9 +51,10 @@ class KktOperator:
     fixed stationary point. Systems are solved by block elimination through
     the reduced Hessian H, with W = -c_u^{-1} c_z; ``state_sensitivity`` and
     ``hessian_factor`` may pass in the W and the Cholesky factor of H that
-    the optimizer computed at the point, and are formed on the first solve
-    otherwise. ``apply`` and ``solve`` take a vector (dim,) or a block (dim, r);
-    ``solve_z`` and ``solve_from_z`` run the forward and the backward half.
+    the optimizer computed at the point. Without a factor, the first solve
+    forms both by one ``reduced_hessian_dense`` pass. ``apply`` and ``solve``
+    take a vector (dim,) or a block (dim, r); ``solve_z`` and
+    ``solve_from_z`` run the forward and the backward half.
     """
 
     def __init__(
@@ -177,9 +174,8 @@ class KktOperator:
     def _hessian_factor(self) -> tuple:
         p, pt = self.problem, self.point
         if self._factor is None:
-            if self._w is None:
-                self._w = state_sensitivity(p, pt)
-            self._factor = factor_reduced_hessian(reduced_hessian_dense(p, pt, self._w))
+            self._w, h = reduced_hessian_dense(p, pt)
+            self._factor = factor_reduced_hessian(h)
             if self._factor is None:
                 raise SolveError("KKT elimination: the reduced Hessian is not positive definite")
         return self._factor
@@ -388,7 +384,13 @@ class SensitivityOperator:
 
     def dense(self) -> np.ndarray:
         """Coordinate matrix of D: the operator applied to the identity block,
-        n_theta KKT right-hand sides on every call."""
+        n_theta KKT right-hand sides on every call. n_z is at most
+        ``DENSE_THRESHOLD`` wherever an optimal point was found, so only
+        n_theta is checked, before any solve."""
+        if self.n_theta > DENSE_THRESHOLD:
+            raise LinalgError(
+                "problem too large to assemble D densely; use the randomized path"
+            )
         return self.apply(np.eye(self.n_theta))
 
 

@@ -139,43 +139,32 @@ def reduced_hessian_matvec(problem: ProblemDefinition, p: EvalPoint, v: np.ndarr
     return problem.l_zu(p, du) + problem.l_zz(p, v) + problem.c_z_adj(p, dlam)
 
 
-def state_sensitivity(problem: ProblemDefinition, p: EvalPoint) -> np.ndarray:
-    """W = -c_u^{-1} c_z, the state's change per unit change of z: n_z state
-    solves, in column blocks of ``block_width(n_u)``, stored in Fortran order
-    so that each block is written to contiguous memory."""
-    d = problem.dims
-    if d.n_z > DENSE_THRESHOLD:
-        raise OptimizerError("reduced Hessian too large to form densely")
-    w = np.empty((d.n_u, d.n_z), order="F")
-    width = block_width(d.n_u)
-    for start in range(0, d.n_z, width):
-        stop = min(start + width, d.n_z)
-        w[:, start:stop] = problem.state_jacobian_solve(
-            p, problem.c_z(p, -identity_columns(d.n_z, start, stop))
-        )
-    return w
-
-
 def reduced_hessian_dense(
-    problem: ProblemDefinition, p: EvalPoint, w: np.ndarray | None = None
-) -> np.ndarray:
-    """H = L_zz + L_zu W + W^T (L_uu W + L_uz), the null-space form
-    Z^T (grad^2 L) Z with Z = [W; I]. Costs no PDE solve beyond the n_z of
-    W, which is formed here unless given.
+    problem: ProblemDefinition, p: EvalPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, H): the state sensitivity W = -c_u^{-1} c_z, the state's change
+    per unit change of z, and the reduced Hessian
+    H = L_zz + L_zu W + W^T (L_uu W + L_uz), the null-space form
+    Z^T (grad^2 L) Z with Z = [W; I]. Costs the n_z state solves of W and
+    no other PDE solve.
 
-    H is one Fortran-ordered n_z x n_z array, so that
-    ``factor_reduced_hessian`` can factor it in its own storage. It is
-    formed as its upper block triangle: column block [start, stop) takes
-    rows [:stop] of the formula, by one product with W[:, :stop], and its
+    Both are formed in one pass over column blocks [start, stop) of
+    ``block_width(n_u)``, each Fortran-ordered so that a block is written
+    to contiguous memory and ``factor_reduced_hessian`` can factor H in its
+    own storage. A block's identity columns give W's block, by one state
+    solve of -c_z on them, and H's block column above the diagonal: rows
+    [:stop] of the formula, by one product with W[:, :stop], whose
     transpose is copied into the rows below, so H is exactly symmetric."""
-    if w is None:
-        w = state_sensitivity(problem, p)
-    n_z = problem.dims.n_z
+    n_u, n_z = problem.dims.n_u, problem.dims.n_z
+    if n_z > DENSE_THRESHOLD:
+        raise OptimizerError("reduced Hessian too large to form densely")
+    w = np.empty((n_u, n_z), order="F")
     h = np.empty((n_z, n_z), order="F")
-    width = block_width(problem.dims.n_u)
+    width = block_width(n_u)
     for start in range(0, n_z, width):
         stop = min(start + width, n_z)
         e, w_c = identity_columns(n_z, start, stop), w[:, start:stop]
+        w_c[...] = problem.state_jacobian_solve(p, problem.c_z(p, -e))
         h_c = h[:stop, start:stop]
         h_c[...] = matmul(w[:, :stop], problem.l_uu(p, w_c) + problem.l_uz(p, e), trans_a=True)
         h_c += problem.l_zu(p, w_c)[:stop]
@@ -185,7 +174,7 @@ def reduced_hessian_dense(
         i, j = np.tril_indices(stop - start, -1)
         h[start + i, start + j] = h[start + j, start + i]
         h[start:stop, :start] = h[:start, start:stop].T
-    return h
+    return w, h
 
 
 def _norm_1(h: np.ndarray) -> float:
@@ -321,8 +310,7 @@ def solve_optimization(
             # a constant H reads no lambda: it is formed at lambda = 0
             lam = np.zeros(dims.n_lambda) if constant else solve_adjoint(problem, u, z, theta0)
             p = EvalPoint(u, z, lam, theta0)
-            w = state_sensitivity(problem, p)
-            h = reduced_hessian_dense(problem, p, w)
+            w, h = reduced_hessian_dense(problem, p)
             h_norm = _norm_1(h)
             factor = factor_reduced_hessian(h)
         # J_z + c_z^T lambda in its sensitivity form, with no adjoint solve

@@ -254,17 +254,6 @@ def randomized_geneig(
     return triples, diag
 
 
-def _assembled(d: SensitivityOperator) -> np.ndarray:
-    """D as a matrix, from one block of KKT solves over the parameter basis.
-    n_z is at most ``DENSE_THRESHOLD`` wherever an optimal point was found,
-    so only n_theta is checked."""
-    if d.n_theta > DENSE_THRESHOLD:
-        raise LinalgError(
-            "problem too large to assemble D densely; use the randomized path"
-        )
-    return d.dense()
-
-
 def _all_triples(dmat: np.ndarray, spaces: WeightedSpaces) -> Triples:
     """Every weighted singular triple of an assembled D, from the SVD of
     R_Z D R_Theta^{-1} with R^T R = M."""
@@ -288,7 +277,7 @@ def exact_triples(
     ``set_indices`` over them is sigma_1(D Pi_S).
     """
     work_before = d.kkt.work()
-    dmat = _assembled(d)
+    dmat = d.dense()
     every = _all_triples(dmat, spaces)
     triples = _leading(every, cfg.k_pairs)
     m_z_z = spaces.m_z.apply(triples.z)
@@ -311,7 +300,7 @@ def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> Triples:
     Builds D from one block of KKT solves over the parameter basis and returns
     the full set of singular triples in the weighted inner products.
     """
-    return _all_triples(_assembled(d), spaces)
+    return _all_triples(d.dense(), spaces)
 
 
 def alternative_formulation(

@@ -214,7 +214,6 @@ class TestChordSweep:
 
         for module in (optimizer, operators):
             for name in (
-                "state_sensitivity",
                 "reduced_hessian_dense",
                 "factor_reduced_hessian",
                 "check_sosc",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hdsa.operators as operators
 from hdsa.bundle import CSV_FILES, REPORT_FIELDS, SAMPLE_FIELDS, BundleError, read_bundle
 from hdsa.cli import (
     EXIT_COMPUTE,
@@ -346,6 +347,18 @@ class TestVerifyCommand:
         path = write_config(tmp_path, cfg)
         assert main(["verify", str(path)]) == EXIT_COMPUTE
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_aborts_where_d_is_too_large_to_assemble(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 1)
+        path = write_config(tmp_path, logistic_config(tmp_path / "out"))
+        assert main(["verify", str(path)]) == EXIT_COMPUTE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "error: verification aborted: problem too large to assemble D densely"
+        )
 
     def test_verify_catches_wrong_sensitivity_operator(
         self, tmp_path, capsys, monkeypatch

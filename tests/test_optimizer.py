@@ -23,7 +23,6 @@ from hdsa.optimizer import (
     solve_adjoint,
     solve_forward,
     solve_optimization,
-    state_sensitivity,
 )
 from hdsa.problems import (
     DiffusionControlProblem,
@@ -61,7 +60,7 @@ class TestForward:
         z = np.zeros(1024)
         u = solve_forward(p, z, theta)
         lam = solve_adjoint(p, u, z, theta)
-        h = reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))
+        _, h = reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))
         g = p.lagrangian_grad_z(EvalPoint(u, z, lam, theta))
         z_newton = z - np.linalg.solve(h, g)
         solves = []
@@ -115,7 +114,7 @@ class TestReducedHessian:
         theta = 0.2 * rng.standard_normal(6)
         opt = solve_optimization(p, theta)
         pt = opt.as_eval_point()
-        h = reduced_hessian_dense(p, pt)
+        _, h = reduced_hessian_dense(p, pt)
         v = rng.standard_normal(24)
         np.testing.assert_allclose(
             reduced_hessian_matvec(p, pt, v), h @ v, rtol=1e-9, atol=1e-12
@@ -124,15 +123,13 @@ class TestReducedHessian:
     def test_dense_symmetric_and_spd(self):
         p = build_diffusion_control_1d(n_state=24, n_param=6)
         opt = solve_optimization(p, np.zeros(6))
-        h = reduced_hessian_dense(p, opt.as_eval_point())
+        w, h = reduced_hessian_dense(p, opt.as_eval_point())
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         # the estimate comes from the factor the optimizer kept
         est = check_sosc(h, opt.hessian_factor, np.linalg.norm(h, 1))
         assert est == opt.sosc_min_eig_est > 0.0
         # the optimizer hands on W and the factor of the matrix it certified
-        np.testing.assert_array_equal(
-            opt.state_sensitivity, state_sensitivity(p, opt.as_eval_point())
-        )
+        np.testing.assert_array_equal(opt.state_sensitivity, w)
         c, lower = opt.hessian_factor
         assert not lower
         np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h))
@@ -159,11 +156,9 @@ class TestReducedHessian:
             theta,
         )
         ref = reduced_hessian_matvec(p, pt, np.eye(d.n_z))
-        h = reduced_hessian_dense(p, pt)
+        w, h = reduced_hessian_dense(p, pt)
         assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
-        w = state_sensitivity(p, pt)
-        assert w.flags.f_contiguous
-        np.testing.assert_array_equal(reduced_hessian_dense(p, pt, w), h)
+        assert w.flags.f_contiguous and h.flags.f_contiguous
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +168,7 @@ def dense_point():
     theta = np.linspace(-0.5, 0.5, 16)
     z = np.random.default_rng(11).standard_normal(600)
     u = solve_forward(p, z, theta)
-    pt = EvalPoint(u, z, solve_adjoint(p, u, z, theta), theta)
-    return p, pt, state_sensitivity(p, pt)
+    return p, EvalPoint(u, z, solve_adjoint(p, u, z, theta), theta)
 
 
 class TestHessianStorage:
@@ -183,7 +177,7 @@ class TestHessianStorage:
     def test_upper_block_triangle_mirrored(self, dense_point, monkeypatch):
         """Column block [start, stop) is rows [:stop] of the formula, from
         one product with W[:, :stop]; the rows below take its transpose."""
-        p, pt, w = dense_point
+        p, pt = dense_point
         n_u, n_z = p.dims.n_u, p.dims.n_z
         width = block_width(n_u)
         assert n_z > 8 * width
@@ -194,7 +188,7 @@ class TestHessianStorage:
             return matmul(a, b, trans_a)
 
         monkeypatch.setattr(optimizer, "matmul", spy)
-        h = reduced_hessian_dense(p, pt, w)
+        w, h = reduced_hessian_dense(p, pt)
         assert h.flags.f_contiguous
         np.testing.assert_array_equal(h, h.T)
         starts = range(0, n_z, width)
@@ -210,16 +204,39 @@ class TestHessianStorage:
             upper = np.triu(np.ones_like(ref, dtype=bool), start)
             np.testing.assert_array_equal(h[:stop, start:stop][upper], ref[upper])
 
+    def test_one_pass_solves_each_block_once(self, dense_point, monkeypatch):
+        """W and H come from one pass over the 9 column blocks: one state
+        solve and one identity block per column block, 600 columns in all."""
+        p, pt = dense_point
+        n_z, width = p.dims.n_z, block_width(p.dims.n_u)
+        solved, built = [], []
+        solve, identity = p.state_jacobian_solve, optimizer.identity_columns
+        monkeypatch.setattr(
+            p, "state_jacobian_solve", lambda q, rhs: solved.append(rhs.shape[1]) or solve(q, rhs)
+        )
+        monkeypatch.setattr(
+            optimizer, "identity_columns", lambda *a: built.append(a) or identity(*a)
+        )
+        reduced_hessian_dense(p, pt)
+        starts = range(0, n_z, width)
+        assert len(starts) == 9
+        assert solved == [min(width, n_z - start) for start in starts]
+        assert sum(solved) == n_z == 600
+        assert built == [(n_z, start, min(start + width, n_z)) for start in starts]
+
     @pytest.mark.parametrize("name", ["dense", "advdiff", "logistic"])
     def test_state_sensitivity_is_the_solved_negated_c_z(self, dense_point, name):
         """W negates the identity block before c_z, and keeps the bits of
-        solving with -c_z(I) block by block."""
+        solving with -c_z(I) block by block; the optimizer holds that W."""
         if name == "dense":
-            p, pt, w = dense_point
+            p, pt = dense_point
         else:
             p = BUILT_IN[name]()
             opt = solve_optimization(p, THETA0[name])
-            pt, w = opt.as_eval_point(), opt.state_sensitivity
+            pt = opt.as_eval_point()
+        w, _ = reduced_hessian_dense(p, pt)
+        if name != "dense":
+            assert np.array_equal(opt.state_sensitivity, w)
         n_z, width = p.dims.n_z, block_width(p.dims.n_u)
         ref = np.column_stack([
             p.state_jacobian_solve(pt, -p.c_z(pt, identity_columns(n_z, s, min(s + width, n_z))))
@@ -228,8 +245,7 @@ class TestHessianStorage:
         assert np.array_equal(w, ref)
 
     def test_factor_shares_the_array(self, dense_point):
-        p, pt, w = dense_point
-        h = reduced_hessian_dense(p, pt, w)
+        _, h = reduced_hessian_dense(*dense_point)
         ref = h.copy()
         c, lower = optimizer.factor_reduced_hessian(h)
         assert c is h and not lower and not c.flags.writeable
@@ -239,8 +255,7 @@ class TestHessianStorage:
         assert optimizer._norm_1(ref) == pytest.approx(np.linalg.norm(ref, 1), rel=1e-14)
 
     def test_failed_factorization_restores_h(self, dense_point):
-        p, pt, w = dense_point
-        h = reduced_hessian_dense(p, pt, w)
+        _, h = reduced_hessian_dense(*dense_point)
         # shifted by its middle eigenvalue, H fails well into the factorization
         h -= np.diag(np.full(h.shape[0], np.median(scipy.linalg.eigvalsh(h))))
         ref = h.copy()
@@ -307,12 +322,11 @@ class TestConstantReducedHessian:
             )
             for _ in range(2)
         ]
-        h1, h2 = (reduced_hessian_dense(p, pt) for pt in points)
+        (w1, h1), (w2, h2) = (reduced_hessian_dense(p, pt) for pt in points)
         gap = np.linalg.norm(h1 - h2) / np.linalg.norm(h1)
         if p.constant_reduced_hessian:
             assert gap <= 1e-12
             # the optimizer then forms W once as well
-            w1, w2 = (state_sensitivity(p, pt) for pt in points)
             assert np.linalg.norm(w1 - w2) <= 1e-12 * np.linalg.norm(w1)
         else:
             assert gap > 1e-6
@@ -371,18 +385,26 @@ class TestSolveOptimization:
         z = init.z_init
         u = solve_forward(p, z, theta)
         lam = solve_adjoint(p, u, z, theta)
-        assert reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))[0, 0] < 0.0
+        assert reduced_hessian_dense(p, EvalPoint(u, z, lam, theta))[1][0, 0] < 0.0
         opt = solve_optimization(p, theta, init)
         assert opt.z0[0] == pytest.approx(8.2156, abs=1e-3)
         assert opt.grad_norm <= 1e-9
         assert opt.sosc_min_eig_est > 0.0
 
-    def test_reduced_hessian_too_large_without_sosc_check(self):
+    def test_reduced_hessian_too_large_without_sosc_check(self, monkeypatch):
         # the Newton steps need the dense reduced Hessian even when SOSC is off
         p = build_diffusion_control_1d(n_state=2001, n_param=8)
         cfg = OptimizerConfig(check_sosc=False)
+        solved = []
+        solve = p.state_jacobian_solve
+        monkeypatch.setattr(
+            p, "state_jacobian_solve", lambda pt, rhs: solved.append(rhs.shape) or solve(pt, rhs)
+        )
         with pytest.raises(OptimizerError, match="reduced Hessian too large"):
             solve_optimization(p, np.zeros(8), cfg=cfg)
+        # u = 0 solves the state equation at z = 0, and W's blocks come after
+        # the refusal, so no state solve ran
+        assert solved == []
 
     def test_adjoint_solved_once_per_iterate(self, monkeypatch):
         """The reduced gradient solves no adjoint, so lambda is solved only
@@ -455,7 +477,7 @@ class TestSensitivityGradient:
         d, theta = p.dims, THETA0[name]
         z = np.random.default_rng(12).standard_normal(d.n_z)
         u = solve_forward(p, z, theta)
-        w = state_sensitivity(p, EvalPoint(u, z, np.zeros(d.n_lambda), theta))
+        w, _ = reduced_hessian_dense(p, EvalPoint(u, z, np.zeros(d.n_lambda), theta))
         j_z, w_j_u = p.obj_grad_z(u, z, theta), matmul(w, p.obj_grad_u(u, z, theta), trans_a=True)
         g = j_z + w_j_u
         lam = solve_adjoint(p, u, z, theta)
@@ -472,19 +494,20 @@ class TestSensitivityGradient:
 
     @pytest.mark.parametrize("name", ["advdiff", "diffusion"])
     def test_constant_hessian_formed_at_zero_lambda(self, name):
-        """A constant H is formed at lambda = 0: bit for bit H at lambda0,
-        and the optimizer's factor is its Cholesky factor with H's own
-        entries below the diagonal."""
+        """A constant H is formed at lambda = 0: bit for bit W and H at
+        lambda0, and the optimizer's W and factor are that W and the
+        Cholesky factor of that H with H's own entries below the diagonal."""
         p = BUILT_IN[name]()
         assert p.constant_reduced_hessian
         opt = solve_optimization(p, THETA0[name])
         assert opt.iterations == 1
-        w = opt.state_sensitivity
         zero = EvalPoint(opt.u0, opt.z0, np.zeros(p.dims.n_lambda), opt.theta0)
-        h_zero = reduced_hessian_dense(p, zero, w)
-        h_opt = reduced_hessian_dense(p, opt.as_eval_point(), w)
+        w_zero, h_zero = reduced_hessian_dense(p, zero)
+        w_opt, h_opt = reduced_hessian_dense(p, opt.as_eval_point())
         assert np.abs(opt.lambda0).max() > 0.0
         np.testing.assert_array_equal(h_zero, h_opt)
+        np.testing.assert_array_equal(w_zero, w_opt)
+        np.testing.assert_array_equal(opt.state_sensitivity, w_opt)
         c, lower = opt.hessian_factor
         assert not lower
         np.testing.assert_array_equal(np.tril(c, -1), np.tril(h_opt, -1))
@@ -507,7 +530,7 @@ class TestSecondOrderCheck:
         # the exact value, measured on these problems
         p = BUILT_IN[name]()
         opt = solve_optimization(p, THETA0[name])
-        h = reduced_hessian_dense(p, opt.as_eval_point())
+        _, h = reduced_hessian_dense(p, opt.as_eval_point())
         ratio = opt.sosc_min_eig_est / scipy.linalg.eigvalsh(h)[0]
         assert 0.5 <= ratio <= 2.0
         # the estimator is LAPACK's: dpocon gives rcond = 1 / (||H||_1 est)
@@ -531,7 +554,7 @@ class TestSecondOrderCheck:
         # this minimizer, and far above the floor eps ||H||_1
         p = build_diffusion_control_1d(n_state=1024, n_param=16, gamma=0.0)
         opt = solve_optimization(p, np.zeros(16))
-        h = reduced_hessian_dense(p, opt.as_eval_point(), opt.state_sensitivity)
+        _, h = reduced_hessian_dense(p, opt.as_eval_point())
         floor = np.finfo(float).eps * np.linalg.norm(h, 1)
         assert scipy.linalg.eigvalsh(h)[0] < 1024 * floor
         assert opt.sosc_min_eig_est > 100.0 * floor
@@ -540,7 +563,7 @@ class TestSecondOrderCheck:
         theta = np.zeros(8)
         opt = solve_optimization(build_diffusion_control_1d(n_state=32, n_param=8), theta)
         p = _NegatedLzz(n_state=32, n_param=8)
-        h = reduced_hessian_dense(p, opt.as_eval_point())
+        _, h = reduced_hessian_dense(p, opt.as_eval_point())
         lam_min = scipy.linalg.eigvalsh(h)[0]
         assert lam_min < 0.0
         # warm-started at the optimum, the loop stops at iteration 0 with a

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hdsa.operators as operators
 import hdsa.randeig as randeig
 from hdsa.indices import set_indices
-from hdsa.linalg import SpdOperator
+from hdsa.linalg import LinalgError, SpdOperator
 from hdsa.operators import NORM_PROBES, SensitivityOperator
 from hdsa.optimizer import solve_optimization
 from hdsa.problems import (
@@ -83,6 +84,25 @@ class TestDenseOracle:
         for k in range(len(triples)):
             assert problem.spaces.m_theta.norm(triples.theta[:, k]) == pytest.approx(1.0)
             assert problem.spaces.m_z.norm(triples.z[:, k]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            lambda sens, spaces: sens.dense(),
+            lambda sens, spaces: exact_triples(sens, spaces, RandEigConfig()),
+            dense_oracle,
+        ],
+        ids=["dense", "exact_triples", "dense_oracle"],
+    )
+    def test_refused_above_the_dense_threshold(self, monkeypatch, assemble):
+        """D is not assembled for n_theta above ``DENSE_THRESHOLD``, and the
+        refusal comes before any KKT solve."""
+        problem = build_diffusion_control_1d(n_state=32, n_param=8)
+        sens = sample_operator(problem)
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", sens.n_theta - 1)
+        with pytest.raises(LinalgError, match="too large to assemble D densely"):
+            assemble(sens, problem.spaces)
+        assert sens.kkt.work() == (0, 0)
 
 
 class TestRandomized:
