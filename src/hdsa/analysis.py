@@ -120,12 +120,11 @@ def analyze_sample(
     if partition is not None and svd == "exact" and cfg.set_index_mode == "direct":
         # every triple of the one SVD spans D, so their set Gram is the
         # direct index sigma_1(D Pi_S)
-        sets = set_indices(every, problem.spaces, partition)
+        sets = set_indices(every, problem.spaces)
     elif partition is not None:
         sets = set_indices(
             triples,
             problem.spaces,
-            partition,
             mode=cfg.set_index_mode,
             sens_op=sens,
             cfg=cfg,

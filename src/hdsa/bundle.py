@@ -15,6 +15,7 @@ import numpy as np
 import scipy
 
 from .analysis import HdsaReport
+from .config import read_json
 
 
 class BundleError(Exception):
@@ -163,14 +164,7 @@ def write_bundle(
 def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
     """Load and validate (manifest, report) from a bundle directory."""
     bundle_dir = Path(bundle_dir)
-    manifest_path = bundle_dir / "manifest.json"
-    report_path = bundle_dir / "report.json"
-    if not manifest_path.is_file():
-        raise BundleError(f"missing manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"corrupt manifest: {exc}") from exc
+    manifest = read_json(bundle_dir / "manifest.json", BundleError, "manifest")
     if not isinstance(manifest, dict):
         raise BundleError("corrupt manifest: not a JSON object")
     files = manifest.get("files", [])
@@ -179,10 +173,7 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
     for name in files:
         if not (bundle_dir / name).is_file():
             raise BundleError(f"bundle file listed in manifest is missing: {name}")
-    try:
-        report = json.loads(report_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BundleError(f"corrupt report: {exc}") from exc
+    report = read_json(bundle_dir / "report.json", BundleError, "report")
     if not isinstance(report, dict):
         raise BundleError("corrupt report: not a JSON object")
     _check(report, REPORT_FIELDS, "report")

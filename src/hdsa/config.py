@@ -140,8 +140,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     )
 
     out_raw = raw.get("output_dir")
-    if not isinstance(out_raw, str) or not out_raw:
-        raise ConfigError("config.output_dir must be a non-empty string")
+    # a NUL cannot occur in a file name
+    if not isinstance(out_raw, str) or not out_raw or "\0" in out_raw:
+        raise ConfigError("config.output_dir must be a non-empty string without NUL")
     out_dir = Path(out_raw)
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
@@ -157,24 +158,35 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+def read_json(path: Path, error: type[Exception], what: str):
+    """The strict RFC 8259 document in ``path``, UTF-8 and with finite numbers
+    only; ``error`` where the file cannot be read or decoded, nests deeper
+    than the parser can follow, or is not such a document."""
 
     # plain json.loads reads NaN and +-Infinity, and 1e400 as inf; NaN would
     # then pass every range check, as every comparison with it is false
     def refuse(token: str):
-        raise ConfigError(f"config {path}: non-finite number {token} is not allowed")
+        raise error(f"{what} {path}: non-finite number {token} is not allowed")
 
     def finite(token: str) -> float:
         value = float(token)
         return value if math.isfinite(value) else refuse(token)
 
     try:
-        raw = json.loads(text, parse_constant=refuse, parse_float=finite)
+        return json.loads(
+            path.read_text(encoding="utf-8"), parse_constant=refuse, parse_float=finite
+        )
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} {path} nests too deeply to parse") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_config(path: str | Path) -> RunConfig:
+    path = Path(path)
+    raw = read_json(path, ConfigError, "config")
     return parse_config(raw, base_dir=path.resolve().parent)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .linalg import dense_sym_eig
 from .operators import ProjectedSensitivityOperator, SensitivityOperator
-from .problems.base import ProblemError, SetPartition, WeightedSpaces
+from .problems.base import ProblemError, WeightedSpaces
 from .randeig import RandEigConfig, Triples, randomized_geneig
 from .sampling import SET_PROBE_STREAM
 
@@ -18,31 +18,15 @@ def local_indices(triples: Triples, spaces: WeightedSpaces) -> np.ndarray:
     return np.sqrt(spaces.m_theta.apply(triples.theta) ** 2 @ triples.sigma**2)
 
 
-def _check_partition_orthogonal(partition: SetPartition, spaces: WeightedSpaces) -> None:
-    """ProblemError where an entry of M_Theta that couples two sets exceeds
-    1e-12 of its largest entry, read from M_Theta's band: its d-th
-    superdiagonal couples i and i + d."""
-    m = spaces.m_theta
-    scale = max(float(np.abs(m.band).max()), 1e-30)
-    label = np.empty(m.dim, dtype=int)
-    for k, (_, start, stop) in enumerate(partition.sets):
-        label[start:stop] = k
-    for d in range(1, m.kd + 1):
-        across = label[:-d] != label[d:]
-        if across.any() and float(np.abs(m.band[m.kd - d, d:][across]).max()) > 1e-12 * scale:
-            raise ProblemError("partition blocks are not mutually M_Theta-orthogonal")
-
-
 def set_indices(
     triples: Triples,
     spaces: WeightedSpaces,
-    partition: SetPartition,
     mode: str = "truncated",
     sens_op: SensitivityOperator | None = None,
     cfg: RandEigConfig | None = None,
     sample_index: int = 0,
 ) -> dict[str, float]:
-    """Largest directional sensitivity per parameter set.
+    """Largest directional sensitivity per set of ``spaces.partition``.
 
     "truncated" uses the rank-K representation: the index for a set is
     sqrt(lambda_max(S)) with S_kl = sigma_k sigma_l (Pi theta_k)^T M_Theta
@@ -52,15 +36,13 @@ def set_indices(
     randomized solver on the projected operator (needs ``sens_op`` and
     ``cfg``).
     """
-    partition.validate_cover(triples.theta.shape[0])
-    _check_partition_orthogonal(partition, spaces)
     out: dict[str, float] = {}
     if mode == "truncated":
         if not triples:
             raise ProblemError("set_indices needs at least one singular triple")
         thetas = triples.theta
         m_thetas = spaces.m_theta.apply(thetas)
-        for name, start, stop in partition.sets:
+        for name, start, stop in spaces.partition.sets:
             # (Pi theta_k)^T M_Theta (Pi theta_l): M block-diagonal over sets,
             # so the projected pairing only sees the set's own block
             gram = thetas[start:stop].T @ m_thetas[start:stop]
@@ -71,7 +53,7 @@ def set_indices(
     if mode == "direct":
         if sens_op is None or cfg is None:
             raise ProblemError("direct set-index mode needs the operator and config")
-        for set_i, (name, start, stop) in enumerate(partition.sets):
+        for set_i, (name, start, stop) in enumerate(spaces.partition.sets):
             proj_op = ProjectedSensitivityOperator(sens_op, np.arange(start, stop))
             sub_cfg = RandEigConfig(
                 k_pairs=1,

@@ -1,4 +1,4 @@
-"""KKT, parameter-Jacobian, and sensitivity operators at an optimal point.
+"""KKT and sensitivity operators at an optimal point.
 
 The sensitivity operator maps a parameter perturbation to the first-order
 change of the optimal optimization variable: the z-block of the KKT solve
@@ -25,7 +25,7 @@ from .linalg import (
     matmul,
 )
 from .optimizer import OptimizerError, factor_reduced_hessian, reduced_hessian_dense
-from .problems.base import EvalPoint, ProblemDefinition, WeightedSpaces
+from .problems.base import EvalPoint, ProblemDefinition
 from .sampling import KKT_NORM_STREAM, rng_for
 
 # A KKT solve is accepted when its normwise backward error is at most this.
@@ -279,32 +279,10 @@ def _norm_probes(dim: int) -> np.ndarray:
     return probes
 
 
-class ParamJacobianOperator:
-    """Negated Lagrangian cross-derivative block: theta-direction to stacked space."""
-
-    def __init__(self, problem: ProblemDefinition, point: EvalPoint):
-        self.problem = problem
-        self.point = point
-        d = problem.dims
-        self.in_dim = d.n_theta
-        self.out_dim = d.n_stacked
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        p, pt = self.problem, self.point
-        return -np.concatenate(
-            [p.l_utheta(pt, phi), p.l_ztheta(pt, phi), p.c_theta(pt, phi)]
-        )
-
-    def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
-        p, pt = self.problem, self.point
-        wu, wz, wl = np.split(w, [p.dims.n_u, p.dims.n_u + p.dims.n_z])
-        return -(
-            p.l_utheta_adj(pt, wu) + p.l_ztheta_adj(pt, wz) + p.c_theta_adj(pt, wl)
-        )
-
-
 class SensitivityOperator:
-    """Frechet derivative of the optimal z with respect to the parameters.
+    """Frechet derivative D = P K^{-1} B of the optimal z with respect to the
+    parameters, where B, the negated Lagrangian cross-derivatives in theta,
+    is applied by ``b`` and ``b_transpose``.
 
     ``apply`` and ``apply_transpose`` take a vector or a block of columns. A
     block goes through the KKT elimination ``block_width(n_stacked)`` columns
@@ -320,12 +298,21 @@ class SensitivityOperator:
     ):
         self.problem = problem
         self.point = point
-        self.spaces: WeightedSpaces = problem.spaces
         self.kkt = KktOperator(problem, point, state_sensitivity, hessian_factor)
-        self.b = ParamJacobianOperator(problem, point)
         d = problem.dims
         self.n_theta = d.n_theta
         self.n_z = d.n_z
+
+    def b(self, phi: np.ndarray) -> np.ndarray:
+        """B phi = -(L_utheta phi, L_ztheta phi, c_theta phi), stacked."""
+        p, pt = self.problem, self.point
+        return -np.concatenate([p.l_utheta(pt, phi), p.l_ztheta(pt, phi), p.c_theta(pt, phi)])
+
+    def b_transpose(self, w: np.ndarray) -> np.ndarray:
+        """B^T w for a stacked w."""
+        p, pt = self.problem, self.point
+        wu, wz, wl = self.kkt.split(w)
+        return -(p.l_utheta_adj(pt, wu) + p.l_ztheta_adj(pt, wz) + p.c_theta_adj(pt, wl))
 
     def _by_chunks(self, v: np.ndarray, n_out: int, half) -> np.ndarray:
         """``half(columns, gate)`` on a vector, or on a block in chunks of
@@ -356,7 +343,7 @@ class SensitivityOperator:
         kkt = self.kkt
 
         def half(c, gate):
-            rhs = self.b.apply(c)
+            rhs = self.b(c)
             s, dz = kkt.solve_z(rhs)
             if gate:
                 i = _checked(c)
@@ -378,7 +365,7 @@ class SensitivityOperator:
                 rhs = np.zeros((kkt.dim,) + c[i].shape[1:])
                 kkt.split(rhs)[1][...] = c[i]
                 kkt.solve(rhs, x[i])
-            return self.b.apply_adjoint(x)
+            return self.b_transpose(x)
 
         return self._by_chunks(w, self.n_theta, half)
 
@@ -405,7 +392,6 @@ class ProjectedSensitivityOperator:
 
     def __init__(self, base: SensitivityOperator, indices: np.ndarray):
         self.base = base
-        self.spaces = base.spaces
         self.kkt = base.kkt
         self.n_theta = base.n_theta
         self.n_z = base.n_z

@@ -198,7 +198,8 @@ class AdvDiffInversionProblem(ProblemDefinition):
         stiff = stiffness_matrix_neumann(nx)
         adv = advection_matrix_neumann(nx)
         g = mass + self.dt * (self.eps0 * stiff + self.vel0 * adv)
-        source = mass @ evaluate_preset(self._true_source_spec, np.linspace(0.0, 1.0, nx))
+        x_fine = np.linspace(0.0, 1.0, nx)
+        source = mass @ evaluate_preset(self._true_source_spec, x_fine, "true_source")
         b = (self.dt * self._chi)[:, None, None] * source[:, None]
         c = _step_levels(_propagators(lu_factor(g), mass, 0), b, trans=0)
         data = (hat_interpolation(self.sensors, nx) @ c[self.obs_steps])[..., 0]

@@ -43,7 +43,8 @@ class ProblemDims:
 
 @dataclass(frozen=True)
 class SetPartition:
-    """Ordered, disjoint index ranges covering all parameter coordinates."""
+    """Ordered, disjoint, non-empty index ranges of parameter coordinates;
+    ``WeightedSpaces`` checks that they cover its parameter space."""
 
     sets: tuple[tuple[str, int, int], ...]  # (name, start, stop) half-open
 
@@ -56,21 +57,40 @@ class SetPartition:
         if len(covered) != len(set(covered)):
             raise ProblemError("partition ranges overlap")
 
-    def validate_cover(self, n_theta: int) -> None:
-        covered = sorted(
-            i for _, start, stop in self.sets for i in range(start, stop)
-        )
-        if covered != list(range(n_theta)):
-            raise ProblemError("partition does not cover all parameter coordinates")
 
-
-@dataclass
+@dataclass(frozen=True)
 class WeightedSpaces:
-    """Weighting (mass) matrices defining the parameter and optimization inner products."""
+    """Weighting (mass) matrices defining the parameter and optimization inner
+    products, and the parameter sets of the set indices.
+
+    A partition must cover the parameter coordinates ``0..m_theta.dim-1``,
+    and ``M_Theta`` must not couple two of its sets: the set indices pair
+    each set through its own diagonal block of ``M_Theta``. Construction
+    raises ProblemError otherwise.
+    """
 
     m_theta: SpdOperator
     m_z: SpdOperator
     partition: SetPartition | None = None
+
+    def __post_init__(self):
+        if self.partition is None:
+            return
+        m = self.m_theta
+        sets = self.partition.sets
+        if sorted(i for _, start, stop in sets for i in range(start, stop)) != list(range(m.dim)):
+            raise ProblemError("partition does not cover all parameter coordinates")
+        # an entry of M_Theta between two sets may be at most 1e-12 of its
+        # largest entry, read from the band: its d-th superdiagonal couples
+        # i and i + d
+        scale = max(float(np.abs(m.band).max()), 1e-30)
+        label = np.empty(m.dim, dtype=int)
+        for k, (_, start, stop) in enumerate(sets):
+            label[start:stop] = k
+        for d in range(1, m.kd + 1):
+            across = label[:-d] != label[d:]
+            if across.any() and float(np.abs(m.band[m.kd - d, d:][across]).max()) > 1e-12 * scale:
+                raise ProblemError("partition blocks are not mutually M_Theta-orthogonal")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ class DiffusionControlProblem(ProblemDefinition):
             raise ProblemError("gamma must be nonnegative")
         if kappa0 <= 0:
             raise ProblemError("kappa0 must be positive")
+        if n_state < 2:
+            raise ProblemError("n_state must be at least 2")
         if n_param < 2:
             raise ProblemError("n_param must be at least 2")
         self.n_state = n_state

@@ -86,7 +86,8 @@ _PRESETS = {
 
 def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarray:
     """Evaluate the named analytic preset ``what`` (sine, constant, gaussian-bump,
-    zero); a key the preset does not read is a ``ProblemError`` naming it."""
+    zero); a key the preset does not read, or a value that is not finite,
+    is a ``ProblemError`` naming it."""
     if not isinstance(spec, dict) or spec.get("preset") not in _PRESETS:
         raise ProblemError(f"{what} must name a preset of {sorted(_PRESETS)}, got {spec!r}")
     defaults, formula = _PRESETS[spec["preset"]]
@@ -97,4 +98,9 @@ def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarr
             f"{what} preset {spec['preset']!r} does not read {', '.join(unknown)}"
         )
     number_array(list(params.values()), f"{what} parameters")
-    return formula(np.asarray(x, dtype=float), {**defaults, **params})
+    # an overflow shows as a non-finite value, refused below
+    with np.errstate(all="ignore"):
+        values = formula(np.asarray(x, dtype=float), {**defaults, **params})
+    if not np.isfinite(values).all():
+        raise ProblemError(f"{what} preset {spec['preset']!r} is not finite on the grid")
+    return values

@@ -252,7 +252,7 @@ def test_criterion_6_invariant_suite(build, theta):
         )
 
     # set indices bounded by sigma_1, truncation monotonicity
-    sets = set_indices(oracle, spaces, spaces.partition)
+    sets = set_indices(oracle, spaces)
     sigma1 = oracle.sigma[0]
     checks["set_index_le_sigma1"] = all(
         val <= sigma1 * (1.0 + 1e-10) for val in sets.values()

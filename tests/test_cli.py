@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -284,6 +285,11 @@ class TestReportCommand:
             ("report.json", lambda doc: {**doc, "n_failures": 5}),
             ("report.json", lambda doc: {**doc, "failures": "garbage"}),
             ("report.json", lambda doc: {**doc, "n_samples_requested": 7}),
+            # bytes are written as they are; json.dumps writes NaN and Infinity
+            ("manifest.json", lambda doc: b"\xff" + json.dumps(doc).encode()),
+            ("report.json", lambda doc: json.dumps(doc).encode("utf-16")),
+            ("report.json", lambda doc: {**doc, "local_indices_mean": [math.nan] * len(doc["local_indices_mean"])}),
+            ("report.json", lambda doc: {**doc, "local_indices_std": [math.inf] * len(doc["local_indices_std"])}),
         ],
         ids=["manifest list", "files not a list", "empty report", "no n_failures",
              "samples not a list", "sample without sigmas", "mean not a list",
@@ -291,19 +297,25 @@ class TestReportCommand:
              "mean and std differ in length", "set std lacks a set",
              "completed count is not the sample count",
              "failed count is not the failure count", "failures not a list",
-             "completed and failed are not those requested"],
+             "completed and failed are not those requested",
+             "manifest not UTF-8", "report not UTF-8", "report holds NaN",
+             "report holds Infinity"],
     )
     def test_malformed_document_is_usage_error(self, tmp_path, capsys, name, edit):
         out = tmp_path / "out"
         path = write_config(tmp_path, logistic_config(out))
         assert main(["run", str(path)]) == EXIT_OK
-        doc = json.loads((out / name).read_text())
-        (out / name).write_text(json.dumps(edit(doc)))
+        edited = edit(json.loads((out / name).read_text()))
+        if isinstance(edited, bytes):
+            (out / name).write_bytes(edited)
+        else:
+            (out / name).write_text(json.dumps(edited))
         with pytest.raises(BundleError):
             read_bundle(out)
         capsys.readouterr()
         assert main(["report", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
     @pytest.mark.parametrize("fields, key, edit", [
         pytest.param(fields, key, edit, id=f"{key} {edit}")

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from test_config import CASES, GRID, RANGE, VALUES, _config
 
+import hdsa.analysis as analysis
+import hdsa.problems.diffusion as diffusion
 from hdsa.cli import EXIT_USAGE, main
 from hdsa.config import ConfigError, parse_config
 from hdsa.optimizer import OptimizerConfig
@@ -142,6 +144,8 @@ CONSTRUCTOR_CASES = [
     (_problem(ADVDIFF, alpha=-1e-3), "alpha"),
     (_problem(DIFFUSION, kappa0=0), "kappa0"),
     (_problem(DIFFUSION, kappa0=-1.0), "kappa0"),
+    (_problem(DIFFUSION, n_state=1), "n_state"),
+    (_problem(DIFFUSION, target={"preset": "sine", "frequency": 1e308}), "target"),
 ]
 
 
@@ -182,6 +186,46 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, entry, named, comman
     assert main([command, str(path)]) == EXIT_USAGE
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# config files that cannot be read as a document, or that name an output
+# directory no file name can hold, with a word of the error each one gives
+MALFORMED_FILES = [
+    (b'{"problem": {"name": "logistic_toy"}, "output_dir": "caf\xe9"}', "UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests"),
+    (b'{"problem": {"name": "logistic_toy"}, "output_dir": "a\\u0000b"}', "output_dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, named", MALFORMED_FILES, ids=["not UTF-8", "nested 100k deep", "NUL in output_dir"]
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, text, named, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
+    assert "Traceback" not in err
+
+
+def test_partition_coupled_by_m_theta_stops_the_run(tmp_path, capsys, monkeypatch):
+    """A diffusion problem split into sets at index 3, where its tridiagonal
+    M_Theta couples coordinates 2 and 3, is refused when it is built: no
+    sample is solved and no bundle is written."""
+    real = diffusion.SetPartition
+    monkeypatch.setattr(
+        diffusion, "SetPartition", lambda sets: real((("a", 0, 3), ("b", 3, sets[0][2])))
+    )
+    solved = []
+    monkeypatch.setattr(analysis, "solve_optimization", lambda *a, **k: solved.append(a))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config(_problem(DIFFUSION))))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "problem construction failed" in err and "M_Theta-orthogonal" in err
+    assert not solved and not (tmp_path / "out").exists()
 
 
 def test_constructor_bug_propagates(monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestSetIndices:
         part = SetPartition((("all", 0, 6),))
         spaces = identity_spaces(6, 6, part)
         triples = Triples(np.array([3.0, 2.0, 1.0]), q, np.eye(6)[:, :3])
-        out = set_indices(triples, spaces, part)
+        out = set_indices(triples, spaces)
         assert out["all"] == pytest.approx(3.0)
 
     def test_split_direction_gives_half_mass(self):
@@ -125,7 +126,7 @@ class TestSetIndices:
         spaces = identity_spaces(4, 4, part)
         th = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
         triples = rank_one(2.0, th, unit(4, 0))
-        out = set_indices(triples, spaces, part)
+        out = set_indices(triples, spaces)
         assert out["left"] == pytest.approx(2.0 * np.sqrt(0.5))
         assert out["right"] == pytest.approx(2.0 * np.sqrt(0.5))
 
@@ -141,22 +142,22 @@ class TestSetIndices:
             m_theta=SpdOperator(m_theta), m_z=SpdOperator(m_z), partition=part
         )
         d = np.random.default_rng(9).standard_normal((5, 6))
-        out = set_indices(weighted_svd(d, m_theta, m_z), spaces, part)
+        out = set_indices(weighted_svd(d, m_theta, m_z), spaces)
         for name, start, stop in part.sets:
             block = m_theta[start:stop, start:stop]
             ref = weighted_svd(d[:, start:stop], block, m_z).sigma[0]
             assert out[name] == pytest.approx(ref, rel=1e-12)
 
     def test_non_orthogonal_partition_rejected(self):
+        """Spaces whose M_Theta couples two sets are refused at construction,
+        also when ``dataclasses.replace`` swaps in the coupling M_Theta."""
         part = SetPartition((("a", 0, 2), ("b", 2, 4)))
-        spaces = WeightedSpaces(
-            m_theta=SpdOperator(mass_matrix(4)),  # tridiagonal coupling
-            m_z=SpdOperator.identity(4),
-            partition=part,
-        )
-        triples = rank_one(1.0, unit(4, 0), unit(4, 0))
-        with pytest.raises(ProblemError):
-            set_indices(triples, spaces, part)
+        coupling = SpdOperator(mass_matrix(4))  # tridiagonal coupling
+        with pytest.raises(ProblemError, match="M_Theta-orthogonal"):
+            WeightedSpaces(m_theta=coupling, m_z=SpdOperator.identity(4), partition=part)
+        spaces = identity_spaces(4, 4, part)
+        with pytest.raises(ProblemError, match="M_Theta-orthogonal"):
+            replace(spaces, m_theta=coupling)
 
     def test_coupling_read_from_the_band(self, monkeypatch):
         """M_Theta's second superdiagonal alone couples set a to set b;
@@ -174,40 +175,39 @@ class TestSetIndices:
         triples = rank_one(1.0, unit(6, 0), unit(6, 0))
         monkeypatch.setattr(SpdOperator, "dense", no_dense)
         for matrix in (m, coupled):
-            spaces = WeightedSpaces(
-                m_theta=SpdOperator(matrix), m_z=SpdOperator.identity(6), partition=part
-            )
-            assert spaces.m_theta.kd == 2
+            m_theta = SpdOperator(matrix)
+            assert m_theta.kd == 2
             if matrix is m:
-                assert set(set_indices(triples, spaces, part)) == {"a", "b"}
+                spaces = WeightedSpaces(m_theta, SpdOperator.identity(6), part)
+                assert set(set_indices(triples, spaces)) == {"a", "b"}
             else:
                 with pytest.raises(ProblemError, match="M_Theta-orthogonal"):
-                    set_indices(triples, spaces, part)
+                    WeightedSpaces(m_theta, SpdOperator.identity(6), part)
 
     def test_partition_must_cover(self):
-        part = SetPartition((("a", 0, 2),))
-        spaces = identity_spaces(4, 4, part)
-        triples = rank_one(1.0, unit(4, 0), unit(4, 0))
-        with pytest.raises(ProblemError):
-            set_indices(triples, spaces, part)
+        """Spaces whose partition leaves a coordinate out are refused at
+        construction, also when ``dataclasses.replace`` swaps it in."""
+        for part in (SetPartition((("a", 0, 2),)), SetPartition((("a", 0, 2), ("b", 3, 4)))):
+            with pytest.raises(ProblemError, match="cover"):
+                identity_spaces(4, 4, part)
+            with pytest.raises(ProblemError, match="cover"):
+                replace(identity_spaces(4, 4), partition=part)
 
     def test_direct_mode_matches_truncated_full_rank(self):
         problem = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=5)
         opt = solve_optimization(problem, np.zeros(problem.dims.n_theta))
         sens = SensitivityOperator(problem, opt.as_eval_point())
         triples = dense_oracle(sens, problem.spaces)
-        part = problem.spaces.partition
-        truncated = set_indices(triples, problem.spaces, part, mode="truncated")
+        truncated = set_indices(triples, problem.spaces, mode="truncated")
         cfg = RandEigConfig(k_pairs=4, oversampling=8, seed=9, power_iterations=4)
         direct = set_indices(
             triples,
             problem.spaces,
-            part,
             mode="direct",
             sens_op=sens,
             cfg=cfg,
         )
-        for name, _, _ in part.sets:
+        for name, _, _ in problem.spaces.partition.sets:
             assert direct[name] == pytest.approx(truncated[name], rel=1e-6)
 
 

@@ -10,7 +10,6 @@ from hdsa.operators import (
     KKT_TOL,
     NORM_PROBES,
     KktOperator,
-    ParamJacobianOperator,
     ProjectedSensitivityOperator,
     SensitivityOperator,
     SolveError,
@@ -348,7 +347,7 @@ class TestCoupledObjective:
         problem, point = coupled_point
         sens = SensitivityOperator(problem, point)
         kkt = sens.kkt
-        ref = np.linalg.solve(kkt.dense(), sens.b.apply(np.eye(sens.n_theta)))
+        ref = np.linalg.solve(kkt.dense(), sens.b(np.eye(sens.n_theta)))
         d_ref = ref[kkt.n_u : kkt.n_u + kkt.n_z]
         d = sens.apply(np.eye(sens.n_theta))
         dt = sens.apply_transpose(np.eye(sens.n_z))
@@ -459,12 +458,12 @@ class TestOperatorCheck:
         sens = SensitivityOperator(
             problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
         )
-        kkt, b = sens.kkt, sens.b
+        kkt = sens.kkt
         d = sens.apply(np.eye(sens.n_theta))
         dt = sens.apply_transpose(np.eye(sens.n_z))
         assert len(kkt.solve_stats) == 1
-        d_half = kkt.solve_z(b.apply(np.eye(sens.n_theta)))[1]
-        dt_half = b.apply_adjoint(kkt.solve_from_z(np.eye(sens.n_z)))
+        d_half = kkt.solve_z(sens.b(np.eye(sens.n_theta)))[1]
+        dt_half = sens.b_transpose(kkt.solve_from_z(np.eye(sens.n_z)))
         for got, ref in ((d[:, :NORM_PROBES], d_half), (dt[:, :NORM_PROBES], dt_half)):
             ref = ref[:, :NORM_PROBES]
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -483,9 +482,9 @@ class TestOperatorCheck:
 
         ref = sensitivity()
         e = np.eye(ref.n_theta)
-        checked = ref.kkt.solve(ref.b.apply(e[:, :NORM_PROBES]))[0]
+        checked = ref.kkt.solve(ref.b(e[:, :NORM_PROBES]))[0]
         two_pass = np.column_stack(
-            [ref.kkt.split(checked)[1], ref.kkt.solve_z(ref.b.apply(e[:, NORM_PROBES:]))[1]]
+            [ref.kkt.split(checked)[1], ref.kkt.solve_z(ref.b(e[:, NORM_PROBES:]))[1]]
         )
         sens = sensitivity()
         widths = []
@@ -565,7 +564,7 @@ class TestOperatorCheck:
         assert not any(not np.any(b, axis=0).all() for b in rhs_blocks)
         assert [s.backward_error <= KKT_TOL for s in sens.kkt.solve_stats] == [True]
         assert sens.kkt.work() == (1, sens.n_z)
-        ref = sens.b.apply_adjoint(sens.kkt.solve_from_z(np.eye(sens.n_z)))
+        ref = sens.b_transpose(sens.kkt.solve_from_z(np.eye(sens.n_z)))
         assert np.linalg.norm(dt - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_wrong_factor_is_a_sample_failure(self, check_points, monkeypatch):
@@ -588,15 +587,17 @@ class TestOperatorCheck:
 
 
 class TestParamJacobian:
-    def test_adjoint_consistency(self, diffusion_point):
-        problem, point = diffusion_point
-        b = ParamJacobianOperator(problem, point)
-        rng = np.random.default_rng(5)
-        phi = rng.standard_normal(b.in_dim)
-        w = rng.standard_normal(b.out_dim)
-        lhs = float(b.apply(phi) @ w)
-        rhs = float(phi @ b.apply_adjoint(w))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+    def test_adjoint_consistency(self, kkt_points):
+        """<B phi, w> = <phi, B^T w> through the sensitivity operator's
+        ``b`` and ``b_transpose``, on each built-in problem."""
+        for name in ("diffusion", "advdiff", "logistic"):
+            sens = SensitivityOperator(*kkt_points[name])
+            rng = np.random.default_rng(5)
+            phi = rng.standard_normal(sens.n_theta)
+            w = rng.standard_normal(sens.kkt.dim)
+            lhs = float(sens.b(phi) @ w)
+            rhs = float(phi @ sens.b_transpose(w))
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), name
 
 
 class TestSensitivityOperator:

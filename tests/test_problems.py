@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hdsa.linalg import SpdOperator
 from hdsa.problems import (
     EvalPoint,
     ProblemError,
     SetPartition,
+    WeightedSpaces,
     build_advdiff_inversion_1d,
     build_diffusion_control_1d,
     build_logistic_toy,
@@ -61,10 +63,12 @@ class TestPartition:
             SetPartition((("a", 0, 3), ("b", 2, 5)))
 
     def test_cover_validation(self):
+        """The weighted spaces check that their partition covers M_Theta's
+        coordinates."""
         part = SetPartition((("a", 0, 2), ("b", 2, 4)))
-        part.validate_cover(4)
-        with pytest.raises(ProblemError):
-            part.validate_cover(5)
+        WeightedSpaces(SpdOperator.identity(4), SpdOperator.identity(3), part)
+        with pytest.raises(ProblemError, match="cover"):
+            WeightedSpaces(SpdOperator.identity(5), SpdOperator.identity(3), part)
 
 
 @pytest.mark.parametrize(

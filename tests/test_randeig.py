@@ -413,8 +413,7 @@ def test_set_probes_apart_from_sample_probes(diffusion_sens, monkeypatch):
         k_pairs=1, oversampling=0, power_iterations=0, seed=4, set_index_mode="direct"
     )
     triples = dense_oracle(sens, problem.spaces)[:1]
-    set_indices(triples, problem.spaces, problem.spaces.partition, mode="direct",
-                sens_op=sens, cfg=cfg, sample_index=0)
+    set_indices(triples, problem.spaces, mode="direct", sens_op=sens, cfg=cfg, sample_index=0)
     set_probe = drawn[0]
     drawn.clear()
     randomized_geneig(sens, problem.spaces, cfg, sample_index=100_000)
