@@ -47,6 +47,10 @@ class SampleResult:
     sets: dict[str, float]
     diagnostics: GenEigDiagnostics
     svd: str  # "exact" | "randomized", the path svd_path chose
+    # the sample's KKT work, read from its operator after the set indices
+    kkt_solves: int  # KktOperator.solve calls
+    kkt_rhs: int  # right-hand-side columns of every elimination pass, full or half
+    kkt_backward_error: float  # worst of the operator's KKT solves
 
     @property
     def spectral_decay(self) -> float:
@@ -130,7 +134,9 @@ def analyze_sample(
             cfg=cfg,
             sample_index=j,
         )
-    return SampleResult(j, theta, optimal, triples, local, sets, diag, svd)
+    solves, rhs = sens.kkt.work()
+    worst = max(s.backward_error for s in sens.kkt.solve_stats)
+    return SampleResult(j, theta, optimal, triples, local, sets, diag, svd, solves, rhs, worst)
 
 
 def global_analysis(

@@ -71,9 +71,9 @@ SAMPLE_FIELDS = {
     "grad_norm": (lambda s: s.optimal.grad_norm, None, False),
     "sosc_min_eig_est": (lambda s: _nan_to_null(s.optimal.sosc_min_eig_est), None, False),
     "objective": (lambda s: s.optimal.objective, None, False),
-    "kkt_solves": (lambda s: s.diagnostics.kkt_solves, None, False),
-    "kkt_rhs": (lambda s: s.diagnostics.kkt_rhs, None, False),
-    "kkt_backward_error": (lambda s: s.diagnostics.kkt_backward_error, _NUMBER, True),
+    "kkt_solves": (lambda s: s.kkt_solves, None, False),
+    "kkt_rhs": (lambda s: s.kkt_rhs, None, False),
+    "kkt_backward_error": (lambda s: s.kkt_backward_error, _NUMBER, True),
     "triple_residuals": (lambda s: s.diagnostics.triple_residuals.tolist(), _NUMBERS, False),
     "rank_deficient": (lambda s: s.diagnostics.rank_deficient, None, False),
     "svd": (lambda s: s.svd, _STRING, False),

@@ -161,7 +161,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 def read_json(path: Path, error: type[Exception], what: str):
     """The strict RFC 8259 document in ``path``, UTF-8 and with finite numbers
     only; ``error`` where the file cannot be read or decoded, nests deeper
-    than the parser can follow, or is not such a document."""
+    than the parser can follow, holds an integer longer than Python converts,
+    or is not such a document."""
 
     # plain json.loads reads NaN and +-Infinity, and 1e400 as inf; NaN would
     # then pass every range check, as every comparison with it is false
@@ -184,6 +185,8 @@ def read_json(path: Path, error: type[Exception], what: str):
         raise error(f"{what} {path} nests too deeply to parse") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # sys.get_int_max_str_digits() caps an integer literal
+        raise error(f"{what} {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:

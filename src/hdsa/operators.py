@@ -392,7 +392,6 @@ class ProjectedSensitivityOperator:
 
     def __init__(self, base: SensitivityOperator, indices: np.ndarray):
         self.base = base
-        self.kkt = base.kkt
         self.n_theta = base.n_theta
         self.n_z = base.n_z
         mask = np.zeros(base.n_theta)

@@ -86,8 +86,8 @@ _PRESETS = {
 
 def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarray:
     """Evaluate the named analytic preset ``what`` (sine, constant, gaussian-bump,
-    zero); a key the preset does not read, or a value that is not finite,
-    is a ``ProblemError`` naming it."""
+    zero); a key the preset does not read, a value that is not finite, or a
+    gaussian-bump width that is not positive is a ``ProblemError`` naming it."""
     if not isinstance(spec, dict) or spec.get("preset") not in _PRESETS:
         raise ProblemError(f"{what} must name a preset of {sorted(_PRESETS)}, got {spec!r}")
     defaults, formula = _PRESETS[spec["preset"]]
@@ -98,9 +98,13 @@ def evaluate_preset(spec: dict, x: np.ndarray, what: str = "preset") -> np.ndarr
             f"{what} preset {spec['preset']!r} does not read {', '.join(unknown)}"
         )
     number_array(list(params.values()), f"{what} parameters")
+    params = {**defaults, **params}
+    # at width 0 every node off the center would read exp(-inf) = 0
+    if spec["preset"] == "gaussian-bump" and params["width"] <= 0:
+        raise ProblemError(f"{what} preset 'gaussian-bump' needs width > 0, got {params['width']}")
     # an overflow shows as a non-finite value, refused below
     with np.errstate(all="ignore"):
-        values = formula(np.asarray(x, dtype=float), {**defaults, **params})
+        values = formula(np.asarray(x, dtype=float), params)
     if not np.isfinite(values).all():
         raise ProblemError(f"{what} preset {spec['preset']!r} is not finite on the grid")
     return values

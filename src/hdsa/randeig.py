@@ -93,18 +93,9 @@ class GenEigDiagnostics:
     n_probes: int
     n_dropped: int
     rank_deficient: bool
-    kkt_solves: int  # KktOperator.solve calls
-    kkt_rhs: int  # right-hand-side columns of every elimination pass, full or half
-    kkt_backward_error: float  # worst of the operator's KKT solves
     # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
     # / sigma
     triple_residuals: np.ndarray
-
-
-def _kkt_work(d: SensitivityOperator, before: tuple[int, int]) -> dict:
-    solves, rhs = d.kkt.work()
-    worst = max(s.backward_error for s in d.kkt.solve_stats)
-    return dict(kkt_solves=solves - before[0], kkt_rhs=rhs - before[1], kkt_backward_error=worst)
 
 
 def _positive_pairs(evals: np.ndarray, k_pairs: int) -> list[int]:
@@ -218,7 +209,6 @@ def randomized_geneig(
     """
     m_z, m_theta = spaces.m_z, spaces.m_theta
     r = min(cfg.n_probes, d.n_theta)
-    work_before = d.kkt.work()
     key = (PROBE_STREAM, sample_index) if key is None else key
 
     omega = [probe_vector(cfg.seed, key, i, d.n_theta) for i in range(r)]
@@ -249,7 +239,6 @@ def randomized_geneig(
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, work_before),
     )
     return triples, diag
 
@@ -276,7 +265,6 @@ def exact_triples(
     further KKT solve. Every triple spans D, so the set Gram of
     ``set_indices`` over them is sigma_1(D Pi_S).
     """
-    work_before = d.kkt.work()
     dmat = d.dense()
     every = _all_triples(dmat, spaces)
     triples = _leading(every, cfg.k_pairs)
@@ -289,7 +277,6 @@ def exact_triples(
         n_dropped=0,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, work_before),
     )
     return triples, diag, every
 
@@ -325,7 +312,6 @@ def alternative_formulation(
     n_theta = d.n_theta
     r = min(cfg.n_probes, n_theta)
     m_theta, m_z = spaces.m_theta, spaces.m_z
-    work_before = d.kkt.work()
 
     def apply_a2(mat):
         return d.apply_transpose(m_z.apply(d.apply(mat)))
@@ -366,6 +352,5 @@ def alternative_formulation(
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
-        **_kkt_work(d, work_before),
     )
     return triples, diag

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from test_randeig import kkt_work_of
 
+import hdsa.analysis as analysis
 import hdsa.operators as operators
 import hdsa.optimizer as optimizer
 import hdsa.randeig as randeig
@@ -308,7 +310,7 @@ def test_advdiff_sample_solve_count(tmp_path, monkeypatch, seed):
         "k_pairs": 12, "oversampling": 8, "power_iterations": 2, "seed": seed
     })
     assert res.svd == "exact"
-    assert res.diagnostics.kkt_rhs == 16
+    assert res.kkt_rhs == 16
     assert res.optimal.iterations == 1
     assert sum(columns) == 85
 
@@ -336,7 +338,7 @@ def test_diffusion_sample_solve_count(tmp_path, monkeypatch, params, hdsa, solve
     columns = counted_solve_columns(monkeypatch, DiffusionControlProblem)
     res = run_sample(tmp_path, "diffusion_control_1d", params, hdsa)
     assert res.svd == "exact"
-    assert res.diagnostics.kkt_rhs == 16
+    assert res.kkt_rhs == 16
     assert res.optimal.iterations == 1
     assert sum(columns) == solves
 
@@ -373,9 +375,8 @@ class TestSvdPath:
         # the one KKT solve is the operator's check on the first columns of D
         res = quick_start_sample(RandEigConfig(k_pairs=4, oversampling=8, seed=0))
         assert res.svd == "exact"
-        assert res.diagnostics.kkt_solves == 1
-        assert res.diagnostics.kkt_rhs == 16
-        assert res.diagnostics.kkt_backward_error <= KKT_TOL
+        assert (res.kkt_solves, res.kkt_rhs) == (1, 16)
+        assert res.kkt_backward_error <= KKT_TOL
         assert res.diagnostics.n_probes == 16
         assert res.diagnostics.n_dropped == 0
         assert len(res.triples) == 4 and not res.diagnostics.rank_deficient
@@ -385,7 +386,7 @@ class TestSvdPath:
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0, seed=0)
         res = quick_start_sample(cfg)
         assert res.svd == "randomized"
-        assert res.diagnostics.kkt_rhs == 3
+        assert res.kkt_rhs == 3
 
     def test_rule_reads_sizes_only(self):
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
@@ -422,19 +423,21 @@ class TestSvdPath:
     def test_count_is_the_solvers_kkt_rhs(self, size_rule_operators, name, k, p, q):
         problem, sens = size_rule_operators[name]
         cfg = RandEigConfig(k_pairs=k, oversampling=p, power_iterations=q, seed=0)
-        triples, diag = randomized_geneig(sens, problem.spaces, cfg)
+        (triples, diag), (_, rhs) = kkt_work_of(randomized_geneig, sens, problem.spaces, cfg)
         assert len(triples) == k and diag.n_dropped == 0
         # the operator's check runs on its own first columns, so it adds none
-        assert diag.kkt_rhs == randomized_rhs(cfg, sens.n_theta)
+        assert rhs == randomized_rhs(cfg, sens.n_theta)
         # power passes only where the probes sample part of the parameter
         # space; there the squared formulation's sketch D* D Omega costs 2r more
         r = min(k + p, sens.n_theta)
         sketch = r < sens.n_theta
-        assert diag.kkt_rhs == (2 + 2 * (q if sketch else 0)) * r + k
-        alt, alt_diag = alternative_formulation(sens, problem.spaces, cfg)
+        assert rhs == (2 + 2 * (q if sketch else 0)) * r + k
+        (alt, alt_diag), (_, alt_rhs) = kkt_work_of(
+            alternative_formulation, sens, problem.spaces, cfg
+        )
         assert len(alt) == k and alt_diag.n_dropped == 0
-        assert alt_diag.kkt_rhs == diag.kkt_rhs + (2 * r if sketch else 0)
-        path = "exact" if sens.n_theta <= diag.kkt_rhs else "randomized"
+        assert alt_rhs == rhs + (2 * r if sketch else 0)
+        path = "exact" if sens.n_theta <= rhs else "randomized"
         assert svd_path(cfg, sens.n_theta) == path
 
 
@@ -508,6 +511,50 @@ def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):
     # D, whose first columns check the operator through the full solve
     assert sum(columns) == 16
     assert res.sets["kappa"] == pytest.approx(res.triples.sigma[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "hdsa, svd, rhs",
+    [
+        # 16 columns of D, and in direct mode the set index from its SVD
+        ({"k_pairs": 4, "oversampling": 8, "set_index_mode": "truncated"}, "exact", 16),
+        ({"k_pairs": 4, "oversampling": 8, "set_index_mode": "direct"}, "exact", 16),
+        # 2 * 1 + 1 for the SVD, and in direct mode (2 + 2 * 2) * 1 + 1 more
+        # for the one set's randomized solve on the projected operator
+        ({"k_pairs": 1, "oversampling": 0, "power_iterations": 0,
+          "set_index_mode": "truncated"}, "randomized", 3),
+        ({"k_pairs": 1, "oversampling": 0, "power_iterations": 0,
+          "set_index_mode": "direct"}, "randomized", 10),
+    ],
+    ids=["exact truncated", "exact direct", "randomized truncated", "randomized direct"],
+)
+def test_report_counts_the_operators_kkt_work(tmp_path, monkeypatch, hdsa, svd, rhs):
+    """report.json's kkt_solves and kkt_rhs are the sample operator's own
+    count after analyze_sample, direct set-index solves included, and its
+    kkt_backward_error the worst of the operator's solves."""
+    made = []
+
+    def recorded(*args):
+        made.append(SensitivityOperator(*args))
+        return made[-1]
+
+    monkeypatch.setattr(analysis, "SensitivityOperator", recorded)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 64, "n_param": 16, "gamma": 0.01},
+        },
+        "hdsa": {"n_samples": 1, "seed": 0, **hdsa},
+        "sampling": {"distribution": {"kind": "uniform", "a": -1.0, "b": 1.0}},
+        "output_dir": str(tmp_path / "results"),
+    }))
+    assert main(["run", str(path)]) == EXIT_OK
+    (s,) = json.loads((tmp_path / "results" / "report.json").read_text())["samples"]
+    (sens,) = made
+    assert s["svd"] == svd
+    assert (s["kkt_solves"], s["kkt_rhs"]) == sens.kkt.work() == (1, rhs)
+    assert s["kkt_backward_error"] == max(st.backward_error for st in sens.kkt.solve_stats)
 
 
 def test_quick_start_run_matches_dense_oracle(tmp_path):

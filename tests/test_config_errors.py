@@ -146,6 +146,7 @@ CONSTRUCTOR_CASES = [
     (_problem(DIFFUSION, kappa0=-1.0), "kappa0"),
     (_problem(DIFFUSION, n_state=1), "n_state"),
     (_problem(DIFFUSION, target={"preset": "sine", "frequency": 1e308}), "target"),
+    (_problem(DIFFUSION, target={"preset": "gaussian-bump", "width": 0.0}), "width"),
 ]
 
 
@@ -194,11 +195,14 @@ MALFORMED_FILES = [
     (b'{"problem": {"name": "logistic_toy"}, "output_dir": "caf\xe9"}', "UTF-8"),
     (b"[" * 100_000 + b"]" * 100_000, "nests"),
     (b'{"problem": {"name": "logistic_toy"}, "output_dir": "a\\u0000b"}', "output_dir"),
+    (b'{"problem": {"name": "logistic_toy"}, "hdsa": {"seed": ' + b"1" * 5000 + b"}}", "digits"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, named", MALFORMED_FILES, ids=["not UTF-8", "nested 100k deep", "NUL in output_dir"]
+    "text, named",
+    MALFORMED_FILES,
+    ids=["not UTF-8", "nested 100k deep", "NUL in output_dir", "5,000-digit seed"],
 )
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_malformed_config_file_is_usage_error(tmp_path, capsys, text, named, command):
