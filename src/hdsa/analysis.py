@@ -119,13 +119,11 @@ def analyze_sample(
     else:
         triples, diag = randomized_geneig(sens, problem.spaces, cfg, sample_index=j)
     local = local_indices(triples, problem.spaces)
-    sets: dict[str, float] = {}
-    partition = problem.spaces.partition
-    if partition is not None and svd == "exact" and cfg.set_index_mode == "direct":
+    if svd == "exact" and cfg.set_index_mode == "direct":
         # every triple of the one SVD spans D, so their set Gram is the
         # direct index sigma_1(D Pi_S)
         sets = set_indices(every, problem.spaces)
-    elif partition is not None:
+    else:
         sets = set_indices(
             triples,
             problem.spaces,

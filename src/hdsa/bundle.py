@@ -89,8 +89,8 @@ REPORT_FIELDS = {
     ),
     "local_indices_mean": (lambda r: [float(v) for v in r.local_mean()], _NUMBERS, False),
     "local_indices_std": (lambda r: [float(v) for v in r.local_std()], _NUMBERS, False),
-    "set_indices_mean": (lambda r: r.set_mean(), _SETS, True),
-    "set_indices_std": (lambda r: r.set_std(), _SETS, True),
+    "set_indices_mean": (lambda r: r.set_mean(), _SETS, False),
+    "set_indices_std": (lambda r: r.set_std(), _SETS, False),
     "samples": (lambda r: [_document(s, SAMPLE_FIELDS) for s in r.samples], _OBJECTS, False),
 }
 
@@ -185,7 +185,7 @@ def read_bundle(bundle_dir: Path) -> tuple[dict, dict]:
         raise BundleError("corrupt report: completed and failed samples are not those requested")
     if len(report["local_indices_mean"]) != len(report["local_indices_std"]):
         raise BundleError("corrupt report: local_indices_mean and _std differ in length")
-    if report.get("set_indices_mean", {}).keys() != report.get("set_indices_std", {}).keys():
+    if report["set_indices_mean"].keys() != report["set_indices_std"].keys():
         raise BundleError("corrupt report: set_indices_mean and _std name different sets")
     for s in report["samples"]:
         _check(s, SAMPLE_FIELDS, "report sample")
@@ -226,14 +226,12 @@ def render_report(manifest: dict, report: dict) -> str:
         "",
     ]
 
-    set_mean = report.get("set_indices_mean", {})
-    if set_mean:
-        set_std = report["set_indices_std"]
-        lines.append("set sensitivity indices (mean +/- std over samples)")
-        lines.append(f"{'set':<20}{'index':>16}{'std':>16}")
-        for name in sorted(set_mean, key=lambda n: -set_mean[n]):
-            lines.append(f"{name:<20}{set_mean[name]:>16.6e}{set_std[name]:>16.6e}")
-        lines.append("")
+    set_mean, set_std = report["set_indices_mean"], report["set_indices_std"]
+    lines.append("set sensitivity indices (mean +/- std over samples)")
+    lines.append(f"{'set':<20}{'index':>16}{'std':>16}")
+    for name in sorted(set_mean, key=lambda n: -set_mean[n]):
+        lines.append(f"{name:<20}{set_mean[name]:>16.6e}{set_std[name]:>16.6e}")
+    lines.append("")
 
     mean = report["local_indices_mean"]
     std = report["local_indices_std"]

@@ -230,8 +230,10 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
 def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^-1 b for a tridiagonal A, given as ``scipy.linalg.solve_banded``
     takes it with one diagonal above and one below (ab[1 + i - j, j] =
-    A[i, j]), by one ``gtsv``."""
+    A[i, j]), by one ``gtsv``, which an (n, 0) block would crash."""
     ab, b = check_finite(ab), check_finite(b)
+    if not b.size:
+        return np.zeros(b.shape)
     *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -341,9 +343,12 @@ class SpdOperator:
         return x
 
     def solve_factor(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        """R^-1 rhs, or R^-T rhs with ``trans``."""
+        """R^-1 rhs, or R^-T rhs with ``trans``, by one ``tbtrs``, which an
+        (n, 0) block would crash."""
         rhs = check_finite(rhs)
         check_operand(rhs, self.dim)
+        if not rhs.size:
+            return np.zeros(rhs.shape)
         x, info = _dtbtrs(self._factor, rhs, trans="T" if trans else "N")
         _check_info(info, "tbtrs")
         return x

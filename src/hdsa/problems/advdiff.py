@@ -81,9 +81,7 @@ class AdvDiffInversionProblem(ProblemDefinition):
         self.data_seed = data_seed
 
         n_theta = 2 + n_window
-        self._dims = ProblemDims(
-            n_u=n_space * n_steps, n_z=n_space, n_theta=n_theta, n_lambda=n_space * n_steps
-        )
+        self._dims = ProblemDims(n_u=n_space * n_steps, n_z=n_space, n_theta=n_theta)
         self.x_nodes = np.linspace(0.0, 1.0, n_space)
 
         self._mass = mass_matrix(n_space)
@@ -115,17 +113,12 @@ class AdvDiffInversionProblem(ProblemDefinition):
 
         # I_2 (+) the window's mass matrix, in upper band storage
         m_theta = np.hstack([[[0.0, 0.0], [1.0, 1.0]], mass_band(n_window, window[1] - window[0])])
-        partition = SetPartition(
-            (
-                ("diffusion", 0, 1),
-                ("velocity", 1, 2),
-                ("source_window", 2, n_theta),
-            )
-        )
         self._spaces = WeightedSpaces(
             m_theta=SpdOperator(band=m_theta),
             m_z=SpdOperator(band=mass_band(n_space)),
-            partition=partition,
+            partition=SetPartition(
+                (("diffusion", 0, 1), ("velocity", 1, 2), ("source_window", 2, n_theta))
+            ),
         )
 
         true_source = true_source if true_source is not None else {
@@ -209,14 +202,6 @@ class AdvDiffInversionProblem(ProblemDefinition):
         return data
 
     # Problem surface ----------------------------------------------------------
-
-    @property
-    def dims(self) -> ProblemDims:
-        return self._dims
-
-    @property
-    def spaces(self) -> WeightedSpaces:
-        return self._spaces
 
     # The evaluations below state the model on their own, not through the
     # derivative actions, so ``check_derivatives`` differences an independent

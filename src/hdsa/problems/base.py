@@ -29,16 +29,20 @@ class ProblemDims:
     n_u: int
     n_z: int
     n_theta: int
-    n_lambda: int
 
     def __post_init__(self):
-        for name in ("n_u", "n_z", "n_theta", "n_lambda"):
+        for name in ("n_u", "n_z", "n_theta"):
             if getattr(self, name) <= 0:
                 raise ProblemError(f"{name} must be positive")
 
     @property
+    def n_lambda(self) -> int:
+        # every solve needs a square, invertible c_u: lambda lives in u's space
+        return self.n_u
+
+    @property
     def n_stacked(self) -> int:
-        return self.n_u + self.n_z + self.n_lambda
+        return 2 * self.n_u + self.n_z
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,9 @@ class WeightedSpaces:
 
     m_theta: SpdOperator
     m_z: SpdOperator
-    partition: SetPartition | None = None
+    partition: SetPartition
 
     def __post_init__(self):
-        if self.partition is None:
-            return
         m = self.m_theta
         sets = self.partition.sets
         if sorted(i for _, start, stop in sets for i in range(start, stop)) != list(range(m.dim)):
@@ -123,13 +125,16 @@ class ProblemDefinition(ABC):
     # in (u, z), objective quadratic); the optimizer then assembles it once
     constant_reduced_hessian: bool = False
 
-    @property
-    @abstractmethod
-    def dims(self) -> ProblemDims: ...
+    _dims: ProblemDims  # both set by each problem's constructor
+    _spaces: WeightedSpaces
 
     @property
-    @abstractmethod
-    def spaces(self) -> WeightedSpaces: ...
+    def dims(self) -> ProblemDims:
+        return self._dims
+
+    @property
+    def spaces(self) -> WeightedSpaces:
+        return self._spaces
 
     @abstractmethod
     def objective(self, u: np.ndarray, z: np.ndarray, theta: np.ndarray) -> float: ...

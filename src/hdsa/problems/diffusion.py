@@ -50,7 +50,7 @@ class DiffusionControlProblem(ProblemDefinition):
         if amp.shape != (n_param,):
             raise ProblemError("amplitude must be a scalar or one value per parameter")
         self.amplitude = amp
-        self._dims = ProblemDims(n_u=n_state, n_z=n_state, n_theta=n_param, n_lambda=n_state)
+        self._dims = ProblemDims(n_u=n_state, n_z=n_state, n_theta=n_param)
 
         self.h = 1.0 / (n_state + 1)
         self.x_interior = self.h * np.arange(1, n_state + 1)
@@ -62,7 +62,6 @@ class DiffusionControlProblem(ProblemDefinition):
         target = target if target is not None else {"preset": "sine"}
         self.target = evaluate_preset(target, self.x_interior, "target")
 
-        partition = SetPartition((("kappa", 0, n_param),))
         # (theta's bytes, (kappa, band of A)) of the last theta, one attribute
         # so that a reader never pairs one theta's key with another's values
         self._at_theta = (None, None)
@@ -70,16 +69,8 @@ class DiffusionControlProblem(ProblemDefinition):
             m_theta=SpdOperator(band=mass_band(n_param)),
             # the mass matrix of the interior nodes of a Dirichlet grid
             m_z=SpdOperator(band=mass_band(n_state + 2)[:, 1:-1]),
-            partition=partition,
+            partition=SetPartition((("kappa", 0, n_param),)),
         )
-
-    @property
-    def dims(self) -> ProblemDims:
-        return self._dims
-
-    @property
-    def spaces(self) -> WeightedSpaces:
-        return self._spaces
 
     # Coefficient handling -------------------------------------------------
 
@@ -172,14 +163,12 @@ class DiffusionControlProblem(ProblemDefinition):
     def c_u(self, p, v) -> np.ndarray:
         return self._apply_stiffness(self._coefficients(p.theta)[0], v)
 
-    def c_u_adj(self, p, w) -> np.ndarray:
-        return self.c_u(p, w)  # stiffness is symmetric
+    c_u_adj = c_u  # the stiffness matrix is symmetric
 
     def c_z(self, p, v) -> np.ndarray:
         return -self.spaces.m_z.apply(v)
 
-    def c_z_adj(self, p, w) -> np.ndarray:
-        return -self.spaces.m_z.apply(w)
+    c_z_adj = c_z  # M is symmetric
 
     def c_theta(self, p, v) -> np.ndarray:
         return self._apply_stiffness(self._coeff_direction(v), p.u)
@@ -193,8 +182,7 @@ class DiffusionControlProblem(ProblemDefinition):
     def l_uz(self, p, v) -> np.ndarray:
         return np.zeros_like(v)
 
-    def l_zu(self, p, v) -> np.ndarray:
-        return np.zeros_like(v)
+    l_zu = l_uz  # both zero, and n_u = n_z
 
     def l_zz(self, p, v) -> np.ndarray:
         return self.gamma * self.spaces.m_z.apply(v)
@@ -215,8 +203,7 @@ class DiffusionControlProblem(ProblemDefinition):
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
         return solve_tridiagonal(self._coefficients(p.theta)[1], rhs)
 
-    def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
-        return self.state_jacobian_solve(p, rhs)
+    state_jacobian_adjoint_solve = state_jacobian_solve
 
 
 def build_diffusion_control_1d(**kwargs) -> DiffusionControlProblem:

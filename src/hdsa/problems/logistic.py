@@ -22,23 +22,14 @@ class LogisticToyProblem(ProblemDefinition):
     name = "logistic_toy"
 
     def __init__(self, corrupt_derivative: bool = False):
-        self._dims = ProblemDims(n_u=1, n_z=1, n_theta=2, n_lambda=1)
-        partition = SetPartition((("theta1", 0, 1), ("theta2", 1, 2)))
+        self._dims = ProblemDims(n_u=1, n_z=1, n_theta=2)
         self._spaces = WeightedSpaces(
             m_theta=SpdOperator.identity(2),
             m_z=SpdOperator.identity(1),
-            partition=partition,
+            partition=SetPartition((("theta1", 0, 1), ("theta2", 1, 2))),
         )
         # test fixture: deliberately mis-scale one second-derivative block
         self._corrupt = corrupt_derivative
-
-    @property
-    def dims(self) -> ProblemDims:
-        return self._dims
-
-    @property
-    def spaces(self) -> WeightedSpaces:
-        return self._spaces
 
     def objective(self, u, z, theta) -> float:
         return float((u[0] - 2.0) ** 2 + 0.0005 * z[0] ** 2)
@@ -69,16 +60,13 @@ class LogisticToyProblem(ProblemDefinition):
     def c_u(self, p, v) -> np.ndarray:
         return np.array([v[0]])
 
-    def c_u_adj(self, p, w) -> np.ndarray:
-        return np.array([w[0]])
+    c_u_adj = c_u  # every block of this scalar constraint is 1 x 1
 
     def c_z(self, p, v) -> np.ndarray:
         _, d1, _ = self._sig(p)
         return np.array([-d1 * p.theta[0] * v[0]])
 
-    def c_z_adj(self, p, w) -> np.ndarray:
-        _, d1, _ = self._sig(p)
-        return np.array([-d1 * p.theta[0] * w[0]])
+    c_z_adj = c_z
 
     def c_theta(self, p, v) -> np.ndarray:
         _, d1, _ = self._sig(p)
@@ -94,8 +82,7 @@ class LogisticToyProblem(ProblemDefinition):
     def l_uz(self, p, v) -> np.ndarray:
         return np.zeros_like(v)
 
-    def l_zu(self, p, v) -> np.ndarray:
-        return np.zeros_like(v)
+    l_zu = l_uz  # both zero
 
     def l_zz(self, p, v) -> np.ndarray:
         _, _, d2 = self._sig(p)
@@ -127,8 +114,7 @@ class LogisticToyProblem(ProblemDefinition):
     def state_jacobian_solve(self, p, rhs) -> np.ndarray:
         return np.array([rhs[0]])
 
-    def state_jacobian_adjoint_solve(self, p, rhs) -> np.ndarray:
-        return np.array([rhs[0]])
+    state_jacobian_adjoint_solve = state_jacobian_solve
 
 
 def build_logistic_toy(corrupt_derivative: bool = False) -> LogisticToyProblem:

@@ -468,6 +468,26 @@ def test_direct_set_indices_match_sigma_1(tmp_path):
         assert value == pytest.approx(sigma_1[j], rel=1e-12)
 
 
+def test_randomized_direct_one_parameter_sets_are_column_norms():
+    """On the randomized path in direct mode, the index of a set that holds
+    one parameter i is sigma_1 of D restricted to e_i: ||D e_i||_Z /
+    sqrt((M_Theta)_ii). Advection-diffusion's diffusion and velocity sets
+    are such sets; 10 parameters against 7 randomized right-hand sides take
+    the randomized path."""
+    problem = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=8)
+    cfg = RandEigConfig(k_pairs=1, oversampling=2, power_iterations=0, set_index_mode="direct")
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), problem.dims.n_theta, 0)
+    result = analyze_sample(problem, plan, cfg, 0)
+    assert result.svd == "randomized"
+    sens = SensitivityOperator(problem, result.optimal.as_eval_point())
+    m_theta = problem.spaces.m_theta.dense()
+    for name, start, stop in problem.spaces.partition.sets:
+        if stop - start == 1:
+            e_i = np.eye(problem.dims.n_theta)[start]
+            ref = problem.spaces.m_z.norm(sens.apply(e_i)) / np.sqrt(m_theta[start, start])
+            assert result.sets[name] == pytest.approx(ref, rel=1e-12), name
+
+
 def test_direct_set_indices_take_the_samples_one_svd(monkeypatch):
     """On default advection-diffusion, with three sets, the direct set
     indices come from the sample's one weighted SVD: one dense SVD, and no

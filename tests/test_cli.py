@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,31 @@ class TestRunCommand:
         monkeypatch.setattr("hdsa.cli.global_analysis", _no_compute)
         assert main(["run", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_where_no_direction_moves_the_optimum_fails_cleanly(tmp_path):
+    """At amplitude 0 no parameter moves the optimum, so D = 0: the
+    randomized path keeps no column of its sketch and every sample fails.
+    `hdsa run` exits 1 with one error line; the empty blocks once crashed
+    the LAPACK kernels, and the process with them."""
+    cfg = {
+        "problem": {
+            "name": "diffusion_control_1d",
+            "params": {"n_state": 200, "n_param": 100, "amplitude": 0.0},
+        },
+        "hdsa": {"n_samples": 2},
+        "output_dir": str(tmp_path / "out"),
+    }
+    # a fresh interpreter that imports hdsa from this tree
+    path = [str(Path(operators.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "hdsa.cli", "run", str(write_config(tmp_path, cfg))],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_COMPUTE, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error:")
 
 
 def test_report_without_sosc_is_strict_json(tmp_path, capsys):

@@ -24,11 +24,16 @@ from hdsa.randeig import RandEigConfig, Triples, dense_oracle
 from hdsa.sampling import Distribution, SamplingPlan
 
 
+def one_set(n_theta):
+    return SetPartition((("all", 0, n_theta),))
+
+
 def identity_spaces(n_theta, n_z, partition=None):
+    """Identity weights; one set of every coordinate unless ``partition``."""
     return WeightedSpaces(
         m_theta=SpdOperator.identity(n_theta),
         m_z=SpdOperator.identity(n_z),
-        partition=partition,
+        partition=partition or one_set(n_theta),
     )
 
 
@@ -96,7 +101,7 @@ class TestLocalIndices:
         (M_Theta theta_k)_i. Without M_Theta the indices miss."""
         d = np.random.default_rng(3).standard_normal((5, 6))
         m_theta, m_z = random_spd(6, seed=4), random_spd(5, seed=5)
-        spaces = WeightedSpaces(m_theta=SpdOperator(m_theta), m_z=SpdOperator(m_z))
+        spaces = WeightedSpaces(SpdOperator(m_theta), SpdOperator(m_z), one_set(6))
         triples = weighted_svd(d, m_theta, m_z)
         ref = z_norms(d, m_z)
         np.testing.assert_allclose(local_indices(triples, spaces), ref, rtol=1e-12)

@@ -177,6 +177,23 @@ class TestKernels:
             ref = scipy.linalg.solve_banded((1, 1), ab, b)
             assert np.array_equal(solve_tridiagonal(ab, b), ref), name
 
+    def test_zero_column_blocks_skip_lapack(self, monkeypatch):
+        """gtsv and tbtrs crash the process on an (n, 0) block, so the
+        kernels return the (n, 0) result without calling them."""
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("LAPACK called on an empty block")
+
+        ab = np.ones((3, 6))
+        ab[1] += 4.0
+        m = SpdOperator(banded_spd(6, 1))
+        monkeypatch.setattr(hdsa.linalg, "_dgtsv", no_call)
+        monkeypatch.setattr(hdsa.linalg, "_dtbtrs", no_call)
+        empty = np.zeros((6, 0))
+        assert solve_tridiagonal(ab, empty).shape == (6, 0)
+        for trans in (False, True):
+            assert m.solve_factor(empty, trans=trans).shape == (6, 0)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("trans", [0, 1])
     def test_lu_is_scipys(self, order, trans):

@@ -4,7 +4,11 @@ import scipy.linalg
 
 from hdsa.linalg import SpdOperator
 from hdsa.problems import (
+    AdvDiffInversionProblem,
+    DiffusionControlProblem,
     EvalPoint,
+    LogisticToyProblem,
+    ProblemDims,
     ProblemError,
     SetPartition,
     WeightedSpaces,
@@ -69,6 +73,35 @@ class TestPartition:
         WeightedSpaces(SpdOperator.identity(4), SpdOperator.identity(3), part)
         with pytest.raises(ProblemError, match="cover"):
             WeightedSpaces(SpdOperator.identity(5), SpdOperator.identity(3), part)
+
+    def test_partition_is_required(self):
+        with pytest.raises(TypeError):
+            WeightedSpaces(SpdOperator.identity(4), SpdOperator.identity(3))
+
+
+class TestEachFactOnce:
+    def test_multiplier_space_is_the_state_space(self):
+        """n_lambda is derived from n_u, not stated beside it."""
+        d = ProblemDims(n_u=5, n_z=3, n_theta=2)
+        assert (d.n_lambda, d.n_stacked) == (5, 13)
+        with pytest.raises(TypeError):
+            ProblemDims(n_u=5, n_z=3, n_theta=2, n_lambda=5)
+
+    @pytest.mark.parametrize(
+        "cls", [AdvDiffInversionProblem, DiffusionControlProblem, LogisticToyProblem]
+    )
+    def test_problems_inherit_dims_and_spaces(self, cls):
+        assert "dims" not in vars(cls) and "spaces" not in vars(cls)
+
+    @pytest.mark.parametrize("cls", [DiffusionControlProblem, LogisticToyProblem])
+    def test_identical_blocks_are_aliases(self, cls):
+        """Each alias stays a name of its own in the class, where the
+        benchmark's tracer wraps it."""
+        for alias, block in (
+            ("c_u_adj", "c_u"), ("c_z_adj", "c_z"), ("l_zu", "l_uz"),
+            ("state_jacobian_adjoint_solve", "state_jacobian_solve"),
+        ):
+            assert vars(cls)[alias] is vars(cls)[block], alias
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from hdsa.problems import (
     build_diffusion_control_1d,
     build_logistic_toy,
 )
-from hdsa.problems.base import WeightedSpaces
+from hdsa.problems.base import SetPartition, WeightedSpaces
 from hdsa.randeig import (
     RandEigConfig,
     alternative_formulation,
@@ -477,7 +477,9 @@ class TestTripleSigns:
         self.assert_sign_rule(triples)
 
     def test_tie_goes_to_the_first_entry(self):
-        spaces = WeightedSpaces(SpdOperator.identity(3), SpdOperator.identity(2))
+        spaces = WeightedSpaces(
+            SpdOperator.identity(3), SpdOperator.identity(2), SetPartition((("all", 0, 3),))
+        )
         # column 0 ties at a positive first entry, column 1 at a negative one
         theta = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]])
         z = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -488,7 +490,9 @@ class TestTripleSigns:
         np.testing.assert_array_equal(t.z, z * np.array([1.0, -1.0]) / np.sqrt(5.0))
 
     def test_zero_columns_are_dropped(self):
-        spaces = WeightedSpaces(SpdOperator.identity(2), SpdOperator.identity(2))
+        spaces = WeightedSpaces(
+            SpdOperator.identity(2), SpdOperator.identity(2), SetPartition((("all", 0, 2),))
+        )
         theta = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         z = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         t = randeig._normalized(np.array([3.0, 2.0, 1.0]), theta, z, spaces)
