@@ -98,8 +98,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Run the verification suite; returns (name, passed, detail) rows."""
     checks: list[tuple[str, bool, str]] = []
     problem = cfg.build_problem()
-    plan = cfg.build_plan(problem)
-    optimal = solve_optimization(problem, plan.sample(0), cfg=cfg.optimizer)
+    optimal = solve_optimization(problem, cfg.build_plan(problem).sample(0), cfg=cfg.optimizer)
     point = optimal.as_eval_point()
 
     rep = check_derivatives(problem, point)
@@ -118,40 +117,21 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     )
     oracle = dense_oracle(sens, problem.spaces)
     triples, _ = randomized_geneig(sens, problem.spaces, cfg.randeig, sample_index=0)
-    k = min(len(triples), len(oracle))
-    if k == 0:
-        checks.append(("oracle cross-validation", False, "no singular triples"))
-    else:
-        ref = oracle.sigma[:k]
-        rel = float(np.max(np.abs(triples.sigma[:k] - ref) / np.maximum(ref, 1e-30)))
-        checks.append(
-            (
-                "oracle cross-validation",
-                rel <= 1e-6,
-                f"max relative sigma error {rel:.3e} over {k} triples",
-            )
-        )
-
+    checks.append(_spectrum_row(
+        "oracle cross-validation", triples.sigma, oracle.sigma, 0.0,
+        "no singular triples", "max relative sigma error {rel:.3e} over {k} triples",
+    ))
     alt, _ = alternative_formulation(sens, problem.spaces, cfg.randeig, sample_index=0)
-    ka = min(len(alt), len(oracle))
-    if ka == 0:
-        checks.append(("alternative formulation", False, "no eigenpairs"))
-    else:
-        ref = oracle.sigma[:ka] ** 2
-        err = np.abs(alt.sigma[:ka] ** 2 - ref)
-        rel = float(np.max(err / np.maximum(ref, 1e-30)))
-        # by Weyl's bound a Gram eigenvalue carries an absolute error of
-        # about eps alpha_1, which pairs below sigma_k / sigma_1 ~ 1e-5
-        # cannot meet at 1e-6 relative
-        floor = problem.dims.n_theta * np.finfo(float).eps * float(ref[0])
-        checks.append(
-            (
-                "alternative formulation",
-                bool(np.all(err <= 1e-6 * ref + floor)),
-                f"max relative eigenvalue error {rel:.3e} over {ka} pairs "
-                f"(gate 1e-6 alpha_k + n_theta eps alpha_1 = {floor:.3e})",
-            )
-        )
+    alpha = oracle.sigma**2
+    # by Weyl's bound a Gram eigenvalue carries an absolute error of about
+    # eps alpha_1, which pairs below sigma_k / sigma_1 ~ 1e-5 cannot meet at
+    # 1e-6 relative
+    floor = problem.dims.n_theta * np.finfo(float).eps * float(alpha[0])
+    checks.append(_spectrum_row(
+        "alternative formulation", alt.sigma**2, alpha, floor, "no eigenpairs",
+        "max relative eigenvalue error {rel:.3e} over {k} pairs "
+        "(gate 1e-6 alpha_k + n_theta eps alpha_1 = {floor:.3e})",
+    ))
 
     rng = rng_for(cfg.randeig.seed, VERIFY_STREAM)
     phi = rng.standard_normal(problem.dims.n_theta)
@@ -168,37 +148,26 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     )
 
     checks.append(_perturbation_sweep(problem, optimal, sens, oracle.theta[:, 0]))
-
-    gamma = cfg.problem_params.get("gamma")
-    if cfg.problem_name == "diffusion_control_1d" and gamma == 0.0:
-        sigma_sets = []
-        for j in range(3):
-            opt_j = solve_optimization(problem, plan.sample(j), cfg=cfg.optimizer)
-            s_j = SensitivityOperator(
-                problem,
-                opt_j.as_eval_point(),
-                opt_j.state_sensitivity,
-                opt_j.hessian_factor,
-            )
-            # identical probes across theta samples isolate the operator's
-            # theta-dependence from randomized-solver variation
-            tr_j, _ = randomized_geneig(
-                s_j, problem.spaces, cfg.randeig, sample_index=0
-            )
-            sigma_sets.append(tr_j.sigma)
-        base = sigma_sets[0]
-        rel = max(
-            float(np.max(np.abs(s - base) / np.maximum(base, 1e-30)))
-            for s in sigma_sets[1:]
-        )
-        checks.append(
-            (
-                "linearity (gamma = 0)",
-                rel <= 1e-6,
-                f"max sigma variation across theta samples {rel:.3e}",
-            )
-        )
     return checks
+
+
+def _spectrum_row(
+    name: str, got: np.ndarray, ref: np.ndarray, floor: float, empty: str, detail: str
+) -> tuple[str, bool, str]:
+    """Row ``name``: each of the first k = min(len(got), len(ref)) of a
+    solver's values ``got`` within 1e-6 ref + floor of the oracle's ``ref``;
+    ``detail`` formats ``rel``, ``k`` and ``floor``. Nothing to compare fails
+    as ``empty``, unless ``got`` is empty and every ``ref`` is 0: D = 0."""
+    k = min(len(got), len(ref))
+    if k == 0:
+        if not len(got) and not np.any(ref):
+            return name, True, "no triple on either side: D = 0"
+        return name, False, empty
+    ref = ref[:k]
+    err = np.abs(got[:k] - ref)
+    rel = float(np.max(err / np.maximum(ref, 1e-30)))
+    ok = bool(np.all(err <= 1e-6 * ref + floor))
+    return name, ok, detail.format(rel=rel, k=k, floor=floor)
 
 
 def _perturbation_sweep(
@@ -211,8 +180,8 @@ def _perturbation_sweep(
     PERTURBATION_DELTAS, the moved optima re-solved as one block of chord
     steps with the KKT operator of ``sens``. Verify passes the leading right
     singular vector theta_1, the direction that moves the optimum most
-    (||D theta_1|| = sigma_1); along a direction D maps to zero the chord
-    steps cannot meet a stop relative to a zero move."""
+    (||D theta_1|| = sigma_1); along a direction that D maps to zero the
+    prediction is 0 and the ratios read inf."""
     try:
         checks = perturbation_check(problem, optimal, phi, PERTURBATION_DELTAS, sens)
     except OptimizerError as exc:

@@ -12,9 +12,8 @@ from .sampling import SET_PROBE_STREAM
 
 
 def local_indices(triples: Triples, spaces: WeightedSpaces) -> np.ndarray:
-    """Per-coordinate indices S_i = sqrt(sum_k sigma_k^2 ((M_Theta theta_k)_i)^2)."""
-    if not triples:
-        raise ProblemError("local_indices needs at least one singular triple")
+    """Per-coordinate indices S_i = sqrt(sum_k sigma_k^2 ((M_Theta theta_k)_i)^2);
+    with no triple (D = 0) every index is 0."""
     return np.sqrt(spaces.m_theta.apply(triples.theta) ** 2 @ triples.sigma**2)
 
 
@@ -34,12 +33,10 @@ def set_indices(
     sigma_1(D o Pi), which is how ``analyze_sample`` takes the direct index
     where it assembles D. "direct" takes sigma_1 of D o Pi from the
     randomized solver on the projected operator (needs ``sens_op`` and
-    ``cfg``).
+    ``cfg``). With no triple (D = 0) every set reads 0.
     """
     out: dict[str, float] = {}
     if mode == "truncated":
-        if not triples:
-            raise ProblemError("set_indices needs at least one singular triple")
         thetas = triples.theta
         m_thetas = spaces.m_theta.apply(thetas)
         for name, start, stop in spaces.partition.sets:
@@ -48,7 +45,7 @@ def set_indices(
             gram = thetas[start:stop].T @ m_thetas[start:stop]
             s = np.outer(triples.sigma, triples.sigma) * gram
             evals, _ = dense_sym_eig(0.5 * (s + s.T))
-            out[name] = float(np.sqrt(max(evals[0], 0.0)))
+            out[name] = float(np.sqrt(evals.max(initial=0.0)))
         return out
     if mode == "direct":
         if sens_op is None or cfg is None:

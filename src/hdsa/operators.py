@@ -37,8 +37,9 @@ NORM_PROBES = 4
 
 # Chord re-solve at a nearby theta: converged when the z-correction is at
 # most CHORD_TOL of the distance z has moved from the base point, or when it
-# stops shrinking at or below CHORD_FLOOR of that distance, where rounding
-# holds it; CHORD_MAX_STEPS steps without either is a failure.
+# stops shrinking at or below CHORD_FLOOR of that distance, or of 64 eps
+# ||z0||_Z where z does not move, where rounding holds it; CHORD_MAX_STEPS
+# steps without either is a failure.
 CHORD_TOL = 1e-9
 CHORD_FLOOR = float(np.sqrt(np.finfo(float).eps))
 CHORD_MAX_STEPS = 50
@@ -237,6 +238,7 @@ class KktOperator:
         # one column per theta, each contiguous for the evaluation of F
         x = np.asfortranarray(np.repeat(np.concatenate([pt.u, pt.z, pt.lam])[:, None], m, 1))
         live, last = np.arange(m), np.full(m, np.inf)
+        noise = 64 * np.finfo(float).eps * m_z.norm(pt.z)
         for step in range(1, CHORD_MAX_STEPS + 1):
             f = np.column_stack([self._kkt_residual(x[:, j], thetas[:, j]) for j in live])
             if not np.isfinite(f).all():
@@ -248,7 +250,7 @@ class KktOperator:
             dz_norm = m_z.norms(self.split(dx)[1])
             moved = m_z.norms(self.split(x[:, live])[1] - pt.z[:, None])
             stop = (dz_norm <= CHORD_TOL * moved) | (
-                (last <= dz_norm) & (dz_norm <= CHORD_FLOOR * moved)
+                (last <= dz_norm) & (dz_norm <= np.maximum(CHORD_FLOOR * moved, noise))
             )
             live, last, moved = live[~stop], dz_norm[~stop], moved[~stop]
             if not live.size:

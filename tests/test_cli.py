@@ -23,10 +23,10 @@ from hdsa.cli import (
 )
 from hdsa.config import ConfigError, load_config, parse_config
 from hdsa.operators import KKT_TOL, KktOperator, SensitivityOperator
-from hdsa.optimizer import solve_optimization
+from hdsa.optimizer import OptimizerError, solve_optimization
 from hdsa.problems import build_diffusion_control_1d
 from hdsa.problems.logistic import LogisticToyProblem
-from hdsa.randeig import dense_oracle
+from hdsa.randeig import Triples, dense_oracle
 from hdsa.sampling import Distribution, SamplingPlan
 
 
@@ -128,6 +128,19 @@ class TestRunCommand:
         for name in CSV_FILES:
             assert (out / name).is_file()
 
+    def test_run_where_every_sample_fails(self, tmp_path, capsys, monkeypatch):
+        """Every sample failing is a compute failure: exit 1, one error
+        line, and no bundle."""
+        def diverge(*args, **kwargs):
+            raise OptimizerError("diverged")
+
+        monkeypatch.setattr("hdsa.analysis.solve_optimization", diverge)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, logistic_config(out)))]) == EXIT_COMPUTE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: analysis failed: every sample failed; first failure: diverged"
+        assert not out.exists()
+
     def test_report_has_solver_work_and_residuals(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, logistic_config(out))
@@ -187,29 +200,36 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_run_where_no_direction_moves_the_optimum_fails_cleanly(tmp_path):
-    """At amplitude 0 no parameter moves the optimum, so D = 0: the
-    randomized path keeps no column of its sketch and every sample fails.
-    `hdsa run` exits 1 with one error line; the empty blocks once crashed
-    the LAPACK kernels, and the process with them."""
-    cfg = {
-        "problem": {
-            "name": "diffusion_control_1d",
-            "params": {"n_state": 200, "n_param": 100, "amplitude": 0.0},
-        },
-        "hdsa": {"n_samples": 2},
-        "output_dir": str(tmp_path / "out"),
-    }
-    # a fresh interpreter that imports hdsa from this tree
+def test_run_where_no_direction_moves_the_optimum_reports_zero_indices(tmp_path):
+    """At amplitude 0 no parameter moves the optimum, so D = 0: neither the
+    exact path (4 parameters) nor the randomized path (100) keeps a triple,
+    and every index is 0. `hdsa run` exits 0 with nothing on stderr; the
+    empty blocks once crashed the LAPACK kernels, and the process with them."""
+    # a fresh interpreter that imports hdsa from this tree, with numerical
+    # warnings as errors
     path = [str(Path(operators.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run(
-        [sys.executable, "-m", "hdsa.cli", "run", str(write_config(tmp_path, cfg))],
-        env=env, capture_output=True, text=True,
-    )
-    assert done.returncode == EXIT_COMPUTE, done.stderr
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("error:")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    for n_state, n_param, svd in ((32, 4, "exact"), (200, 100, "randomized")):
+        cfg = {
+            "problem": {
+                "name": "diffusion_control_1d",
+                "params": {"n_state": n_state, "n_param": n_param, "amplitude": 0.0},
+            },
+            "hdsa": {"n_samples": 2},
+            "output_dir": str(tmp_path / svd),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "hdsa.cli", "run",
+             str(write_config(tmp_path, cfg, f"{svd}.json"))],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_OK and done.stderr == "", done.stderr
+        report = json.loads((tmp_path / svd / "report.json").read_text())
+        assert report["n_failures"] == 0
+        assert report["local_indices_mean"] == [0.0] * n_param
+        assert report["set_indices_mean"] == {"kappa": 0.0}
+        assert [(s["svd"], s["sigmas"]) for s in report["samples"]] == [(svd, [])] * 2
 
 
 def test_report_without_sosc_is_strict_json(tmp_path, capsys):
@@ -529,8 +549,8 @@ class TestVerifyCommand:
     def test_sweep_moves_along_a_direction_that_moves_the_optimum(
         self, tmp_path, problem
     ):
-        """theta_0 moves no optimum here: along e_0 the chord steps met no
-        stop relative to a zero move. The sweep follows theta_1."""
+        """theta_0 moves no optimum here: along e_0 the prediction is 0 and
+        the ratios read inf. The sweep follows theta_1."""
         ok, detail = self.rows(tmp_path, problem)["perturbation sweep"]
         assert ok and detail.startswith("ratios "), detail
 
@@ -561,9 +581,10 @@ class TestVerifyCommand:
             assert not rows["alternative formulation"][0], k_pairs
 
     def test_gamma_zero_linearity_row_passes(self, tmp_path):
-        # with gamma = 0 the optimum is affine in theta, so sigma must not
-        # vary across samples beyond rounding in the optimizer's Newton solve,
-        # and the perturbation ratios sit at 1 for every delta
+        # with gamma = 0 the optimum is affine in theta and the reduced
+        # Hessian nearly singular: every row passes, and the perturbation
+        # ratios sit at 1 for every delta. Criterion 4 of the acceptance
+        # suite pins the invariance of sigma across theta samples
         cfg = parse_config({
             "problem": {
                 "name": "diffusion_control_1d",
@@ -573,9 +594,54 @@ class TestVerifyCommand:
             "output_dir": str(tmp_path / "out"),
         })
         rows = {name: (ok, detail) for name, ok, detail in _verify_checks(cfg)}
-        assert "linearity (gamma = 0)" in rows
         failed = {name: detail for name, (ok, detail) in rows.items() if not ok}
         assert not failed, failed
+
+    @pytest.mark.parametrize("config", ["readme", "logistic"])
+    def test_rows_and_their_order(self, tmp_path, capsys, config):
+        """The README quick start and the logistic toy print the suite's five
+        rows, in this order, and pass each."""
+        if config == "readme":
+            readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+            cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+            cfg["output_dir"] = str(tmp_path / "out")
+        else:
+            cfg = logistic_config(tmp_path / "out")
+        assert main(["verify", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        rows = [re.match(r"(PASS|FAIL)  (.+?)  ", row).groups()
+                for row in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            ("PASS", "derivative check"),
+            ("PASS", "oracle cross-validation"),
+            ("PASS", "alternative formulation"),
+            ("PASS", "adjoint consistency"),
+            ("PASS", "perturbation sweep"),
+        ]
+
+    def test_zero_operator_agrees_with_its_oracle(self, tmp_path):
+        """At amplitude 0, D = 0: the randomized SVD and the squared
+        formulation return nothing, and every oracle sigma is 0, so both
+        spectrum rows agree with no value to compare. The chord re-solve
+        stops at z0; the sweep's ratios have no linear prediction to meet."""
+        problem = {"name": "diffusion_control_1d",
+                   "params": {"n_state": 32, "n_param": 4, "amplitude": 0.0}}
+        rows = self.rows(tmp_path, problem)
+        for name in ("oracle cross-validation", "alternative formulation"):
+            assert rows[name] == (True, "no triple on either side: D = 0")
+        ok, detail = rows["perturbation sweep"]
+        assert not ok and detail.startswith("ratios inf, inf, inf"), detail
+
+    def test_empty_spectrum_fails_where_d_is_not_zero(self, tmp_path, monkeypatch):
+        """A solver that returns nothing fails its row where the oracle's
+        sigma are not all 0."""
+        def nothing(d, *args, **kwargs):
+            return Triples(np.zeros(0), np.zeros((d.n_theta, 0)), np.zeros((d.n_z, 0))), None
+
+        monkeypatch.setattr("hdsa.cli.randomized_geneig", nothing)
+        monkeypatch.setattr("hdsa.cli.alternative_formulation", nothing)
+        rows = self.rows(tmp_path, {"name": "logistic_toy"})
+        assert rows["oracle cross-validation"] == (False, "no singular triples")
+        assert rows["alternative formulation"] == (False, "no eigenpairs")
 
     def test_usage_errors(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_USAGE

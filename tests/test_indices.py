@@ -108,12 +108,14 @@ class TestLocalIndices:
         unweighted = np.sqrt(triples.theta**2 @ triples.sigma**2)
         assert np.max(np.abs(unweighted - ref) / ref) > 1e-2
 
-    def test_empty_triples_rejected(self):
-        with pytest.raises(ProblemError):
-            local_indices(
-                Triples(np.zeros(0), np.zeros((3, 0)), np.zeros((3, 0))),
-                identity_spaces(3, 3),
-            )
+    def test_empty_triples_give_zero_indices(self):
+        """Where D = 0 no triple exists: every local index and every set of
+        the truncated representation reads 0."""
+        part = SetPartition((("left", 0, 1), ("right", 1, 3)))
+        spaces = identity_spaces(3, 3, part)
+        triples = Triples(np.zeros(0), np.zeros((3, 0)), np.zeros((3, 0)))
+        assert local_indices(triples, spaces).tolist() == [0.0, 0.0, 0.0]
+        assert set_indices(triples, spaces) == {"left": 0.0, "right": 0.0}
 
 
 class TestSetIndices:

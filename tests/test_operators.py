@@ -776,6 +776,24 @@ class TestChordResolve:
             with pytest.raises(optimizer.OptimizerError, match="did not converge"):
                 kkt.stationary_point(theta)
 
+    def test_stops_where_z_does_not_move(self, monkeypatch):
+        """At amplitude 0 no parameter moves the optimum (D = 0): the
+        corrections and the move are both rounding of z0, and the steps stop
+        once the correction no longer shrinks below 64 eps ||z0||_Z. Every
+        correction is below it; when one first fails to shrink depends on
+        the rounding, so the test allows 10 of the 50 steps."""
+        problem = build_diffusion_control_1d(n_state=32, n_param=4, amplitude=0.0)
+        theta0 = SamplingPlan(Distribution("uniform", -1.0, 1.0), 4).sample(0)
+        opt = solve_optimization(problem, theta0)
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        counts = self._counting(problem, sens.kkt, monkeypatch)
+        z = sens.kkt.stationary_point(theta0 + 1e-2 * np.ones(4)).z
+        m_z = problem.spaces.m_z
+        assert m_z.norm(z - opt.z0) <= 64 * np.finfo(float).eps * m_z.norm(opt.z0)
+        assert counts["steps"] <= 10, counts
+
     @pytest.mark.parametrize(
         "name, steps", [("quick start", [6, 4, 4]), ("advdiff", [5, 4, 3])]
     )
