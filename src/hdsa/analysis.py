@@ -166,53 +166,36 @@ def global_analysis(
     return HdsaReport(samples=results, failures=failures, cfg=cfg)
 
 
-@dataclass
-class PerturbationCheck:
-    delta: float
-    lhs: float  # ||z_opt(theta0 + delta phi) - z_opt(theta0)||_Z
-    linear_prediction: float  # delta * ||D phi||_Z
-    ratio: float
-
-
 def perturbation_check(
     problem: ProblemDefinition,
     point: OptimalPoint,
     phi: np.ndarray,
     deltas: Sequence[float],
     sens: SensitivityOperator,
-) -> list[PerturbationCheck]:
-    """Empirical first-order check at each of ``deltas``: the change of the
-    optimal z from theta0 to theta0 + delta*phi (phi scaled to unit
-    M_Theta-norm) against the linear prediction delta * ||D phi||_Z.
+) -> tuple[np.ndarray, float]:
+    """Empirical first-order check along ``phi`` (scaled to unit
+    M_Theta-norm): the distances ||z_opt(theta0 + delta phi) - z0||_Z the
+    optimum moves at each of the nonzero ``deltas``, and ||D phi||_Z, which
+    predicts delta ||D phi||_Z for each.
 
-    D phi is formed once, and not at all when every delta is 0. The moved
-    optima come from one block of chord steps on the first-order conditions
-    with the KKT operator of ``sens`` (``KktOperator.stationary_point``), so
-    they cost no W, reduced Hessian or factorization at a moved theta. The
-    second-order condition is certified at the base point only. A re-solve
-    that does not converge raises OptimizerError.
+    The moved optima come from one block of chord steps on the first-order
+    conditions with the KKT operator of ``sens``
+    (``KktOperator.stationary_point``), so they cost no W, reduced Hessian or
+    factorization at a moved theta. The second-order condition is certified
+    at the base point only. A zero ``phi`` or delta raises ValueError; a
+    re-solve that does not converge raises OptimizerError.
     """
     spaces = problem.spaces
     nrm = spaces.m_theta.norm(phi)
     if nrm == 0.0:
         raise ValueError("perturbation direction must be nonzero")
-    moving = [d for d in deltas if d != 0.0]
-    if moving:
-        phi = phi / nrm
-        d_phi = spaces.m_z.norm(sens.apply(phi))
-        thetas = point.theta0[:, None] + np.multiply.outer(phi, moving)
-        moved = sens.kkt.stationary_point(thetas)
-        z = np.column_stack([q.z for q in moved])
-        changes = iter(spaces.m_z.norms(z - point.z0[:, None]))
-    checks = []
-    for delta in deltas:
-        if delta == 0.0:
-            checks.append(PerturbationCheck(0.0, 0.0, 0.0, 1.0))
-            continue
-        lhs, prediction = float(next(changes)), delta * d_phi
-        ratio = lhs / prediction if prediction > 0 else np.inf
-        checks.append(PerturbationCheck(delta, lhs, prediction, ratio))
-    return checks
+    if not all(deltas):
+        raise ValueError(f"perturbation deltas must be nonzero, got {list(deltas)}")
+    phi = phi / nrm
+    d_phi = spaces.m_z.norm(sens.apply(phi))
+    thetas = point.theta0[:, None] + np.multiply.outer(phi, deltas)
+    z = np.column_stack([q.z for q in sens.kkt.stationary_point(thetas)])
+    return spaces.m_z.norms(z - point.z0[:, None]), d_phi
 
 
 def traditional_comparison(

@@ -205,14 +205,16 @@ def _check(doc: dict, fields: dict, what: str) -> None:
 
 
 # render_report's per-sample table, one column each: (header, its alignment
-# and width, the column's text for one report sample)
+# and width, the column's text for one report sample). A sample without a
+# triple (D = 0) reads sigma 0 and no residual
 _SAMPLE_COLUMNS = (
     ("j", "<8", lambda s: str(s["j"])),
-    ("sigma_1", ">16", lambda s: f"{s['sigmas'][0]:.6e}"),
-    ("sigma_K", ">16", lambda s: f"{s['sigmas'][-1]:.6e}"),
+    ("sigma_1", ">16", lambda s: f"{(s['sigmas'] or [0.0])[0]:.6e}"),
+    ("sigma_K", ">16", lambda s: f"{(s['sigmas'] or [0.0])[-1]:.6e}"),
     ("ratio", ">16", lambda s: f"{s['spectral_decay']:.6e}"),
     ("svd", ">12", lambda s: s["svd"]),
-    ("worst_resid", ">16", lambda s: f"{max(s['triple_residuals']):.6e}"),
+    ("worst_resid", ">16",
+     lambda s: f"{max(s['triple_residuals']):.6e}" if s["triple_residuals"] else "-"),
     ("kkt_bwd_err", ">16", lambda s: f"{s.get('kkt_backward_error', float('nan')):.6e}"),
 )
 
@@ -248,6 +250,5 @@ def render_report(manifest: dict, report: dict) -> str:
     )
     lines.append("".join(format(head, width) for head, width, _ in _SAMPLE_COLUMNS))
     for s in report["samples"]:
-        if s["sigmas"]:
-            lines.append("".join(format(text(s), width) for _, width, text in _SAMPLE_COLUMNS))
+        lines.append("".join(format(text(s), width) for _, width, text in _SAMPLE_COLUMNS))
     return "\n".join(lines) + "\n"

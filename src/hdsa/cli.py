@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import AllSamplesFailedError, global_analysis, perturbation_check
 from .bundle import BundleError, read_bundle, render_report, write_bundle
 from .config import ConfigError, RunConfig, load_config
-from .operators import SensitivityOperator
+from .operators import CHORD_NOISE, SensitivityOperator
 from .optimizer import COMPUTE_ERRORS, OptimalPoint, OptimizerError, solve_optimization
 from .problems.base import ProblemDefinition, check_derivatives
 from .randeig import alternative_formulation, dense_oracle, randomized_geneig
@@ -176,17 +176,24 @@ def _perturbation_sweep(
     sens: SensitivityOperator,
     phi: np.ndarray,
 ) -> tuple[str, bool, str]:
-    """The perturbation-sweep row: ratios along ``phi`` at each of
-    PERTURBATION_DELTAS, the moved optima re-solved as one block of chord
-    steps with the KKT operator of ``sens``. Verify passes the leading right
-    singular vector theta_1, the direction that moves the optimum most
-    (||D theta_1|| = sigma_1); along a direction that D maps to zero the
-    prediction is 0 and the ratios read inf."""
+    """The perturbation-sweep row: the optimum's moves along ``phi`` at each
+    of PERTURBATION_DELTAS, re-solved as one block of chord steps with the
+    KKT operator of ``sens``, against the prediction delta ||D phi||_Z.
+    Verify passes the leading right singular vector theta_1, the direction
+    that moves the optimum most (||D theta_1|| = sigma_1). Where D phi = 0
+    the row passes only if no moved optimum leaves the chord's rounding
+    floor CHORD_NOISE ||z0||_Z."""
     try:
-        checks = perturbation_check(problem, optimal, phi, PERTURBATION_DELTAS, sens)
+        moved, d_phi = perturbation_check(problem, optimal, phi, PERTURBATION_DELTAS, sens)
     except OptimizerError as exc:
         return "perturbation sweep", False, f"re-solve failed: {exc}"
-    ratios = [c.ratio for c in checks]
+    if d_phi == 0.0:
+        floor = CHORD_NOISE * problem.spaces.m_z.norm(optimal.z0)
+        worst = float(moved.max())
+        return "perturbation sweep", worst <= floor, (
+            f"D phi = 0; largest moved distance {worst:.3e} (rounding floor {floor:.3e})"
+        )
+    ratios = (moved / (np.array(PERTURBATION_DELTAS) * d_phi)).tolist()
     errs = [abs(r - 1.0) for r in ratios]
     # the ratio must approach 1 as delta shrinks, and its first-order limit
     # from the last two deltas must be there; a wrong D gives a ratio that

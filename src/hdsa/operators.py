@@ -37,11 +37,13 @@ NORM_PROBES = 4
 
 # Chord re-solve at a nearby theta: converged when the z-correction is at
 # most CHORD_TOL of the distance z has moved from the base point, or when it
-# stops shrinking at or below CHORD_FLOOR of that distance, or of 64 eps
-# ||z0||_Z where z does not move, where rounding holds it; CHORD_MAX_STEPS
-# steps without either is a failure.
+# stops shrinking at or below CHORD_FLOOR of that distance, or of
+# CHORD_NOISE ||z0||_Z where z does not move, where rounding holds it;
+# CHORD_MAX_STEPS steps without either is a failure. A re-solved z within
+# CHORD_NOISE ||z0||_Z of z0 has not moved.
 CHORD_TOL = 1e-9
 CHORD_FLOOR = float(np.sqrt(np.finfo(float).eps))
+CHORD_NOISE = float(64 * np.finfo(float).eps)
 CHORD_MAX_STEPS = 50
 
 
@@ -210,19 +212,18 @@ class KktOperator:
         dl = p.state_jacobian_adjoint_solve(pt, b_u - p.l_uu(pt, du) - p.l_uz(pt, dz))
         return np.concatenate([du, dz, dl])
 
-    def stationary_point(self, theta: np.ndarray) -> EvalPoint | list[EvalPoint]:
-        """The stationary point at a theta near the base point's, by chord
-        (simplified Newton) steps x <- x - K^{-1} F(x; theta) from the base
-        point on the KKT residual F = (grad_u L, grad_z L, c), with this K
-        (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-        1995, ch. 5). A step is one elimination pass: one state and one
-        adjoint solve, and no W, H or factorization at theta.
+    def stationary_point(self, thetas: np.ndarray) -> list[EvalPoint]:
+        """The stationary point at each column of a block ``thetas``
+        (n_theta, m) near the base point's theta, by chord (simplified
+        Newton) steps x <- x - K^{-1} F(x; theta) from the base point on the
+        KKT residual F = (grad_u L, grad_z L, c), with this K (Kelley,
+        Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+        ch. 5). A step is one elimination pass: one state and one adjoint
+        solve per column, and no W, H or factorization at theta.
 
-        theta is a vector, which returns one point, or a block (n_theta, m),
-        which returns the point of each column. The columns still iterating
-        share each step's pass; a column leaves the block once the rule
-        stated at ``CHORD_TOL`` stops it, so the block takes as many passes
-        as its slowest column.
+        The columns still iterating share each step's pass; a column leaves
+        the block once the rule stated at ``CHORD_TOL`` stops it, so the
+        block takes as many passes as its slowest column.
 
         F is evaluated exactly at theta, so the fixed point does not depend
         on K: a wrong K makes the steps contract slowly or diverge, not land
@@ -232,13 +233,14 @@ class KktOperator:
         ``CHORD_MAX_STEPS`` steps without every column stopping, raise
         OptimizerError.
         """
+        if thetas.ndim != 2:
+            raise ValueError(f"stationary_point takes a block (n_theta, m), got {thetas.shape}")
         pt, m_z = self.point, self.problem.spaces.m_z
-        thetas = theta.reshape(theta.shape[0], -1)
         m = thetas.shape[1]
         # one column per theta, each contiguous for the evaluation of F
         x = np.asfortranarray(np.repeat(np.concatenate([pt.u, pt.z, pt.lam])[:, None], m, 1))
         live, last = np.arange(m), np.full(m, np.inf)
-        noise = 64 * np.finfo(float).eps * m_z.norm(pt.z)
+        noise = CHORD_NOISE * m_z.norm(pt.z)
         for step in range(1, CHORD_MAX_STEPS + 1):
             f = np.column_stack([self._kkt_residual(x[:, j], thetas[:, j]) for j in live])
             if not np.isfinite(f).all():
@@ -254,8 +256,7 @@ class KktOperator:
             )
             live, last, moved = live[~stop], dz_norm[~stop], moved[~stop]
             if not live.size:
-                points = [EvalPoint(*self.split(x[:, j]), thetas[:, j]) for j in range(m)]
-                return points if theta.ndim == 2 else points[0]
+                return [EvalPoint(*self.split(x[:, j]), thetas[:, j]) for j in range(m)]
         raise OptimizerError(
             f"chord re-solve did not converge in {CHORD_MAX_STEPS} steps: "
             f"z-correction {last[0]:.3e} after moving {moved[0]:.3e}"

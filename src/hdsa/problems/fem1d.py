@@ -59,12 +59,13 @@ def hat_interpolation(points: np.ndarray, n_nodes: int) -> np.ndarray:
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise ProblemError("evaluation points outside the domain")
     h = 1.0 / (n_nodes - 1)
+    # the element of each point, x = 1 in the last; truncation is the floor
+    e = np.minimum((points / h).astype(int), n_nodes - 2)
+    t = (points - e * h) / h
     out = np.zeros((points.shape[0], n_nodes))
-    for r, x in enumerate(points):
-        e = min(int(x / h), n_nodes - 2)
-        t = (x - e * h) / h
-        out[r, e] = 1.0 - t
-        out[r, e + 1] = t
+    rows = np.arange(points.shape[0])
+    out[rows, e] = 1.0 - t
+    out[rows, e + 1] = t
     return out
 
 

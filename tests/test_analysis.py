@@ -129,18 +129,19 @@ class TestGlobalAnalysis:
 
 
 class TestPerturbationCheck:
-    def test_zero_delta_is_exact(self, monkeypatch):
-        """At delta = 0 the check returns before any PDE solve."""
+    def test_zero_delta_rejected(self, monkeypatch):
+        """A zero delta has no move to measure: it is refused, as a zero
+        direction is, before any PDE solve."""
         problem = build_logistic_toy()
         opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
 
         def forbidden(*args):
-            raise AssertionError("a PDE solve at delta = 0")
+            raise AssertionError("a PDE solve for a refused delta")
 
         for name in ("state_jacobian_solve", "state_jacobian_adjoint_solve"):
             monkeypatch.setattr(problem, name, forbidden)
-        (pc,) = perturbation_check(problem, opt, np.array([1.0, 0.0]), [0.0], sens)
-        assert (pc.delta, pc.lhs, pc.linear_prediction, pc.ratio) == (0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="deltas must be nonzero"):
+            perturbation_check(problem, opt, np.array([1.0, 0.0]), [1e-3, 0.0], sens)
         assert sens.kkt.work() == (0, 0)
 
     def test_ratio_approaches_one(self):
@@ -148,16 +149,19 @@ class TestPerturbationCheck:
         opt, sens = optimum_and_operator(problem, np.zeros(6))
         phi = np.zeros(6)
         phi[0] = 1.0
-        pc_big, pc_small = perturbation_check(problem, opt, phi, [1e-1, 1e-3], sens)
-        assert abs(pc_small.ratio - 1.0) <= 1e-2
-        assert abs(pc_small.ratio - 1.0) <= abs(pc_big.ratio - 1.0) + 1e-10
+        deltas = np.array([1e-1, 1e-3])
+        moved, d_phi = perturbation_check(problem, opt, phi, deltas, sens)
+        big, small = moved / (deltas * d_phi)
+        assert abs(small - 1.0) <= 1e-2
+        assert abs(small - 1.0) <= abs(big - 1.0) + 1e-10
 
     def test_direction_normalization(self):
         problem = build_logistic_toy()
         opt, sens = optimum_and_operator(problem, np.array([0.5, 0.5]))
-        (a,) = perturbation_check(problem, opt, np.array([1.0, 0.0]), [1e-3], sens)
-        (b,) = perturbation_check(problem, opt, np.array([5.0, 0.0]), [1e-3], sens)
-        assert a.lhs == pytest.approx(b.lhs, rel=1e-10)
+        (a,), d_a = perturbation_check(problem, opt, np.array([1.0, 0.0]), [1e-3], sens)
+        (b,), d_b = perturbation_check(problem, opt, np.array([5.0, 0.0]), [1e-3], sens)
+        assert a == pytest.approx(b, rel=1e-10)
+        assert d_a == pytest.approx(d_b, rel=1e-10)
 
     def test_zero_direction_rejected(self):
         problem = build_logistic_toy()
@@ -201,11 +205,13 @@ class TestChordSweep:
         unit = phi / problem.spaces.m_theta.norm(phi)
         tight = OptimizerConfig(stationarity_tol=1e-15, max_iter=200)
         deltas = (1e-2, 1e-3, 1e-4)
-        for delta, pc in zip(deltas, perturbation_check(problem, opt, phi, deltas, sens)):
+        moved, d_phi = perturbation_check(problem, opt, phi, deltas, sens)
+        for delta, distance in zip(deltas, moved):
             warm = InitialIterate(opt.u0.copy(), opt.z0.copy())
             ref = solve_optimization(problem, opt.theta0 + delta * unit, warm, tight)
             lhs = problem.spaces.m_z.norm(ref.z0 - opt.z0)
-            assert pc.ratio == pytest.approx(lhs / pc.linear_prediction, rel=1e-8, abs=0)
+            prediction = delta * d_phi
+            assert distance / prediction == pytest.approx(lhs / prediction, rel=1e-8, abs=0)
 
     def test_forms_nothing_at_the_moved_theta(self, sweep_points, monkeypatch):
         """No W, reduced Hessian, factorization or SOSC certificate."""
@@ -223,10 +229,8 @@ class TestChordSweep:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         phi = np.eye(problem.dims.n_theta)[0]
-        ratios = [
-            pc.ratio for pc in perturbation_check(problem, opt, phi, (1e-2, 1e-3, 1e-4), sens)
-        ]
-        assert abs(ratios[-1] - 1.0) <= 1e-3
+        moved, d_phi = perturbation_check(problem, opt, phi, (1e-2, 1e-3, 1e-4), sens)
+        assert abs(moved[-1] / (1e-4 * d_phi) - 1.0) <= 1e-3
 
 
 class TestTraditionalComparison:

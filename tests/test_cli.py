@@ -47,6 +47,11 @@ def logistic_config(out_dir, n_samples=2, seed=42, **extra):
     return cfg
 
 
+# diffusion where no parameter moves the optimum: D = 0
+ZERO_PROBLEM = {"name": "diffusion_control_1d",
+                "params": {"n_state": 32, "n_param": 4, "amplitude": 0.0}}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
@@ -291,6 +296,24 @@ class TestReportCommand:
             assert row.split()[-2] == f"{max(s['triple_residuals']):.6e}"
             assert row.split()[-1] == f"{s['kkt_backward_error']:.6e}"
             assert 0.0 <= s["kkt_backward_error"] <= KKT_TOL
+
+    def test_a_row_for_each_sample_where_d_is_zero(self, tmp_path, capsys):
+        """At D = 0 a sample has no triple: its row reads sigma 0 and ratio
+        0, no worst residual, and its SVD path and KKT backward error."""
+        out = tmp_path / "out"
+        cfg = {"problem": ZERO_PROBLEM, "hdsa": {"n_samples": 2}, "output_dir": str(out)}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        head = next(i for i, line in enumerate(lines) if "worst_resid" in line)
+        _, report = read_bundle(out)
+        assert len(lines) == head + 1 + len(report["samples"]) == head + 3
+        for row, s in zip(lines[head + 1 :], report["samples"]):
+            assert row.split() == [
+                str(s["j"]), *["0.000000e+00"] * 3, "exact", "-",
+                f"{s['kkt_backward_error']:.6e}",
+            ]
 
     def test_missing_bundle_is_usage_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_USAGE
@@ -549,8 +572,8 @@ class TestVerifyCommand:
     def test_sweep_moves_along_a_direction_that_moves_the_optimum(
         self, tmp_path, problem
     ):
-        """theta_0 moves no optimum here: along e_0 the prediction is 0 and
-        the ratios read inf. The sweep follows theta_1."""
+        """theta_0 moves no optimum here: along e_0, D phi = 0 and the row
+        could only check that nothing moves. The sweep follows theta_1."""
         ok, detail = self.rows(tmp_path, problem)["perturbation sweep"]
         assert ok and detail.startswith("ratios "), detail
 
@@ -597,16 +620,18 @@ class TestVerifyCommand:
         failed = {name: detail for name, (ok, detail) in rows.items() if not ok}
         assert not failed, failed
 
-    @pytest.mark.parametrize("config", ["readme", "logistic"])
+    @pytest.mark.parametrize("config", ["readme", "logistic", "zero"])
     def test_rows_and_their_order(self, tmp_path, capsys, config):
-        """The README quick start and the logistic toy print the suite's five
-        rows, in this order, and pass each."""
+        """The README quick start, the logistic toy and diffusion where D = 0
+        print the suite's five rows, in this order, and pass each."""
         if config == "readme":
             readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
             cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
             cfg["output_dir"] = str(tmp_path / "out")
-        else:
+        elif config == "logistic":
             cfg = logistic_config(tmp_path / "out")
+        else:
+            cfg = {"problem": ZERO_PROBLEM, "output_dir": str(tmp_path / "out")}
         assert main(["verify", str(write_config(tmp_path, cfg))]) == EXIT_OK
         rows = [re.match(r"(PASS|FAIL)  (.+?)  ", row).groups()
                 for row in capsys.readouterr().out.splitlines()]
@@ -622,14 +647,44 @@ class TestVerifyCommand:
         """At amplitude 0, D = 0: the randomized SVD and the squared
         formulation return nothing, and every oracle sigma is 0, so both
         spectrum rows agree with no value to compare. The chord re-solve
-        stops at z0; the sweep's ratios have no linear prediction to meet."""
-        problem = {"name": "diffusion_control_1d",
-                   "params": {"n_state": 32, "n_param": 4, "amplitude": 0.0}}
-        rows = self.rows(tmp_path, problem)
+        stops at z0, within the rounding floor, as D phi = 0 predicts."""
+        rows = self.rows(tmp_path, ZERO_PROBLEM)
         for name in ("oracle cross-validation", "alternative formulation"):
             assert rows[name] == (True, "no triple on either side: D = 0")
         ok, detail = rows["perturbation sweep"]
-        assert not ok and detail.startswith("ratios inf, inf, inf"), detail
+        assert ok and detail.startswith("D phi = 0; largest moved distance "), detail
+        moved, floor = re.findall(r"\d\.\d{3}e[-+]\d+", detail)
+        assert float(moved) <= float(floor) < 1e-12, detail
+
+    def test_nonzero_d_phi_where_nothing_moves_fails_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """At D = 0 an operator that maps theta to a nonzero z predicts a
+        move that the re-solve does not make: the ratios read 0."""
+        apply = SensitivityOperator.apply
+        monkeypatch.setattr(
+            SensitivityOperator, "apply", lambda self, phi: apply(self, phi) + 1e-3
+        )
+        path = write_config(tmp_path, {"problem": ZERO_PROBLEM,
+                                       "output_dir": str(tmp_path / "out")})
+        assert main(["verify", str(path)]) == EXIT_COMPUTE
+        (sweep,) = [row for row in capsys.readouterr().out.splitlines()
+                    if "perturbation sweep" in row]
+        assert sweep.startswith("FAIL") and "ratios 0.000000" in sweep, sweep
+
+    def test_zero_d_phi_where_the_optimum_moves_fails_the_sweep(self):
+        """An operator that maps theta_1 to 0 where the optimum moves fails
+        the sweep, naming D phi = 0 and how far the optimum moved."""
+        problem = LogisticToyProblem()
+        opt = solve_optimization(problem, np.array([0.5, 0.5]))
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        phi = dense_oracle(sens, problem.spaces).theta[:, 0]
+        sens.apply = lambda v: np.zeros(sens.n_z)
+        name, ok, detail = _perturbation_sweep(problem, opt, sens, phi)
+        assert name == "perturbation sweep" and not ok
+        assert detail.startswith("D phi = 0; largest moved distance "), detail
 
     def test_empty_spectrum_fails_where_d_is_not_zero(self, tmp_path, monkeypatch):
         """A solver that returns nothing fails its row where the oracle's

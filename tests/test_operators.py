@@ -710,6 +710,12 @@ class TestChordResolve:
         return counts
 
     @staticmethod
+    def _resolve(kkt, theta):
+        """The re-solved z at one theta, as a block of one column."""
+        (q,) = kkt.stationary_point(theta[:, None])
+        return q.z
+
+    @staticmethod
     def _sens(check_points, name, factor_scale=1.0):
         problem, _, opt = check_points[name]
         factor = _scaled_factor(opt.hessian_factor, factor_scale)
@@ -728,7 +734,7 @@ class TestChordResolve:
         seen = []
         for delta in (1e-2, 1e-3, 1e-4):
             counts.update(steps=0, solves=0)
-            sens.kkt.stationary_point(opt.theta0 + delta * phi)
+            self._resolve(sens.kkt, opt.theta0 + delta * phi)
             assert counts["solves"] <= 2 * counts["steps"]
             seen.append(counts["steps"])
         assert seen == steps
@@ -739,7 +745,7 @@ class TestChordResolve:
         problem, opt, sens, phi = self._sens(check_points, "quick start")
         _, _, wrong, _ = self._sens(check_points, "quick start", 1 + 1e-2)
         theta = opt.theta0 + 1e-2 * phi
-        z, z_wrong = sens.kkt.stationary_point(theta).z, wrong.kkt.stationary_point(theta).z
+        z, z_wrong = self._resolve(sens.kkt, theta), self._resolve(wrong.kkt, theta)
         m_z = problem.spaces.m_z
         assert m_z.norm(z_wrong - z) <= 1e-9 * m_z.norm(z - opt.z0)
 
@@ -747,7 +753,7 @@ class TestChordResolve:
         """With 0.4 H the error of z grows by 1.5 per step."""
         _, opt, wrong, phi = self._sens(check_points, "quick start", 0.4)
         with pytest.raises(optimizer.OptimizerError, match="did not converge in 50 steps"):
-            wrong.kkt.stationary_point(opt.theta0 + 1e-2 * phi)
+            self._resolve(wrong.kkt, opt.theta0 + 1e-2 * phi)
 
     @pytest.mark.parametrize("floor, converges", [(4e-9, True), (1e-6, False)])
     def test_rounding_floor(self, check_points, monkeypatch, floor, converges):
@@ -757,7 +763,7 @@ class TestChordResolve:
         problem, opt, sens, phi = self._sens(check_points, "quick start")
         kkt, m_z = sens.kkt, problem.spaces.m_z
         theta = opt.theta0 + 1e-2 * phi
-        clean = kkt.stationary_point(theta).z
+        clean = self._resolve(kkt, theta)
         moved = m_z.norm(clean - opt.z0)
         rng = np.random.default_rng(17)
         backward = kkt._backward
@@ -770,11 +776,11 @@ class TestChordResolve:
 
         monkeypatch.setattr(kkt, "_backward", noisy)
         if converges:
-            z = kkt.stationary_point(theta).z
+            z = self._resolve(kkt, theta)
             assert m_z.norm(z - clean) <= 1e-8 * moved
         else:
             with pytest.raises(optimizer.OptimizerError, match="did not converge"):
-                kkt.stationary_point(theta)
+                self._resolve(kkt, theta)
 
     def test_stops_where_z_does_not_move(self, monkeypatch):
         """At amplitude 0 no parameter moves the optimum (D = 0): the
@@ -789,7 +795,7 @@ class TestChordResolve:
             problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
         )
         counts = self._counting(problem, sens.kkt, monkeypatch)
-        z = sens.kkt.stationary_point(theta0 + 1e-2 * np.ones(4)).z
+        z = self._resolve(sens.kkt, theta0 + 1e-2 * np.ones(4))
         m_z = problem.spaces.m_z
         assert m_z.norm(z - opt.z0) <= 64 * np.finfo(float).eps * m_z.norm(opt.z0)
         assert counts["steps"] <= 10, counts
@@ -812,7 +818,7 @@ class TestChordResolve:
         counts = self._counting(problem, sens.kkt, monkeypatch, widths)
         single, single_solves = [], 0
         for delta in deltas:
-            single.append(sens.kkt.stationary_point(opt.theta0 + delta * phi).z)
+            single.append(self._resolve(sens.kkt, opt.theta0 + delta * phi))
             single_solves += counts["solves"]
             counts.update(steps=0, solves=0)
         assert widths == [1] * sum(steps)
@@ -854,5 +860,14 @@ class TestChordResolve:
 
         monkeypatch.setattr(problem, "residual", spoiled)
         with pytest.raises(optimizer.OptimizerError, match="non-finite KKT residual at step 2"):
-            sens.kkt.stationary_point(opt.theta0 + 1e-2 * phi)
+            self._resolve(sens.kkt, opt.theta0 + 1e-2 * phi)
         assert counts == {"steps": 1, "solves": 2}
+
+    def test_vector_theta_is_refused(self, check_points, monkeypatch):
+        """theta is a block (n_theta, m); a vector is refused before any
+        solve."""
+        problem, opt, sens, phi = self._sens(check_points, "quick start")
+        counts = self._counting(problem, sens.kkt, monkeypatch)
+        with pytest.raises(ValueError, match=r"block \(n_theta, m\)"):
+            sens.kkt.stationary_point(opt.theta0 + 1e-2 * phi)
+        assert counts == {"steps": 0, "solves": 0}

@@ -60,6 +60,26 @@ class TestFem1d:
         phi = hat_interpolation(pts, 7)
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 7, 601])
+    def test_hat_interpolation_at_the_ends_and_nodes(self, n):
+        """At x = 0, x = 1 (in the last element) and the nodes each row is
+        its node's hat to the rounding of t = (x - e h) / h, which grows
+        with n, and has the bits of the interpolant evaluated one point at a
+        time."""
+        nodes = np.arange(n) / (n - 1)
+        points = np.concatenate([[0.0, 1.0], nodes, np.random.default_rng(3).random(20)])
+        h = 1.0 / (n - 1)
+        loop = np.zeros((points.size, n))
+        for r, x in enumerate(points):
+            e = min(int(x / h), n - 2)
+            t = (x - e * h) / h
+            loop[r, e], loop[r, e + 1] = 1.0 - t, t
+        phi = hat_interpolation(points, n)
+        np.testing.assert_array_equal(phi, loop)
+        np.testing.assert_allclose(
+            phi[: 2 + n], np.eye(n)[[0, -1, *range(n)]], rtol=0, atol=2 * n * np.finfo(float).eps
+        )
+
 
 class TestPartition:
     def test_overlap_rejected(self):
