@@ -373,14 +373,17 @@ class SensitivityOperator:
         return self._by_chunks(w, self.n_theta, half)
 
     def dense(self) -> np.ndarray:
-        """Coordinate matrix of D: the operator applied to the identity block,
-        n_theta KKT right-hand sides on every call. n_z is at most
+        """Coordinate matrix of D from the narrow side of K: D^T applied to
+        the identity block where n_z < n_theta, D where not, so
+        min(n_z, n_theta) KKT right-hand sides on every call. n_z is at most
         ``DENSE_THRESHOLD`` wherever an optimal point was found, so only
         n_theta is checked, before any solve."""
         if self.n_theta > DENSE_THRESHOLD:
             raise LinalgError(
                 "problem too large to assemble D densely; use the randomized path"
             )
+        if self.n_z < self.n_theta:
+            return self.apply_transpose(np.eye(self.n_z)).T
         return self.apply(np.eye(self.n_theta))
 
 

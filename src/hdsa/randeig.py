@@ -3,9 +3,9 @@
 The singular triples of the sensitivity operator D in the mass-weighted inner
 products satisfy D theta_k = sigma_k z_k and D* z_k = sigma_k theta_k, with
 D* = M_Theta^{-1} D^T M_Z the weighted adjoint. Both solvers take them from
-one Cholesky-based weighted SVD: ``exact_triples`` feeds it the assembled D,
-where that costs no more KKT right-hand sides than sampling, and
-``randomized_geneig`` the projection Q^T M_Z D onto a sampled range basis Q.
+one Cholesky-based weighted SVD: ``exact_triples`` feeds it D, assembled
+where ``svd_path`` says, and ``randomized_geneig`` the projection Q^T M_Z D
+onto a sampled range basis Q.
 A dense oracle and the n x n squared formulation
 D^T M_Z D theta = alpha M_Theta theta are provided for cross-validation.
 ``apply_pencil_a`` applies the stacked pencil [[0, M_Z D], [D^T M_Z, 0]],
@@ -90,7 +90,6 @@ class Triples:
 @dataclass
 class GenEigDiagnostics:
     ritz_values: np.ndarray  # every weighted sigma of the assembled or projected D
-    n_probes: int
     n_dropped: int
     rank_deficient: bool
     # per returned triple: max(||D theta - sigma z||_Z, ||D* z - sigma theta||_Theta)
@@ -176,14 +175,14 @@ def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
     return (2 + 2 * q) * min(cfg.n_probes, n_theta) + cfg.k_pairs
 
 
-def svd_path(cfg: RandEigConfig, n_theta: int) -> str:
-    """"exact" where assembling D, one KKT right-hand side per parameter,
-    takes no more than the ``randomized_rhs`` of the randomized solve and
-    n_theta is at most ``DENSE_THRESHOLD``; "randomized" otherwise. n_z
-    does not enter: the optimizer bounds it already."""
-    if n_theta <= min(randomized_rhs(cfg, n_theta), DENSE_THRESHOLD):
-        return "exact"
-    return "randomized"
+def svd_path(cfg: RandEigConfig, n_theta: int, n_z: int) -> str:
+    """"exact" where D fits ``DENSE_THRESHOLD`` and either its one SVD
+    answers "direct" set indices exactly or its narrow side, min(n_z,
+    n_theta) KKT right-hand sides, costs no more than ``randomized_rhs``;
+    "randomized" otherwise."""
+    cheap = min(n_z, n_theta) <= randomized_rhs(cfg, n_theta)
+    fits = n_theta <= DENSE_THRESHOLD
+    return "exact" if fits and (cheap or cfg.set_index_mode == "direct") else "randomized"
 
 
 def randomized_geneig(
@@ -235,7 +234,6 @@ def randomized_geneig(
         residuals = _residuals(triples, d.apply(triples.theta), adj_z, spaces)
     diag = GenEigDiagnostics(
         ritz_values=sig,
-        n_probes=r,
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
@@ -258,8 +256,8 @@ def exact_triples(
     """The first K singular triples of D, its diagnostics, and every triple
     of the same weighted SVD.
 
-    Assembles D from one KKT right-hand side per parameter, so it pays where
-    n_theta is at most ``randomized_rhs``. Triples at or below ``RANK_TOL``
+    Assembles D from its narrow side, min(n_z, n_theta) KKT right-hand
+    sides (``SensitivityOperator.dense``). Triples at or below ``RANK_TOL``
     times sigma_1 are dropped from the first K, with the rank flag set when
     fewer than K remain. Residuals use the assembled matrix and cost no
     further KKT solve. Every triple spans D, so the set Gram of
@@ -273,7 +271,6 @@ def exact_triples(
     residuals = _residuals(triples, matmul(dmat, triples.theta), adj_z, spaces)
     diag = GenEigDiagnostics(
         ritz_values=every.sigma,
-        n_probes=d.n_theta,
         n_dropped=0,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,
@@ -284,7 +281,7 @@ def exact_triples(
 def dense_oracle(d: SensitivityOperator, spaces: WeightedSpaces) -> Triples:
     """Weighted SVD via explicit Cholesky factors: SVD of R_Z D R_Theta^{-1}.
 
-    Builds D from one block of KKT solves over the parameter basis and returns
+    Builds D from one block of KKT solves on its narrow side and returns
     the full set of singular triples in the weighted inner products.
     """
     return _all_triples(d.dense(), spaces)
@@ -348,7 +345,6 @@ def alternative_formulation(
     triples = _normalized(sigma, thetas, images, spaces)
     diag = GenEigDiagnostics(
         ritz_values=evals,
-        n_probes=r,
         n_dropped=dropped,
         rank_deficient=len(triples) < cfg.k_pairs,
         triple_residuals=residuals,

@@ -152,11 +152,12 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         _, report = read_bundle(out)
         for s in report["samples"]:
-            # D is assembled from a column per parameter, and its first
-            # columns, the operator's check, are the one KKT solve
+            # D is assembled from its narrow side, the one adjoint column of
+            # n_z 1 against n_theta 2, which checks the operator as the one
+            # KKT solve
             assert s["svd"] == "exact"
             assert s["kkt_solves"] == 1
-            assert s["kkt_rhs"] == 2
+            assert s["kkt_rhs"] == 1
             assert 0.0 <= s["kkt_backward_error"] <= KKT_TOL
             assert len(s["triple_residuals"]) == len(s["sigmas"])
 

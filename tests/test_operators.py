@@ -634,6 +634,30 @@ class TestSensitivityOperator:
         cols = np.column_stack([sens.apply(e) for e in np.eye(sens.n_theta)])
         np.testing.assert_allclose(d, cols, rtol=0, atol=1e-9 * np.abs(d).max())
 
+    def test_dense_is_apply_where_n_z_is_not_narrower(self, diffusion_point):
+        problem, point = diffusion_point
+        sens = SensitivityOperator(problem, point)
+        assert sens.n_z >= sens.n_theta
+        d = sens.dense()
+        assert sens.kkt.work() == (1, sens.n_theta)
+        assert np.array_equal(d, sens.apply(np.eye(sens.n_theta)))
+
+    def test_dense_from_the_narrow_side(self):
+        """Where n_z < n_theta, D comes from n_z adjoint columns: 16 for
+        advection-diffusion's 32 parameters, the first of them the
+        operator's check, and it matches the n_theta forward columns."""
+        problem = build_advdiff_inversion_1d(n_space=16, n_steps=20, n_window=30)
+        assert (problem.dims.n_theta, problem.dims.n_z) == (32, 16)
+        opt = solve_optimization(problem, np.zeros(32))
+        sens = SensitivityOperator(
+            problem, opt.as_eval_point(), opt.state_sensitivity, opt.hessian_factor
+        )
+        d = sens.dense()
+        assert d.shape == (16, 32)
+        assert sens.kkt.work() == (1, 16)
+        forward = sens.apply(np.eye(32))
+        np.testing.assert_allclose(d, forward, rtol=0, atol=1e-12 * np.abs(forward).max())
+
     def test_block_apply_in_capped_chunks(self, diffusion_point, monkeypatch):
         problem, point = diffusion_point
         sens = SensitivityOperator(problem, point)
