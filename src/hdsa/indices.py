@@ -31,9 +31,9 @@ def set_indices(
     sqrt(lambda_max(S)) with S_kl = sigma_k sigma_l (Pi theta_k)^T M_Theta
     (Pi theta_l); over every triple of D's weighted SVD it is
     sigma_1(D o Pi), which is how ``analyze_sample`` takes the direct index
-    wherever D fits. "direct" takes sigma_1 of D o Pi from the randomized
-    solver on the projected operator (needs ``sens_op`` and ``cfg``) where
-    it does not. With no triple (D = 0) every set reads 0.
+    where it assembles D. "direct" takes sigma_1 of D o Pi from the
+    randomized solver on the projected operator (needs ``sens_op`` and
+    ``cfg``) on the randomized path. With no triple (D = 0) every set reads 0.
     """
     out: dict[str, float] = {}
     if mode == "truncated":

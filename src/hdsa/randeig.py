@@ -176,13 +176,13 @@ def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
 
 
 def svd_path(cfg: RandEigConfig, n_theta: int, n_z: int) -> str:
-    """"exact" where D fits ``DENSE_THRESHOLD`` and either its one SVD
-    answers "direct" set indices exactly or its narrow side, min(n_z,
-    n_theta) KKT right-hand sides, costs no more than ``randomized_rhs``;
+    """"exact" where assembling D from its narrow side, min(n_z, n_theta)
+    KKT right-hand sides, takes no more than the ``randomized_rhs`` of the
+    randomized solve and n_theta is at most ``DENSE_THRESHOLD``;
     "randomized" otherwise."""
-    cheap = min(n_z, n_theta) <= randomized_rhs(cfg, n_theta)
-    fits = n_theta <= DENSE_THRESHOLD
-    return "exact" if fits and (cheap or cfg.set_index_mode == "direct") else "randomized"
+    if n_theta <= DENSE_THRESHOLD and min(n_z, n_theta) <= randomized_rhs(cfg, n_theta):
+        return "exact"
+    return "randomized"
 
 
 def randomized_geneig(

@@ -355,12 +355,18 @@ def quick_start_sample(cfg):
 
 @pytest.fixture(scope="module")
 def size_rule_operators():
-    """The quick-start operator (n_theta 16), one with n_theta 32, and the
-    rank-1 logistic toy's (n_theta 2, n_z 1)."""
+    """The quick-start operator (n_theta 16), one with n_theta 32, one with
+    n_theta 32 against n_z 16, and the rank-1 logistic toy's (n_theta 2,
+    n_z 1)."""
     out = {}
     for name, build, theta in (
         ("quick start", lambda: build_diffusion_control_1d(n_state=64, n_param=16), np.zeros(16)),
         ("n_theta 32", lambda: build_diffusion_control_1d(n_state=64, n_param=32), np.zeros(32)),
+        (
+            "n_z 16",
+            lambda: build_advdiff_inversion_1d(n_space=16, n_steps=20, n_window=30),
+            np.zeros(32),
+        ),
         ("logistic", build_logistic_toy, np.array([0.5, 0.5])),
     ):
         problem = build()
@@ -370,10 +376,10 @@ def size_rule_operators():
 
 
 class TestSvdPath:
-    """D is assembled where it fits ``DENSE_THRESHOLD`` and either the set
-    indices are direct or its narrow side, min(n_z, n_theta) columns, costs
-    no more KKT right-hand sides than the randomized solve's (2 + 2q) r + K,
-    r = min(K + p, n_theta), with q = 0 where r = n_theta."""
+    """D is assembled where it fits ``DENSE_THRESHOLD`` and its narrow side,
+    min(n_z, n_theta) columns, costs no more KKT right-hand sides than the
+    randomized solve's (2 + 2q) r + K, r = min(K + p, n_theta), with q = 0
+    where r = n_theta."""
 
     def test_quick_start_defaults_assemble_d(self):
         # 16 columns of D against 6 * 12 + 4 = 76 for the randomized solve;
@@ -391,28 +397,6 @@ class TestSvdPath:
         res = quick_start_sample(cfg)
         assert res.svd == "randomized"
         assert res.kkt_rhs == 3
-
-    def test_direct_mode_takes_every_set_from_d(self):
-        # 3 randomized right-hand sides against 16 for D, but direct set
-        # indices take D's one SVD, whose triples are exact
-        cfg = RandEigConfig(
-            k_pairs=1, oversampling=0, power_iterations=0, seed=0, set_index_mode="direct"
-        )
-        res = quick_start_sample(cfg)
-        assert res.svd == "exact"
-        assert (res.kkt_solves, res.kkt_rhs) == (1, 16)
-        assert max(res.diagnostics.triple_residuals) <= 1e-12
-        assert res.sets["kappa"] == pytest.approx(res.triples.sigma[0], rel=1e-12)
-
-    def test_narrow_side_assembles_d_at_n_z_columns(self):
-        # n_theta 32 > n_z 16: D from 16 adjoint columns against 76 for the
-        # randomized solve
-        problem = build_advdiff_inversion_1d(n_space=16, n_steps=20, n_window=30)
-        plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), problem.dims.n_theta)
-        res = analyze_sample(problem, plan, RandEigConfig(seed=0), 0)
-        assert res.svd == "exact"
-        assert (res.kkt_solves, res.kkt_rhs) == (1, 16)
-        assert max(res.diagnostics.triple_residuals) <= 1e-12
 
     def test_rule_reads_sizes_only(self):
         cfg = RandEigConfig(k_pairs=1, oversampling=0, power_iterations=0)
@@ -437,14 +421,11 @@ class TestSvdPath:
         assert randomized_rhs(cfg, DENSE_THRESHOLD + 1) > DENSE_THRESHOLD + 1
         assert svd_path(cfg, DENSE_THRESHOLD, 64) == "exact"
         assert svd_path(cfg, DENSE_THRESHOLD + 1, 64) == "randomized"
-        # direct set indices take D's one SVD wherever D fits, whatever the
-        # randomized solve would cost, and the randomized path above that
+        # the set-index mode does not enter
         cfg = RandEigConfig(
             k_pairs=1, oversampling=0, power_iterations=0, set_index_mode="direct"
         )
-        assert svd_path(cfg, 4, 64) == "exact"
-        assert svd_path(cfg, DENSE_THRESHOLD, DENSE_THRESHOLD) == "exact"
-        assert svd_path(cfg, DENSE_THRESHOLD + 1, 1) == "randomized"
+        assert svd_path(cfg, 4, 64) == "randomized"
 
     @pytest.mark.parametrize(
         "name, k, p, q",
@@ -457,6 +438,8 @@ class TestSvdPath:
             ("quick start", 4, 20, 2),
             ("n_theta 32", 4, 8, 0),  # 28 sampled columns: the randomized path
             ("n_theta 32", 4, 8, 2),
+            ("n_z 16", 4, 8, 0),  # 28 sampled columns against 16 adjoint ones
+            ("n_z 16", 1, 0, 0),
             ("logistic", 1, 0, 0),
             ("logistic", 1, 0, 2),
         ],
@@ -509,14 +492,13 @@ def test_direct_set_indices_match_sigma_1(tmp_path):
         assert value == pytest.approx(sigma_1[j], rel=1e-12)
 
 
-def test_randomized_direct_one_parameter_sets_are_column_norms(monkeypatch):
+def test_randomized_direct_one_parameter_sets_are_column_norms():
     """On the randomized path in direct mode, the index of a set that holds
     one parameter i is sigma_1 of D restricted to e_i: ||D e_i||_Z /
     sqrt((M_Theta)_ii). Advection-diffusion's diffusion and velocity sets
-    are such sets; a dense threshold below its 10 parameters sends direct
-    mode down the randomized path, where the projected operator runs."""
+    are such sets; 10 parameters against 7 randomized right-hand sides take
+    the randomized path."""
     problem = build_advdiff_inversion_1d(n_space=16, n_steps=8, n_window=8)
-    monkeypatch.setattr(randeig, "DENSE_THRESHOLD", problem.dims.n_theta - 1)
     cfg = RandEigConfig(k_pairs=1, oversampling=2, power_iterations=0, set_index_mode="direct")
     plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), problem.dims.n_theta, 0)
     result = analyze_sample(problem, plan, cfg, 0)
@@ -581,9 +563,8 @@ def test_direct_set_index_costs_no_kkt_solve_beyond_d(monkeypatch):
         # 16 columns of D, and in direct mode the set index from its SVD
         ({"k_pairs": 4, "oversampling": 8, "set_index_mode": "truncated"}, "exact", 16),
         ({"k_pairs": 4, "oversampling": 8, "set_index_mode": "direct"}, "exact", 16),
-        # 2 * 1 + 1 for the SVD, and in direct mode, with the dense threshold
-        # below the 16 parameters, (2 + 2 * 2) * 1 + 1 more for the one set's
-        # randomized solve on the projected operator
+        # 2 * 1 + 1 for the SVD, and in direct mode (2 + 2 * 2) * 1 + 1 more
+        # for the one set's randomized solve on the projected operator
         ({"k_pairs": 1, "oversampling": 0, "power_iterations": 0,
           "set_index_mode": "truncated"}, "randomized", 3),
         ({"k_pairs": 1, "oversampling": 0, "power_iterations": 0,
@@ -602,8 +583,6 @@ def test_report_counts_the_operators_kkt_work(tmp_path, monkeypatch, hdsa, svd, 
         return made[-1]
 
     monkeypatch.setattr(analysis, "SensitivityOperator", recorded)
-    if svd == "randomized" and hdsa["set_index_mode"] == "direct":
-        monkeypatch.setattr(randeig, "DENSE_THRESHOLD", 15)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "problem": {
