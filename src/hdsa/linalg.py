@@ -21,9 +21,9 @@ from types import ModuleType
 import numpy as np
 import scipy
 
-# Largest dimension formed as a dense matrix: the reduced Hessian's n_z, the
-# n_theta columns of the assembled sensitivity operator, and
-# KktOperator.dense().
+# Largest dimension formed as a dense matrix: the reduced Hessian's n_z and
+# KktOperator.dense(). The assembled sensitivity operator holds no more
+# entries, n_z * n_theta, than such a square.
 DENSE_THRESHOLD = 2000
 
 # Byte budget of one block of right-hand sides: operators that form stacked
@@ -437,7 +437,7 @@ def dense_sym_eig(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a small dense matrix: returns (sigma, U, V) with M = U diag(sigma) V^T."""
+    """Thin SVD of a dense matrix: returns (sigma, U, V) with M = U diag(sigma) V^T."""
     m = check_finite(m)
     rows, cols = m.shape
     if m.size == 0:

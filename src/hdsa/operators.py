@@ -302,9 +302,7 @@ class SensitivityOperator:
         self.problem = problem
         self.point = point
         self.kkt = KktOperator(problem, point, state_sensitivity, hessian_factor)
-        d = problem.dims
-        self.n_theta = d.n_theta
-        self.n_z = d.n_z
+        self.n_theta, self.n_z = problem.dims.n_theta, problem.dims.n_z
 
     def b(self, phi: np.ndarray) -> np.ndarray:
         """B phi = -(L_utheta phi, L_ztheta phi, c_theta phi), stacked."""
@@ -375,16 +373,20 @@ class SensitivityOperator:
     def dense(self) -> np.ndarray:
         """Coordinate matrix of D from the narrow side of K: D^T applied to
         the identity block where n_z < n_theta, D where not, so
-        min(n_z, n_theta) KKT right-hand sides on every call. n_z is at most
-        ``DENSE_THRESHOLD`` wherever an optimal point was found, so only
-        n_theta is checked, before any solve."""
-        if self.n_theta > DENSE_THRESHOLD:
-            raise LinalgError(
-                "problem too large to assemble D densely; use the randomized path"
-            )
+        min(n_z, n_theta) KKT right-hand sides on every call. Refused,
+        before any solve, where ``fits_dense`` does not hold."""
+        if not fits_dense(self.n_z, self.n_theta):
+            raise LinalgError("problem too large to assemble D densely; use the randomized path")
         if self.n_z < self.n_theta:
             return self.apply_transpose(np.eye(self.n_z)).T
         return self.apply(np.eye(self.n_theta))
+
+
+def fits_dense(n_z: int, n_theta: int) -> bool:
+    """Whether D's n_z x n_theta array may be assembled: no more entries than
+    a ``DENSE_THRESHOLD`` square, read at each call. D's weighted SVD is thin
+    (``dense_svd``), so a wide D costs its own entries, not n_theta^2."""
+    return n_z * n_theta <= DENSE_THRESHOLD**2
 
 
 def _checked(c: np.ndarray):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DENSE_THRESHOLD,
     LinalgError,
     b_orthonormalize,
     check_operand,
@@ -27,7 +26,7 @@ from .linalg import (
     dense_sym_eig,
     matmul,
 )
-from .operators import SensitivityOperator
+from .operators import SensitivityOperator, fits_dense
 from .problems.base import WeightedSpaces
 from .sampling import PROBE_STREAM, SQUARED_PROBE_STREAM, probe_vector
 
@@ -176,11 +175,10 @@ def randomized_rhs(cfg: RandEigConfig, n_theta: int) -> int:
 
 
 def svd_path(cfg: RandEigConfig, n_theta: int, n_z: int) -> str:
-    """"exact" where assembling D from its narrow side, min(n_z, n_theta)
-    KKT right-hand sides, takes no more than the ``randomized_rhs`` of the
-    randomized solve and n_theta is at most ``DENSE_THRESHOLD``;
-    "randomized" otherwise."""
-    if n_theta <= DENSE_THRESHOLD and min(n_z, n_theta) <= randomized_rhs(cfg, n_theta):
+    """"exact" where D ``fits_dense`` and assembling it from its narrow
+    side, min(n_z, n_theta) KKT right-hand sides, takes no more than the
+    ``randomized_rhs`` of the randomized solve; "randomized" otherwise."""
+    if fits_dense(n_z, n_theta) and min(n_z, n_theta) <= randomized_rhs(cfg, n_theta):
         return "exact"
     return "randomized"
 
@@ -257,11 +255,11 @@ def exact_triples(
     of the same weighted SVD.
 
     Assembles D from its narrow side, min(n_z, n_theta) KKT right-hand
-    sides (``SensitivityOperator.dense``). Triples at or below ``RANK_TOL``
-    times sigma_1 are dropped from the first K, with the rank flag set when
-    fewer than K remain. Residuals use the assembled matrix and cost no
-    further KKT solve. Every triple spans D, so the set Gram of
-    ``set_indices`` over them is sigma_1(D Pi_S).
+    sides, where it ``fits_dense`` (``SensitivityOperator.dense``). Triples
+    at or below ``RANK_TOL`` times sigma_1 are dropped from the first K,
+    with the rank flag set when fewer than K remain. Residuals use the
+    assembled matrix and cost no further KKT solve. Every triple spans D,
+    so the set Gram of ``set_indices`` over them is sigma_1(D Pi_S).
     """
     dmat = d.dense()
     every = _all_triples(dmat, spaces)

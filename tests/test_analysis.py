@@ -376,10 +376,10 @@ def size_rule_operators():
 
 
 class TestSvdPath:
-    """D is assembled where it fits ``DENSE_THRESHOLD`` and its narrow side,
-    min(n_z, n_theta) columns, costs no more KKT right-hand sides than the
-    randomized solve's (2 + 2q) r + K, r = min(K + p, n_theta), with q = 0
-    where r = n_theta."""
+    """D is assembled where its n_z * n_theta entries fit a
+    ``DENSE_THRESHOLD`` square and its narrow side, min(n_z, n_theta)
+    columns, costs no more KKT right-hand sides than the randomized solve's
+    (2 + 2q) r + K, r = min(K + p, n_theta), with q = 0 where r = n_theta."""
 
     def test_quick_start_defaults_assemble_d(self):
         # 16 columns of D against 6 * 12 + 4 = 76 for the randomized solve;
@@ -416,11 +416,13 @@ class TestSvdPath:
         # (2 + 2 * 2) * 20 + 12 = 132
         cfg = RandEigConfig(k_pairs=12, oversampling=8)
         assert svd_path(cfg, 202, 64) == "exact"
-        # D must fit the dense threshold, whatever its narrow side costs
+        # D's n_z * n_theta entries must fit a DENSE_THRESHOLD square, whatever
+        # its narrow side costs: a wide D fits, a square one just above does not
         cfg = RandEigConfig(k_pairs=1000, oversampling=8, power_iterations=0)
         assert randomized_rhs(cfg, DENSE_THRESHOLD + 1) > DENSE_THRESHOLD + 1
-        assert svd_path(cfg, DENSE_THRESHOLD, 64) == "exact"
-        assert svd_path(cfg, DENSE_THRESHOLD + 1, 64) == "randomized"
+        assert svd_path(cfg, DENSE_THRESHOLD + 1, 64) == "exact"
+        assert svd_path(cfg, DENSE_THRESHOLD, DENSE_THRESHOLD) == "exact"
+        assert svd_path(cfg, DENSE_THRESHOLD + 1, DENSE_THRESHOLD) == "randomized"
         # the set-index mode does not enter
         cfg = RandEigConfig(
             k_pairs=1, oversampling=0, power_iterations=0, set_index_mode="direct"
@@ -463,6 +465,30 @@ class TestSvdPath:
         assert alt_rhs == rhs + (2 * r if sketch else 0)
         path = "exact" if min(sens.n_z, sens.n_theta) <= rhs else "randomized"
         assert svd_path(cfg, sens.n_theta, sens.n_z) == path
+
+
+@pytest.mark.parametrize(
+    "threshold, svd, rhs",
+    [
+        # 8 adjoint columns assemble D's 8 x 32 entries, a 16 square
+        (16, "exact", 8),
+        # 256 entries exceed a 15 square: 12 probes, then the 8 columns left
+        # after the rank drops through two power passes and B^T, and 4 for
+        # the residuals
+        (15, "randomized", 12 + 2 * (8 + 8) + 8 + 4),
+    ],
+)
+def test_one_fit_rule_for_d(monkeypatch, threshold, svd, rhs):
+    """``svd_path`` and ``SensitivityOperator.dense`` read one bound: with
+    ``operators.DENSE_THRESHOLD`` alone patched, a sample of diffusion at
+    n_z 8 and n_theta 32 takes the path that the product n_z * n_theta
+    picks, and does not fail."""
+    monkeypatch.setattr(operators, "DENSE_THRESHOLD", threshold)
+    problem = build_diffusion_control_1d(n_state=8, n_param=32)
+    plan = SamplingPlan(Distribution("uniform", -1.0, 1.0), 32, master_seed=0)
+    res = analyze_sample(problem, plan, RandEigConfig(seed=0), 0)
+    assert (res.svd, res.kkt_rhs) == (svd, rhs)
+    assert max(res.diagnostics.triple_residuals) <= 1e-12
 
 
 def test_direct_set_indices_match_sigma_1(tmp_path):

@@ -621,18 +621,25 @@ class TestVerifyCommand:
         failed = {name: detail for name, (ok, detail) in rows.items() if not ok}
         assert not failed, failed
 
-    @pytest.mark.parametrize("config", ["readme", "logistic", "zero"])
-    def test_rows_and_their_order(self, tmp_path, capsys, config):
-        """The README quick start, the logistic toy and diffusion where D = 0
-        print the suite's five rows, in this order, and pass each."""
+    @pytest.mark.parametrize("config", ["readme", "logistic", "zero", "wide"])
+    def test_rows_and_their_order(self, tmp_path, capsys, monkeypatch, config):
+        """The README quick start, the logistic toy, diffusion where D = 0
+        and a wide D print the suite's five rows, in this order, and pass
+        each."""
         if config == "readme":
             readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
             cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
             cfg["output_dir"] = str(tmp_path / "out")
         elif config == "logistic":
             cfg = logistic_config(tmp_path / "out")
-        else:
+        elif config == "zero":
             cfg = {"problem": ZERO_PROBLEM, "output_dir": str(tmp_path / "out")}
+        else:
+            # n_theta 32 is above a threshold of 16, but D's 8 x 32 entries
+            # fit its square: the oracle assembles D from 8 adjoint columns
+            monkeypatch.setattr(operators, "DENSE_THRESHOLD", 16)
+            problem = {"name": "diffusion_control_1d", "params": {"n_state": 8, "n_param": 32}}
+            cfg = {"problem": problem, "output_dir": str(tmp_path / "out")}
         assert main(["verify", str(write_config(tmp_path, cfg))]) == EXIT_OK
         rows = [re.match(r"(PASS|FAIL)  (.+?)  ", row).groups()
                 for row in capsys.readouterr().out.splitlines()]

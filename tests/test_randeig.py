@@ -105,14 +105,22 @@ class TestDenseOracle:
         ids=["dense", "exact_triples", "dense_oracle"],
     )
     def test_refused_above_the_dense_threshold(self, monkeypatch, assemble):
-        """D is not assembled for n_theta above ``DENSE_THRESHOLD``, and the
-        refusal comes before any KKT solve."""
+        """D is not assembled where its n_z * n_theta entries exceed
+        ``DENSE_THRESHOLD`` squared, and the refusal comes before any KKT
+        solve. An n_theta above the threshold alone does not refuse it."""
         problem = build_diffusion_control_1d(n_state=32, n_param=8)
         sens = sample_operator(problem)
         monkeypatch.setattr(operators, "DENSE_THRESHOLD", sens.n_theta - 1)
         with pytest.raises(LinalgError, match="too large to assemble D densely"):
             assemble(sens, problem.spaces)
         assert sens.kkt.work() == (0, 0)
+        # 32 parameters against n_z 8: 256 entries, a 16 square, from the
+        # 8 adjoint columns of the narrow side
+        problem = build_diffusion_control_1d(n_state=8, n_param=32)
+        sens = sample_operator(problem)
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 16)
+        assemble(sens, problem.spaces)
+        assert sens.kkt.work() == (1, 8)
 
 
 class TestRandomized:
