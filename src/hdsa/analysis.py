@@ -14,14 +14,8 @@ import numpy as np
 
 from .indices import local_indices, set_indices
 from .operators import SensitivityOperator
-from .optimizer import (
-    COMPUTE_ERRORS,
-    OptimalPoint,
-    OptimizerConfig,
-    solve_forward,
-    solve_optimization,
-)
-from .problems.base import EvalPoint, ProblemDefinition
+from .optimizer import COMPUTE_ERRORS, OptimalPoint, OptimizerConfig, solve_optimization
+from .problems.base import ProblemDefinition
 from .randeig import (
     GenEigDiagnostics,
     RandEigConfig,
@@ -201,15 +195,13 @@ def perturbation_check(
 def traditional_comparison(
     problem: ProblemDefinition, point: OptimalPoint
 ) -> np.ndarray:
-    """|d/dtheta_i| of the reduced objective at FIXED z0 (forward + adjoint).
+    """|d/dtheta_i| of the reduced objective at FIXED z0, J_theta +
+    c_theta^T lambda0, with no PDE solve: u0 solves c = 0 and lambda0 solves
+    c_u^T lambda = -J_u at (z0, theta0).
 
     This is the sensitivity a fixed-design analysis would report; contrasted
     with the indices of the optimal-solution map.
     """
-    u = solve_forward(problem, point.z0, point.theta0, point.u0)
-    lam = problem.state_jacobian_adjoint_solve(
-        point.as_eval_point(), -problem.obj_grad_u(u, point.z0, point.theta0)
-    )
-    p = EvalPoint(u, point.z0, lam, point.theta0)
-    g = problem.obj_grad_theta(u, point.z0, point.theta0) + problem.c_theta_adj(p, lam)
+    p = point.as_eval_point()
+    g = problem.obj_grad_theta(p.u, p.z, p.theta) + problem.c_theta_adj(p, p.lam)
     return np.abs(g)

@@ -53,8 +53,9 @@ class KktOperator:
     Rows: (L_uu, L_uz, c_u^T; L_zu, L_zz, c_z^T; c_u, c_z, 0), evaluated at a
     fixed stationary point. Systems are solved by block elimination through
     the reduced Hessian H, with W = -c_u^{-1} c_z; ``state_sensitivity`` and
-    ``hessian_factor`` may pass in the W and the Cholesky factor of H that
-    the optimizer computed at the point. Without a factor, the first solve
+    ``hessian_factor`` may pass in the W and the array with R^T R = H in its
+    upper triangle that the optimizer computed at the point
+    (``factor_reduced_hessian``). Without a factor, the first solve
     forms both by one ``reduced_hessian_dense`` pass. ``apply`` and ``solve``
     take a vector (dim,) or a block (dim, r); ``solve_z`` and
     ``solve_from_z`` run the forward and the backward half.
@@ -65,7 +66,7 @@ class KktOperator:
         problem: ProblemDefinition,
         point: EvalPoint,
         state_sensitivity: np.ndarray | None = None,
-        hessian_factor: tuple | None = None,
+        hessian_factor: np.ndarray | None = None,
     ):
         self.problem = problem
         self.point = point
@@ -174,7 +175,7 @@ class KktOperator:
         err[~finite] = np.inf
         return err
 
-    def _hessian_factor(self) -> tuple:
+    def _hessian_factor(self) -> np.ndarray:
         p, pt = self.problem, self.point
         if self._factor is None:
             self._w, h = reduced_hessian_dense(p, pt)
@@ -290,6 +291,7 @@ class SensitivityOperator:
     ``apply`` and ``apply_transpose`` take a vector or a block of columns. A
     block goes through the KKT elimination ``block_width(n_stacked)`` columns
     at a time, which caps the stacked arrays that one pass forms.
+    ``state_sensitivity`` and ``hessian_factor`` go to ``KktOperator``.
     """
 
     def __init__(
@@ -297,7 +299,7 @@ class SensitivityOperator:
         problem: ProblemDefinition,
         point: EvalPoint,
         state_sensitivity: np.ndarray | None = None,
-        hessian_factor: tuple | None = None,
+        hessian_factor: np.ndarray | None = None,
     ):
         self.problem = problem
         self.point = point

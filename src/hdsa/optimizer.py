@@ -73,7 +73,7 @@ class OptimalPoint:
     # strict lower triangle the mirror of H's upper block triangle, which
     # none reads
     state_sensitivity: np.ndarray | None = field(default=None, repr=False)
-    hessian_factor: tuple | None = field(default=None, repr=False)
+    hessian_factor: np.ndarray | None = field(default=None, repr=False)
 
     def as_eval_point(self) -> EvalPoint:
         return EvalPoint(self.u0, self.z0, self.lambda0, self.theta0)
@@ -187,9 +187,9 @@ def _norm_1(h: np.ndarray) -> float:
     )
 
 
-def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
-    """``(R, False)`` with R^T R = H, the ``(c, lower)`` form that
-    ``cho_solve`` takes, or None where H is not positive definite.
+def factor_reduced_hessian(h: np.ndarray) -> np.ndarray | None:
+    """R with R^T R = H, in the upper triangle of the array that ``cho_solve``
+    takes, or None where H is not positive definite.
 
     H (from ``reduced_hessian_dense``) is factored in its own storage by one
     upper ``potrf``, which reads and writes only the upper triangle. So the
@@ -206,15 +206,15 @@ def factor_reduced_hessian(h: np.ndarray) -> tuple | None:
         np.fill_diagonal(h, diagonal)
         return None
     h.flags.writeable = False
-    return h, False
+    return h
 
 
-def _inverse_norm_estimate(factor: tuple) -> float:
-    """Hager-Higham lower estimate of ||H^-1||_1 from the Cholesky factor of
-    a symmetric H (Higham, ACM TOMS 14, 1988, Alg. 4.1), as in LAPACK dpocon,
-    at up to 11 solves. dpocon itself returned different last bits from run
-    to run under two OpenBLAS threads; these solves do not."""
-    n = factor[0].shape[0]
+def _inverse_norm_estimate(factor: np.ndarray) -> float:
+    """Hager-Higham lower estimate of ||H^-1||_1 from R^T R = H in the upper
+    triangle of ``factor`` (Higham, ACM TOMS 14, 1988, Alg. 4.1), as in
+    LAPACK dpocon, at up to 11 solves. dpocon itself returned different last
+    bits from run to run under two OpenBLAS threads; these solves do not."""
+    n = factor.shape[0]
     y = cho_solve(factor, np.full(n, 1.0 / n))
     est, sign = np.abs(y).sum(), np.copysign(1.0, y)
     z = np.abs(cho_solve(factor, sign))
@@ -235,17 +235,17 @@ def _inverse_norm_estimate(factor: tuple) -> float:
     return float(max(est, 2.0 * np.abs(cho_solve(factor, alt)).sum() / (3.0 * n)))
 
 
-def check_sosc(h: np.ndarray, factor: tuple | None, h_norm: float) -> float:
+def check_sosc(h: np.ndarray, factor: np.ndarray | None, h_norm: float) -> float:
     """Certify the second-order sufficient condition from the Cholesky factor
-    of the reduced Hessian H, which proves H positive definite up to a small
+    R of the reduced Hessian H, which proves H positive definite up to a small
     backward error (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 2002, ch. 10), and return ``1 / est||H^-1||_1``, an estimate of
     H's smallest eigenvalue (not a bound). Raises OptimizerError where the
     factorization failed, with the exact smallest eigenvalue of ``h``, or
     where the estimate is at or below ``eps h_norm``, with ``h_norm`` =
-    ||H||_1. Where ``factor`` is not None only its upper triangle is read,
-    and ``h`` not at all: ``factor_reduced_hessian`` factors H in H's own
-    array, so its 1-norm is taken before."""
+    ||H||_1. Where ``factor`` is not None only its upper triangle, R, is
+    read, and ``h`` not at all: ``factor_reduced_hessian`` factors H in H's
+    own array and returns it, so its 1-norm is taken before."""
     if factor is None:
         evals, _ = dense_sym_eig(h)
         raise OptimizerError(

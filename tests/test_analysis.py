@@ -26,6 +26,7 @@ from hdsa.optimizer import OptimizerConfig, solve_forward, solve_optimization
 from hdsa.problems import (
     AdvDiffInversionProblem,
     DiffusionControlProblem,
+    EvalPoint,
     build_advdiff_inversion_1d,
     build_diffusion_control_1d,
     build_logistic_toy,
@@ -264,6 +265,33 @@ class TestTraditionalComparison:
         opt = solve_optimization(problem, np.zeros(4))
         trad = traditional_comparison(problem, opt)
         np.testing.assert_allclose(trad, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "build, theta",
+        [
+            (build_logistic_toy, np.array([0.5, 0.5])),
+            (lambda: build_diffusion_control_1d(n_state=64, n_param=16, gamma=0.01),
+             np.linspace(-1.0, 1.0, 16)),
+            (build_advdiff_inversion_1d, np.linspace(-1.0, 1.0, 16)),
+        ],
+        ids=["logistic", "diffusion", "advdiff"],
+    )
+    def test_reads_the_optimal_point(self, monkeypatch, build, theta):
+        """No state or adjoint solve: u0 solves the state equation at
+        (z0, theta0) and lambda0 is its adjoint there, so the result equals,
+        bit for bit, a forward and an adjoint re-solve at fixed z0."""
+        problem = build()
+        opt = solve_optimization(problem, theta)
+        z, th = opt.z0, opt.theta0
+        u = solve_forward(problem, z, th, opt.u0)
+        lam = problem.state_jacobian_adjoint_solve(
+            opt.as_eval_point(), -problem.obj_grad_u(u, z, th)
+        )
+        g = problem.obj_grad_theta(u, z, th) + problem.c_theta_adj(EvalPoint(u, z, lam, th), lam)
+        assert np.abs(g).max() > 0.0
+        columns = counted_solve_columns(monkeypatch, type(problem))
+        assert np.array_equal(traditional_comparison(problem, opt), np.abs(g))
+        assert columns == []
 
 
 def counted_solve_columns(monkeypatch, cls):

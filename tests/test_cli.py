@@ -478,8 +478,7 @@ class TestVerifyCommand:
         )
         phi = dense_oracle(sens, problem.spaces).theta[:, 0]
         assert _perturbation_sweep(problem, opt, sens, phi)[1]
-        c, lower = opt.hessian_factor
-        sens.kkt._factor = (np.sqrt(scale) * c, lower)
+        sens.kkt._factor = np.sqrt(scale) * opt.hessian_factor
         name, ok, text = _perturbation_sweep(problem, opt, sens, phi)
         assert name == "perturbation sweep" and not ok
         assert text.startswith(detail)
@@ -542,8 +541,7 @@ class TestVerifyCommand:
         stationary_point = KktOperator.stationary_point
 
         def non_contracting(self, theta):
-            c, lower = self._factor
-            self._factor = (np.sqrt(0.4) * c, lower)
+            self._factor = np.sqrt(0.4) * self._factor
             return stationary_point(self, theta)
 
         monkeypatch.setattr(KktOperator, "stationary_point", non_contracting)

@@ -130,9 +130,7 @@ class TestReducedHessian:
         assert est == opt.sosc_min_eig_est > 0.0
         # the optimizer hands on W and the factor of the matrix it certified
         np.testing.assert_array_equal(opt.state_sensitivity, w)
-        c, lower = opt.hessian_factor
-        assert not lower
-        np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h))
+        np.testing.assert_array_equal(np.triu(opt.hessian_factor), scipy.linalg.cholesky(h))
 
     @pytest.mark.parametrize(
         "build, theta",
@@ -247,8 +245,8 @@ class TestHessianStorage:
     def test_factor_shares_the_array(self, dense_point):
         _, h = reduced_hessian_dense(*dense_point)
         ref = h.copy()
-        c, lower = optimizer.factor_reduced_hessian(h)
-        assert c is h and not lower and not c.flags.writeable
+        c = optimizer.factor_reduced_hessian(h)
+        assert c is h and not c.flags.writeable
         # R above the diagonal, bit for bit the separate factor, and H below
         np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(ref))
         np.testing.assert_array_equal(np.tril(c, -1), np.tril(ref, -1))
@@ -508,8 +506,7 @@ class TestSensitivityGradient:
         np.testing.assert_array_equal(h_zero, h_opt)
         np.testing.assert_array_equal(w_zero, w_opt)
         np.testing.assert_array_equal(opt.state_sensitivity, w_opt)
-        c, lower = opt.hessian_factor
-        assert not lower
+        c = opt.hessian_factor
         np.testing.assert_array_equal(np.tril(c, -1), np.tril(h_opt, -1))
         np.testing.assert_array_equal(np.triu(c), scipy.linalg.cholesky(h_opt))
 
@@ -535,7 +532,7 @@ class TestSecondOrderCheck:
         assert 0.5 <= ratio <= 2.0
         # the estimator is LAPACK's: dpocon gives rcond = 1 / (||H||_1 est)
         h_norm = np.linalg.norm(h, 1)
-        rcond, info = scipy.linalg.lapack.dpocon(opt.hessian_factor[0], h_norm)
+        rcond, info = scipy.linalg.lapack.dpocon(opt.hessian_factor, h_norm)
         assert info == 0
         assert opt.sosc_min_eig_est == pytest.approx(rcond * h_norm, rel=1e-10)
 
@@ -574,11 +571,11 @@ class TestSecondOrderCheck:
 
     def test_singular_factorable_matrix_is_rejected(self):
         h = np.diag([1.0, 1e-20])
-        factor = scipy.linalg.cho_factor(h)
+        factor = scipy.linalg.cholesky(h)
         with pytest.raises(OptimizerError, match="floor eps"):
             check_sosc(h, factor, np.linalg.norm(h, 1))
         h = np.diag([1.0, 1e-3])
-        factor = scipy.linalg.cho_factor(h)
+        factor = scipy.linalg.cholesky(h)
         assert check_sosc(h, factor, np.linalg.norm(h, 1)) == pytest.approx(1e-3)
 
 
@@ -588,16 +585,20 @@ class TestInverseNormEstimate:
 
     @staticmethod
     def _dpotrs(factor, v):
-        c, lower = factor
-        return scipy.linalg.lapack.dpotrs(c, v, lower=lower)[0]
+        return scipy.linalg.lapack.dpotrs(factor, v, lower=0)[0]
 
-    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("from_lower", [False, True])
     @pytest.mark.parametrize("n", [1, 5, 64, 600])
-    def test_matches_dpotrs(self, monkeypatch, n, lower):
+    def test_matches_dpotrs(self, monkeypatch, n, from_lower):
+        """R in the upper triangle, with H's entries below it: the array of
+        an upper ``potrf`` (Fortran order), or the transpose of a lower
+        one's (C order)."""
         rng = np.random.default_rng(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         h = (q * np.logspace(0.0, -2.0, n)) @ q.T
-        factor = scipy.linalg.cho_factor(h, lower=lower)
+        factor = scipy.linalg.cho_factor(h, lower=from_lower)[0]
+        if from_lower:
+            factor = factor.T
         v = rng.standard_normal(n)
         ref = self._dpotrs(factor, v)
         got = cho_solve(factor, v)
